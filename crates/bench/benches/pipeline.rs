@@ -9,12 +9,14 @@ use gp_dsp::cfar::{cfar_2d, CfarConfig};
 use gp_dsp::fft::fft_in_place;
 use gp_dsp::Complex;
 use gp_models::features::{encode_sample, FeatureConfig};
+use gp_models::{GesIDNet, GesIDNetConfig, PointModel};
 use gp_pipeline::{NoiseCanceler, Preprocessor, PreprocessorConfig, Segmenter};
 use gp_pointcloud::dbscan::{dbscan, DbscanConfig};
 use gp_pointcloud::metrics::{chamfer, hausdorff};
 use gp_radar::{Backend, RadarConfig, RadarSimulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 
 fn bench_dsp(c: &mut Criterion) {
     let mut group = c.benchmark_group("dsp");
@@ -124,10 +126,17 @@ fn bench_models(c: &mut Criterion) {
             |b| b.iter(|| model.predict(&sample)),
         );
     }
+    // One forward + backward on a pre-encoded input. Each iteration
+    // starts from a fresh clone of the same untrained model (clone and
+    // encoding are setup, untimed), so every timed step does identical
+    // work and gradients never accumulate across iterations.
     group.bench_function("gesidnet_train_step", |b| {
+        let mut rng = StdRng::seed_from_u64(0);
+        let input = encode_sample(&sample, &FeatureConfig::default(), &mut rng);
+        let net = GesIDNet::new(GesIDNetConfig::for_classes(2), &mut rng);
         b.iter_batched(
-            || train_classifier(&pairs, 2, &quick),
-            |_m| (),
+            || net.clone(),
+            |mut net| black_box(net.train_step(&input, 0)),
             BatchSize::SmallInput,
         )
     });

@@ -2,7 +2,7 @@
 //! identification in serialized or parallel mode (paper §IV-C).
 
 use crate::train::{
-    train_classifier, train_rd_classifier, SensingBackend, TrainConfig, TrainedModel,
+    train_classifier, train_rd_classifier, SampleRef, SensingBackend, TrainConfig, TrainedModel,
 };
 use gp_pipeline::LabeledSample;
 use gp_rd::RdLabeledSample;
@@ -99,6 +99,11 @@ pub struct Inference {
     pub gesture_probs: Vec<f64>,
     /// User class probabilities (from the identifier that ran).
     pub user_probs: Vec<f64>,
+    /// The identification embedding: the fused penultimate feature of
+    /// the identifier that ran, out of the same forward pass as
+    /// `user_probs` (the value [`GesturePrint::embedding_for_gesture`]
+    /// recomputes). `None` when that architecture has no fusion tap.
+    pub embedding: Option<Vec<f32>>,
 }
 
 /// A trained GesturePrint system.
@@ -316,34 +321,30 @@ impl GesturePrint {
         self.gesture_model.predict_rd(sample)
     }
 
-    /// Full inference: gesture, then user via the mode's identifier.
+    /// Full inference: gesture, then user via the mode's identifier,
+    /// whose forward also yields the identification embedding.
     pub fn infer(&self, sample: &LabeledSample) -> Inference {
-        let gesture_probs = self.gesture_model.probabilities(sample);
-        let gesture = argmax_f64(&gesture_probs);
-        let identifier = self.identifier_for(gesture);
-        let user_probs = identifier.probabilities(sample);
-        let user = argmax_f64(&user_probs);
-        Inference {
-            gesture,
-            user,
-            gesture_probs,
-            user_probs,
-        }
+        self.infer_of(sample.into())
     }
 
     /// Full inference over an RD sample — identical two-stage dispatch
     /// as [`GesturePrint::infer`], on the RD backend.
     pub fn infer_rd(&self, sample: &RdLabeledSample) -> Inference {
-        let gesture_probs = self.gesture_model.probabilities_rd(sample);
+        self.infer_of(sample.into())
+    }
+
+    fn infer_of(&self, sample: SampleRef<'_>) -> Inference {
+        let gesture_probs = self.gesture_model.probabilities_of(sample);
         let gesture = argmax_f64(&gesture_probs);
-        let identifier = self.identifier_for(gesture);
-        let user_probs = identifier.probabilities_rd(sample);
-        let user = argmax_f64(&user_probs);
+        let (user_probs, embedding) = self
+            .identifier_for(gesture)
+            .probabilities_and_embedding(sample);
         Inference {
             gesture,
-            user,
+            user: argmax_f64(&user_probs),
             gesture_probs,
             user_probs,
+            embedding,
         }
     }
 
@@ -379,11 +380,14 @@ impl GesturePrint {
                 .push(i);
         }
         let mut user_probs: Vec<Vec<f64>> = vec![Vec::new(); samples.len()];
+        let mut embeddings: Vec<Option<Vec<f32>>> = vec![None; samples.len()];
         for (identifier, indices) in groups {
             let subset: Vec<&LabeledSample> = indices.iter().map(|&i| samples[i]).collect();
-            let probs = self.identifiers[identifier].probabilities_batch(&subset);
-            for (&i, p) in indices.iter().zip(probs) {
+            let (probs, group_embeddings) =
+                self.identifiers[identifier].probabilities_and_embeddings_batch(&subset);
+            for (row, (&i, p)) in indices.iter().zip(probs).enumerate() {
                 user_probs[i] = p;
+                embeddings[i] = group_embeddings.as_ref().map(|m| m.row(row).to_vec());
             }
         }
 
@@ -391,12 +395,16 @@ impl GesturePrint {
             .into_iter()
             .zip(gesture_probs)
             .zip(user_probs)
-            .map(|((gesture, gesture_probs), user_probs)| Inference {
-                gesture,
-                user: argmax_f64(&user_probs),
-                gesture_probs,
-                user_probs,
-            })
+            .zip(embeddings)
+            .map(
+                |(((gesture, gesture_probs), user_probs), embedding)| Inference {
+                    gesture,
+                    user: argmax_f64(&user_probs),
+                    gesture_probs,
+                    user_probs,
+                    embedding,
+                },
+            )
             .collect()
     }
 
@@ -411,8 +419,10 @@ impl GesturePrint {
     }
 
     /// [`GesturePrint::embedding`] for a gesture the caller already
-    /// recognised — the serving path has the gesture from the batched
-    /// inference and must not run the recogniser twice.
+    /// recognised. Runs the identifier's forward again: inference
+    /// results already carry this value as [`Inference::embedding`], so
+    /// this is for enrollment from training data and for per-sample
+    /// reference checks.
     pub fn embedding_for_gesture(
         &self,
         sample: &LabeledSample,
@@ -668,6 +678,8 @@ mod tests {
         config.train.model = ModelKind::PointNet;
         let system = GesturePrint::train(&refs, 2, 2, &config);
         assert_eq!(system.embedding(&samples[0]), None);
+        assert_eq!(system.infer(&samples[0]).embedding, None);
+        assert_eq!(system.infer_batch(&refs[..2])[1].embedding, None);
     }
 
     /// 2 gestures × 2 users RD toy world: gesture controls the range

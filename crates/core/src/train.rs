@@ -371,6 +371,32 @@ impl TrainedModel {
         }
     }
 
+    /// Class probabilities and the fused embedding of one sample of
+    /// either backend, out of a single forward pass: what
+    /// [`crate::GesturePrint::infer`] reads from the identifier that ran.
+    /// The embedding is `None` for point architectures without a fusion
+    /// tap.
+    pub(crate) fn probabilities_and_embedding(
+        &self,
+        sample: SampleRef<'_>,
+    ) -> (Vec<f64>, Option<Vec<f32>>) {
+        let (logits, embedding) = match sample {
+            SampleRef::Cloud(s) => self
+                .model
+                .point()
+                .logits_and_embedding(&self.encode_input(s)),
+            SampleRef::Rd(s) => {
+                let (logits, embedding) = self
+                    .model
+                    .rd()
+                    .logits_and_embedding(&self.encode_rd_input(s));
+                (logits, Some(embedding))
+            }
+        };
+        let probs = softmax(&logits).into_iter().map(|v| v as f64).collect();
+        (probs, embedding)
+    }
+
     /// Class probabilities for a batch of samples, one row per sample,
     /// through the model's batched forward ([`gp_models::PointModel::logits_batch`]).
     ///
@@ -378,11 +404,24 @@ impl TrainedModel {
     /// is per-sample deterministic — but lets batch-capable backends
     /// amortise work across the batch.
     pub fn probabilities_batch(&self, samples: &[&LabeledSample]) -> Vec<Vec<f64>> {
+        self.probabilities_and_embeddings_batch(samples).0
+    }
+
+    /// Batched [`TrainedModel::probabilities_and_embedding`] over
+    /// point-cloud samples: one probability row per sample and, when the
+    /// architecture has a fusion tap, the embeddings from the same
+    /// batched forward (row `i` belongs to sample `i`).
+    pub(crate) fn probabilities_and_embeddings_batch(
+        &self,
+        samples: &[&LabeledSample],
+    ) -> (Vec<Vec<f64>>, Option<gp_nn::Matrix>) {
         let inputs: Vec<ModelInput> = samples.iter().map(|s| self.encode_input(s)).collect();
-        let probs = gp_nn::softmax_rows(&self.model.point().logits_batch(&inputs));
-        (0..probs.rows())
+        let (logits, embeddings) = self.model.point().logits_and_embedding_batch(&inputs);
+        let probs = gp_nn::softmax_rows(&logits);
+        let probs = (0..probs.rows())
             .map(|r| probs.row(r).iter().map(|&v| v as f64).collect())
-            .collect()
+            .collect();
+        (probs, embeddings)
     }
 
     /// Predicted classes for a batch of samples.

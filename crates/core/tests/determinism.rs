@@ -4,11 +4,14 @@
 //! training.
 //!
 //! This extends the builder-level `single_thread_matches_parallel` unit
-//! test (`gp-datasets`) across crate boundaries into `gp-core`.
+//! test (`gp-datasets`) across crate boundaries into `gp-core`. The
+//! identification embedding an inference returns is held to the same
+//! bar, against the separate identifier forward that enrollment uses.
 
 use gestureprint_core::{GesturePrint, GesturePrintConfig, IdentificationMode, TrainConfig};
 use gp_datasets::{build, presets, BuildOptions, Dataset, Scale};
 use gp_pipeline::LabeledSample;
+use gp_rd::RdLabeledSample;
 use gp_testkit::quick_train;
 
 fn build_with_threads(threads: usize) -> Dataset {
@@ -78,11 +81,20 @@ fn trained_system_identical_across_thread_counts() {
             "gesture posteriors diverge"
         );
         assert_eq!(a.user_probs, b.user_probs, "user posteriors diverge");
+        // The embedding inference hands back is the one a separate
+        // identifier forward computes (the enrollment path).
+        assert_eq!(
+            a.embedding,
+            system_seq.embedding_for_gesture(probe, a.gesture),
+            "inference embedding diverges from the identifier's tap"
+        );
+        assert!(a.embedding.is_some(), "GesIDNet identifiers have a tap");
+        assert_eq!(a.embedding, b.embedding, "embeddings diverge");
     }
 
     // And the batched path is bit-identical for every batch size 1..=8,
-    // regardless of which thread count trained the system: batch
-    // composition must never leak into predictions.
+    // embeddings included, regardless of which thread count trained the
+    // system: batch composition must never leak into predictions.
     let probes = ordered(&seq);
     let reference: Vec<_> = probes.iter().map(|p| system_seq.infer(p)).collect();
     for system in [&system_seq, &system_par] {
@@ -96,5 +108,27 @@ fn trained_system_identical_across_thread_counts() {
                 "batched inference diverges at batch size {batch}"
             );
         }
+    }
+}
+
+#[test]
+fn rd_inference_embedding_matches_the_identifier_tap() {
+    let system = gp_testkit::toy_rd_system();
+    let samples = gp_testkit::toy_rd_samples(3);
+    let refs: Vec<&RdLabeledSample> = samples.iter().collect();
+    let reference: Vec<_> = refs.iter().map(|s| system.infer_rd(s)).collect();
+    for (s, inference) in refs.iter().zip(&reference) {
+        assert_eq!(
+            inference.embedding,
+            system.embedding_rd_for_gesture(s, inference.gesture),
+            "RD inference embedding diverges from the identifier's tap"
+        );
+    }
+    for batch in 1..=4usize {
+        let batched: Vec<_> = refs
+            .chunks(batch)
+            .flat_map(|chunk| system.infer_rd_batch(chunk))
+            .collect();
+        assert_eq!(batched, reference, "RD batch size {batch}");
     }
 }

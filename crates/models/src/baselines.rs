@@ -413,6 +413,25 @@ mod tests {
     }
 
     #[test]
+    fn baselines_have_no_embedding_tap() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let models: [Box<dyn PointModel>; 3] = [
+            Box::new(PointNet::new(3, &mut rng)),
+            Box::new(ProfileCnn::new(3, (16, 24), &mut rng)),
+            Box::new(LstmNet::new(3, &mut rng)),
+        ];
+        let inputs = [toy_input(6, 0.0), toy_input(7, 0.2)];
+        for model in &models {
+            let (logits, embeddings) = model.logits_and_embedding_batch(&inputs);
+            assert!(embeddings.is_none(), "{}", model.name());
+            for (i, input) in inputs.iter().enumerate() {
+                assert_eq!(logits.row(i), model.logits(input).as_slice());
+                assert_eq!(model.logits_and_embedding(input).1, None);
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "divisible by 4")]
     fn profile_shape_validated() {
         let mut rng = StdRng::seed_from_u64(0);

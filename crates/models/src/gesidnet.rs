@@ -511,15 +511,17 @@ impl GesIDNet {
         }
     }
 
-    /// Genuinely batched inference: one row of P1 logits per input.
+    /// Genuinely batched inference: one row of P1 logits per input, and
+    /// the fused feature `Y¹` each row was classified from (the
+    /// identification embedding, `low_dim` wide).
     ///
     /// Work is shared two ways, while staying bit-identical to calling
-    /// [`PointModel::logits`] per sample:
+    /// [`PointModel::logits_and_embedding`] per sample:
     ///
     /// 1. **Deduplication** — identical inputs (same positions and
     ///    features) run FPS, grouping, and the whole forward once; their
-    ///    logits row is copied to every duplicate. The scan is O(B²)
-    ///    comparisons, fine at micro-batch sizes.
+    ///    logits and embedding rows are copied to every duplicate. The
+    ///    scan is O(B²) comparisons, fine at micro-batch sizes.
     /// 2. **Multi-row kernels** — per scale, every group of every
     ///    sample is stacked into one matrix, so each shared MLP runs as
     ///    two big matmuls instead of `B × n₁` small ones, pooled by
@@ -531,9 +533,12 @@ impl GesIDNet {
     /// Bit-exactness holds because every kernel computes each output
     /// row from its input rows alone, in the same operation order as
     /// the per-sample path.
-    pub fn forward_batch(&self, inputs: &[ModelInput]) -> Matrix {
+    pub fn forward_batch(&self, inputs: &[ModelInput]) -> (Matrix, Matrix) {
         if inputs.is_empty() {
-            return Matrix::zeros(0, self.config.classes);
+            return (
+                Matrix::zeros(0, self.config.classes),
+                Matrix::zeros(0, self.config.low_dim),
+            );
         }
         // Dedupe identical inputs so shared FPS/grouping work runs once:
         // `unique[k]` is the index of the k-th distinct input, and
@@ -550,15 +555,18 @@ impl GesIDNet {
             }
         }
         let uniq: Vec<&ModelInput> = unique.iter().map(|&i| &inputs[i]).collect();
-        let logits = self.forward_stacked(&uniq);
+        let (logits, embeddings) = self.forward_stacked(&uniq);
         if uniq.len() == inputs.len() {
-            return logits;
+            return (logits, embeddings);
         }
-        let mut out = Matrix::zeros(inputs.len(), self.config.classes);
-        for (i, &k) in source.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(logits.row(k));
-        }
-        out
+        let expand = |m: &Matrix| {
+            let mut out = Matrix::zeros(inputs.len(), m.cols());
+            for (i, &k) in source.iter().enumerate() {
+                out.row_mut(i).copy_from_slice(m.row(k));
+            }
+            out
+        };
+        (expand(&logits), expand(&embeddings))
     }
 
     /// Per-sample geometry: FPS centroids, exactly as the per-sample
@@ -622,8 +630,9 @@ impl GesIDNet {
     }
 
     /// The stacked forward over distinct inputs (see
-    /// [`GesIDNet::forward_batch`] for the kernel layout).
-    fn forward_stacked(&self, inputs: &[&ModelInput]) -> Matrix {
+    /// [`GesIDNet::forward_batch`] for the kernel layout): the P1 logits
+    /// and the fused features `Y¹` they were computed from.
+    fn forward_stacked(&self, inputs: &[&ModelInput]) -> (Matrix, Matrix) {
         let cfg = &self.config;
         let c1_dim: usize = cfg.sa1_scales.iter().map(|s| s.out).sum();
         let geo = self.batch_geometry(inputs);
@@ -656,7 +665,8 @@ impl GesIDNet {
 
         // --- Attention fusion (Eqs. 2–3), batched: score all samples'
         // candidates with two multi-row passes of g, then weight
-        // per row. Only Y¹ is needed — P1 is the inference output. ----
+        // per row. Only Y¹ is needed: P1 is the inference output and
+        // Y¹ the identification embedding. -----------------------------
         let y1 = if cfg.fusion {
             fuse_batch(&self.rb_low, &self.g1, &f2, &f1).0
         } else {
@@ -665,7 +675,7 @@ impl GesIDNet {
 
         // --- Primary head P1 as multi-row matmuls --------------------
         let hidden = Relu.forward(&self.head1_a.forward(&y1));
-        self.head1_b.forward(&hidden)
+        (self.head1_b.forward(&hidden), y1)
     }
 
     /// Batched training forward: the same stacked kernel layout as
@@ -1135,10 +1145,16 @@ impl PointModel for GesIDNet {
         self.forward_full(input).logits1
     }
 
-    fn logits_batch(&self, inputs: &[ModelInput]) -> Matrix {
+    fn logits_and_embedding(&self, input: &ModelInput) -> (Vec<f32>, Option<Vec<f32>>) {
+        let t = self.forward_full(input);
+        (t.logits1, Some(t.y1))
+    }
+
+    fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>) {
         // Overrides the map-per-sample default with the genuinely
         // batched forward (deduped grouping + multi-row kernels).
-        self.forward_batch(inputs)
+        let (logits, embeddings) = self.forward_batch(inputs);
+        (logits, Some(embeddings))
     }
 
     fn train_step(&mut self, input: &ModelInput, label: usize) -> f32 {
@@ -1382,17 +1398,20 @@ mod tests {
             let inputs: Vec<ModelInput> = (0..batch)
                 .map(|k| toy_input(10 + k as u64, 0.1 * k as f64))
                 .collect();
-            let batched = net.forward_batch(&inputs);
+            let (batched, embeddings) = net.forward_batch(&inputs);
             assert_eq!(batched.rows(), batch);
             for (i, input) in inputs.iter().enumerate() {
+                let (logits, embedding) = net.logits_and_embedding(input);
+                assert_eq!(batched.row(i), logits.as_slice(), "batch {batch} row {i}");
                 assert_eq!(
-                    batched.row(i),
-                    net.logits(input).as_slice(),
-                    "batch {batch} row {i}"
+                    embeddings.row(i),
+                    embedding.unwrap().as_slice(),
+                    "batch {batch} embedding {i}"
                 );
             }
         }
-        assert_eq!(net.forward_batch(&[]).rows(), 0);
+        let (logits, embeddings) = net.forward_batch(&[]);
+        assert_eq!((logits.rows(), embeddings.rows()), (0, 0));
     }
 
     #[test]
@@ -1404,12 +1423,14 @@ mod tests {
         // Duplicates interleaved with distinct inputs must still land
         // each input's own logits in its own row.
         let inputs = vec![a.clone(), b.clone(), a.clone(), a, b];
-        let batched = net.forward_batch(&inputs);
+        let (batched, embeddings) = net.forward_batch(&inputs);
         for (i, input) in inputs.iter().enumerate() {
             assert_eq!(batched.row(i), net.logits(input).as_slice(), "row {i}");
         }
         assert_eq!(batched.row(0), batched.row(2));
         assert_eq!(batched.row(1), batched.row(4));
+        assert_eq!(embeddings.row(0), embeddings.row(3));
+        assert_ne!(embeddings.row(0), embeddings.row(1));
     }
 
     #[test]
@@ -1423,9 +1444,13 @@ mod tests {
             &mut rng,
         );
         let inputs: Vec<ModelInput> = (0..3).map(|k| toy_input(30 + k, 0.0)).collect();
-        let batched = net.forward_batch(&inputs);
+        let (batched, embeddings) = net.forward_batch(&inputs);
         for (i, input) in inputs.iter().enumerate() {
             assert_eq!(batched.row(i), net.logits(input).as_slice(), "row {i}");
+            // Without fusion the embedding is the low-level feature F¹.
+            let (low, _, fused) = net.feature_taps(input).unwrap();
+            assert_eq!(fused, low);
+            assert_eq!(embeddings.row(i), fused.as_slice(), "embedding {i}");
         }
     }
 
@@ -1449,10 +1474,15 @@ mod tests {
     fn feature_taps_exposed() {
         let mut rng = StdRng::seed_from_u64(0);
         let net = GesIDNet::new(GesIDNetConfig::for_classes(3), &mut rng);
-        let (low, high, fused) = net.feature_taps(&toy_input(7, 0.0)).unwrap();
+        let input = toy_input(7, 0.0);
+        let (low, high, fused) = net.feature_taps(&input).unwrap();
         assert_eq!(low.len(), net.config().low_dim);
         assert_eq!(high.len(), net.config().high_dim);
         assert_eq!(fused.len(), net.config().low_dim);
+        // Inference hands back the same fused tap next to the logits.
+        let (logits, embedding) = net.logits_and_embedding(&input);
+        assert_eq!(logits, net.logits(&input));
+        assert_eq!(embedding, Some(fused));
     }
 
     fn grads_of(net: &mut GesIDNet) -> Vec<f32> {

@@ -35,18 +35,39 @@ pub trait PointModel: Parameterized + Send + Sync {
     /// Inference: class logits for one sample.
     fn logits(&self, input: &ModelInput) -> Vec<f32>;
 
+    /// Inference with the identification tap: class logits plus the
+    /// fused embedding they were computed from (GesIDNet's `Y¹`), out
+    /// of one forward pass. The embedding is `None` for architectures
+    /// without a fusion tap, which is the default.
+    fn logits_and_embedding(&self, input: &ModelInput) -> (Vec<f32>, Option<Vec<f32>>) {
+        (self.logits(input), None)
+    }
+
     /// Batched inference: one row of class logits per input.
-    ///
-    /// The default maps [`PointModel::logits`] over the batch; models
-    /// with genuinely batched kernels can override it without changing
-    /// callers. The serving executor and `gp-core`'s batched entry point
-    /// go through this, so the whole path is already batch-shaped.
     fn logits_batch(&self, inputs: &[ModelInput]) -> Matrix {
+        self.logits_and_embedding_batch(inputs).0
+    }
+
+    /// Batched [`PointModel::logits_and_embedding`]: row `i` of the
+    /// logits and of the embeddings (when the model has a tap) belongs
+    /// to input `i`.
+    ///
+    /// The default maps [`PointModel::logits_and_embedding`] over the
+    /// batch; models with genuinely batched kernels can override it
+    /// without changing callers. The serving executor and `gp-core`'s
+    /// batched entry point go through this, so the whole path is
+    /// already batch-shaped.
+    fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>) {
         if inputs.is_empty() {
-            return Matrix::zeros(0, self.classes());
+            return (Matrix::zeros(0, self.classes()), None);
         }
-        let rows: Vec<Vec<f32>> = inputs.iter().map(|i| self.logits(i)).collect();
-        Matrix::from_rows(&rows)
+        let (logits, embeddings): (Vec<Vec<f32>>, Vec<Option<Vec<f32>>>) =
+            inputs.iter().map(|i| self.logits_and_embedding(i)).unzip();
+        let embeddings: Option<Vec<Vec<f32>>> = embeddings.into_iter().collect();
+        (
+            Matrix::from_rows(&logits),
+            embeddings.map(|rows| Matrix::from_rows(&rows)),
+        )
     }
 
     /// Training: forward + backward for one `(input, label)` pair,

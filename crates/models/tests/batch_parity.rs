@@ -2,7 +2,10 @@
 //! the per-sample path for every batch size 1..=8, mixed raw point-cloud
 //! sizes, mixed resampling widths, and duplicated inputs — the
 //! guarantee `gp-serve`'s micro-batching executor and `gp-core`'s
-//! batched entry points rely on for worker-count determinism.
+//! batched entry points rely on for worker-count determinism. The
+//! embedding rows the batched forward hands back (the fused `Y¹` that
+//! identity resolution enrolls and matches) are held to the same bar
+//! against the per-sample feature tap, with and without fusion.
 
 use gp_models::features::{encode, FeatureConfig, ModelInput};
 use gp_models::{GesIDNet, GesIDNetConfig, PointModel};
@@ -42,21 +45,51 @@ fn input(seed: u64, points: usize, num_points: usize, shift: f64) -> ModelInput 
     )
 }
 
+fn net(seed: u64, classes: usize, fusion: bool) -> GesIDNet {
+    let mut rng = StdRng::seed_from_u64(seed);
+    GesIDNet::new(
+        GesIDNetConfig {
+            fusion,
+            ..GesIDNetConfig::for_classes(classes)
+        },
+        &mut rng,
+    )
+}
+
+/// Checks every batched row — logits against per-sample `logits`, and
+/// the embedding against the per-sample fused tap `feature_taps(..).2`
+/// — bit for bit.
+fn assert_rows_bit_exact(net: &GesIDNet, inputs: &[ModelInput]) -> Result<(), TestCaseError> {
+    let (batched, embeddings) = net.logits_and_embedding_batch(inputs);
+    let embeddings = embeddings.expect("GesIDNet has a fusion tap");
+    prop_assert_eq!(batched.rows(), inputs.len());
+    prop_assert_eq!(embeddings.rows(), inputs.len());
+    prop_assert_eq!(&net.logits_batch(inputs), &batched);
+    for (i, sample) in inputs.iter().enumerate() {
+        let single = net.logits(sample);
+        prop_assert_eq!(batched.row(i), single.as_slice(), "row {}", i);
+        let (_, _, fused) = net.feature_taps(sample).expect("GesIDNet has a fusion tap");
+        prop_assert_eq!(embeddings.row(i), fused.as_slice(), "embedding row {}", i);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `forward_batch` (and through it `logits_batch`) is bit-exact
-    /// with per-sample `logits` for batch sizes 1..=8 over clouds of
-    /// mixed raw sizes, including sparse ones below the resampling
-    /// width.
+    /// `forward_batch` (and through it `logits_batch` and
+    /// `logits_and_embedding_batch`) is bit-exact with the per-sample
+    /// path for batch sizes 1..=8 over clouds of mixed raw sizes,
+    /// including sparse ones below the resampling width, with the
+    /// attention fusion on and off.
     #[test]
     fn logits_batch_bit_exact_for_mixed_batches(
         seed in 0u64..200,
         batch in 1usize..=8,
         num_points in 16usize..=48,
+        fusion in any::<bool>(),
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = GesIDNet::new(GesIDNetConfig::for_classes(4), &mut rng);
+        let net = net(seed, 4, fusion);
         let inputs: Vec<ModelInput> = (0..batch)
             .map(|k| {
                 // Mixed cloud sizes within one batch: 5..=64 raw points.
@@ -64,36 +97,31 @@ proptest! {
                 input(seed ^ k as u64, raw, num_points, 0.1 * k as f64)
             })
             .collect();
-        let batched = net.logits_batch(&inputs);
-        prop_assert_eq!(batched.rows(), batch);
-        for (i, sample) in inputs.iter().enumerate() {
-            let single = net.logits(sample);
-            prop_assert_eq!(batched.row(i), single.as_slice(), "row {}", i);
-        }
+        assert_rows_bit_exact(&net, &inputs)?;
     }
 
     /// Duplicated inputs (which the batched path deduplicates to share
-    /// FPS/grouping work) still land exact per-row logits.
+    /// FPS/grouping work) still land exact per-row logits and
+    /// embeddings.
     #[test]
     fn deduplicated_rows_stay_bit_exact(
         seed in 0u64..100,
         copies in 2usize..=5,
+        fusion in any::<bool>(),
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = GesIDNet::new(GesIDNetConfig::for_classes(3), &mut rng);
+        let net = net(seed, 3, fusion);
         let a = input(seed, 24, 24, 0.0);
         let b = input(seed + 1, 40, 24, 0.3);
         let mut inputs = vec![b.clone()];
         inputs.extend(std::iter::repeat_with(|| a.clone()).take(copies));
         inputs.push(b);
-        let batched = net.logits_batch(&inputs);
-        for (i, sample) in inputs.iter().enumerate() {
-            let single = net.logits(sample);
-            prop_assert_eq!(batched.row(i), single.as_slice(), "row {}", i);
-        }
+        assert_rows_bit_exact(&net, &inputs)?;
         // All duplicate rows are identical (they share one forward).
+        let (batched, embeddings) = net.forward_batch(&inputs);
         for k in 2..=copies {
             prop_assert_eq!(batched.row(1), batched.row(k));
+            prop_assert_eq!(embeddings.row(1), embeddings.row(k));
         }
+        prop_assert_eq!(embeddings.row(0), embeddings.row(copies + 1));
     }
 }

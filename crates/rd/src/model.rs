@@ -139,6 +139,13 @@ impl RdNet {
         self.forward(input).fuse_act.row(0).to_vec()
     }
 
+    /// Class scores and the fused embedding they were computed from,
+    /// out of one forward pass.
+    pub fn logits_and_embedding(&self, input: &RdInput) -> (Vec<f32>, Vec<f32>) {
+        let t = self.forward(input);
+        (t.logits, t.fuse_act.row(0).to_vec())
+    }
+
     /// One forward/backward pass accumulating gradients; returns the
     /// sample loss. Pair with an external `Adam` step as for the point
     /// models.
@@ -249,6 +256,10 @@ mod tests {
         assert_eq!(model.logits(&input).len(), 5);
         assert_eq!(model.embedding(&input).len(), FUSED_WIDTH);
         assert_eq!(model.classes(), 5);
+        assert_eq!(
+            model.logits_and_embedding(&input),
+            (model.logits(&input), model.embedding(&input))
+        );
     }
 
     #[test]

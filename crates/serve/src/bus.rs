@@ -390,7 +390,9 @@ pub struct StageBreakdown {
     /// Batch inference time as each result experienced it (the whole
     /// batch's, not an N-th share).
     pub inference: Histogram,
-    /// Inference end → result event published on the bus.
+    /// Inference end → result event published on the bus. In enroll and
+    /// identify sessions this stage also holds identity resolution: the
+    /// gallery enroll or lookup of the embedding the inference returned.
     pub publish: Histogram,
 }
 
@@ -572,6 +574,7 @@ mod tests {
                         user: 0,
                         gesture_probs: Vec::new(),
                         user_probs: Vec::new(),
+                        embedding: None,
                     },
                     identity: None,
                     latency,

@@ -1078,16 +1078,10 @@ impl ServeEngine {
             for (job, inference) in batch.iter().zip(inferences) {
                 guard.remaining -= 1;
                 // Identity resolution happens on the worker, after
-                // inference: the embedding is tapped from the fusion
-                // feature of the identifier the predicted gesture
-                // routes to, then enrolled or matched open-set.
-                let identity = resolve_identity(
-                    &system,
-                    rd_system.as_deref(),
-                    store.as_deref(),
-                    job,
-                    &inference,
-                );
+                // inference: the inference carries the fusion feature of
+                // the identifier the predicted gesture routed to, which
+                // is enrolled or matched open-set.
+                let identity = resolve_identity(store.as_deref(), &job.mode, &inference);
                 if matches!(identity, Some(IdentityOutcome::Enrolled { .. })) {
                     bus.record_enrolled(job.session);
                 }
@@ -1253,45 +1247,35 @@ impl ServeEngine {
 }
 
 /// Resolves one job's identity against the store, per its mode
-/// snapshot. Returns `None` for classify jobs, engines without a
+/// snapshot, from the embedding the job's inference returned — no
+/// model runs here. Returns `None` for classify jobs, engines without a
 /// store, or systems whose identifier exposes no fusion embedding
 /// (non-GesIDNet models); enrollment failures (e.g. an embedding
-/// dimension that no longer matches the gallery) also resolve to
-/// `None` rather than poisoning the batch. The embedding comes from
-/// whichever backend inferred the job, so an RD gallery and a
-/// point-cloud gallery never mix (their dimensions differ and the
-/// store's dimension check rejects a crossover).
+/// dimension that no longer matches the gallery, counted as
+/// `store.enroll.rejected`) also resolve to `None` rather than
+/// poisoning the batch. The embedding comes from whichever backend
+/// inferred the job, so an RD gallery and a point-cloud gallery never
+/// mix (their dimensions differ and the store's dimension check
+/// rejects a crossover).
 fn resolve_identity(
-    system: &GesturePrint,
-    rd_system: Option<&GesturePrint>,
     store: Option<&IdentityStore>,
-    job: &SegmentJob,
+    mode: &SessionMode,
     inference: &Inference,
 ) -> Option<IdentityOutcome> {
     let store = store?;
-    if job.mode == SessionMode::Classify {
-        return None;
-    }
-    let embedding = match &job.payload {
-        JobPayload::Point { sample, .. } => {
-            system.embedding_for_gesture(sample, inference.gesture)?
-        }
-        JobPayload::Rd { sample, .. } => {
-            rd_system?.embedding_rd_for_gesture(sample, inference.gesture)?
-        }
-    };
-    match &job.mode {
+    let embedding = inference.embedding.as_deref()?;
+    match mode {
         SessionMode::Classify => None,
         SessionMode::Enroll(user) => {
             store
-                .enroll(user, &embedding)
+                .enroll(user, embedding)
                 .ok()
                 .map(|receipt| IdentityOutcome::Enrolled {
                     user: receipt.user,
                     samples: receipt.samples,
                 })
         }
-        SessionMode::Identify => Some(match store.identify(&embedding) {
+        SessionMode::Identify => Some(match store.identify(embedding) {
             Identification::Accepted(m) => IdentityOutcome::Identified {
                 user: m.user,
                 distance: m.distance,

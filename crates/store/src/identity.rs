@@ -36,6 +36,7 @@ struct Exported {
     users: Arc<gp_telemetry::Gauge>,
     samples: Arc<gp_telemetry::Gauge>,
     enrollments: Arc<gp_telemetry::Counter>,
+    enroll_rejected: Arc<gp_telemetry::Counter>,
     accepted: Arc<gp_telemetry::Counter>,
     rejected: Arc<gp_telemetry::Counter>,
     lookup: Arc<gp_telemetry::AtomicHistogram>,
@@ -100,14 +101,16 @@ impl IdentityStore {
     }
 
     /// Registers the `store.*` instruments — gallery gauges, enrollment
-    /// and accept/reject counters, the identify-latency histogram — and
-    /// the registry's own `store.registry.*` set.
+    /// counters (folded in and rejected), identify accept/reject
+    /// counters, the identify-latency histogram — and the registry's
+    /// own `store.registry.*` set.
     pub fn attach_telemetry(&self, registry: &gp_telemetry::Registry) {
         self.registry.attach_telemetry(registry);
         let exported = Exported {
             users: registry.gauge("store.gallery.users"),
             samples: registry.gauge("store.gallery.samples"),
             enrollments: registry.counter("store.enroll.count"),
+            enroll_rejected: registry.counter("store.enroll.rejected"),
             accepted: registry.counter("store.identify.accepted"),
             rejected: registry.counter("store.identify.rejected"),
             lookup: registry.histogram("store.identify.lookup"),
@@ -131,12 +134,22 @@ impl IdentityStore {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Gallery`] on dimension mismatch or empty input.
+    /// [`StoreError::Gallery`] on dimension mismatch or empty input; the
+    /// gallery is left unchanged and `store.enroll.rejected` counts it.
     pub fn enroll(&self, user: &str, embedding: &[f32]) -> Result<EnrollReceipt, StoreError> {
-        let (samples, users, total) = {
+        let enrolled = {
             let mut g = self.write();
-            let samples = g.enroll(user, embedding).map_err(StoreError::Gallery)?;
-            (samples, g.users(), g.samples())
+            g.enroll(user, embedding)
+                .map(|samples| (samples, g.users(), g.samples()))
+        };
+        let (samples, users, total) = match enrolled {
+            Ok(counts) => counts,
+            Err(e) => {
+                if let Some(exported) = &*lock_poisonless(&self.exported) {
+                    exported.enroll_rejected.inc();
+                }
+                return Err(StoreError::Gallery(e));
+            }
         };
         if let Some(e) = &*lock_poisonless(&self.exported) {
             e.enrollments.inc();
@@ -300,6 +313,31 @@ mod tests {
         assert_eq!(snap.counters["store.identify.accepted"], 1);
         assert_eq!(snap.counters["store.identify.rejected"], 1);
         assert_eq!(snap.histograms["store.identify.lookup"].count(), 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn rejected_enrollment_is_counted_and_leaves_gallery_unchanged() {
+        let root = tmp_root("rejected");
+        let store = IdentityStore::open(&root, RegistryConfig::default()).unwrap();
+        let telemetry = gp_telemetry::Registry::new();
+        store.attach_telemetry(&telemetry);
+        store.enroll("ada", &[0.0, 0.0]).unwrap();
+        let before = store.gallery_snapshot();
+
+        // Wrong dimension, for a known and for a new user.
+        for user in ["ada", "bob"] {
+            assert!(matches!(
+                store.enroll(user, &[1.0, 2.0, 3.0]),
+                Err(StoreError::Gallery(GalleryError::DimMismatch { .. }))
+            ));
+        }
+        assert_eq!(store.gallery_snapshot(), before);
+        assert!(!store.is_enrolled("bob"));
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counters["store.enroll.rejected"], 2);
+        assert_eq!(snap.counters["store.enroll.count"], 1);
+        assert_eq!(snap.gauges["store.gallery.samples"], 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 
