@@ -2,11 +2,11 @@
 //!
 //! `GesturePrint::infer_batch` routes every sample through
 //! `GesIDNet::forward_batch` (deduplicated grouping + multi-row
-//! kernels), so a micro-batch of N segments must cost strictly less
-//! than N single `infer` calls — the pair of benchmarks below makes
-//! that claim measurable, and the parity assertion at the top makes it
-//! meaningless to win by diverging: predictions are checked
-//! bit-identical before anything is timed.
+//! kernels). "Sequential" means N single `infer` calls, each a batch of
+//! one through the same stacked code, so the pair of benchmarks below
+//! measures what stacking N segments saves. The parity assertion at
+//! the top makes it meaningless to win by diverging: predictions are
+//! checked bit-identical before anything is timed.
 
 use criterion::{criterion_group, Criterion};
 use gp_pipeline::LabeledSample;

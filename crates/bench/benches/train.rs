@@ -4,6 +4,10 @@
 //! (`train.stage.epoch`, `train.stage.batch_step`) are exported as
 //! `results/BENCH_train.json`.
 //!
+//! "Sequential" means batch-of-one calls into the same stacked
+//! forward/backward, so the speedup is what stacking one mini-batch
+//! saves over stepping its samples one at a time.
+//!
 //! The comparison is gradient-parity-gated: before timing, one batched
 //! step is checked against the summed per-sample gradients (relative
 //! tolerance — the batched backward associates float additions

@@ -361,9 +361,8 @@ impl Decode for ModelArtifact {
 
 impl TrainedModel {
     /// Serialises the model as a self-describing [`kinds::MODEL`]
-    /// artifact. Unlike the deprecated flat [`TrainedModel::save`], the
-    /// result carries its own architecture metadata and needs no
-    /// out-of-band arguments to load.
+    /// artifact: the result carries its own architecture metadata and
+    /// needs no out-of-band arguments to load.
     pub fn save_artifact(&self) -> Vec<u8> {
         self.save_artifact_with(ArtifactFormat::Json)
     }

@@ -39,7 +39,6 @@
 
 pub mod artifact;
 pub mod crossval;
-pub mod persist;
 pub mod report;
 pub mod system;
 pub mod train;

@@ -134,56 +134,14 @@ impl GesturePrint {
         users: usize,
         config: &GesturePrintConfig,
     ) -> Self {
-        assert!(!samples.is_empty(), "cannot train on an empty sample set");
-        let gesture_pairs: Vec<(&LabeledSample, usize)> =
-            samples.iter().map(|s| (*s, s.gesture)).collect();
-        let gesture_model = train_classifier(&gesture_pairs, gestures, &config.train);
-
-        let identifiers = match config.mode {
-            IdentificationMode::Parallel => {
-                let user_pairs: Vec<(&LabeledSample, usize)> =
-                    samples.iter().map(|s| (*s, s.user)).collect();
-                vec![train_classifier(&user_pairs, users, &config.train)]
-            }
-            IdentificationMode::Serialized => {
-                // Group samples per gesture.
-                let mut groups: Vec<Vec<(&LabeledSample, usize)>> = vec![Vec::new(); gestures];
-                for s in samples {
-                    groups[s.gesture].push((*s, s.user));
-                }
-                let all_pairs: Vec<(&LabeledSample, usize)> =
-                    samples.iter().map(|s| (*s, s.user)).collect();
-
-                // Train per-gesture identifiers in parallel on the
-                // shared runtime pool; `scope_map` preserves gesture
-                // order, so no re-sorting is needed.
-                let train_cfg = &config.train;
-                let pool = WorkerPool::new(config.threads);
-                pool.scope_map((0..gestures).collect(), |_, g| {
-                    let pairs: &[(&LabeledSample, usize)] = if groups[g].is_empty() {
-                        &all_pairs
-                    } else {
-                        &groups[g]
-                    };
-                    let mut cfg = train_cfg.clone();
-                    cfg.seed = cfg.seed.wrapping_add(g as u64 * 0x1009);
-                    // Per-gesture identifiers see a fraction of the data;
-                    // scale epochs (capped at 3×) so each model gets a
-                    // comparable optimisation budget.
-                    let ratio = (samples.len() as f64 / pairs.len().max(1) as f64).min(3.0);
-                    cfg.epochs = ((cfg.epochs as f64) * ratio).round() as usize;
-                    train_classifier(pairs, users, &cfg)
-                })
-            }
-        };
-
-        GesturePrint {
-            gesture_model,
-            identifiers,
-            mode: config.mode,
+        Self::train_with(
+            samples,
             gestures,
             users,
-        }
+            config,
+            |s| (s.gesture, s.user),
+            train_classifier,
+        )
     }
 
     /// Trains a range-Doppler system — the RD counterpart of
@@ -201,38 +159,61 @@ impl GesturePrint {
         users: usize,
         config: &GesturePrintConfig,
     ) -> Self {
+        Self::train_with(
+            samples,
+            gestures,
+            users,
+            config,
+            |s| (s.gesture, s.user),
+            train_rd_classifier,
+        )
+    }
+
+    /// The body of [`GesturePrint::train`] and [`GesturePrint::train_rd`]
+    /// over either sample type: `labels` reads a sample's
+    /// `(gesture, user)` and `train` is the backend's classifier trainer.
+    fn train_with<S: Sync>(
+        samples: &[&S],
+        gestures: usize,
+        users: usize,
+        config: &GesturePrintConfig,
+        labels: fn(&S) -> (usize, usize),
+        train: fn(&[(&S, usize)], usize, &TrainConfig) -> TrainedModel,
+    ) -> Self {
         assert!(!samples.is_empty(), "cannot train on an empty sample set");
-        let gesture_pairs: Vec<(&RdLabeledSample, usize)> =
-            samples.iter().map(|s| (*s, s.gesture)).collect();
-        let gesture_model = train_rd_classifier(&gesture_pairs, gestures, &config.train);
+        let gesture_pairs: Vec<(&S, usize)> = samples.iter().map(|s| (*s, labels(s).0)).collect();
+        let gesture_model = train(&gesture_pairs, gestures, &config.train);
 
+        let all_pairs: Vec<(&S, usize)> = samples.iter().map(|s| (*s, labels(s).1)).collect();
         let identifiers = match config.mode {
-            IdentificationMode::Parallel => {
-                let user_pairs: Vec<(&RdLabeledSample, usize)> =
-                    samples.iter().map(|s| (*s, s.user)).collect();
-                vec![train_rd_classifier(&user_pairs, users, &config.train)]
-            }
+            IdentificationMode::Parallel => vec![train(&all_pairs, users, &config.train)],
             IdentificationMode::Serialized => {
-                let mut groups: Vec<Vec<(&RdLabeledSample, usize)>> = vec![Vec::new(); gestures];
+                // Group samples per gesture.
+                let mut groups: Vec<Vec<(&S, usize)>> = vec![Vec::new(); gestures];
                 for s in samples {
-                    groups[s.gesture].push((*s, s.user));
+                    let (gesture, user) = labels(s);
+                    groups[gesture].push((*s, user));
                 }
-                let all_pairs: Vec<(&RdLabeledSample, usize)> =
-                    samples.iter().map(|s| (*s, s.user)).collect();
 
+                // Train per-gesture identifiers in parallel on the
+                // shared runtime pool; `scope_map` preserves gesture
+                // order, so no re-sorting is needed.
                 let train_cfg = &config.train;
                 let pool = WorkerPool::new(config.threads);
                 pool.scope_map((0..gestures).collect(), |_, g| {
-                    let pairs: &[(&RdLabeledSample, usize)] = if groups[g].is_empty() {
+                    let pairs: &[(&S, usize)] = if groups[g].is_empty() {
                         &all_pairs
                     } else {
                         &groups[g]
                     };
                     let mut cfg = train_cfg.clone();
                     cfg.seed = cfg.seed.wrapping_add(g as u64 * 0x1009);
+                    // Per-gesture identifiers see a fraction of the data;
+                    // scale epochs (capped at 3×) so each model gets a
+                    // comparable optimisation budget.
                     let ratio = (samples.len() as f64 / pairs.len().max(1) as f64).min(3.0);
                     cfg.epochs = ((cfg.epochs as f64) * ratio).round() as usize;
-                    train_rd_classifier(pairs, users, &cfg)
+                    train(pairs, users, &cfg)
                 })
             }
         };

@@ -449,10 +449,11 @@ impl TrainedModel {
 
     /// The fused penultimate representation (GesIDNet's `Y^k`, the
     /// attention-fusion output feeding the classification head) — the
-    /// enrollment embedding `gp-store` galleries are built from.
-    /// `None` for architectures without a fusion tap.
+    /// enrollment embedding `gp-store` galleries are built from, out of
+    /// the inference forward. `None` for architectures without a
+    /// fusion tap.
     pub fn embedding(&self, sample: &LabeledSample) -> Option<Vec<f32>> {
-        self.feature_taps(sample).map(|(_, _, fused)| fused)
+        self.probabilities_and_embedding(sample.into()).1
     }
 
     /// Builds an untrained point-cloud model shell (used when loading
@@ -619,41 +620,18 @@ pub fn train_classifier_instrumented(
         }
     }
 
-    let epoch_hist = telemetry.map(|t| t.histogram("train.stage.epoch"));
-    let step_hist = telemetry.map(|t| t.histogram("train.stage.batch_step"));
-    let sample_counter = telemetry.map(|t| t.counter("train.samples"));
-    let batch_counter = telemetry.map(|t| t.counter("train.batches"));
-
-    let mut adam = Adam::new(config.learning_rate);
-    let mut order: Vec<usize> = (0..encoded.len()).collect();
-    for _epoch in 0..config.epochs {
-        let epoch_start = std::time::Instant::now();
-        order.shuffle(&mut rng);
-        // Mini-batch loop: each chunk goes through the model's batched
-        // step (gradients accumulate across the chunk), then one
-        // optimizer step — the same step cadence as the historical
-        // sample-at-a-time loop, including the short tail chunk.
-        for chunk in order.chunks(config.batch_size.max(1)) {
-            let step_start = std::time::Instant::now();
+    run_epochs(
+        &mut *model,
+        encoded.len(),
+        &mut rng,
+        config,
+        telemetry,
+        |model, chunk| {
             let inputs: Vec<&ModelInput> = chunk.iter().map(|&i| &encoded[i].0).collect();
             let labels: Vec<usize> = chunk.iter().map(|&i| encoded[i].1).collect();
             model.train_step_batch(&inputs, &labels);
-            adam.begin_step();
-            model.for_each_param(&mut |p, g| adam.update(p, g));
-            if let Some(h) = &step_hist {
-                h.record_duration(step_start.elapsed());
-            }
-            if let Some(c) = &sample_counter {
-                c.add(chunk.len() as u64);
-            }
-            if let Some(c) = &batch_counter {
-                c.inc();
-            }
-        }
-        if let Some(h) = &epoch_hist {
-            h.record_duration(epoch_start.elapsed());
-        }
-    }
+        },
+    );
 
     TrainedModel {
         model: BackendModel::Point(model),
@@ -715,24 +693,59 @@ pub fn train_rd_classifier_instrumented(
         .map(|(s, l)| (rd_extract_sample(s, &rd_feature), *l))
         .collect();
 
+    // RdNet has no batched backward: each chunk runs sample by sample.
+    run_epochs(
+        &mut model,
+        encoded.len(),
+        &mut rng,
+        config,
+        telemetry,
+        |model, chunk| {
+            for &i in chunk {
+                let (input, label) = &encoded[i];
+                model.train_step(input, *label);
+            }
+        },
+    );
+
+    TrainedModel {
+        model: BackendModel::Rd(model),
+        feature: config.feature.clone(),
+        rd_feature,
+        kind: config.model,
+        classes,
+        encode_seed: config.seed ^ 0xEEC0DE,
+    }
+}
+
+/// The mini-batch loop both trainers share. Each epoch shuffles the
+/// sample order with `rng`; each chunk of `config.batch_size` indices
+/// (including the short tail chunk) accumulates gradients through
+/// `step`, then Adam takes one step. With a registry, per-epoch wall
+/// time lands in `train.stage.epoch`, per-chunk step time (forward +
+/// backward + optimizer update) in `train.stage.batch_step`, and the
+/// `train.samples` / `train.batches` counters advance.
+fn run_epochs<M: Parameterized + ?Sized>(
+    model: &mut M,
+    samples: usize,
+    rng: &mut StdRng,
+    config: &TrainConfig,
+    telemetry: Option<&gp_telemetry::Registry>,
+    mut step: impl FnMut(&mut M, &[usize]),
+) {
     let epoch_hist = telemetry.map(|t| t.histogram("train.stage.epoch"));
     let step_hist = telemetry.map(|t| t.histogram("train.stage.batch_step"));
     let sample_counter = telemetry.map(|t| t.counter("train.samples"));
     let batch_counter = telemetry.map(|t| t.counter("train.batches"));
 
     let mut adam = Adam::new(config.learning_rate);
-    let mut order: Vec<usize> = (0..encoded.len()).collect();
+    let mut order: Vec<usize> = (0..samples).collect();
     for _epoch in 0..config.epochs {
         let epoch_start = std::time::Instant::now();
-        order.shuffle(&mut rng);
+        order.shuffle(rng);
         for chunk in order.chunks(config.batch_size.max(1)) {
             let step_start = std::time::Instant::now();
-            // Gradients accumulate across the chunk, then one optimizer
-            // step — the same cadence as the point-cloud trainer.
-            for &i in chunk {
-                let (input, label) = &encoded[i];
-                model.train_step(input, *label);
-            }
+            step(model, chunk);
             adam.begin_step();
             model.for_each_param(&mut |p, g| adam.update(p, g));
             if let Some(h) = &step_hist {
@@ -748,15 +761,6 @@ pub fn train_rd_classifier_instrumented(
         if let Some(h) = &epoch_hist {
             h.record_duration(epoch_start.elapsed());
         }
-    }
-
-    TrainedModel {
-        model: BackendModel::Rd(model),
-        feature: config.feature.clone(),
-        rd_feature,
-        kind: config.model,
-        classes,
-        encode_seed: config.seed ^ 0xEEC0DE,
     }
 }
 

@@ -195,60 +195,6 @@ impl Parameterized for SharedMlp {
     }
 }
 
-/// One pooled group: member indices, MLP trace, pool argmax.
-#[derive(Debug, Clone)]
-struct GroupTrace {
-    members: Vec<usize>,
-    mlp: SharedMlpTrace,
-    pool_arg: Vec<usize>,
-    group_rows: usize,
-}
-
-/// Trace of a full forward pass.
-#[derive(Debug, Clone)]
-struct Trace {
-    // SA1: per scale, per centroid.
-    sa1: Vec<Vec<GroupTrace>>,
-    sa1_concat: Matrix, // n1 × c1
-    low_pre: Matrix,
-    low_act: Matrix,
-    low_arg: Vec<usize>,
-    f1: Vec<f32>,
-    // SA2.
-    c2_of_c1: Vec<GroupTrace>, // per sa2 centroid, members index into SA1 centroids
-    sa2_out: Matrix,           // n2 × out
-    high_pre: Matrix,
-    high_act: Matrix,
-    high_arg: Vec<usize>,
-    f2: Vec<f32>,
-    // Fusion level 1.
-    fusion1: Option<FusionTrace>,
-    y1: Vec<f32>,
-    // Fusion level 2.
-    fusion2: Option<FusionTrace>,
-    y2: Vec<f32>,
-    // Heads.
-    h1_pre: Matrix,
-    h1_act: Matrix,
-    logits1: Vec<f32>,
-    h2_pre_a: Matrix,
-    h2_act_a: Matrix,
-    h2_pre_b: Matrix,
-    h2_act_b: Matrix,
-    logits2: Vec<f32>,
-}
-
-/// Attention-fusion intermediates at one level: the resized feature, the
-/// two attention logits and weights.
-#[derive(Debug, Clone)]
-struct FusionTrace {
-    other_input: Vec<f32>, // the raw other-level feature fed to the RB
-    resized_pre: Vec<f32>, // RB pre-activation
-    resized: Vec<f32>,     // RB output (= F^{l→k})
-    own: Vec<f32>,         // F^k
-    weights: [f32; 2],     // softmax(g(resized), g(own))
-}
-
 /// Per-sample geometry shared by the stacked forward paths: the point
 /// cloud, its FPS centroids, and the per-sample centroid counts.
 struct BatchGeometry {
@@ -274,8 +220,11 @@ struct StackedScaleTrace {
     pool_args: Vec<Vec<usize>>,
 }
 
-/// Attention-fusion intermediates for a whole batch (row `i` belongs to
-/// sample `i`): the batched sibling of [`FusionTrace`].
+/// Attention-fusion intermediates at one level for a whole batch (row
+/// `i` belongs to sample `i`): the raw other-level feature fed to the
+/// Resizing Block, its pre-activation and output (`F^{l→k}`), the own
+/// level's feature `F^k`, and the softmax weights over the two
+/// candidates.
 struct BatchFusionTrace {
     other: Matrix,
     resized_pre: Matrix,
@@ -366,157 +315,13 @@ impl GesIDNet {
         &self.config
     }
 
-    fn forward_full(&self, input: &ModelInput) -> Trace {
-        let positions = &input.positions;
-        let pos_cloud = PointCloud::from_positions(positions.iter().copied());
-        let n1 = self.config.sa1_centroids;
-
-        // --- SA1: multiscale grouping around FPS centroids -------------
-        let c1_idx = farthest_point_indices(&pos_cloud, n1);
-        let centroids1: Vec<Vec3> = c1_idx.iter().map(|&i| positions[i]).collect();
-        let mut sa1_traces: Vec<Vec<GroupTrace>> = Vec::with_capacity(self.sa1_mlps.len());
-        let mut scale_outputs: Vec<Matrix> = Vec::new();
-        for (scale, mlp) in self.config.sa1_scales.iter().zip(&self.sa1_mlps) {
-            let mut rows = Matrix::zeros(centroids1.len(), scale.out);
-            let mut traces = Vec::with_capacity(centroids1.len());
-            for (j, &c) in centroids1.iter().enumerate() {
-                let members =
-                    neighbors::ball_query_padded(&pos_cloud, c, scale.radius, scale.max_points);
-                let mut group = Matrix::zeros(members.len(), 3 + POINT_FEATURES);
-                for (r, &m) in members.iter().enumerate() {
-                    // Local offsets are normalised by the scale radius
-                    // (standard PointNet++ conditioning).
-                    let d = (positions[m] - c) * (1.0 / scale.radius);
-                    let row = group.row_mut(r);
-                    row[0] = d.x as f32;
-                    row[1] = d.y as f32;
-                    row[2] = d.z as f32;
-                    row[3..].copy_from_slice(input.points.row(m));
-                }
-                let rows_in_group = group.rows();
-                let (out, mlp_trace) = mlp.forward(group);
-                let (pooled, arg) = MaxPool.forward(&out);
-                rows.row_mut(j).copy_from_slice(&pooled);
-                traces.push(GroupTrace {
-                    members,
-                    mlp: mlp_trace,
-                    pool_arg: arg,
-                    group_rows: rows_in_group,
-                });
-            }
-            scale_outputs.push(rows);
-            sa1_traces.push(traces);
-        }
-        // Concatenate scales per centroid.
-        let c1_dim: usize = self.config.sa1_scales.iter().map(|s| s.out).sum();
-        let mut sa1_concat = Matrix::zeros(centroids1.len(), c1_dim);
-        for j in 0..centroids1.len() {
-            let mut off = 0;
-            for m in &scale_outputs {
-                sa1_concat.row_mut(j)[off..off + m.cols()].copy_from_slice(m.row(j));
-                off += m.cols();
-            }
-        }
-
-        // --- Low-level global feature F1 --------------------------------
-        let low_pre = self.low_proj.forward(&sa1_concat);
-        let low_act = Relu.forward(&low_pre);
-        let (f1, low_arg) = MaxPool.forward(&low_act);
-
-        // --- SA2 over SA1 centroids -------------------------------------
-        let cent_cloud = PointCloud::from_positions(centroids1.iter().copied());
-        let c2_idx = farthest_point_indices(&cent_cloud, self.config.sa2_centroids);
-        let sa2 = &self.config.sa2_scale;
-        let mut sa2_out = Matrix::zeros(c2_idx.len(), sa2.out);
-        let mut c2_traces = Vec::with_capacity(c2_idx.len());
-        for (k, &ci) in c2_idx.iter().enumerate() {
-            let c = centroids1[ci];
-            let members = neighbors::ball_query_padded(&cent_cloud, c, sa2.radius, sa2.max_points);
-            let mut group = Matrix::zeros(members.len(), 3 + c1_dim);
-            for (r, &m) in members.iter().enumerate() {
-                let d = (centroids1[m] - c) * (1.0 / sa2.radius);
-                let row = group.row_mut(r);
-                row[0] = d.x as f32;
-                row[1] = d.y as f32;
-                row[2] = d.z as f32;
-                row[3..].copy_from_slice(sa1_concat.row(m));
-            }
-            let rows_in_group = group.rows();
-            let (out, mlp_trace) = self.sa2_mlp.forward(group);
-            let (pooled, arg) = MaxPool.forward(&out);
-            sa2_out.row_mut(k).copy_from_slice(&pooled);
-            c2_traces.push(GroupTrace {
-                members,
-                mlp: mlp_trace,
-                pool_arg: arg,
-                group_rows: rows_in_group,
-            });
-        }
-
-        // --- High-level global feature F2 --------------------------------
-        let high_pre = self.high_proj.forward(&sa2_out);
-        let high_act = Relu.forward(&high_pre);
-        let (f2, high_arg) = MaxPool.forward(&high_act);
-
-        // --- Attention fusion --------------------------------------------
-        let (y1, fusion1) = if self.config.fusion {
-            let (y, t) = fuse(&self.rb_low, &self.g1, &f2, &f1);
-            (y, Some(t))
-        } else {
-            (f1.clone(), None)
-        };
-        let (y2, fusion2) = if self.config.fusion {
-            let (y, t) = fuse(&self.rb_high, &self.g2, &f1, &f2);
-            (y, Some(t))
-        } else {
-            (f2.clone(), None)
-        };
-
-        // --- Heads --------------------------------------------------------
-        let h1_pre = self.head1_a.forward_batch(&[&y1]);
-        let h1_act = Relu.forward(&h1_pre);
-        let logits1 = self.head1_b.forward(&h1_act).row(0).to_vec();
-
-        let h2_pre_a = self.head2_a.forward_batch(&[&y2]);
-        let h2_act_a = Relu.forward(&h2_pre_a);
-        let h2_pre_b = self.head2_b.forward(&h2_act_a);
-        let h2_act_b = Relu.forward(&h2_pre_b);
-        let logits2 = self.head2_c.forward(&h2_act_b).row(0).to_vec();
-
-        Trace {
-            sa1: sa1_traces,
-            sa1_concat,
-            low_pre,
-            low_act,
-            low_arg,
-            f1,
-            c2_of_c1: c2_traces,
-            sa2_out,
-            high_pre,
-            high_act,
-            high_arg,
-            f2,
-            fusion1,
-            y1,
-            fusion2,
-            y2,
-            h1_pre,
-            h1_act,
-            logits1,
-            h2_pre_a,
-            h2_act_a,
-            h2_pre_b,
-            h2_act_b,
-            logits2,
-        }
-    }
-
     /// Genuinely batched inference: one row of P1 logits per input, and
     /// the fused feature `Y¹` each row was classified from (the
     /// identification embedding, `low_dim` wide).
     ///
-    /// Work is shared two ways, while staying bit-identical to calling
-    /// [`PointModel::logits_and_embedding`] per sample:
+    /// Work is shared two ways, while staying bit-identical to running
+    /// each input alone as a batch of one (which is what
+    /// [`PointModel::logits_and_embedding`] does):
     ///
     /// 1. **Deduplication** — identical inputs (same positions and
     ///    features) run FPS, grouping, and the whole forward once; their
@@ -531,8 +336,8 @@ impl GesIDNet {
     ///    skipped entirely here.)
     ///
     /// Bit-exactness holds because every kernel computes each output
-    /// row from its input rows alone, in the same operation order as
-    /// the per-sample path.
+    /// row from its input rows alone, in the same operation order
+    /// whatever the batch size.
     pub fn forward_batch(&self, inputs: &[ModelInput]) -> (Matrix, Matrix) {
         if inputs.is_empty() {
             return (
@@ -569,9 +374,9 @@ impl GesIDNet {
         (expand(&logits), expand(&embeddings))
     }
 
-    /// Per-sample geometry: FPS centroids, exactly as the per-sample
-    /// path computes them (grouping is geometry-dependent, so it cannot
-    /// batch across distinct clouds — the MLPs can).
+    /// Per-sample geometry: each input's FPS centroids (grouping is
+    /// geometry-dependent, so it cannot batch across distinct clouds —
+    /// the MLPs can).
     fn batch_geometry(&self, inputs: &[&ModelInput]) -> BatchGeometry {
         let mut clouds = Vec::with_capacity(inputs.len());
         let mut centroids: Vec<Vec<Vec3>> = Vec::with_capacity(inputs.len());
@@ -776,12 +581,12 @@ impl GesIDNet {
         }
     }
 
-    /// Batched backward: mirrors [`GesIDNet::backward_full`] stage for
-    /// stage, but every Linear/ReLU backward runs once over all
-    /// samples' stacked rows and every pooled gradient scatters through
-    /// [`MaxPool::backward_segments`]. Gradients accumulate for the
-    /// whole mini-batch; the caller takes one optimizer step. Returns
-    /// the summed loss.
+    /// Batched backward of [`GesIDNet::forward_batch_trace`]: loss
+    /// `CE(P1) + aux_weight·CE(P2)` per sample, then every Linear/ReLU
+    /// backward runs once over all samples' stacked rows and every
+    /// pooled gradient scatters through [`MaxPool::backward_segments`].
+    /// Gradients accumulate for the whole mini-batch; the caller takes
+    /// one optimizer step. Returns the summed loss.
     fn backward_batch(&mut self, t: &BatchTrace, labels: &[usize]) -> f32 {
         let b = labels.len();
         let mut total_loss = 0.0f32;
@@ -875,101 +680,11 @@ impl GesIDNet {
 
         total_loss
     }
-
-    fn backward_full(&mut self, input: &ModelInput, trace: &Trace, label: usize) -> f32 {
-        let (loss1, grad1) = softmax_cross_entropy(&trace.logits1, label);
-        let (loss2, grad2_raw) = softmax_cross_entropy(&trace.logits2, label);
-        let grad2: Vec<f32> = grad2_raw
-            .iter()
-            .map(|g| g * self.config.aux_weight)
-            .collect();
-
-        // Head 1 backward → dY1.
-        let g = Matrix::from_rows(&[grad1]);
-        let g = self.head1_b.backward(&trace.h1_act, &g);
-        let g = Relu.backward(&trace.h1_pre, &g);
-        let y1_m = Matrix::from_rows(&[trace.y1.clone()]);
-        let dy1 = self.head1_a.backward(&y1_m, &g).row(0).to_vec();
-
-        // Head 2 backward → dY2.
-        let g = Matrix::from_rows(&[grad2]);
-        let g = self.head2_c.backward(&trace.h2_act_b, &g);
-        let g = Relu.backward(&trace.h2_pre_b, &g);
-        let g = self.head2_b.backward(&trace.h2_act_a, &g);
-        let g = Relu.backward(&trace.h2_pre_a, &g);
-        let y2_m = Matrix::from_rows(&[trace.y2.clone()]);
-        let dy2 = self.head2_a.backward(&y2_m, &g).row(0).to_vec();
-
-        // Fusion backward → dF1, dF2 (accumulated from both levels).
-        let mut df1 = vec![0.0f32; trace.f1.len()];
-        let mut df2 = vec![0.0f32; trace.f2.len()];
-        match (&trace.fusion1, &trace.fusion2) {
-            (Some(t1), Some(t2)) => {
-                let (d_other, d_own) = fuse_backward(&mut self.rb_low, &mut self.g1, t1, &dy1);
-                add_into(&mut df2, &d_other);
-                add_into(&mut df1, &d_own);
-                let (d_other, d_own) = fuse_backward(&mut self.rb_high, &mut self.g2, t2, &dy2);
-                add_into(&mut df1, &d_other);
-                add_into(&mut df2, &d_own);
-            }
-            _ => {
-                add_into(&mut df1, &dy1);
-                add_into(&mut df2, &dy2);
-            }
-        }
-
-        // High branch backward: F2 → sa2_out rows.
-        let g_high = MaxPool.backward(trace.high_act.rows(), &trace.high_arg, &df2);
-        let g_high = Relu.backward(&trace.high_pre, &g_high);
-        let d_sa2_out = self.high_proj.backward(&trace.sa2_out, &g_high);
-
-        // SA2 backward: distribute into SA1 concat rows.
-        let c1_dim = trace.sa1_concat.cols();
-        let mut d_sa1_concat = Matrix::zeros(trace.sa1_concat.rows(), c1_dim);
-        for (k, gt) in trace.c2_of_c1.iter().enumerate() {
-            let g_pool = MaxPool.backward(gt.group_rows, &gt.pool_arg, d_sa2_out.row(k));
-            let g_group = self.sa2_mlp.backward(&gt.mlp, &g_pool);
-            for (r, &m) in gt.members.iter().enumerate() {
-                let src = g_group.row(r);
-                let dst = d_sa1_concat.row_mut(m);
-                for (d, s) in dst.iter_mut().zip(&src[3..]) {
-                    *d += s;
-                }
-                // positional gradient (src[0..3]) stops here: point
-                // coordinates are inputs, not parameters.
-            }
-        }
-
-        // Low branch backward: F1 → SA1 concat rows.
-        let g_low = MaxPool.backward(trace.low_act.rows(), &trace.low_arg, &df1);
-        let g_low = Relu.backward(&trace.low_pre, &g_low);
-        let d_low = self.low_proj.backward(&trace.sa1_concat, &g_low);
-        d_sa1_concat.add_assign(&d_low);
-
-        // SA1 backward per scale.
-        let mut offset = 0;
-        for (scale_i, scale) in self.config.sa1_scales.iter().enumerate() {
-            let width = scale.out;
-            for (j, gt) in trace.sa1[scale_i].iter().enumerate() {
-                let slice = &d_sa1_concat.row(j)[offset..offset + width];
-                if slice.iter().all(|v| *v == 0.0) {
-                    continue;
-                }
-                let g_pool = MaxPool.backward(gt.group_rows, &gt.pool_arg, slice);
-                let _ = self.sa1_mlps[scale_i].backward(&gt.mlp, &g_pool);
-            }
-            offset += width;
-        }
-
-        let _ = input;
-        loss1 + self.config.aux_weight * loss2
-    }
 }
 
 /// Stacks every SA1 group of every sample for one scale into a single
 /// `(Σ group rows) × (3 + POINT_FEATURES)` matrix, plus the per-group
-/// row counts (sample-major, centroid order — the same order the
-/// per-sample path visits groups).
+/// row counts (sample-major, then centroid order).
 fn stack_sa1_scale(
     inputs: &[&ModelInput],
     geo: &BatchGeometry,
@@ -983,6 +698,8 @@ fn stack_sa1_scale(
             let members =
                 neighbors::ball_query_padded(&geo.clouds[s], c, scale.radius, scale.max_points);
             for &m in &members {
+                // Local offsets are normalised by the scale radius
+                // (standard PointNet++ conditioning).
                 let d = (input.positions[m] - c) * (1.0 / scale.radius);
                 rows.push(d.x as f32);
                 rows.push(d.y as f32);
@@ -998,10 +715,11 @@ fn stack_sa1_scale(
     )
 }
 
-/// Batched attention fusion (Eqs. 2–3): the RB and both scoring passes
-/// run as multi-row kernels, then each row is softmax-weighted
-/// independently. Row `i` is bit-identical to [`fuse`] on sample `i`'s
-/// features (row-independent kernels, same operation order).
+/// Attention fusion (Eqs. 2–3), one row per sample: resize `other` to
+/// `own`'s level via the RB, score both candidates with `g`, then
+/// softmax-weight and sum each row independently. The RB and both
+/// scoring passes run as multi-row kernels, so row `i` does not depend
+/// on the other rows.
 fn fuse_batch(rb: &Linear, g: &Linear, other: &Matrix, own: &Matrix) -> (Matrix, BatchFusionTrace) {
     let resized_pre = rb.forward(other);
     let resized = Relu.forward(&resized_pre);
@@ -1070,84 +788,20 @@ fn fuse_backward_batch(
     (d_other, d_own)
 }
 
-/// Attention fusion forward (Eqs. 2–3): resize `other` to `own`'s level
-/// via the RB, score both with `g`, softmax-weight and sum.
-fn fuse(rb: &Linear, g: &Linear, other: &[f32], own: &[f32]) -> (Vec<f32>, FusionTrace) {
-    let resized_pre = rb.forward_batch(&[other]);
-    let resized = Relu.forward(&resized_pre);
-    let a = g.forward(&resized).at(0, 0);
-    let b = g.forward_batch(&[own]).at(0, 0);
-    let w = softmax(&[a, b]);
-    let y: Vec<f32> = resized
-        .row(0)
-        .iter()
-        .zip(own.iter())
-        .map(|(r, o)| w[0] * r + w[1] * o)
-        .collect();
-    (
-        y,
-        FusionTrace {
-            other_input: other.to_vec(),
-            resized_pre: resized_pre.row(0).to_vec(),
-            resized: resized.row(0).to_vec(),
-            own: own.to_vec(),
-            weights: [w[0], w[1]],
-        },
-    )
-}
-
-/// Backward of [`fuse`]; returns `(d_other, d_own)`.
-fn fuse_backward(
-    rb: &mut Linear,
-    g: &mut Linear,
-    t: &FusionTrace,
-    dy: &[f32],
-) -> (Vec<f32>, Vec<f32>) {
-    let [wa, wb] = t.weights;
-    // Direct path.
-    let mut d_resized: Vec<f32> = dy.iter().map(|v| v * wa).collect();
-    let mut d_own: Vec<f32> = dy.iter().map(|v| v * wb).collect();
-    // Attention-weight path: dL/dwa = dy·resized, dL/dwb = dy·own; then
-    // through the softmax over (a, b).
-    let dwa: f32 = dy.iter().zip(&t.resized).map(|(d, r)| d * r).sum();
-    let dwb: f32 = dy.iter().zip(&t.own).map(|(d, o)| d * o).sum();
-    let common = wa * dwa + wb * dwb;
-    let da = wa * (dwa - common);
-    let db = wb * (dwb - common);
-    // Through g on both candidates.
-    let resized_m = Matrix::from_rows(&[t.resized.clone()]);
-    let g_from_a = g.backward(&resized_m, &Matrix::from_rows(&[vec![da]]));
-    add_into(&mut d_resized, g_from_a.row(0));
-    let own_m = Matrix::from_rows(&[t.own.clone()]);
-    let g_from_b = g.backward(&own_m, &Matrix::from_rows(&[vec![db]]));
-    add_into(&mut d_own, g_from_b.row(0));
-    // Through the RB to the other level's raw feature.
-    let pre_m = Matrix::from_rows(&[t.resized_pre.clone()]);
-    let g_rb = Relu.backward(&pre_m, &Matrix::from_rows(&[d_resized]));
-    let other_m = Matrix::from_rows(&[t.other_input.clone()]);
-    let d_other = rb.backward(&other_m, &g_rb).row(0).to_vec();
-    (d_other, d_own)
-}
-
-fn add_into(dst: &mut [f32], src: &[f32]) {
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d += s;
-    }
-}
-
 impl PointModel for GesIDNet {
     fn classes(&self) -> usize {
         self.config.classes
     }
 
     fn logits(&self, input: &ModelInput) -> Vec<f32> {
-        // The primary prediction P1 is the inference output (paper §IV-C).
-        self.forward_full(input).logits1
+        self.logits_and_embedding(input).0
     }
 
     fn logits_and_embedding(&self, input: &ModelInput) -> (Vec<f32>, Option<Vec<f32>>) {
-        let t = self.forward_full(input);
-        (t.logits1, Some(t.y1))
+        // A batch of one through the stacked forward. The primary
+        // prediction P1 is the inference output (paper §IV-C).
+        let (logits, y1) = self.forward_stacked(&[input]);
+        (logits.row(0).to_vec(), Some(y1.row(0).to_vec()))
     }
 
     fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>) {
@@ -1158,23 +812,16 @@ impl PointModel for GesIDNet {
     }
 
     fn train_step(&mut self, input: &ModelInput, label: usize) -> f32 {
-        let trace = self.forward_full(input);
-        self.backward_full(input, &trace, label)
+        self.train_step_batch(&[input], &[label])
     }
 
     fn train_step_batch(&mut self, inputs: &[&ModelInput], labels: &[usize]) -> f32 {
         assert_eq!(inputs.len(), labels.len(), "inputs/labels length mismatch");
-        match inputs.len() {
-            0 => 0.0,
-            // A batch of one gains nothing from stacking; delegating
-            // keeps batch_size=1 training bit-identical to the
-            // historical per-sample loop.
-            1 => self.train_step(inputs[0], labels[0]),
-            _ => {
-                let trace = self.forward_batch_trace(inputs);
-                self.backward_batch(&trace, labels)
-            }
+        if inputs.is_empty() {
+            return 0.0;
         }
+        let trace = self.forward_batch_trace(inputs);
+        self.backward_batch(&trace, labels)
     }
 
     fn name(&self) -> &'static str {
@@ -1182,8 +829,15 @@ impl PointModel for GesIDNet {
     }
 
     fn feature_taps(&self, input: &ModelInput) -> Option<(Vec<f32>, Vec<f32>, Vec<f32>)> {
-        let t = self.forward_full(input);
-        Some((t.f1, t.f2, t.y1))
+        // The training forward on a batch of one: F¹/F² are the fusion
+        // inputs at their own level (or Y¹/Y² themselves without
+        // fusion), so this also cross-checks the inference forward's Y¹.
+        let t = self.forward_batch_trace(&[input]);
+        let (f1, f2) = match (&t.fusion1, &t.fusion2) {
+            (Some(t1), Some(t2)) => (t1.own.row(0).to_vec(), t2.own.row(0).to_vec()),
+            _ => (t.y1.row(0).to_vec(), t.y2.row(0).to_vec()),
+        };
+        Some((f1, f2, t.y1.row(0).to_vec()))
     }
 }
 
@@ -1328,69 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn gradients_match_finite_differences() {
-        // Tiny network, spot-check parameters across all blocks.
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut net = GesIDNet::new(GesIDNetConfig::tiny(3), &mut rng);
-        let input = toy_input(4, 0.0);
-        let label = 2;
-
-        net.zero_grads();
-        net.train_step(&input, label);
-        let mut analytic = Vec::new();
-        net.for_each_param(&mut |_, g| analytic.extend_from_slice(g));
-
-        let loss_of = |net: &GesIDNet| {
-            let t = net.forward_full(&input);
-            let (l1, _) = softmax_cross_entropy(&t.logits1, label);
-            let (l2, _) = softmax_cross_entropy(&t.logits2, label);
-            l1 + l2
-        };
-
-        let eps = 1e-2f32;
-        let total = analytic.len();
-        let step = (total / 60).max(1);
-        let mut checked = 0;
-        let mut failures = Vec::new();
-        for idx in (0..total).step_by(step) {
-            let mut pos = 0;
-            net.for_each_param(&mut |p, _| {
-                if idx >= pos && idx < pos + p.len() {
-                    p[idx - pos] += eps;
-                }
-                pos += p.len();
-            });
-            let lp = loss_of(&net);
-            let mut pos = 0;
-            net.for_each_param(&mut |p, _| {
-                if idx >= pos && idx < pos + p.len() {
-                    p[idx - pos] -= 2.0 * eps;
-                }
-                pos += p.len();
-            });
-            let lm = loss_of(&net);
-            let mut pos = 0;
-            net.for_each_param(&mut |p, _| {
-                if idx >= pos && idx < pos + p.len() {
-                    p[idx - pos] += eps;
-                }
-                pos += p.len();
-            });
-            let numeric = (lp - lm) / (2.0 * eps);
-            let a = analytic[idx];
-            if (a - numeric).abs() > 4e-2 * (1.0 + numeric.abs()) {
-                failures.push((idx, a, numeric));
-            }
-            checked += 1;
-        }
-        assert!(checked > 20);
-        assert!(
-            failures.len() <= checked / 10,
-            "gradient mismatches: {failures:?}"
-        );
-    }
-
-    #[test]
     fn forward_batch_bit_exact_with_per_sample_logits() {
         let mut rng = StdRng::seed_from_u64(0);
         let net = GesIDNet::new(GesIDNetConfig::for_classes(5), &mut rng);
@@ -1492,23 +1083,11 @@ mod tests {
     }
 
     #[test]
-    fn train_step_batch_of_one_bit_identical_to_train_step() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut a = GesIDNet::new(GesIDNetConfig::tiny(3), &mut rng);
-        let mut b = a.clone();
-        let input = toy_input(40, 0.0);
-        let la = a.train_step(&input, 2);
-        let lb = b.train_step_batch(&[&input], &[2]);
-        assert_eq!(la, lb);
-        assert_eq!(grads_of(&mut a), grads_of(&mut b));
-    }
-
-    #[test]
     fn batched_gradients_match_sequential_sum() {
         // One batched backward must accumulate the same total gradient
-        // as per-sample steps over the batch. Not bit-exact — the
-        // batched path associates the float additions differently — so
-        // compare with a relative tolerance.
+        // as per-sample steps (batches of one) over the batch. Not
+        // bit-exact — stacking rows associates the float additions
+        // differently — so compare with a relative tolerance.
         let mut rng = StdRng::seed_from_u64(12);
         let mut seq = GesIDNet::new(GesIDNetConfig::for_classes(3), &mut rng);
         let mut bat = seq.clone();
@@ -1569,73 +1148,66 @@ mod tests {
 
     #[test]
     fn batched_gradients_match_finite_differences() {
-        // The batched backward checked directly against numeric
-        // differentiation of the batched loss (not just against the
-        // sequential path) — same spot-check scheme as the per-sample
-        // gradient test.
-        let mut rng = StdRng::seed_from_u64(14);
-        let mut net = GesIDNet::new(GesIDNetConfig::tiny(3), &mut rng);
+        // The backward checked against numeric differentiation of the
+        // summed loss, for a batch of one (what per-sample `train_step`
+        // runs) and a stacked batch of three. Spot-checks parameters
+        // across all blocks of a tiny network.
         let inputs: Vec<ModelInput> = (0..3).map(|k| toy_input(70 + k, 0.1 * k as f64)).collect();
-        let refs: Vec<&ModelInput> = inputs.iter().collect();
         let labels = [2usize, 0, 1];
+        for batch in [1usize, 3] {
+            let mut rng = StdRng::seed_from_u64(14);
+            let mut net = GesIDNet::new(GesIDNetConfig::tiny(3), &mut rng);
+            let refs: Vec<&ModelInput> = inputs[..batch].iter().collect();
+            let labels = &labels[..batch];
 
-        net.zero_grads();
-        net.train_step_batch(&refs, &labels);
-        let mut analytic = Vec::new();
-        net.for_each_param(&mut |_, g| analytic.extend_from_slice(g));
+            net.zero_grads();
+            net.train_step_batch(&refs, labels);
+            let analytic = grads_of(&mut net);
 
-        let loss_of = |net: &GesIDNet| {
-            let t = net.forward_batch_trace(&refs);
-            let mut loss = 0.0f32;
-            for (i, &label) in labels.iter().enumerate() {
-                let (l1, _) = softmax_cross_entropy(t.logits1.row(i), label);
-                let (l2, _) = softmax_cross_entropy(t.logits2.row(i), label);
-                loss += l1 + l2;
+            let loss_of = |net: &GesIDNet| {
+                let t = net.forward_batch_trace(&refs);
+                let mut loss = 0.0f32;
+                for (i, &label) in labels.iter().enumerate() {
+                    let (l1, _) = softmax_cross_entropy(t.logits1.row(i), label);
+                    let (l2, _) = softmax_cross_entropy(t.logits2.row(i), label);
+                    loss += l1 + l2;
+                }
+                loss
+            };
+
+            let eps = 1e-2f32;
+            let total = analytic.len();
+            let step = (total / 60).max(1);
+            let mut checked = 0;
+            let mut failures = Vec::new();
+            for idx in (0..total).step_by(step) {
+                let nudge = |net: &mut GesIDNet, delta: f32| {
+                    let mut pos = 0;
+                    net.for_each_param(&mut |p, _| {
+                        if idx >= pos && idx < pos + p.len() {
+                            p[idx - pos] += delta;
+                        }
+                        pos += p.len();
+                    });
+                };
+                nudge(&mut net, eps);
+                let lp = loss_of(&net);
+                nudge(&mut net, -2.0 * eps);
+                let lm = loss_of(&net);
+                nudge(&mut net, eps);
+                let numeric = (lp - lm) / (2.0 * eps);
+                let a = analytic[idx];
+                if (a - numeric).abs() > 4e-2 * (1.0 + numeric.abs()) {
+                    failures.push((idx, a, numeric));
+                }
+                checked += 1;
             }
-            loss
-        };
-
-        let eps = 1e-2f32;
-        let total = analytic.len();
-        let step = (total / 60).max(1);
-        let mut checked = 0;
-        let mut failures = Vec::new();
-        for idx in (0..total).step_by(step) {
-            let mut pos = 0;
-            net.for_each_param(&mut |p, _| {
-                if idx >= pos && idx < pos + p.len() {
-                    p[idx - pos] += eps;
-                }
-                pos += p.len();
-            });
-            let lp = loss_of(&net);
-            let mut pos = 0;
-            net.for_each_param(&mut |p, _| {
-                if idx >= pos && idx < pos + p.len() {
-                    p[idx - pos] -= 2.0 * eps;
-                }
-                pos += p.len();
-            });
-            let lm = loss_of(&net);
-            let mut pos = 0;
-            net.for_each_param(&mut |p, _| {
-                if idx >= pos && idx < pos + p.len() {
-                    p[idx - pos] += eps;
-                }
-                pos += p.len();
-            });
-            let numeric = (lp - lm) / (2.0 * eps);
-            let a = analytic[idx];
-            if (a - numeric).abs() > 4e-2 * (1.0 + numeric.abs()) {
-                failures.push((idx, a, numeric));
-            }
-            checked += 1;
+            assert!(checked > 20);
+            assert!(
+                failures.len() <= checked / 10,
+                "batch {batch}: gradient mismatches: {failures:?}"
+            );
         }
-        assert!(checked > 20);
-        assert!(
-            failures.len() <= checked / 10,
-            "gradient mismatches: {failures:?}"
-        );
     }
 
     #[test]
@@ -1666,8 +1238,8 @@ mod tests {
     #[test]
     fn batched_training_matches_sequential_predictions() {
         // Train two clones of the same network on the same data with
-        // the same optimizer cadence — one stepping per-sample
-        // gradients (historical path), one through the batched step.
+        // the same optimizer cadence — one accumulating per-sample
+        // steps (batches of one), one through the stacked batch step.
         // The gradient sums differ only in float association, so the
         // trained models must agree on every prediction and land at
         // close losses.
@@ -1720,9 +1292,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let rb = Linear::new(4, 3, &mut rng);
         let g = Linear::new(3, 1, &mut rng);
-        let (_, trace) = fuse(&rb, &g, &[0.5, -0.2, 0.1, 0.9], &[1.0, 0.0, -1.0]);
-        let sum = trace.weights[0] + trace.weights[1];
-        assert!((sum - 1.0).abs() < 1e-6);
-        assert!(trace.weights.iter().all(|w| (0.0..=1.0).contains(w)));
+        let other = Matrix::from_rows(&[vec![0.5, -0.2, 0.1, 0.9], vec![-1.0, 2.0, 0.3, 0.0]]);
+        let own = Matrix::from_rows(&[vec![1.0, 0.0, -1.0], vec![0.2, 0.4, 3.0]]);
+        let (y, trace) = fuse_batch(&rb, &g, &other, &own);
+        assert_eq!(y.rows(), 2);
+        for w in &trace.weights {
+            assert!((w[0] + w[1] - 1.0).abs() < 1e-6);
+            assert!(w.iter().all(|w| (0.0..=1.0).contains(w)));
+        }
     }
 }

@@ -78,12 +78,12 @@ pub trait PointModel: Parameterized + Send + Sync {
     /// `(input, label)` pair before the caller takes one optimizer step.
     /// Returns the summed loss over the batch.
     ///
-    /// The default loops [`PointModel::train_step`] in order, so it is
-    /// bit-identical to the historical sample-at-a-time loop; models
-    /// with genuinely batched backward passes (GesIDNet) override it to
-    /// push the whole mini-batch through multi-row kernels. Overrides
-    /// compute the same mathematical gradient sum but may associate the
-    /// floating-point additions differently.
+    /// The default loops [`PointModel::train_step`] in order. GesIDNet
+    /// overrides it with its one stacked forward/backward, pushing the
+    /// whole mini-batch through multi-row kernels; its `train_step` is
+    /// this method on a batch of one. A stacked batch computes the same
+    /// mathematical gradient sum as a loop of single steps but may
+    /// associate the floating-point additions differently.
     ///
     /// # Panics
     ///

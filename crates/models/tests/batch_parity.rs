@@ -1,11 +1,14 @@
-//! Property tests: the batched GesIDNet forward must be bit-exact with
-//! the per-sample path for every batch size 1..=8, mixed raw point-cloud
-//! sizes, mixed resampling widths, and duplicated inputs — the
-//! guarantee `gp-serve`'s micro-batching executor and `gp-core`'s
-//! batched entry points rely on for worker-count determinism. The
-//! embedding rows the batched forward hands back (the fused `Y¹` that
-//! identity resolution enrolls and matches) are held to the same bar
-//! against the per-sample feature tap, with and without fusion.
+//! Property tests: every row of the batched GesIDNet forward must be
+//! bit-exact with its input run alone (per-sample calls are the same
+//! stacked code on a batch of one) for every batch size 1..=8, mixed
+//! raw point-cloud sizes, mixed resampling widths, and duplicated
+//! inputs — the guarantee `gp-serve`'s micro-batching executor and
+//! `gp-core`'s batched entry points rely on for worker-count
+//! determinism. The embedding rows the batched forward hands back (the
+//! fused `Y¹` that identity resolution enrolls and matches) are held to
+//! the same bar against `feature_taps`, which reads `Y¹` off the
+//! training forward, with and without fusion. The outputs themselves
+//! are pinned by the golden forward fixture (`golden_forward.rs`).
 
 use gp_models::features::{encode, FeatureConfig, ModelInput};
 use gp_models::{GesIDNet, GesIDNetConfig, PointModel};
@@ -78,8 +81,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `forward_batch` (and through it `logits_batch` and
-    /// `logits_and_embedding_batch`) is bit-exact with the per-sample
-    /// path for batch sizes 1..=8 over clouds of mixed raw sizes,
+    /// `logits_and_embedding_batch`) is bit-exact with batches of one
+    /// for batch sizes 1..=8 over clouds of mixed raw sizes,
     /// including sparse ones below the resampling width, with the
     /// attention fusion on and off.
     #[test]

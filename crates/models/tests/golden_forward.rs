@@ -3,9 +3,10 @@
 //!
 //! Two seeded `GesIDNetConfig::for_classes(5)` nets (fusion on and off)
 //! run over six encoded inputs built from deterministic clouds of 5–300
-//! raw points, two of them encoded to fewer points than the 24 SA1
-//! centroids. The weights are not committed: the seeded RNG rebuilds
-//! them. Per input the fixture pins the P1 logits and the fused
+//! raw points. Two clouds have fewer raw points than the 24 SA1
+//! centroids, and one of those is encoded to 16 points, so its SA1
+//! keeps only 16 centroids. The weights are not committed: the seeded
+//! RNG rebuilds them. Per input the fixture pins the P1 logits and the fused
 //! embedding `Y¹` as f32 bit patterns, and the low/high-level features
 //! `F¹`/`F²` as a 64-bit FNV-1a hash of their bits.
 //!
@@ -136,10 +137,6 @@ fn record(net: &GesIDNet, input: &ModelInput) -> Expected {
     }
 }
 
-fn strings(value: &Value, field: &str) -> Vec<String> {
-    value.get(field).expect("fixture field")
-}
-
 /// The fixture as `(seed, fusion, per-input expectations)` per net,
 /// after checking that its input table matches [`INPUTS`].
 fn load() -> Vec<(u64, bool, Vec<Expected>)> {
@@ -166,8 +163,8 @@ fn load() -> Vec<(u64, bool, Vec<Expected>)> {
                 .unwrap()
                 .iter()
                 .map(|o| Expected {
-                    logits: strings(o, "logits"),
-                    y1: strings(o, "y1"),
+                    logits: o.get("logits").unwrap(),
+                    y1: o.get("y1").unwrap(),
                     f1: o.get("f1_hash").unwrap(),
                     f2: o.get("f2_hash").unwrap(),
                 })

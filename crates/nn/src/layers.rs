@@ -51,16 +51,6 @@ impl Linear {
         y
     }
 
-    /// Forward pass over rows gathered from scattered slices: stacks
-    /// them into one matrix and runs a single multi-row
-    /// [`Linear::forward`]. Each output row is bit-identical to
-    /// forwarding that row alone — the matmul computes every row's dot
-    /// products independently — so batch-capable callers can stack
-    /// per-sample feature vectors without changing results.
-    pub fn forward_batch(&self, rows: &[&[f32]]) -> Matrix {
-        self.forward(&Matrix::from_row_slices(rows))
-    }
-
     /// Backward pass: accumulates weight/bias gradients and returns the
     /// gradient w.r.t. the input. `x` must be the same matrix given to
     /// [`Linear::forward`].
@@ -392,23 +382,6 @@ mod tests {
         assert_eq!(g.at(1, 0), 1.0);
         assert_eq!(g.at(0, 1), 2.0);
         assert_eq!(g.at(2, 0), 0.0);
-    }
-
-    #[test]
-    fn forward_batch_matches_per_row_forward() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let l = Linear::new(4, 3, &mut rng);
-        let rows = vec![
-            vec![0.3f32, -0.2, 0.8, 0.1],
-            vec![1.0, 0.5, -0.4, 0.2],
-            vec![-0.7, 0.0, 0.25, 2.0],
-        ];
-        let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let batched = l.forward_batch(&refs);
-        for (i, row) in rows.iter().enumerate() {
-            let single = l.forward(&Matrix::from_rows(&[row.clone()]));
-            assert_eq!(batched.row(i), single.row(0), "row {i}");
-        }
     }
 
     #[test]

@@ -48,28 +48,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a matrix by stacking borrowed row slices (the zero-copy
-    /// sibling of [`Matrix::from_rows`], for gathering rows scattered
-    /// across other matrices into one multi-row kernel input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have unequal lengths or there are no rows.
-    pub fn from_row_slices(rows: &[&[f32]]) -> Self {
-        assert!(!rows.is_empty(), "need at least one row");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "ragged rows");
-            data.extend_from_slice(r);
-        }
-        Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -209,16 +187,6 @@ mod tests {
         let fast2 = a.matmul_transpose(&b);
         let slow2 = a.matmul(&b.transposed());
         assert_eq!(fast2, slow2);
-    }
-
-    #[test]
-    fn from_row_slices_matches_from_rows() {
-        let owned = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
-        let borrowed: Vec<&[f32]> = owned.iter().map(|r| r.as_slice()).collect();
-        assert_eq!(
-            Matrix::from_row_slices(&borrowed),
-            Matrix::from_rows(&owned)
-        );
     }
 
     #[test]
