@@ -123,7 +123,7 @@ fn bench_models(c: &mut Criterion) {
         );
         group.bench_function(
             format!("inference_{}", kind.name().replace(' ', "_")),
-            |b| b.iter(|| model.predict(&sample)),
+            |b| b.iter(|| model.probabilities_batch(&[&sample])),
         );
     }
     // One forward + backward on a pre-encoded input. Each iteration

@@ -556,14 +556,13 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
             assert_eq!(restored.kind(), kind);
             assert_eq!(restored.classes(), 2);
-            for s in &samples {
-                assert_eq!(
-                    model.probabilities(s),
-                    restored.probabilities(s),
-                    "{} prediction drifted across the artifact round trip",
-                    kind.name()
-                );
-            }
+            let refs: Vec<&LabeledSample> = samples.iter().collect();
+            assert_eq!(
+                model.probabilities_batch(&refs),
+                restored.probabilities_batch(&refs),
+                "{} prediction drifted across the artifact round trip",
+                kind.name()
+            );
         }
     }
 
@@ -618,13 +617,12 @@ mod tests {
                 TrainedModel::load_artifact(&bytes).unwrap_or_else(|e| panic!("{format:?}: {e}"));
             assert_eq!(restored.kind(), ModelKind::RdNet);
             assert_eq!(restored.rd_feature(), model.rd_feature());
-            for s in &samples {
-                assert_eq!(
-                    model.probabilities_rd(s),
-                    restored.probabilities_rd(s),
-                    "{format:?} RD prediction drifted across the round trip"
-                );
-            }
+            let refs: Vec<&gp_rd::RdLabeledSample> = samples.iter().collect();
+            assert_eq!(
+                model.probabilities_batch(&refs),
+                restored.probabilities_batch(&refs),
+                "{format:?} RD prediction drifted across the round trip"
+            );
         }
     }
 
@@ -853,10 +851,10 @@ mod tests {
         );
         let from_json = TrainedModel::load_artifact(&json_bytes).unwrap();
         let from_bin = TrainedModel::load_artifact(&bin_bytes).unwrap();
-        for s in &samples {
-            assert_eq!(from_json.probabilities(s), from_bin.probabilities(s));
-            assert_eq!(model.probabilities(s), from_bin.probabilities(s));
-        }
+        let refs: Vec<&LabeledSample> = samples.iter().collect();
+        let probs = model.probabilities_batch(&refs);
+        assert_eq!(from_json.probabilities_batch(&refs), probs);
+        assert_eq!(from_bin.probabilities_batch(&refs), probs);
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //! * [`GesturePrint`] — the full system: a gesture-recognition model plus
 //!   user-identification model(s), in **serialized** mode (per-gesture
 //!   identifiers selected by the recognised gesture — the paper's
-//!   default) or **parallel** mode (one identifier across all gestures),
+//!   default) or **parallel** mode (one identifier across all gestures).
+//!   Inference is batch-first: [`GesturePrint::infer_batch`] over
+//!   samples of either backend ([`SampleRef`]) is the one
+//!   classify-then-identify body, and [`GesturePrint::infer`],
+//!   [`GesturePrint::infer_rd`] and [`GesturePrint::embedding`] are
+//!   batches of one through it,
 //! * [`report`] — classification reports (accuracy / macro-F1 /
 //!   macro-AUC) and verification scores for EER, matching §VI-A3,
 //! * [`artifact`] — the versioned persistence layer: models, full

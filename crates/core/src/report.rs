@@ -1,6 +1,6 @@
 //! Classification reports matching the paper's metrics (§VI-A3).
 
-use crate::train::TrainedModel;
+use crate::train::{argmax, TrainedModel};
 use gp_eval::metrics::{accuracy, macro_auc, macro_f1};
 use gp_eval::roc::{eer, one_vs_rest_scores};
 use gp_pipeline::LabeledSample;
@@ -61,15 +61,11 @@ pub fn classification_report(
     let mut probabilities = Vec::with_capacity(test.len());
     let mut predictions = Vec::with_capacity(test.len());
     let mut labels = Vec::with_capacity(test.len());
+    // One sample per call: the batched GesIDNet forward dedupes its
+    // inputs with an O(B²) scan, so a test set must not be one batch.
     for (sample, label) in test {
-        let p = model.probabilities(sample);
-        predictions.push(
-            p.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .unwrap_or(0),
-        );
+        let p = model.probabilities_batch(&[*sample]).remove(0);
+        predictions.push(argmax(&p));
         probabilities.push(p);
         labels.push(*label);
     }

@@ -2,7 +2,8 @@
 //! identification in serialized or parallel mode (paper §IV-C).
 
 use crate::train::{
-    train_classifier, train_rd_classifier, SampleRef, SensingBackend, TrainConfig, TrainedModel,
+    argmax, train_classifier, train_rd_classifier, SampleRef, SensingBackend, TrainConfig,
+    TrainedModel,
 };
 use gp_pipeline::LabeledSample;
 use gp_rd::RdLabeledSample;
@@ -279,7 +280,7 @@ impl GesturePrint {
 
     /// Index into `identifiers` of the model that runs for `gesture` —
     /// the single definition of the mode's dispatch rule, shared by
-    /// single-sample and batched inference.
+    /// inference and [`GesturePrint::identifier_for`].
     fn identifier_index(&self, gesture: usize) -> usize {
         match self.mode {
             IdentificationMode::Parallel => 0,
@@ -292,64 +293,38 @@ impl GesturePrint {
         &self.identifiers[self.identifier_index(gesture)]
     }
 
-    /// Recognises the gesture only.
-    pub fn recognize(&self, sample: &LabeledSample) -> usize {
-        self.gesture_model.predict(sample)
-    }
-
-    /// Recognises the gesture of an RD sample only.
-    pub fn recognize_rd(&self, sample: &RdLabeledSample) -> usize {
-        self.gesture_model.predict_rd(sample)
-    }
-
     /// Full inference: gesture, then user via the mode's identifier,
-    /// whose forward also yields the identification embedding.
+    /// whose forward also yields the identification embedding. A batch
+    /// of one through [`GesturePrint::infer_batch`].
     pub fn infer(&self, sample: &LabeledSample) -> Inference {
-        self.infer_of(sample.into())
+        self.infer_batch(&[sample]).remove(0)
     }
 
-    /// Full inference over an RD sample — identical two-stage dispatch
-    /// as [`GesturePrint::infer`], on the RD backend.
+    /// [`GesturePrint::infer`] for a range-Doppler sample.
     pub fn infer_rd(&self, sample: &RdLabeledSample) -> Inference {
-        self.infer_of(sample.into())
+        self.infer_batch(&[sample]).remove(0)
     }
 
-    fn infer_of(&self, sample: SampleRef<'_>) -> Inference {
-        let gesture_probs = self.gesture_model.probabilities_of(sample);
-        let gesture = argmax_f64(&gesture_probs);
-        let (user_probs, embedding) = self
-            .identifier_for(gesture)
-            .probabilities_and_embedding(sample);
-        Inference {
-            gesture,
-            user: argmax_f64(&user_probs),
-            gesture_probs,
-            user_probs,
-            embedding,
-        }
-    }
-
-    /// Batched RD inference. RdNet forwards sample-at-a-time, so this
-    /// maps [`GesturePrint::infer_rd`]; it exists so the serving
-    /// executor has one batched entry per backend.
-    pub fn infer_rd_batch(&self, samples: &[&RdLabeledSample]) -> Vec<Inference> {
-        samples.iter().map(|s| self.infer_rd(s)).collect()
-    }
-
-    /// Batched inference over many samples — the serving path's entry
-    /// point (`gp-serve`'s micro-batching executor calls this per batch).
+    /// Batched inference over samples of either backend — the serving
+    /// path's entry point (`gp-serve`'s micro-batching executor calls
+    /// this per batch and backend).
     ///
-    /// Produces exactly the same results as calling
-    /// [`GesturePrint::infer`] on each sample: the gesture recogniser
-    /// runs batched over the whole set, then samples are grouped by
-    /// recognised gesture so each identifier also runs batched over its
-    /// group (in serialized mode; parallel mode uses one group).
-    pub fn infer_batch(&self, samples: &[&LabeledSample]) -> Vec<Inference> {
-        if samples.is_empty() {
-            return Vec::new();
-        }
-        let gesture_probs = self.gesture_model.probabilities_batch(samples);
-        let gestures: Vec<usize> = gesture_probs.iter().map(|p| argmax_f64(p)).collect();
+    /// The gesture recogniser runs batched over the whole set, then the
+    /// samples are grouped by the identifier their recognised gesture
+    /// dispatches to ([`GesturePrint::identifier_for`]), so each
+    /// identifier also runs batched over its group (serialized mode;
+    /// parallel mode has one group). The per-sample entries are this on a
+    /// batch of one, and each batched row is bit-exact with its sample
+    /// run alone, so results do not depend on batch composition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sample's backend does not match
+    /// [`GesturePrint::backend`].
+    pub fn infer_batch<'a, S: Copy + Into<SampleRef<'a>>>(&self, samples: &[S]) -> Vec<Inference> {
+        let samples: Vec<SampleRef<'a>> = samples.iter().map(|&s| s.into()).collect();
+        let (gesture_probs, _) = self.gesture_model.probabilities_and_embeddings(&samples);
+        let gestures: Vec<usize> = gesture_probs.iter().map(|p| argmax(p)).collect();
 
         // Group sample indices by the identifier that must run for them.
         let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
@@ -363,9 +338,9 @@ impl GesturePrint {
         let mut user_probs: Vec<Vec<f64>> = vec![Vec::new(); samples.len()];
         let mut embeddings: Vec<Option<Vec<f32>>> = vec![None; samples.len()];
         for (identifier, indices) in groups {
-            let subset: Vec<&LabeledSample> = indices.iter().map(|&i| samples[i]).collect();
+            let subset: Vec<SampleRef<'a>> = indices.iter().map(|&i| samples[i]).collect();
             let (probs, group_embeddings) =
-                self.identifiers[identifier].probabilities_and_embeddings_batch(&subset);
+                self.identifiers[identifier].probabilities_and_embeddings(&subset);
             for (row, (&i, p)) in indices.iter().zip(probs).enumerate() {
                 user_probs[i] = p;
                 embeddings[i] = group_embeddings.as_ref().map(|m| m.row(row).to_vec());
@@ -380,7 +355,7 @@ impl GesturePrint {
             .map(
                 |(((gesture, gesture_probs), user_probs), embedding)| Inference {
                     gesture,
-                    user: argmax_f64(&user_probs),
+                    user: argmax(&user_probs),
                     gesture_probs,
                     user_probs,
                     embedding,
@@ -391,83 +366,29 @@ impl GesturePrint {
 
     /// The user-discriminative embedding of a sample: the fused
     /// penultimate feature of the identifier the recognised gesture
-    /// dispatches to ([`TrainedModel::embedding`]). This is what
+    /// dispatches to, i.e. `infer(sample).embedding`. This is what
     /// `gp-store` enrolls into a gallery — identification then becomes
     /// nearest-gallery matching instead of a closed-set argmax.
     /// `None` when the identifier architecture has no fusion tap.
     pub fn embedding(&self, sample: &LabeledSample) -> Option<Vec<f32>> {
-        self.embedding_for_gesture(sample, self.recognize(sample))
+        self.infer(sample).embedding
     }
 
-    /// [`GesturePrint::embedding`] for a gesture the caller already
-    /// recognised. Runs the identifier's forward again: inference
-    /// results already carry this value as [`Inference::embedding`], so
-    /// this is for enrollment from training data and for per-sample
-    /// reference checks.
-    pub fn embedding_for_gesture(
+    /// The identification embedding of a sample of either backend for a
+    /// gesture the caller already recognised: one forward of that
+    /// gesture's identifier. Inference results already carry this value
+    /// as [`Inference::embedding`], so this is for per-sample reference
+    /// checks. `None` when the identifier has no fusion tap.
+    pub fn embedding_for_gesture<'a>(
         &self,
-        sample: &LabeledSample,
+        sample: impl Into<SampleRef<'a>>,
         gesture: usize,
     ) -> Option<Vec<f32>> {
-        self.identifier_for(gesture).embedding(sample)
+        let (_, embeddings) = self
+            .identifier_for(gesture)
+            .probabilities_and_embeddings(&[sample.into()]);
+        embeddings.map(|m| m.row(0).to_vec())
     }
-
-    /// The RD identification embedding for a caller-recognised gesture —
-    /// the RD counterpart of [`GesturePrint::embedding_for_gesture`].
-    pub fn embedding_rd_for_gesture(
-        &self,
-        sample: &RdLabeledSample,
-        gesture: usize,
-    ) -> Option<Vec<f32>> {
-        Some(self.identifier_for(gesture).embedding_rd(sample))
-    }
-
-    /// Ensemble inference: runs this (point-cloud) system unless the
-    /// segment's cloud is sparse — fewer than `min_points` detected
-    /// points, the regime where CFAR detection starves (e.g. near-radial
-    /// vertical pats) — in which case the co-trained `rd` system infers
-    /// from the raw range-Doppler frames instead. Returns the inference
-    /// and the backend that produced it.
-    ///
-    /// Both systems must be trained on the same label spaces; this is
-    /// the fallback policy the serving layer applies per segment.
-    pub fn infer_with_rd_fallback(
-        &self,
-        sample: &LabeledSample,
-        rd: &GesturePrint,
-        rd_sample: &RdLabeledSample,
-        min_points: usize,
-    ) -> (Inference, SensingBackend) {
-        debug_assert_eq!(self.backend(), SensingBackend::PointCloud);
-        debug_assert_eq!(rd.backend(), SensingBackend::RangeDoppler);
-        if sample.cloud.len() < min_points {
-            (rd.infer_rd(rd_sample), SensingBackend::RangeDoppler)
-        } else {
-            (self.infer(sample), SensingBackend::PointCloud)
-        }
-    }
-
-    /// Open-set inference: rejects samples whose identity confidence is
-    /// below `threshold` (`None` = unauthorized person or random motion).
-    ///
-    /// The serialized mode enables exactly this capability — the paper
-    /// cites "handling random gestures and unauthorized people" as a
-    /// reason serialized is the default (§IV-C): a per-gesture identifier
-    /// sees an impostor's style as out-of-distribution and spreads its
-    /// probability mass.
-    pub fn infer_verified(&self, sample: &LabeledSample, threshold: f64) -> Option<Inference> {
-        let out = self.infer(sample);
-        let confidence = out.user_probs[out.user];
-        (confidence >= threshold).then_some(out)
-    }
-}
-
-fn argmax_f64(v: &[f64]) -> usize {
-    v.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -598,7 +519,7 @@ mod tests {
             for (i, s) in samples.iter().enumerate() {
                 assert_eq!(batched[i], system.infer(s), "sample {i} mode {mode:?}");
             }
-            assert!(system.infer_batch(&[]).is_empty());
+            assert!(system.infer_batch::<&LabeledSample>(&[]).is_empty());
         }
     }
 
@@ -734,10 +655,12 @@ mod tests {
         assert!(g_ok >= 20, "RD gesture recognition weak: {g_ok}/24");
         assert!(u_ok >= 20, "RD user identification weak: {u_ok}/24");
         // Embeddings exist on the RD path (RdNet always has a fusion tap).
+        let out = system.infer_rd(&samples[0]);
         let e = system
-            .embedding_rd_for_gesture(&samples[0], system.recognize_rd(&samples[0]))
+            .embedding_for_gesture(&samples[0], out.gesture)
             .unwrap();
         assert_eq!(e.len(), 48);
+        assert_eq!(out.embedding, Some(e));
     }
 
     #[test]
@@ -746,89 +669,36 @@ mod tests {
         let refs: Vec<&RdLabeledSample> = samples.iter().collect();
         let system =
             GesturePrint::train_rd(&refs, 2, 2, &quick_rd_config(IdentificationMode::Parallel));
-        let batched = system.infer_rd_batch(&refs);
+        let batched = system.infer_batch(&refs);
         for (i, s) in samples.iter().enumerate() {
             assert_eq!(batched[i], system.infer_rd(s), "sample {i}");
         }
     }
 
     #[test]
-    fn sparse_cloud_recovers_through_rd_fallback() {
-        // The acceptance scenario: a near-radial gesture ('table'-like)
-        // yields a starved point cloud whose few points carry the wrong
-        // user's geometry, while the RD frames keep the user's Doppler
-        // signature. Point-cloud-only misses; the ensemble recovers.
-        let samples = toy_samples(6);
+    fn tied_gesture_logits_pick_the_first_gesture_everywhere() {
+        // A zeroed gesture model gives all-zero logits, so every
+        // recognition is an exact tie. Enrollment (`embedding`),
+        // per-sample and batched inference and the classification report
+        // must break it the same way: first on ties.
+        let samples = toy_samples(3);
         let refs: Vec<&LabeledSample> = samples.iter().collect();
-        let point_system =
+        let mut system =
             GesturePrint::train(&refs, 2, 2, &quick_config(IdentificationMode::Serialized));
-        let rd_samples = toy_rd_samples(6);
-        let rd_refs: Vec<&RdLabeledSample> = rd_samples.iter().collect();
-        let rd_system = GesturePrint::train_rd(
-            &rd_refs,
-            2,
-            2,
-            &quick_rd_config(IdentificationMode::Serialized),
-        );
-
-        // Sparse capture of user 1: detection collapsed to three points
-        // that sit at user 0's lateral offset — the identity cue is gone
-        // from the cloud but intact in the RD sample.
-        let sparse_cloud: PointCloud = (0..3)
-            .map(|i| {
-                let t = i as f64 * 0.3;
-                Point::new(Vec3::new(-0.3 + t.sin() * 0.35, 1.2, 1.0), 0.5, 14.0)
-            })
-            .collect();
-        let sparse = LabeledSample {
-            cloud: sparse_cloud.clone(),
-            frame_clouds: vec![sparse_cloud; 4],
-            duration_frames: 18,
-            gesture: 0,
-            user: 1,
-        };
-        let rd_of_sparse = rd_samples
-            .iter()
-            .find(|s| s.gesture == 0 && s.user == 1)
-            .unwrap();
-
-        let point_only = point_system.infer(&sparse);
-        assert_ne!(
-            point_only.user, 1,
-            "sparse cloud should mislead the point path"
-        );
-
-        let (ensemble, backend) =
-            point_system.infer_with_rd_fallback(&sparse, &rd_system, rd_of_sparse, 10);
-        assert_eq!(backend, crate::train::SensingBackend::RangeDoppler);
-        assert_eq!(ensemble.user, 1, "RD fallback should recover the user");
-
-        // Dense segments stay on the point path.
-        let dense = samples
-            .iter()
-            .find(|s| s.gesture == 0 && s.user == 1)
-            .unwrap();
-        let rd_dense = rd_of_sparse;
-        let (out, backend) = point_system.infer_with_rd_fallback(dense, &rd_system, rd_dense, 10);
-        assert_eq!(backend, crate::train::SensingBackend::PointCloud);
-        assert_eq!(out, point_system.infer(dense));
-    }
-
-    #[test]
-    fn open_set_threshold_rejects_and_accepts() {
-        let samples = toy_samples(6);
-        let refs: Vec<&LabeledSample> = samples.iter().collect();
-        let system =
-            GesturePrint::train(&refs, 2, 2, &quick_config(IdentificationMode::Serialized));
-        // A permissive threshold accepts enrolled users...
-        let accepted = samples
-            .iter()
-            .filter(|s| system.infer_verified(s, 0.5).is_some())
-            .count();
-        assert!(accepted > samples.len() / 2, "accepted {accepted}");
-        // ...and an impossible threshold rejects everything.
-        assert!(samples
-            .iter()
-            .all(|s| system.infer_verified(s, 1.01).is_none()));
+        system
+            .gesture_model
+            .model_mut()
+            .for_each_param(&mut |p, _| p.fill(0.0));
+        let batched = system.infer_batch(&refs);
+        for (s, from_batch) in samples.iter().zip(&batched) {
+            let out = system.infer(s);
+            assert_eq!(out.gesture, 0);
+            assert_eq!(out.gesture_probs[0], out.gesture_probs[1], "a tie");
+            assert_eq!(system.embedding(s), out.embedding);
+            assert_eq!(from_batch, &out);
+        }
+        let pairs: Vec<(&LabeledSample, usize)> = refs.iter().map(|&s| (s, s.gesture)).collect();
+        let report = crate::classification_report(system.gesture_model(), &pairs);
+        assert!(report.predictions.iter().all(|&p| p == 0));
     }
 }

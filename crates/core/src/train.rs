@@ -2,7 +2,7 @@
 
 use gp_models::features::{encode, FeatureConfig, ModelInput};
 use gp_models::{GesIDNet, GesIDNetConfig, LstmNet, PointModel, PointNet, ProfileCnn};
-use gp_nn::{softmax, Adam, Parameterized};
+use gp_nn::{softmax_rows, Adam, Matrix, Parameterized};
 use gp_pipeline::{Augmenter, AugmenterConfig, LabeledSample};
 use gp_rd::{
     extract_sample as rd_extract_sample, RdFeatureConfig, RdInput, RdLabeledSample, RdNet,
@@ -36,9 +36,13 @@ impl SensingBackend {
     }
 }
 
-/// A borrowed sample of either sensing representation — the argument
-/// type of the backend-agnostic inference surface
-/// ([`TrainedModel::probabilities_of`] and friends).
+/// A borrowed sample of either sensing representation — the element
+/// type of the batch-first inference surface. The batch entries
+/// ([`TrainedModel::probabilities_batch`],
+/// [`crate::GesturePrint::infer_batch`]) and
+/// [`crate::GesturePrint::embedding_for_gesture`] take anything that
+/// converts into it, so `&LabeledSample` and `&RdLabeledSample` go
+/// through the same calls; a single sample is a batch of one.
 #[derive(Debug, Clone, Copy)]
 pub enum SampleRef<'a> {
     /// A point-cloud sample.
@@ -67,6 +71,18 @@ impl<'a> From<&'a RdLabeledSample> for SampleRef<'a> {
     fn from(s: &'a RdLabeledSample) -> Self {
         SampleRef::Rd(s)
     }
+}
+
+/// The decision rule over a probability row: the index of the largest
+/// probability, first on ties (like [`gp_nn::argmax`] over logits).
+/// Recognition, identification, enrollment and
+/// [`crate::classification_report`] all decide through it.
+pub(crate) fn argmax(probs: &[f64]) -> usize {
+    probs
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
+        .map_or(0, |(i, _)| i)
 }
 
 /// Which architecture to train.
@@ -239,22 +255,6 @@ enum BackendModel {
     Rd(RdNet),
 }
 
-impl BackendModel {
-    fn point(&self) -> &dyn PointModel {
-        match self {
-            BackendModel::Point(m) => &**m,
-            BackendModel::Rd(_) => panic!("point-cloud inference on a range-Doppler model"),
-        }
-    }
-
-    fn rd(&self) -> &RdNet {
-        match self {
-            BackendModel::Rd(m) => m,
-            BackendModel::Point(_) => panic!("range-Doppler inference on a point-cloud model"),
-        }
-    }
-}
-
 /// A trained classifier bundled with its encoding configuration.
 pub struct TrainedModel {
     model: BackendModel,
@@ -299,161 +299,86 @@ impl TrainedModel {
 
     /// Encodes an RD sample with the model's RD feature configuration
     /// (deterministic — RD extraction draws no randomness).
-    pub fn encode_rd_input(&self, sample: &RdLabeledSample) -> RdInput {
+    fn encode_rd_input(&self, sample: &RdLabeledSample) -> RdInput {
         rd_extract_sample(sample, &self.rd_feature)
     }
 
-    /// Class probabilities for a sample.
-    pub fn probabilities(&self, sample: &LabeledSample) -> Vec<f64> {
-        let input = self.encode_input(sample);
-        softmax(&self.model.point().logits(&input))
-            .into_iter()
-            .map(|v| v as f64)
-            .collect()
-    }
-
-    /// Predicted class for a sample.
-    pub fn predict(&self, sample: &LabeledSample) -> usize {
-        let input = self.encode_input(sample);
-        gp_nn::argmax(&self.model.point().logits(&input))
-    }
-
-    /// Class probabilities for an RD sample.
-    pub fn probabilities_rd(&self, sample: &RdLabeledSample) -> Vec<f64> {
-        let input = self.encode_rd_input(sample);
-        softmax(&self.model.rd().logits(&input))
-            .into_iter()
-            .map(|v| v as f64)
-            .collect()
-    }
-
-    /// Predicted class for an RD sample.
-    pub fn predict_rd(&self, sample: &RdLabeledSample) -> usize {
-        let input = self.encode_rd_input(sample);
-        gp_nn::argmax(&self.model.rd().logits(&input))
-    }
-
-    /// The fused RD embedding (RdNet's 48-wide fusion tap).
-    pub fn embedding_rd(&self, sample: &RdLabeledSample) -> Vec<f32> {
-        let input = self.encode_rd_input(sample);
-        self.model.rd().embedding(&input)
-    }
-
-    /// Backend-agnostic class probabilities: dispatches on the sample's
-    /// representation.
+    /// Class probabilities for a batch of samples, one row per sample
+    /// (a single sample is a batch of one). Takes `&LabeledSample` or
+    /// `&RdLabeledSample` elements alike.
     ///
     /// # Panics
     ///
-    /// Panics if the sample's backend does not match
+    /// Panics if a sample's backend does not match
     /// [`TrainedModel::backend`].
-    pub fn probabilities_of(&self, sample: SampleRef<'_>) -> Vec<f64> {
-        match sample {
-            SampleRef::Cloud(s) => self.probabilities(s),
-            SampleRef::Rd(s) => self.probabilities_rd(s),
-        }
-    }
-
-    /// Backend-agnostic predicted class (see
-    /// [`TrainedModel::probabilities_of`]).
-    pub fn predict_of(&self, sample: SampleRef<'_>) -> usize {
-        match sample {
-            SampleRef::Cloud(s) => self.predict(s),
-            SampleRef::Rd(s) => self.predict_rd(s),
-        }
-    }
-
-    /// Backend-agnostic embedding: the fusion tap of either backend
-    /// (`None` for point architectures without one).
-    pub fn embedding_of(&self, sample: SampleRef<'_>) -> Option<Vec<f32>> {
-        match sample {
-            SampleRef::Cloud(s) => self.embedding(s),
-            SampleRef::Rd(s) => Some(self.embedding_rd(s)),
-        }
-    }
-
-    /// Class probabilities and the fused embedding of one sample of
-    /// either backend, out of a single forward pass: what
-    /// [`crate::GesturePrint::infer`] reads from the identifier that ran.
-    /// The embedding is `None` for point architectures without a fusion
-    /// tap.
-    pub(crate) fn probabilities_and_embedding(
+    pub fn probabilities_batch<'a, S: Copy + Into<SampleRef<'a>>>(
         &self,
-        sample: SampleRef<'_>,
-    ) -> (Vec<f64>, Option<Vec<f32>>) {
-        let (logits, embedding) = match sample {
-            SampleRef::Cloud(s) => self
-                .model
-                .point()
-                .logits_and_embedding(&self.encode_input(s)),
-            SampleRef::Rd(s) => {
-                let (logits, embedding) = self
-                    .model
-                    .rd()
-                    .logits_and_embedding(&self.encode_rd_input(s));
-                (logits, Some(embedding))
+        samples: &[S],
+    ) -> Vec<Vec<f64>> {
+        let samples: Vec<SampleRef<'a>> = samples.iter().map(|&s| s.into()).collect();
+        self.probabilities_and_embeddings(&samples).0
+    }
+
+    /// The one inference body: encodes each sample for the model's
+    /// backend, runs one batched forward, and returns the softmax rows
+    /// plus, when the architecture has a fusion tap, the embedding rows
+    /// out of the same forward (row `i` belongs to sample `i`). RdNet has
+    /// no batched forward, so its rows are stacked per-sample forwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sample's backend does not match
+    /// [`TrainedModel::backend`].
+    pub(crate) fn probabilities_and_embeddings(
+        &self,
+        samples: &[SampleRef<'_>],
+    ) -> (Vec<Vec<f64>>, Option<Matrix>) {
+        if samples.is_empty() {
+            return (Vec::new(), None);
+        }
+        let (logits, embeddings) = match &self.model {
+            BackendModel::Point(model) => {
+                let inputs: Vec<ModelInput> = samples
+                    .iter()
+                    .map(|&s| match s {
+                        SampleRef::Cloud(s) => self.encode_input(s),
+                        SampleRef::Rd(_) => {
+                            panic!("range-Doppler inference on a point-cloud model")
+                        }
+                    })
+                    .collect();
+                model.logits_and_embedding_batch(&inputs)
+            }
+            BackendModel::Rd(model) => {
+                let (logits, embeddings): (Vec<Vec<f32>>, Vec<Vec<f32>>) = samples
+                    .iter()
+                    .map(|&s| match s {
+                        SampleRef::Rd(s) => model.logits_and_embedding(&self.encode_rd_input(s)),
+                        SampleRef::Cloud(_) => {
+                            panic!("point-cloud inference on a range-Doppler model")
+                        }
+                    })
+                    .unzip();
+                (
+                    Matrix::from_rows(&logits),
+                    Some(Matrix::from_rows(&embeddings)),
+                )
             }
         };
-        let probs = softmax(&logits).into_iter().map(|v| v as f64).collect();
-        (probs, embedding)
-    }
-
-    /// Class probabilities for a batch of samples, one row per sample,
-    /// through the model's batched forward ([`gp_models::PointModel::logits_batch`]).
-    ///
-    /// Equivalent to mapping [`TrainedModel::probabilities`] — encoding
-    /// is per-sample deterministic — but lets batch-capable backends
-    /// amortise work across the batch.
-    pub fn probabilities_batch(&self, samples: &[&LabeledSample]) -> Vec<Vec<f64>> {
-        self.probabilities_and_embeddings_batch(samples).0
-    }
-
-    /// Batched [`TrainedModel::probabilities_and_embedding`] over
-    /// point-cloud samples: one probability row per sample and, when the
-    /// architecture has a fusion tap, the embeddings from the same
-    /// batched forward (row `i` belongs to sample `i`).
-    pub(crate) fn probabilities_and_embeddings_batch(
-        &self,
-        samples: &[&LabeledSample],
-    ) -> (Vec<Vec<f64>>, Option<gp_nn::Matrix>) {
-        let inputs: Vec<ModelInput> = samples.iter().map(|s| self.encode_input(s)).collect();
-        let (logits, embeddings) = self.model.point().logits_and_embedding_batch(&inputs);
-        let probs = gp_nn::softmax_rows(&logits);
+        let probs = softmax_rows(&logits);
         let probs = (0..probs.rows())
-            .map(|r| probs.row(r).iter().map(|&v| v as f64).collect())
+            .map(|r| probs.row(r).iter().map(|&v| f64::from(v)).collect())
             .collect();
         (probs, embeddings)
     }
 
-    /// Predicted classes for a batch of samples.
-    pub fn predict_batch(&self, samples: &[&LabeledSample]) -> Vec<usize> {
-        let inputs: Vec<ModelInput> = samples.iter().map(|s| self.encode_input(s)).collect();
-        let logits = self.model.point().logits_batch(&inputs);
-        (0..logits.rows())
-            .map(|r| gp_nn::argmax(logits.row(r)))
-            .collect()
-    }
-
-    /// Class probabilities for a batch of RD samples. RdNet has no
-    /// batched forward, so this maps [`TrainedModel::probabilities_rd`]
-    /// — kept as the batch entry so the serving executor is
-    /// backend-agnostic.
-    pub fn probabilities_rd_batch(&self, samples: &[&RdLabeledSample]) -> Vec<Vec<f64>> {
-        samples.iter().map(|s| self.probabilities_rd(s)).collect()
-    }
-
-    /// Feature taps for visualisation (GesIDNet only).
+    /// Feature taps for visualisation: GesIDNet's `F¹`, `F²` and `Y¹`;
+    /// `None` for every other architecture.
     pub fn feature_taps(&self, sample: &LabeledSample) -> Option<(Vec<f32>, Vec<f32>, Vec<f32>)> {
-        let input = self.encode_input(sample);
-        self.model.point().feature_taps(&input)
-    }
-
-    /// The fused penultimate representation (GesIDNet's `Y^k`, the
-    /// attention-fusion output feeding the classification head) — the
-    /// enrollment embedding `gp-store` galleries are built from, out of
-    /// the inference forward. `None` for architectures without a
-    /// fusion tap.
-    pub fn embedding(&self, sample: &LabeledSample) -> Option<Vec<f32>> {
-        self.probabilities_and_embedding(sample.into()).1
+        match &self.model {
+            BackendModel::Point(model) => model.feature_taps(&self.encode_input(sample)),
+            BackendModel::Rd(_) => None,
+        }
     }
 
     /// Builds an untrained point-cloud model shell (used when loading
@@ -797,6 +722,11 @@ mod tests {
         out
     }
 
+    /// The predicted class of one sample: a batch of one.
+    fn predict<'a>(model: &TrainedModel, sample: impl Into<SampleRef<'a>>) -> usize {
+        argmax(&model.probabilities_batch(&[sample.into()])[0])
+    }
+
     fn quick_config(model: ModelKind) -> TrainConfig {
         TrainConfig {
             model,
@@ -817,7 +747,7 @@ mod tests {
         let model = train_classifier(&pairs, 2, &quick_config(ModelKind::GesIdNet));
         let correct = samples
             .iter()
-            .filter(|s| model.predict(s) == s.user)
+            .filter(|&s| predict(&model, s) == s.user)
             .count();
         assert!(correct >= 10, "GesIDNet user split failed: {correct}/12");
     }
@@ -827,7 +757,7 @@ mod tests {
         let samples = toy_samples();
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
         let model = train_classifier(&pairs, 2, &quick_config(ModelKind::PointNet));
-        let p = model.probabilities(&samples[0]);
+        let p = model.probabilities_batch(&[&samples[0]]).remove(0);
         assert_eq!(p.len(), 2);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-6);
     }
@@ -843,7 +773,7 @@ mod tests {
         let model = train_classifier(&pairs, 2, &config);
         let correct = samples
             .iter()
-            .filter(|s| model.predict(s) == s.user)
+            .filter(|&s| predict(&model, s) == s.user)
             .count();
         assert!(correct >= 10, "augmented training failed: {correct}/12");
     }
@@ -855,13 +785,11 @@ mod tests {
         let model = train_classifier(&pairs, 2, &quick_config(ModelKind::GesIdNet));
         let refs: Vec<&LabeledSample> = samples.iter().collect();
         let batched = model.probabilities_batch(&refs);
-        let predicted = model.predict_batch(&refs);
         assert_eq!(batched.len(), samples.len());
         for (i, s) in samples.iter().enumerate() {
-            assert_eq!(batched[i], model.probabilities(s), "sample {i}");
-            assert_eq!(predicted[i], model.predict(s), "sample {i}");
+            assert_eq!(batched[i], model.probabilities_batch(&[s])[0], "sample {i}");
         }
-        assert!(model.probabilities_batch(&[]).is_empty());
+        assert!(model.probabilities_batch::<&LabeledSample>(&[]).is_empty());
     }
 
     #[test]
@@ -896,9 +824,8 @@ mod tests {
         let registry = gp_telemetry::Registry::new();
         let a = train_classifier(&pairs, 2, &cfg);
         let b = train_classifier_instrumented(&pairs, 2, &cfg, Some(&registry));
-        for s in &samples {
-            assert_eq!(a.probabilities(s), b.probabilities(s));
-        }
+        let refs: Vec<&LabeledSample> = samples.iter().collect();
+        assert_eq!(a.probabilities_batch(&refs), b.probabilities_batch(&refs));
     }
 
     #[test]
@@ -908,9 +835,8 @@ mod tests {
         let cfg = quick_config(ModelKind::PointNet);
         let a = train_classifier(&pairs, 2, &cfg);
         let b = train_classifier(&pairs, 2, &cfg);
-        for s in &samples {
-            assert_eq!(a.probabilities(s), b.probabilities(s));
-        }
+        let refs: Vec<&LabeledSample> = samples.iter().collect();
+        assert_eq!(a.probabilities_batch(&refs), b.probabilities_batch(&refs));
     }
 
     #[test]
@@ -973,13 +899,11 @@ mod tests {
         assert_eq!(model.backend(), SensingBackend::RangeDoppler);
         let correct = samples
             .iter()
-            .filter(|s| model.predict_rd(s) == s.user)
+            .filter(|&s| predict(&model, s) == s.user)
             .count();
         assert!(correct >= 10, "RdNet user split failed: {correct}/12");
-        // The dispatching surface agrees with the direct RD entry.
-        let via_ref = model.predict_of(SampleRef::from(&samples[0]));
-        assert_eq!(via_ref, model.predict_rd(&samples[0]));
-        assert_eq!(model.embedding_rd(&samples[0]).len(), 48);
+        let (_, embeddings) = model.probabilities_and_embeddings(&[(&samples[0]).into()]);
+        assert_eq!(embeddings.expect("RdNet has a fusion tap").cols(), 48);
     }
 
     #[test]
@@ -988,12 +912,11 @@ mod tests {
         let pairs: Vec<(&RdLabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
         let a = train_rd_classifier(&pairs, 2, &rd_config());
         let b = train_rd_classifier(&pairs, 2, &rd_config());
-        for s in &samples {
-            assert_eq!(a.probabilities_rd(s), b.probabilities_rd(s));
-        }
-        let batched = a.probabilities_rd_batch(&pairs.iter().map(|(s, _)| *s).collect::<Vec<_>>());
+        let refs: Vec<&RdLabeledSample> = samples.iter().collect();
+        let batched = a.probabilities_batch(&refs);
+        assert_eq!(batched, b.probabilities_batch(&refs));
         for (i, s) in samples.iter().enumerate() {
-            assert_eq!(batched[i], a.probabilities_rd(s));
+            assert_eq!(batched[i], a.probabilities_batch(&[s])[0], "sample {i}");
         }
     }
 
@@ -1022,7 +945,15 @@ mod tests {
     fn backend_mismatch_panics() {
         let samples = toy_samples();
         let model = TrainedModel::untrained_rd(2, RdFeatureConfig::default());
-        model.predict(&samples[0]);
+        model.probabilities_batch(&[&samples[0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "range-Doppler inference on a point-cloud model")]
+    fn rd_sample_on_point_model_panics() {
+        let samples = toy_rd_samples(1);
+        let model = TrainedModel::untrained(ModelKind::PointNet, 2, FeatureConfig::default());
+        model.probabilities_batch(&[&samples[0]]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! This extends the builder-level `single_thread_matches_parallel` unit
 //! test (`gp-datasets`) across crate boundaries into `gp-core`. The
 //! identification embedding an inference returns is held to the same
-//! bar, against the separate identifier forward that enrollment uses.
+//! bar, against a separate forward of the dispatched identifier
+//! (`embedding_for_gesture`).
 
 use gestureprint_core::{GesturePrint, GesturePrintConfig, IdentificationMode, TrainConfig};
 use gp_datasets::{build, presets, BuildOptions, Dataset, Scale};
@@ -82,7 +83,7 @@ fn trained_system_identical_across_thread_counts() {
         );
         assert_eq!(a.user_probs, b.user_probs, "user posteriors diverge");
         // The embedding inference hands back is the one a separate
-        // identifier forward computes (the enrollment path).
+        // forward of the dispatched identifier computes.
         assert_eq!(
             a.embedding,
             system_seq.embedding_for_gesture(probe, a.gesture),
@@ -120,14 +121,14 @@ fn rd_inference_embedding_matches_the_identifier_tap() {
     for (s, inference) in refs.iter().zip(&reference) {
         assert_eq!(
             inference.embedding,
-            system.embedding_rd_for_gesture(s, inference.gesture),
+            system.embedding_for_gesture(*s, inference.gesture),
             "RD inference embedding diverges from the identifier's tap"
         );
     }
     for batch in 1..=4usize {
         let batched: Vec<_> = refs
             .chunks(batch)
-            .flat_map(|chunk| system.infer_rd_batch(chunk))
+            .flat_map(|chunk| system.infer_batch(chunk))
             .collect();
         assert_eq!(batched, reference, "RD batch size {batch}");
     }

@@ -12,8 +12,9 @@
 //!
 //! The live test checks, against the fixture: per-sample `infer` /
 //! `infer_rd`, one batched call over every probe plus a duplicate,
-//! `embedding_for_gesture(probe, gesture)`, and the gesture model's and
-//! the dispatched identifier's `probabilities_batch` on a batch of one.
+//! `embedding_for_gesture(probe, gesture)`, `embedding` (point
+//! systems), and the gesture model's and the dispatched identifier's
+//! `probabilities_batch` on a batch of one.
 //! A failure means encoding, a forward, the softmax or the
 //! classify-then-identify dispatch changed numerically. If that is
 //! intended, regenerate the fixture and say so in the change log:
@@ -23,7 +24,8 @@
 //! ```
 
 use gestureprint_core::{
-    GesturePrint, GesturePrintConfig, IdentificationMode, Inference, ModelKind, TrainConfig,
+    GesturePrint, GesturePrintConfig, IdentificationMode, Inference, ModelKind, SampleRef,
+    TrainConfig,
 };
 use gp_codec::Value;
 use gp_models::features::FeatureConfig;
@@ -179,20 +181,23 @@ fn load() -> Vec<(String, Vec<Expected>)> {
 }
 
 /// Checks every inference entry point over `probes` against `want`.
-fn check_point(system: &GesturePrint, probes: &[LabeledSample], want: &[Expected], name: &str) {
-    for (i, (probe, want)) in probes.iter().zip(want).enumerate() {
+/// `infer` is the typed per-sample entry (`infer` or `infer_rd`).
+fn check<'a, S: Copy + Into<SampleRef<'a>>>(
+    name: &str,
+    system: &GesturePrint,
+    probes: &[S],
+    infer: impl Fn(S) -> Inference,
+    want: &[Expected],
+) {
+    assert_eq!(want.len(), probes.len(), "{name}: probe count");
+    for (i, (&probe, want)) in probes.iter().zip(want).enumerate() {
         let ctx = format!("{name}, probe {i}");
-        assert_eq!(&expected(&system.infer(probe)), want, "{ctx}: infer");
+        assert_eq!(&expected(&infer(probe)), want, "{ctx}: infer");
         let embedding = system.embedding_for_gesture(probe, want.gesture);
         assert_eq!(
             embedding.as_deref().map(bits32),
             want.embedding,
             "{ctx}: embedding_for_gesture"
-        );
-        assert_eq!(
-            system.embedding(probe).as_deref().map(bits32),
-            want.embedding,
-            "{ctx}: embedding"
         );
         let gesture_probs = system.gesture_model().probabilities_batch(&[probe]);
         assert_eq!(bits64(&gesture_probs[0]), want.gesture_probs, "{ctx}: GR");
@@ -201,37 +206,9 @@ fn check_point(system: &GesturePrint, probes: &[LabeledSample], want: &[Expected
             .probabilities_batch(&[probe]);
         assert_eq!(bits64(&user_probs[0]), want.user_probs, "{ctx}: UI");
     }
-    let mut batch: Vec<&LabeledSample> = probes.iter().collect();
-    batch.push(&probes[0]);
+    let mut batch = probes.to_vec();
+    batch.push(probes[0]);
     let inferred = system.infer_batch(&batch);
-    assert_eq!(inferred.len(), batch.len());
-    for (r, inference) in inferred.iter().enumerate() {
-        let want = &want[r % probes.len()];
-        assert_eq!(&expected(inference), want, "{name}, batch row {r}");
-    }
-}
-
-/// The RD counterpart of [`check_point`].
-fn check_rd(system: &GesturePrint, probes: &[RdLabeledSample], want: &[Expected], name: &str) {
-    for (i, (probe, want)) in probes.iter().zip(want).enumerate() {
-        let ctx = format!("{name}, probe {i}");
-        assert_eq!(&expected(&system.infer_rd(probe)), want, "{ctx}: infer_rd");
-        let embedding = system.embedding_rd_for_gesture(probe, want.gesture);
-        assert_eq!(
-            embedding.as_deref().map(bits32),
-            want.embedding,
-            "{ctx}: embedding_for_gesture"
-        );
-        let gesture_probs = system.gesture_model().probabilities_rd_batch(&[probe]);
-        assert_eq!(bits64(&gesture_probs[0]), want.gesture_probs, "{ctx}: GR");
-        let user_probs = system
-            .identifier_for(want.gesture)
-            .probabilities_rd_batch(&[probe]);
-        assert_eq!(bits64(&user_probs[0]), want.user_probs, "{ctx}: UI");
-    }
-    let mut batch: Vec<&RdLabeledSample> = probes.iter().collect();
-    batch.push(&probes[0]);
-    let inferred = system.infer_rd_batch(&batch);
     assert_eq!(inferred.len(), batch.len());
     for (r, inference) in inferred.iter().enumerate() {
         let want = &want[r % probes.len()];
@@ -247,14 +224,19 @@ fn inference_matches_golden_fixture() {
         SYSTEMS
     );
     let (point, rd) = (point_probes(), rd_probes());
+    let point: Vec<&LabeledSample> = point.iter().collect();
+    let rd: Vec<&RdLabeledSample> = rd.iter().collect();
     for (name, want) in &fixture {
         let system = system(name);
         if name == "serialized_rdnet" {
-            assert_eq!(want.len(), rd.len(), "{name}: probe count");
-            check_rd(&system, &rd, want, name);
+            check(name, &system, &rd, |p| system.infer_rd(p), want);
         } else {
-            assert_eq!(want.len(), point.len(), "{name}: probe count");
-            check_point(&system, &point, want, name);
+            check(name, &system, &point, |p| system.infer(p), want);
+            for (i, (probe, want)) in point.iter().zip(want).enumerate() {
+                let embedding = system.embedding(probe);
+                let got = embedding.as_deref().map(bits32);
+                assert_eq!(got, want.embedding, "{name}, probe {i}: embedding");
+            }
         }
     }
     // The PointNet identifiers have no fusion tap; every other system's do.

@@ -53,8 +53,8 @@ fn main() {
     let sample = samples[0];
     let t1 = Instant::now();
     for _ in 0..runs {
-        let _ = gr_model.predict(sample);
-        let _ = ui_model.predict(sample);
+        let _ = gr_model.probabilities_batch(&[sample]);
+        let _ = ui_model.probabilities_batch(&[sample]);
     }
     let infer_ms = t1.elapsed().as_secs_f64() * 1000.0 / runs as f64;
 

@@ -67,7 +67,7 @@ fn rd_cohort_learns_both_tasks_above_floor() {
     let system = train_cohort(20);
     let test = cohort_samples(TEST_REPS.into_iter());
     let refs: Vec<&RdLabeledSample> = test.iter().collect();
-    let inferences = system.infer_rd_batch(&refs);
+    let inferences = system.infer_batch(&refs);
     let total = test.len();
     let mut gesture_correct = 0usize;
     let mut user_correct = 0usize;

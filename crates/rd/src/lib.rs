@@ -8,7 +8,7 @@
 //!   scatterer ground truth the point-cloud simulator animates,
 //! * [`RdFrame`] + CFAR masks ([`RdFrame::detection_mask`]) are the
 //!   per-frame representation,
-//! * [`segment`]/[`OnlineRdSegmenter`] find gesture activity in the
+//! * [`segment()`]/[`OnlineRdSegmenter`] find gesture activity in the
 //!   frame stream,
 //! * [`extract`] encodes segments into [`RdInput`]s, and
 //! * [`RdNet`] is the conv+recurrent classifier trained on them.

@@ -28,12 +28,13 @@ use crate::gate::Gate;
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Utilization handles installed by [`WorkerPool::instrument`]: how
-/// many workers are busy right now, how many jobs ran, and the total
-/// busy time — enough to derive busy/idle utilization from any two
-/// snapshots.
+/// many workers are busy right now, how many jobs ran (and how many of
+/// those panicked), and the total busy time — enough to derive
+/// busy/idle utilization from any two snapshots.
 struct PoolMetrics {
     busy_workers: Arc<Gauge>,
     jobs: Arc<Counter>,
+    panics: Arc<Counter>,
     busy_us: Arc<Counter>,
 }
 
@@ -154,7 +155,8 @@ impl WorkerPool {
     }
 
     /// Publishes this pool's utilization into `registry` under
-    /// `{prefix}.busy_workers` (gauge), `{prefix}.jobs` and
+    /// `{prefix}.busy_workers` (gauge), `{prefix}.jobs`,
+    /// `{prefix}.panics` (jobs that panicked, counted in `jobs` too) and
     /// `{prefix}.busy_us` (counters), and `{prefix}.workers` (gauge,
     /// the fixed thread count). Calling it again (any prefix) is a
     /// no-op: the first registration wins.
@@ -165,6 +167,7 @@ impl WorkerPool {
         let _ = self.shared.metrics.set(PoolMetrics {
             busy_workers: registry.gauge(&format!("{prefix}.busy_workers")),
             jobs: registry.counter(&format!("{prefix}.jobs")),
+            panics: registry.counter(&format!("{prefix}.panics")),
             busy_us: registry.counter(&format!("{prefix}.busy_us")),
         });
     }
@@ -347,11 +350,14 @@ fn worker_loop(me: usize, shared: &PoolShared) {
             std::thread::yield_now();
         };
         // A panicking job must not kill the worker: the queue behind it
-        // still has owners waiting on results.
+        // still has owners waiting on results. Instrumented pools count
+        // the panic.
         if let Some(metrics) = shared.metrics.get() {
             metrics.busy_workers.add(1);
             let start = std::time::Instant::now();
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
+            if std::panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
+                metrics.panics.inc();
+            }
             metrics.busy_us.add(start.elapsed().as_micros() as u64);
             metrics.jobs.inc();
             metrics.busy_workers.sub(1);
@@ -476,6 +482,23 @@ mod tests {
         assert!(snap.counters["pool.busy_us"] >= 32 * 300);
         // Quiesced: nobody is mid-job now.
         assert_eq!(snap.gauges.get("pool.busy_workers"), Some(&0));
+    }
+
+    #[test]
+    fn instrumented_pool_counts_job_panics() {
+        let registry = Registry::new();
+        let pool = WorkerPool::new(2);
+        pool.instrument(&registry, "pool");
+        pool.spawn(|| panic!("bad job"));
+        for _ in 0..5 {
+            pool.spawn(|| {});
+        }
+        // Dropping drains the queues and joins the workers, so the
+        // counters are final.
+        drop(pool);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters.get("pool.panics"), Some(&1));
+        assert_eq!(snap.counters.get("pool.jobs"), Some(&6));
     }
 
     #[test]

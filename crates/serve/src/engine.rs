@@ -248,10 +248,10 @@ enum JobPayload {
         segment: GestureSegment,
         sample: LabeledSample,
     },
-    /// A range-Doppler segment for [`GesturePrint::infer_rd_batch`] —
-    /// from an RD session, or re-routed from a sparse point-cloud
-    /// segment by the hybrid fallback (counted in `serve.rd.fallback`
-    /// at enqueue).
+    /// A range-Doppler segment for the RD system's
+    /// [`GesturePrint::infer_batch`] — from an RD session, or re-routed
+    /// from a sparse point-cloud segment by the hybrid fallback (counted
+    /// in `serve.rd.fallback` at enqueue).
     Rd {
         segment: RdSegment,
         sample: RdLabeledSample,
@@ -1065,7 +1065,7 @@ impl ServeEngine {
                 let rd_system = rd_system
                     .as_ref()
                     .expect("RD job enqueued without an RD system");
-                for (&i, inference) in rd_at.iter().zip(rd_system.infer_rd_batch(&rd_refs)) {
+                for (&i, inference) in rd_at.iter().zip(rd_system.infer_batch(&rd_refs)) {
                     inferences[i] = Some(inference);
                 }
             }

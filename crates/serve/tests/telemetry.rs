@@ -69,6 +69,7 @@ fn snapshot_exports_whole_registry_and_roundtrips() {
     assert!(snap.histograms.contains_key("serve.stage.queue_wait"));
     assert!(snap.counters.contains_key("serve.pool.jobs"));
     assert!(snap.counters.contains_key("serve.pool.busy_us"));
+    assert_eq!(snap.counters.get("serve.pool.panics"), Some(&0));
     assert_eq!(snap.gauges.get("serve.pool.workers"), Some(&2));
     assert_eq!(snap.gauges.get("serve.gate.depth"), Some(&0), "drained");
     assert_eq!(snap.gauges.get("serve.sessions.live"), Some(&0), "closed");

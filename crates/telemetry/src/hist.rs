@@ -26,7 +26,7 @@ const BASE: u64 = 1 << SUB_BITS; // sub-buckets per octave
 const OCTAVES: usize = 36;
 
 /// Total bucket count. Values `0..BASE` get exact buckets; each of the
-/// [`OCTAVES`] octaves above that gets `BASE` sub-buckets; everything
+/// `OCTAVES` octaves above that gets `BASE` sub-buckets; everything
 /// past the last octave saturates into the top bucket.
 pub const BUCKETS: usize = BASE as usize * (OCTAVES + 1);
 

@@ -9,7 +9,7 @@
 //! All GesturePrint subsystems publish into one registry owned by the
 //! serve engine: gp-serve registers its stage histograms, gp-net its
 //! connection counters, gp-runtime its pool utilization — which is
-//! what makes a single [`TelemetrySnapshot`](crate::TelemetrySnapshot)
+//! what makes a single [`TelemetrySnapshot`]
 //! the whole story.
 
 use crate::hist::{AtomicHistogram, Histogram};

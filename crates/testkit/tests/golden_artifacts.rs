@@ -75,7 +75,7 @@ fn model_fixture_still_loads() {
     assert_eq!(model.kind(), ModelKind::Lstm);
     assert_eq!(model.classes(), 2);
     for s in &fixture_samples() {
-        let p = model.probabilities(s);
+        let p = &model.probabilities_batch(&[s])[0];
         assert_eq!(p.len(), 2);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-6, "{p:?}");
     }
@@ -128,7 +128,7 @@ fn rd_model_fixture_still_loads() {
         assert_eq!(model.kind(), ModelKind::RdNet);
         assert_eq!(model.classes(), 2);
         for s in &toy_rd_samples(3) {
-            let p = model.probabilities_rd(s);
+            let p = &model.probabilities_batch(&[s])[0];
             assert_eq!(p.len(), 2);
             assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-6, "{p:?}");
         }

@@ -104,7 +104,7 @@ fn deterministic_end_to_end() {
     let ma = train_classifier(&pa, 5, &cfg);
     let mb = train_classifier(&pb, 5, &cfg);
     for (x, y) in sa.iter().zip(sb.iter()) {
-        assert_eq!(ma.probabilities(x), mb.probabilities(y));
+        assert_eq!(ma.probabilities_batch(&[*x]), mb.probabilities_batch(&[*y]));
     }
 }
 
