@@ -120,23 +120,25 @@ fn bench_models(c: &mut Criterion) {
                 model: kind,
                 ..quick.clone()
             },
+            None,
         );
         group.bench_function(
             format!("inference_{}", kind.name().replace(' ', "_")),
             |b| b.iter(|| model.probabilities_batch(&[&sample])),
         );
     }
-    // One forward + backward on a pre-encoded input. Each iteration
-    // starts from a fresh clone of the same untrained model (clone and
-    // encoding are setup, untimed), so every timed step does identical
-    // work and gradients never accumulate across iterations.
+    // One forward + backward on a pre-encoded input (a batch of one).
+    // Each iteration starts from a fresh clone of the same untrained
+    // model (clone and encoding are setup, untimed), so every timed step
+    // does identical work and gradients never accumulate across
+    // iterations.
     group.bench_function("gesidnet_train_step", |b| {
         let mut rng = StdRng::seed_from_u64(0);
         let input = encode_sample(&sample, &FeatureConfig::default(), &mut rng);
         let net = GesIDNet::new(GesIDNetConfig::for_classes(2), &mut rng);
         b.iter_batched(
             || net.clone(),
-            |mut net| black_box(net.train_step(&input, 0)),
+            |mut net| black_box(net.train_step_batch(&[&input], &[0])),
             BatchSize::SmallInput,
         )
     });

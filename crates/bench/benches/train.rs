@@ -1,20 +1,20 @@
-//! Mini-batch training throughput: `train_step_batch` vs sequential
-//! `train_step` calls on GesIDNet, plus an instrumented
-//! `train_classifier` run whose per-stage histograms
-//! (`train.stage.epoch`, `train.stage.batch_step`) are exported as
-//! `results/BENCH_train.json`.
+//! Mini-batch training throughput on GesIDNet: one `train_step_batch`
+//! call over a mini-batch of 8 vs eight calls on batches of one, plus a
+//! `train_classifier` run with a telemetry registry whose per-stage
+//! histograms (`train.stage.epoch`, `train.stage.batch_step`) are
+//! exported as `results/BENCH_train.json`.
 //!
-//! "Sequential" means batch-of-one calls into the same stacked
+//! "Sequential" means eight batches of one through the same stacked
 //! forward/backward, so the speedup is what stacking one mini-batch
 //! saves over stepping its samples one at a time.
 //!
 //! The comparison is gradient-parity-gated: before timing, one batched
-//! step is checked against the summed per-sample gradients (relative
-//! tolerance — the batched backward associates float additions
-//! differently, see `gp_models::PointModel::train_step_batch`).
+//! step is checked against the summed gradients of the batches of one
+//! (relative tolerance — the batched backward associates float
+//! additions differently, see `gp_models::PointModel::train_step_batch`).
 
 use criterion::{criterion_group, Criterion};
-use gestureprint_core::train::{train_classifier_instrumented, ModelKind, TrainConfig};
+use gestureprint_core::train::{train_classifier, ModelKind, TrainConfig};
 use gp_models::features::{encode, FeatureConfig, ModelInput};
 use gp_models::{GesIDNet, GesIDNetConfig, PointModel};
 use gp_nn::Parameterized;
@@ -64,13 +64,13 @@ fn bench_train(c: &mut Criterion) {
     let proto = GesIDNet::new(GesIDNetConfig::for_classes(2), &mut rng);
 
     // Gradient-parity gate: one batched step must accumulate the same
-    // total gradient as the per-sample steps, within float-association
+    // total gradient as the batches of one, within float-association
     // tolerance. Timing a diverging path would be meaningless.
     {
         let mut seq = proto.clone();
         let mut bat = proto.clone();
-        for (x, &y) in inputs.iter().zip(&labels) {
-            seq.train_step(x, y);
+        for (&x, &y) in inputs.iter().zip(&labels) {
+            seq.train_step_batch(&[x], &[y]);
         }
         bat.train_step_batch(&inputs, &labels);
         for (i, (s, b)) in grads_of(&mut seq)
@@ -91,8 +91,8 @@ fn bench_train(c: &mut Criterion) {
     group.bench_function(format!("train_step_sequential_{BATCH}"), |b| {
         b.iter(|| {
             let mut loss = 0.0f32;
-            for (x, &y) in inputs.iter().zip(&labels) {
-                loss += seq_net.train_step(x, y);
+            for (&x, &y) in inputs.iter().zip(&labels) {
+                loss += seq_net.train_step_batch(&[x], &[y]);
             }
             loss
         })
@@ -120,8 +120,8 @@ fn bench_train(c: &mut Criterion) {
     let mut seq_net = proto.clone();
     let seq_time = time_runs(&mut || {
         let mut loss = 0.0f32;
-        for (x, &y) in inputs.iter().zip(&labels) {
-            loss += seq_net.train_step(x, y);
+        for (&x, &y) in inputs.iter().zip(&labels) {
+            loss += seq_net.train_step_batch(&[x], &[y]);
         }
         loss
     });
@@ -129,7 +129,7 @@ fn bench_train(c: &mut Criterion) {
     let bat_time = time_runs(&mut || bat_net.train_step_batch(&inputs, &labels));
     let speedup = seq_time / bat_time;
     println!(
-        "train_step batch {BATCH}: sequential {:.2}ms vs batched {:.2}ms ({speedup:.2}x)",
+        "train_step_batch {BATCH}: sequential {:.2}ms vs batched {:.2}ms ({speedup:.2}x)",
         seq_time * 1e3,
         bat_time * 1e3,
     );
@@ -140,8 +140,8 @@ fn bench_train(c: &mut Criterion) {
         );
     }
 
-    // Instrumented end-to-end training: epoch/batch-step histograms from
-    // the real `train_classifier` loop, exported as the committed
+    // End-to-end training with a registry: epoch/batch-step histograms
+    // from the real `train_classifier` loop, exported as the committed
     // trajectory artifact.
     let registry = gp_telemetry::Registry::new();
     let config = TrainConfig {
@@ -156,7 +156,7 @@ fn bench_train(c: &mut Criterion) {
         ..TrainConfig::default()
     };
     let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-    let _ = train_classifier_instrumented(&pairs, 2, &config, Some(&registry));
+    let _ = train_classifier(&pairs, 2, &config, Some(&registry));
 
     let mut snapshot = registry.snapshot();
     use gp_codec::Encode;

@@ -45,7 +45,7 @@ fn main() {
     // Gesture recognition.
     let t1 = std::time::Instant::now();
     let gr_pairs: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, s.gesture)).collect();
-    let gr_model = train_classifier(&gr_pairs, 8, &TrainConfig::default());
+    let gr_model = train_classifier(&gr_pairs, 8, &TrainConfig::default(), None);
     let gr_test: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.gesture)).collect();
     let gr = classification_report(&gr_model, &gr_test);
     println!(
@@ -59,7 +59,7 @@ fn main() {
     // User identification (parallel mode, single model across gestures).
     let t2 = std::time::Instant::now();
     let ui_pairs: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, s.user)).collect();
-    let ui_model = train_classifier(&ui_pairs, 5, &TrainConfig::default());
+    let ui_model = train_classifier(&ui_pairs, 5, &TrainConfig::default(), None);
     let ui_test: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.user)).collect();
     let ui = classification_report(&ui_model, &ui_test);
     println!(
@@ -105,6 +105,7 @@ fn main() {
                 model: kind,
                 ..TrainConfig::default()
             },
+            None,
         );
         let r = classification_report(&m, &gr_test);
         println!(

@@ -33,6 +33,8 @@ use gp_codec::{binary, json, Decode, DecodeError, Encode, Value};
 use gp_models::features::FeatureConfig;
 use gp_nn::serialize::{load_params, save_params, LoadParamsError};
 use gp_rd::RdFeatureConfig;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The envelope schema version this build reads and writes.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -302,21 +304,25 @@ impl ModelArtifact {
     }
 
     /// Rebuilds the model: architecture from the declared
-    /// `(kind, classes, feature)`, weights from the stream. RD kinds
-    /// rebuild through the RD shell ([`TrainedModel::untrained_rd`]);
-    /// everything else through the point-cloud shell.
+    /// `(kind, classes, feature, rd_feature)` through the constructor
+    /// the trainer uses, weights from the stream.
     ///
     /// # Errors
     ///
+    /// [`ArtifactError::Malformed`] when the declared architecture
+    /// cannot be built (a pooled shape with a side not divisible by 4);
     /// [`ArtifactError::Params`] when the stream does not match the
     /// declared architecture (truncated, corrupt, or mislabeled).
     pub fn into_model(&self) -> Result<TrainedModel, ArtifactError> {
-        let mut model = if self.kind.is_rd() {
-            TrainedModel::untrained_rd(self.classes, self.rd_feature.clone())
-        } else {
-            TrainedModel::untrained(self.kind, self.classes, self.feature.clone())
-        };
-        model.set_encode_seed(self.encode_seed);
+        let mut model = TrainedModel::build(
+            self.kind,
+            self.classes,
+            &self.feature,
+            &self.rd_feature,
+            self.encode_seed,
+            &mut StdRng::seed_from_u64(0),
+        )
+        .map_err(ArtifactError::Malformed)?;
         load_params(model.model_mut(), &self.weights)?;
         Ok(model)
     }
@@ -550,7 +556,7 @@ mod tests {
         let samples = toy_samples(3);
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
         for kind in ModelKind::ALL.into_iter().filter(|k| !k.is_rd()) {
-            let model = train_classifier(&pairs, 2, &quick(kind));
+            let model = train_classifier(&pairs, 2, &quick(kind), None);
             let bytes = model.save_artifact();
             let restored = TrainedModel::load_artifact(&bytes)
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
@@ -606,11 +612,10 @@ mod tests {
 
     #[test]
     fn rd_model_artifact_roundtrips_both_formats() {
-        use crate::train::train_rd_classifier;
         let samples = toy_rd_samples(3);
         let pairs: Vec<(&gp_rd::RdLabeledSample, usize)> =
             samples.iter().map(|s| (s, s.user)).collect();
-        let model = train_rd_classifier(&pairs, 2, &quick_rd());
+        let model = train_classifier(&pairs, 2, &quick_rd(), None);
         for format in [ArtifactFormat::Json, ArtifactFormat::Binary] {
             let bytes = model.save_artifact_with(format);
             let restored =
@@ -628,7 +633,6 @@ mod tests {
 
     #[test]
     fn rd_artifact_carries_its_feature_config() {
-        use crate::train::train_rd_classifier;
         let samples = toy_rd_samples(2);
         let pairs: Vec<(&gp_rd::RdLabeledSample, usize)> =
             samples.iter().map(|s| (s, s.user)).collect();
@@ -639,14 +643,14 @@ mod tests {
             }),
             ..quick_rd()
         };
-        let model = train_rd_classifier(&pairs, 2, &cfg);
+        let model = train_classifier(&pairs, 2, &cfg, None);
         let restored = TrainedModel::load_artifact(&model.save_artifact()).unwrap();
         assert_eq!(restored.rd_feature().max_frames, 12);
         // Point-cloud artifacts must not grow the new field: the
         // golden-fixture compat gate depends on byte-stable payloads.
         let samples = toy_samples(2);
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let point = train_classifier(&pairs, 2, &quick(ModelKind::PointNet));
+        let point = train_classifier(&pairs, 2, &quick(ModelKind::PointNet), None);
         let payload = ModelArtifact::from_model(&point).into_value();
         assert!(payload
             .as_map()
@@ -723,7 +727,7 @@ mod tests {
     fn wrong_kind_fails_typed() {
         let samples = toy_samples(2);
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let model = train_classifier(&pairs, 2, &quick(ModelKind::PointNet));
+        let model = train_classifier(&pairs, 2, &quick(ModelKind::PointNet), None);
         let bytes = model.save_artifact();
         match GesturePrint::load_artifact(&bytes) {
             Err(ArtifactError::WrongKind { expected, found }) => {
@@ -774,7 +778,7 @@ mod tests {
     fn truncated_and_corrupt_weight_streams_fail_typed() {
         let samples = toy_samples(2);
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let model = train_classifier(&pairs, 2, &quick(ModelKind::PointNet));
+        let model = train_classifier(&pairs, 2, &quick(ModelKind::PointNet), None);
 
         // Truncate the weight stream inside an otherwise valid payload.
         let mut snapshot = ModelArtifact::from_model(&model);
@@ -793,6 +797,50 @@ mod tests {
             TrainedModel::load_artifact(&bytes),
             Err(ArtifactError::Params(_))
         ));
+    }
+
+    #[test]
+    fn unpoolable_shapes_fail_typed_never_panic() {
+        // ProfileCNN and RdNet pool their 2-D input twice, so each side
+        // of its shape must be divisible by 4. An artifact declaring
+        // another shape is malformed, in either byte format, alone or
+        // inside a system.
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut fresh = |kind| {
+            let (feature, rd_feature) = (FeatureConfig::default(), RdFeatureConfig::default());
+            TrainedModel::build(kind, 2, &feature, &rd_feature, 0, &mut rng).unwrap()
+        };
+        let mut profile = ModelArtifact::from_model(&fresh(ModelKind::ProfileCnn));
+        profile.feature.profile_shape = (5, 5);
+        let mut rd = ModelArtifact::from_model(&fresh(ModelKind::RdNet));
+        rd.rd_feature.map_shape = (5, 5);
+        let system = GesturePrint::from_parts(
+            fresh(ModelKind::ProfileCnn),
+            vec![fresh(ModelKind::ProfileCnn)],
+            IdentificationMode::Parallel,
+            2,
+            2,
+        );
+        let mut system_payload = Artifact::from_bytes(&system.save_artifact())
+            .unwrap()
+            .payload
+            .as_map()
+            .unwrap()
+            .clone();
+        system_payload.insert("gesture_model".into(), profile.encode());
+        let names_the_shape =
+            |e: &ArtifactError| matches!(e, ArtifactError::Malformed(m) if m.contains("(5, 5)"));
+        for format in [ArtifactFormat::Json, ArtifactFormat::Binary] {
+            for bad in [&profile, &rd] {
+                let bytes = Artifact::new(kinds::MODEL, bad.encode()).into_bytes_with(format);
+                let err = TrainedModel::load_artifact(&bytes).unwrap_err();
+                assert!(names_the_shape(&err), "{:?}, {format:?}: {err}", bad.kind);
+            }
+            let bytes = Artifact::new(kinds::SYSTEM, Value::Map(system_payload.clone()))
+                .into_bytes_with(format);
+            let err = GesturePrint::load_artifact(&bytes).unwrap_err();
+            assert!(names_the_shape(&err), "system, {format:?}: {err}");
+        }
     }
 
     #[test]
@@ -833,7 +881,7 @@ mod tests {
     fn binary_artifacts_decode_bit_identical_to_json() {
         let samples = toy_samples(3);
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let model = train_classifier(&pairs, 2, &quick(ModelKind::GesIdNet));
+        let model = train_classifier(&pairs, 2, &quick(ModelKind::GesIdNet), None);
         let json_bytes = model.save_artifact();
         let bin_bytes = model.save_artifact_with(ArtifactFormat::Binary);
         assert_eq!(
@@ -863,7 +911,7 @@ mod tests {
         // weight stream must hold ≥25% end to end, not just on paper.
         let samples = toy_samples(2);
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let model = train_classifier(&pairs, 2, &quick(ModelKind::GesIdNet));
+        let model = train_classifier(&pairs, 2, &quick(ModelKind::GesIdNet), None);
         let json_len = model.save_artifact().len();
         let bin_len = model.save_artifact_with(ArtifactFormat::Binary).len();
         assert!(

@@ -38,7 +38,7 @@ pub fn kfold_reports(
                 }
             }
         }
-        let model = train_classifier(&train_pairs, classes, config);
+        let model = train_classifier(&train_pairs, classes, config, None);
         reports.push(classification_report(&model, &test_pairs));
     }
     reports

@@ -3,9 +3,10 @@
 //! This crate glues the preprocessed samples from `gp-pipeline` to the
 //! models in `gp-models` and exposes the paper's two-task API:
 //!
-//! * [`train::train_classifier`] — trains one classifier (GesIDNet or a
-//!   baseline) on labeled gesture clouds with the paper's training-time
-//!   augmentation,
+//! * [`train::train_classifier`] — the one trainer: one classifier
+//!   (GesIDNet, a baseline, or RdNet) on labeled samples of either
+//!   backend ([`SampleRef`]), with the paper's training-time
+//!   augmentation on point clouds and an optional telemetry registry,
 //! * [`GesturePrint`] — the full system: a gesture-recognition model plus
 //!   user-identification model(s), in **serialized** mode (per-gesture
 //!   identifiers selected by the recognised gesture — the paper's
@@ -53,6 +54,5 @@ pub use crossval::kfold_reports;
 pub use report::{classification_report, ClassificationReport};
 pub use system::{GesturePrint, GesturePrintConfig, IdentificationMode, Inference};
 pub use train::{
-    train_classifier, train_rd_classifier, ModelKind, SampleRef, SensingBackend, TrainConfig,
-    TrainedModel,
+    train_classifier, ModelKind, SampleRef, SensingBackend, TrainConfig, TrainedModel,
 };

@@ -128,6 +128,7 @@ mod tests {
                 },
                 ..TrainConfig::default()
             },
+            None,
         );
         let test_pairs: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (s, s.user)).collect();
         let report = classification_report(&model, &test_pairs);
@@ -155,6 +156,7 @@ mod tests {
                 },
                 ..TrainConfig::default()
             },
+            None,
         );
         let report = classification_report(&model, &pairs);
         // Accuracy must equal fraction of matching predictions.

@@ -2,8 +2,7 @@
 //! identification in serialized or parallel mode (paper §IV-C).
 
 use crate::train::{
-    argmax, train_classifier, train_rd_classifier, SampleRef, SensingBackend, TrainConfig,
-    TrainedModel,
+    argmax, train_classifier, SampleRef, SensingBackend, TrainConfig, TrainedModel,
 };
 use gp_pipeline::LabeledSample;
 use gp_rd::RdLabeledSample;
@@ -128,27 +127,21 @@ impl GesturePrint {
     ///
     /// # Panics
     ///
-    /// Panics if `samples` is empty or labels exceed the class counts.
+    /// Panics if `samples` is empty, labels exceed the class counts, or
+    /// `config.train.model` is an RD architecture.
     pub fn train(
         samples: &[&LabeledSample],
         gestures: usize,
         users: usize,
         config: &GesturePrintConfig,
     ) -> Self {
-        Self::train_with(
-            samples,
-            gestures,
-            users,
-            config,
-            |s| (s.gesture, s.user),
-            train_classifier,
-        )
+        Self::train_with(samples, gestures, users, config)
     }
 
     /// Trains a range-Doppler system — the RD counterpart of
     /// [`GesturePrint::train`], with the same serialized/parallel
     /// identifier structure, per-gesture seed offsets, and epoch
-    /// scaling, driven by [`train_rd_classifier`].
+    /// scaling.
     ///
     /// # Panics
     ///
@@ -160,40 +153,36 @@ impl GesturePrint {
         users: usize,
         config: &GesturePrintConfig,
     ) -> Self {
-        Self::train_with(
-            samples,
-            gestures,
-            users,
-            config,
-            |s| (s.gesture, s.user),
-            train_rd_classifier,
-        )
+        Self::train_with(samples, gestures, users, config)
     }
 
     /// The body of [`GesturePrint::train`] and [`GesturePrint::train_rd`]
-    /// over either sample type: `labels` reads a sample's
-    /// `(gesture, user)` and `train` is the backend's classifier trainer.
-    fn train_with<S: Sync>(
-        samples: &[&S],
+    /// over samples of either backend: every model goes through
+    /// [`train_classifier`].
+    fn train_with<'a, S: Copy + Into<SampleRef<'a>>>(
+        samples: &[S],
         gestures: usize,
         users: usize,
         config: &GesturePrintConfig,
-        labels: fn(&S) -> (usize, usize),
-        train: fn(&[(&S, usize)], usize, &TrainConfig) -> TrainedModel,
     ) -> Self {
         assert!(!samples.is_empty(), "cannot train on an empty sample set");
-        let gesture_pairs: Vec<(&S, usize)> = samples.iter().map(|s| (*s, labels(s).0)).collect();
-        let gesture_model = train(&gesture_pairs, gestures, &config.train);
+        let samples: Vec<SampleRef<'a>> = samples.iter().map(|&s| s.into()).collect();
+        let gesture_pairs: Vec<(SampleRef<'a>, usize)> =
+            samples.iter().map(|&s| (s, s.labels().0)).collect();
+        let gesture_model = train_classifier(&gesture_pairs, gestures, &config.train, None);
 
-        let all_pairs: Vec<(&S, usize)> = samples.iter().map(|s| (*s, labels(s).1)).collect();
+        let all_pairs: Vec<(SampleRef<'a>, usize)> =
+            samples.iter().map(|&s| (s, s.labels().1)).collect();
         let identifiers = match config.mode {
-            IdentificationMode::Parallel => vec![train(&all_pairs, users, &config.train)],
+            IdentificationMode::Parallel => {
+                vec![train_classifier(&all_pairs, users, &config.train, None)]
+            }
             IdentificationMode::Serialized => {
                 // Group samples per gesture.
-                let mut groups: Vec<Vec<(&S, usize)>> = vec![Vec::new(); gestures];
-                for s in samples {
-                    let (gesture, user) = labels(s);
-                    groups[gesture].push((*s, user));
+                let mut groups: Vec<Vec<(SampleRef<'a>, usize)>> = vec![Vec::new(); gestures];
+                for &s in &samples {
+                    let (gesture, user) = s.labels();
+                    groups[gesture].push((s, user));
                 }
 
                 // Train per-gesture identifiers in parallel on the
@@ -202,7 +191,7 @@ impl GesturePrint {
                 let train_cfg = &config.train;
                 let pool = WorkerPool::new(config.threads);
                 pool.scope_map((0..gestures).collect(), |_, g| {
-                    let pairs: &[(&S, usize)] = if groups[g].is_empty() {
+                    let pairs: &[(SampleRef<'a>, usize)] = if groups[g].is_empty() {
                         &all_pairs
                     } else {
                         &groups[g]
@@ -214,7 +203,7 @@ impl GesturePrint {
                     // comparable optimisation budget.
                     let ratio = (samples.len() as f64 / pairs.len().max(1) as f64).min(3.0);
                     cfg.epochs = ((cfg.epochs as f64) * ratio).round() as usize;
-                    train(pairs, users, &cfg)
+                    train_classifier(pairs, users, &cfg, None)
                 })
             }
         };

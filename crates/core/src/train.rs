@@ -37,7 +37,8 @@ impl SensingBackend {
 }
 
 /// A borrowed sample of either sensing representation — the element
-/// type of the batch-first inference surface. The batch entries
+/// type of the batch-first training and inference surface.
+/// [`train_classifier`], the batch entries
 /// ([`TrainedModel::probabilities_batch`],
 /// [`crate::GesturePrint::infer_batch`]) and
 /// [`crate::GesturePrint::embedding_for_gesture`] take anything that
@@ -57,6 +58,14 @@ impl SampleRef<'_> {
         match self {
             SampleRef::Cloud(_) => SensingBackend::PointCloud,
             SampleRef::Rd(_) => SensingBackend::RangeDoppler,
+        }
+    }
+
+    /// The sample's ground-truth `(gesture, user)` labels.
+    pub(crate) fn labels(&self) -> (usize, usize) {
+        match self {
+            SampleRef::Cloud(s) => (s.gesture, s.user),
+            SampleRef::Rd(s) => (s.gesture, s.user),
         }
     }
 }
@@ -322,8 +331,7 @@ impl TrainedModel {
     /// The one inference body: encodes each sample for the model's
     /// backend, runs one batched forward, and returns the softmax rows
     /// plus, when the architecture has a fusion tap, the embedding rows
-    /// out of the same forward (row `i` belongs to sample `i`). RdNet has
-    /// no batched forward, so its rows are stacked per-sample forwards.
+    /// out of the same forward (row `i` belongs to sample `i`).
     ///
     /// # Panics
     ///
@@ -350,19 +358,17 @@ impl TrainedModel {
                 model.logits_and_embedding_batch(&inputs)
             }
             BackendModel::Rd(model) => {
-                let (logits, embeddings): (Vec<Vec<f32>>, Vec<Vec<f32>>) = samples
+                let inputs: Vec<RdInput> = samples
                     .iter()
                     .map(|&s| match s {
-                        SampleRef::Rd(s) => model.logits_and_embedding(&self.encode_rd_input(s)),
+                        SampleRef::Rd(s) => self.encode_rd_input(s),
                         SampleRef::Cloud(_) => {
                             panic!("point-cloud inference on a range-Doppler model")
                         }
                     })
-                    .unzip();
-                (
-                    Matrix::from_rows(&logits),
-                    Some(Matrix::from_rows(&embeddings)),
-                )
+                    .collect();
+                let (logits, embeddings) = model.logits_and_embedding_batch(&inputs);
+                (logits, Some(embeddings))
             }
         };
         let probs = softmax_rows(&logits);
@@ -381,41 +387,64 @@ impl TrainedModel {
         }
     }
 
-    /// Builds an untrained point-cloud model shell (used when loading
-    /// saved weights).
+    /// Builds an untrained model of `kind`: the trainer's starting
+    /// point and the shell [`crate::ModelArtifact::into_model`] loads
+    /// weights into. `rng` draws the initial weights.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `kind` is an RD architecture — use
-    /// [`TrainedModel::untrained_rd`].
-    pub fn untrained(kind: ModelKind, classes: usize, feature: FeatureConfig) -> Self {
-        assert!(
-            !kind.is_rd(),
-            "untrained() builds point-cloud shells; use untrained_rd() for {kind:?}"
-        );
-        let mut rng = StdRng::seed_from_u64(0);
-        TrainedModel {
-            model: BackendModel::Point(make_model(kind, classes, &feature, &mut rng)),
-            feature,
-            rd_feature: RdFeatureConfig::default(),
+    /// A message naming the shape when `kind` pools a 2-D input
+    /// (ProfileCNN's `feature.profile_shape`, RdNet's
+    /// `rd_feature.map_shape`) whose sides are not divisible by 4.
+    pub(crate) fn build(
+        kind: ModelKind,
+        classes: usize,
+        feature: &FeatureConfig,
+        rd_feature: &RdFeatureConfig,
+        encode_seed: u64,
+        rng: &mut StdRng,
+    ) -> Result<Self, String> {
+        let pooled = match kind {
+            ModelKind::ProfileCnn => Some(("feature.profile_shape", feature.profile_shape)),
+            ModelKind::RdNet => Some(("rd_feature.map_shape", rd_feature.map_shape)),
+            _ => None,
+        };
+        if let Some((field, (rows, cols))) = pooled {
+            if rows % 4 != 0 || cols % 4 != 0 {
+                return Err(format!(
+                    "{} needs a {field} divisible by 4, got ({rows}, {cols})",
+                    kind.name()
+                ));
+            }
+        }
+        let gesidnet = |fusion| GesIDNetConfig {
+            fusion,
+            ..GesIDNetConfig::for_classes(classes)
+        };
+        let model = match kind {
+            ModelKind::GesIdNet => {
+                BackendModel::Point(Box::new(GesIDNet::new(gesidnet(true), rng)))
+            }
+            ModelKind::GesIdNetNoFusion => {
+                BackendModel::Point(Box::new(GesIDNet::new(gesidnet(false), rng)))
+            }
+            ModelKind::PointNet => BackendModel::Point(Box::new(PointNet::new(classes, rng))),
+            ModelKind::ProfileCnn => BackendModel::Point(Box::new(ProfileCnn::new(
+                classes,
+                feature.profile_shape,
+                rng,
+            ))),
+            ModelKind::Lstm => BackendModel::Point(Box::new(LstmNet::new(classes, rng))),
+            ModelKind::RdNet => BackendModel::Rd(RdNet::new(classes, rd_feature.map_shape, rng)),
+        };
+        Ok(TrainedModel {
+            model,
+            feature: feature.clone(),
+            rd_feature: rd_feature.clone(),
             kind,
             classes,
-            encode_seed: TrainConfig::default().seed ^ 0xEEC0DE,
-        }
-    }
-
-    /// Builds an untrained range-Doppler model shell (used when loading
-    /// saved weights).
-    pub fn untrained_rd(classes: usize, rd_feature: RdFeatureConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(0);
-        TrainedModel {
-            model: BackendModel::Rd(RdNet::new(classes, rd_feature.map_shape, &mut rng)),
-            feature: FeatureConfig::default(),
-            rd_feature,
-            kind: ModelKind::RdNet,
-            classes,
-            encode_seed: TrainConfig::default().seed ^ 0xEEC0DE,
-        }
+            encode_seed,
+        })
     }
 
     pub(crate) fn model_mut(&mut self) -> &mut dyn gp_nn::Parameterized {
@@ -446,64 +475,37 @@ impl TrainedModel {
     pub(crate) fn encode_seed(&self) -> u64 {
         self.encode_seed
     }
-
-    pub(crate) fn set_encode_seed(&mut self, seed: u64) {
-        self.encode_seed = seed;
-    }
 }
 
-fn make_model(
-    kind: ModelKind,
-    classes: usize,
-    feature: &FeatureConfig,
-    rng: &mut StdRng,
-) -> Box<dyn PointModel> {
-    match kind {
-        ModelKind::GesIdNet => Box::new(GesIDNet::new(GesIDNetConfig::for_classes(classes), rng)),
-        ModelKind::GesIdNetNoFusion => Box::new(GesIDNet::new(
-            GesIDNetConfig {
-                fusion: false,
-                ..GesIDNetConfig::for_classes(classes)
-            },
-            rng,
-        )),
-        ModelKind::PointNet => Box::new(PointNet::new(classes, rng)),
-        ModelKind::ProfileCnn => Box::new(ProfileCnn::new(classes, feature.profile_shape, rng)),
-        ModelKind::Lstm => Box::new(LstmNet::new(classes, rng)),
-        ModelKind::RdNet => panic!("RdNet is not a point-cloud model; use the RD training path"),
-    }
-}
-
-/// Trains a classifier on `(sample, label)` pairs.
+/// Trains a classifier on `(sample, label)` pairs of either backend.
 ///
-/// Labels need not equal `sample.gesture`/`sample.user` — the caller
+/// Labels need not equal the sample's gesture or user — the caller
 /// chooses the task by supplying the label (this is exactly how the
 /// paper trains the same architecture for both tasks on the same data).
+/// `config.model` picks the architecture and with it the backend
+/// ([`ModelKind::backend`]). Point-cloud samples are encoded once, plus
+/// `config.augment`'s jittered copies; range-Doppler samples are
+/// extracted once with [`TrainConfig::rd_feature`] (extraction is
+/// deterministic and the synthesizer already injects thermal noise, so
+/// there is no augmentation stage). Both then run the same
+/// deterministic shuffle/mini-batch/Adam loop.
 ///
-/// # Panics
-///
-/// Panics if `samples` is empty or any label is `>= classes`.
-pub fn train_classifier(
-    samples: &[(&LabeledSample, usize)],
-    classes: usize,
-    config: &TrainConfig,
-) -> TrainedModel {
-    train_classifier_instrumented(samples, classes, config, None)
-}
-
-/// [`train_classifier`] with optional telemetry: when a registry is
-/// given, per-epoch wall time lands in the `train.stage.epoch`
-/// histogram and per-mini-batch step time (forward + backward +
-/// optimizer update) in `train.stage.batch_step`, alongside
+/// With a telemetry registry, per-epoch wall time lands in the
+/// `train.stage.epoch` histogram and per-mini-batch step time (forward +
+/// backward + optimizer update) in `train.stage.batch_step`, alongside
 /// `train.samples` / `train.batches` counters — the same registry and
 /// naming scheme the serving stack exports, so training runs can emit
 /// `BENCH_*.json` artifacts through the identical snapshot path.
+/// Telemetry only observes: the trained weights are the same without it.
 ///
 /// # Panics
 ///
-/// Panics if `samples` is empty or any label is `>= classes`.
-pub fn train_classifier_instrumented(
-    samples: &[(&LabeledSample, usize)],
+/// Panics if `samples` is empty, any label is `>= classes`, a sample is
+/// not of `config.model`'s backend, or `config` gives the architecture a
+/// shape it cannot pool: ProfileCNN's `feature.profile_shape` or RdNet's
+/// `rd_feature` map shape with a side not divisible by 4.
+pub fn train_classifier<'a, S: Copy + Into<SampleRef<'a>>>(
+    samples: &[(S, usize)],
     classes: usize,
     config: &TrainConfig,
     telemetry: Option<&gp_telemetry::Registry>,
@@ -513,150 +515,102 @@ pub fn train_classifier_instrumented(
         samples.iter().all(|(_, l)| *l < classes),
         "label out of range"
     );
-    assert!(
-        !config.model.is_rd(),
-        "train_classifier takes point-cloud samples; use train_rd_classifier for {:?}",
-        config.model
-    );
+    let rd_feature = match config.model.backend() {
+        SensingBackend::PointCloud => RdFeatureConfig::default(),
+        SensingBackend::RangeDoppler => config.rd_feature(),
+    };
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut model = make_model(config.model, classes, &config.feature, &mut rng);
+    let mut trained = TrainedModel::build(
+        config.model,
+        classes,
+        &config.feature,
+        &rd_feature,
+        config.seed ^ 0xEEC0DE,
+        &mut rng,
+    )
+    .unwrap_or_else(|e| panic!("invalid training config: {e}"));
+    let wrong_backend = || -> ! {
+        panic!(
+            "training sample backend does not match {}, which trains on {} samples",
+            config.model.name(),
+            config.model.backend().tag()
+        )
+    };
 
-    // Encode the training set once: original + augmented copies.
-    let mut encoded: Vec<(ModelInput, usize)> = Vec::new();
-    for (i, (sample, label)) in samples.iter().enumerate() {
-        let mut enc_rng = StdRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37));
-        encoded.push((
-            encode(
-                &sample.cloud,
-                &sample.frame_clouds,
-                &config.feature,
-                &mut enc_rng,
-            ),
-            *label,
-        ));
-        if let Some(aug_cfg) = config.augment {
-            let augmenter = Augmenter::new(aug_cfg);
-            for copy in augmenter.augment(&sample.cloud, &mut enc_rng) {
+    match &mut trained.model {
+        BackendModel::Point(model) => {
+            // Encode the training set once: original + augmented copies.
+            let mut encoded: Vec<(ModelInput, usize)> = Vec::new();
+            for (i, &(sample, label)) in samples.iter().enumerate() {
+                let SampleRef::Cloud(sample) = sample.into() else {
+                    wrong_backend()
+                };
+                let mut enc_rng =
+                    StdRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37));
                 encoded.push((
-                    encode(&copy, &sample.frame_clouds, &config.feature, &mut enc_rng),
-                    *label,
+                    encode(
+                        &sample.cloud,
+                        &sample.frame_clouds,
+                        &config.feature,
+                        &mut enc_rng,
+                    ),
+                    label,
                 ));
+                if let Some(aug_cfg) = config.augment {
+                    let augmenter = Augmenter::new(aug_cfg);
+                    for copy in augmenter.augment(&sample.cloud, &mut enc_rng) {
+                        encoded.push((
+                            encode(&copy, &sample.frame_clouds, &config.feature, &mut enc_rng),
+                            label,
+                        ));
+                    }
+                }
             }
+            run_epochs(
+                &mut **model,
+                &encoded,
+                &mut rng,
+                config,
+                telemetry,
+                |m, x, y| m.train_step_batch(x, y),
+            );
+        }
+        BackendModel::Rd(model) => {
+            let encoded: Vec<(RdInput, usize)> = samples
+                .iter()
+                .map(|&(sample, label)| match sample.into() {
+                    SampleRef::Rd(sample) => (rd_extract_sample(sample, &rd_feature), label),
+                    SampleRef::Cloud(_) => wrong_backend(),
+                })
+                .collect();
+            run_epochs(
+                model,
+                &encoded,
+                &mut rng,
+                config,
+                telemetry,
+                RdNet::train_step_batch,
+            );
         }
     }
-
-    run_epochs(
-        &mut *model,
-        encoded.len(),
-        &mut rng,
-        config,
-        telemetry,
-        |model, chunk| {
-            let inputs: Vec<&ModelInput> = chunk.iter().map(|&i| &encoded[i].0).collect();
-            let labels: Vec<usize> = chunk.iter().map(|&i| encoded[i].1).collect();
-            model.train_step_batch(&inputs, &labels);
-        },
-    );
-
-    TrainedModel {
-        model: BackendModel::Point(model),
-        feature: config.feature.clone(),
-        rd_feature: RdFeatureConfig::default(),
-        kind: config.model,
-        classes,
-        encode_seed: config.seed ^ 0xEEC0DE,
-    }
+    trained
 }
 
-/// Trains a range-Doppler classifier on `(sample, label)` pairs —
-/// the RD counterpart of [`train_classifier`], with the same
-/// deterministic shuffle/mini-batch/Adam loop. RD extraction is
-/// deterministic and the synthesizer already injects thermal noise, so
-/// there is no augmentation stage.
-///
-/// # Panics
-///
-/// Panics if `samples` is empty, any label is `>= classes`, or
-/// `config.model` is not an RD architecture.
-pub fn train_rd_classifier(
-    samples: &[(&RdLabeledSample, usize)],
-    classes: usize,
-    config: &TrainConfig,
-) -> TrainedModel {
-    train_rd_classifier_instrumented(samples, classes, config, None)
-}
-
-/// [`train_rd_classifier`] with optional telemetry, recording into the
-/// same `train.stage.*` histograms and `train.*` counters as the
-/// point-cloud trainer.
-///
-/// # Panics
-///
-/// See [`train_rd_classifier`].
-pub fn train_rd_classifier_instrumented(
-    samples: &[(&RdLabeledSample, usize)],
-    classes: usize,
-    config: &TrainConfig,
-    telemetry: Option<&gp_telemetry::Registry>,
-) -> TrainedModel {
-    assert!(!samples.is_empty(), "cannot train on an empty sample set");
-    assert!(
-        samples.iter().all(|(_, l)| *l < classes),
-        "label out of range"
-    );
-    assert!(
-        config.model.is_rd(),
-        "train_rd_classifier requires an RD architecture, got {:?}",
-        config.model
-    );
-    let rd_feature = config.rd_feature();
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut model = RdNet::new(classes, rd_feature.map_shape, &mut rng);
-
-    let encoded: Vec<(RdInput, usize)> = samples
-        .iter()
-        .map(|(s, l)| (rd_extract_sample(s, &rd_feature), *l))
-        .collect();
-
-    // RdNet has no batched backward: each chunk runs sample by sample.
-    run_epochs(
-        &mut model,
-        encoded.len(),
-        &mut rng,
-        config,
-        telemetry,
-        |model, chunk| {
-            for &i in chunk {
-                let (input, label) = &encoded[i];
-                model.train_step(input, *label);
-            }
-        },
-    );
-
-    TrainedModel {
-        model: BackendModel::Rd(model),
-        feature: config.feature.clone(),
-        rd_feature,
-        kind: config.model,
-        classes,
-        encode_seed: config.seed ^ 0xEEC0DE,
-    }
-}
-
-/// The mini-batch loop both trainers share. Each epoch shuffles the
-/// sample order with `rng`; each chunk of `config.batch_size` indices
-/// (including the short tail chunk) accumulates gradients through
-/// `step`, then Adam takes one step. With a registry, per-epoch wall
-/// time lands in `train.stage.epoch`, per-chunk step time (forward +
-/// backward + optimizer update) in `train.stage.batch_step`, and the
+/// The mini-batch loop of [`train_classifier`], for either backend's
+/// encoded set. Each epoch shuffles the sample order with `rng`; each
+/// chunk of `config.batch_size` samples (including the short tail
+/// chunk) accumulates gradients through one `train_step_batch` call,
+/// then Adam takes one step. With a registry, per-epoch wall time lands
+/// in `train.stage.epoch`, per-chunk step time (forward + backward +
+/// optimizer update) in `train.stage.batch_step`, and the
 /// `train.samples` / `train.batches` counters advance.
-fn run_epochs<M: Parameterized + ?Sized>(
+fn run_epochs<M: Parameterized + ?Sized, I>(
     model: &mut M,
-    samples: usize,
+    encoded: &[(I, usize)],
     rng: &mut StdRng,
     config: &TrainConfig,
     telemetry: Option<&gp_telemetry::Registry>,
-    mut step: impl FnMut(&mut M, &[usize]),
+    train_step_batch: impl Fn(&mut M, &[&I], &[usize]) -> f32,
 ) {
     let epoch_hist = telemetry.map(|t| t.histogram("train.stage.epoch"));
     let step_hist = telemetry.map(|t| t.histogram("train.stage.batch_step"));
@@ -664,13 +618,15 @@ fn run_epochs<M: Parameterized + ?Sized>(
     let batch_counter = telemetry.map(|t| t.counter("train.batches"));
 
     let mut adam = Adam::new(config.learning_rate);
-    let mut order: Vec<usize> = (0..samples).collect();
+    let mut order: Vec<usize> = (0..encoded.len()).collect();
     for _epoch in 0..config.epochs {
         let epoch_start = std::time::Instant::now();
         order.shuffle(rng);
         for chunk in order.chunks(config.batch_size.max(1)) {
             let step_start = std::time::Instant::now();
-            step(model, chunk);
+            let inputs: Vec<&I> = chunk.iter().map(|&i| &encoded[i].0).collect();
+            let labels: Vec<usize> = chunk.iter().map(|&i| encoded[i].1).collect();
+            train_step_batch(model, &inputs, &labels);
             adam.begin_step();
             model.for_each_param(&mut |p, g| adam.update(p, g));
             if let Some(h) = &step_hist {
@@ -744,7 +700,7 @@ mod tests {
     fn trains_and_separates_users() {
         let samples = toy_samples();
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let model = train_classifier(&pairs, 2, &quick_config(ModelKind::GesIdNet));
+        let model = train_classifier(&pairs, 2, &quick_config(ModelKind::GesIdNet), None);
         let correct = samples
             .iter()
             .filter(|&s| predict(&model, s) == s.user)
@@ -756,7 +712,7 @@ mod tests {
     fn probabilities_are_normalised() {
         let samples = toy_samples();
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let model = train_classifier(&pairs, 2, &quick_config(ModelKind::PointNet));
+        let model = train_classifier(&pairs, 2, &quick_config(ModelKind::PointNet), None);
         let p = model.probabilities_batch(&[&samples[0]]).remove(0);
         assert_eq!(p.len(), 2);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-6);
@@ -770,7 +726,7 @@ mod tests {
             augment: Some(AugmenterConfig::default()),
             ..quick_config(ModelKind::GesIdNet)
         };
-        let model = train_classifier(&pairs, 2, &config);
+        let model = train_classifier(&pairs, 2, &config, None);
         let correct = samples
             .iter()
             .filter(|&s| predict(&model, s) == s.user)
@@ -782,7 +738,7 @@ mod tests {
     fn batched_probabilities_match_sequential() {
         let samples = toy_samples();
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let model = train_classifier(&pairs, 2, &quick_config(ModelKind::GesIdNet));
+        let model = train_classifier(&pairs, 2, &quick_config(ModelKind::GesIdNet), None);
         let refs: Vec<&LabeledSample> = samples.iter().collect();
         let batched = model.probabilities_batch(&refs);
         assert_eq!(batched.len(), samples.len());
@@ -792,40 +748,68 @@ mod tests {
         assert!(model.probabilities_batch::<&LabeledSample>(&[]).is_empty());
     }
 
+    /// Trains `cfg` on user labels of its backend's toy set (no
+    /// augmentation configured, so one encoded sample each); returns the
+    /// set's size and the trained model's probabilities over it.
+    fn train_toy(
+        cfg: &TrainConfig,
+        telemetry: Option<&gp_telemetry::Registry>,
+    ) -> (usize, Vec<Vec<f64>>) {
+        assert!(cfg.augment.is_none());
+        if cfg.model.is_rd() {
+            let samples = toy_rd_samples(6);
+            let pairs: Vec<(&RdLabeledSample, usize)> =
+                samples.iter().map(|s| (s, s.user)).collect();
+            let model = train_classifier(&pairs, 2, cfg, telemetry);
+            let refs: Vec<&RdLabeledSample> = samples.iter().collect();
+            (samples.len(), model.probabilities_batch(&refs))
+        } else {
+            let samples = toy_samples();
+            let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
+            let model = train_classifier(&pairs, 2, cfg, telemetry);
+            let refs: Vec<&LabeledSample> = samples.iter().collect();
+            (samples.len(), model.probabilities_batch(&refs))
+        }
+    }
+
     #[test]
     fn instrumented_training_records_stage_histograms() {
-        let samples = toy_samples();
-        let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let cfg = quick_config(ModelKind::PointNet);
-        let registry = gp_telemetry::Registry::new();
-        let _ = train_classifier_instrumented(&pairs, 2, &cfg, Some(&registry));
-        let snap = registry.snapshot();
-        let epochs = snap.histograms["train.stage.epoch"].count();
-        assert_eq!(epochs, cfg.epochs as u64);
-        let batches_per_epoch = samples.len().div_ceil(cfg.batch_size) as u64;
-        assert_eq!(
-            snap.histograms["train.stage.batch_step"].count(),
-            epochs * batches_per_epoch
-        );
-        assert_eq!(
-            snap.counters["train.samples"],
-            (samples.len() * cfg.epochs) as u64
-        );
-        assert_eq!(snap.counters["train.batches"], epochs * batches_per_epoch);
+        for cfg in [quick_config(ModelKind::PointNet), rd_config()] {
+            let registry = gp_telemetry::Registry::new();
+            let (samples, _) = train_toy(&cfg, Some(&registry));
+            let snap = registry.snapshot();
+            let kind = cfg.model;
+            let epochs = snap.histograms["train.stage.epoch"].count();
+            assert_eq!(epochs, cfg.epochs as u64, "{kind:?}");
+            let batches_per_epoch = samples.div_ceil(cfg.batch_size) as u64;
+            assert_eq!(
+                snap.histograms["train.stage.batch_step"].count(),
+                epochs * batches_per_epoch,
+                "{kind:?}"
+            );
+            assert_eq!(
+                snap.counters["train.samples"],
+                (samples * cfg.epochs) as u64,
+                "{kind:?}"
+            );
+            assert_eq!(
+                snap.counters["train.batches"],
+                epochs * batches_per_epoch,
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]
     fn instrumented_and_plain_training_agree() {
         // Telemetry is observation only: the trained weights must be
         // identical with and without a registry attached.
-        let samples = toy_samples();
-        let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let cfg = quick_config(ModelKind::GesIdNet);
-        let registry = gp_telemetry::Registry::new();
-        let a = train_classifier(&pairs, 2, &cfg);
-        let b = train_classifier_instrumented(&pairs, 2, &cfg, Some(&registry));
-        let refs: Vec<&LabeledSample> = samples.iter().collect();
-        assert_eq!(a.probabilities_batch(&refs), b.probabilities_batch(&refs));
+        for cfg in [quick_config(ModelKind::GesIdNet), rd_config()] {
+            let registry = gp_telemetry::Registry::new();
+            let (_, plain) = train_toy(&cfg, None);
+            let (_, instrumented) = train_toy(&cfg, Some(&registry));
+            assert_eq!(plain, instrumented, "{:?}", cfg.model);
+        }
     }
 
     #[test]
@@ -833,8 +817,8 @@ mod tests {
         let samples = toy_samples();
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
         let cfg = quick_config(ModelKind::PointNet);
-        let a = train_classifier(&pairs, 2, &cfg);
-        let b = train_classifier(&pairs, 2, &cfg);
+        let a = train_classifier(&pairs, 2, &cfg, None);
+        let b = train_classifier(&pairs, 2, &cfg, None);
         let refs: Vec<&LabeledSample> = samples.iter().collect();
         assert_eq!(a.probabilities_batch(&refs), b.probabilities_batch(&refs));
     }
@@ -842,7 +826,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty sample set")]
     fn empty_training_panics() {
-        train_classifier(&[], 2, &TrainConfig::default());
+        train_classifier::<&LabeledSample>(&[], 2, &TrainConfig::default(), None);
     }
 
     #[test]
@@ -850,7 +834,7 @@ mod tests {
     fn label_range_checked() {
         let samples = toy_samples();
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, 5)).collect();
-        train_classifier(&pairs, 2, &TrainConfig::default());
+        train_classifier(&pairs, 2, &TrainConfig::default(), None);
     }
 
     /// Hand-built RD samples: the user's energy blob sits above or
@@ -895,7 +879,7 @@ mod tests {
     fn rd_training_learns_toy_split() {
         let samples = toy_rd_samples(6);
         let pairs: Vec<(&RdLabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let model = train_rd_classifier(&pairs, 2, &rd_config());
+        let model = train_classifier(&pairs, 2, &rd_config(), None);
         assert_eq!(model.backend(), SensingBackend::RangeDoppler);
         let correct = samples
             .iter()
@@ -910,8 +894,8 @@ mod tests {
     fn rd_training_is_deterministic() {
         let samples = toy_rd_samples(4);
         let pairs: Vec<(&RdLabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        let a = train_rd_classifier(&pairs, 2, &rd_config());
-        let b = train_rd_classifier(&pairs, 2, &rd_config());
+        let a = train_classifier(&pairs, 2, &rd_config(), None);
+        let b = train_classifier(&pairs, 2, &rd_config(), None);
         let refs: Vec<&RdLabeledSample> = samples.iter().collect();
         let batched = a.probabilities_batch(&refs);
         assert_eq!(batched, b.probabilities_batch(&refs));
@@ -921,7 +905,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "use train_rd_classifier")]
+    #[should_panic(expected = "training sample backend does not match RdNet")]
     fn point_trainer_rejects_rd_kind() {
         let samples = toy_samples();
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
@@ -929,31 +913,46 @@ mod tests {
             model: ModelKind::RdNet,
             ..TrainConfig::default()
         };
-        train_classifier(&pairs, 2, &cfg);
+        train_classifier(&pairs, 2, &cfg, None);
     }
 
     #[test]
-    #[should_panic(expected = "requires an RD architecture")]
+    #[should_panic(expected = "training sample backend does not match GesIDNet")]
     fn rd_trainer_rejects_point_kind() {
         let samples = toy_rd_samples(2);
         let pairs: Vec<(&RdLabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        train_rd_classifier(&pairs, 2, &TrainConfig::default());
+        train_classifier(&pairs, 2, &TrainConfig::default(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid training config: ProfileCNN needs a feature.profile_shape")]
+    fn trainer_rejects_an_unpoolable_shape() {
+        let samples = toy_samples();
+        let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
+        let mut cfg = quick_config(ModelKind::ProfileCnn);
+        cfg.feature.profile_shape = (5, 5);
+        train_classifier(&pairs, 2, &cfg, None);
+    }
+
+    /// An untrained 2-class model of `kind` with default features.
+    fn fresh(kind: ModelKind) -> TrainedModel {
+        let mut rng = StdRng::seed_from_u64(0);
+        let (feature, rd_feature) = (FeatureConfig::default(), RdFeatureConfig::default());
+        TrainedModel::build(kind, 2, &feature, &rd_feature, 0, &mut rng).unwrap()
     }
 
     #[test]
     #[should_panic(expected = "point-cloud inference on a range-Doppler model")]
     fn backend_mismatch_panics() {
         let samples = toy_samples();
-        let model = TrainedModel::untrained_rd(2, RdFeatureConfig::default());
-        model.probabilities_batch(&[&samples[0]]);
+        fresh(ModelKind::RdNet).probabilities_batch(&[&samples[0]]);
     }
 
     #[test]
     #[should_panic(expected = "range-Doppler inference on a point-cloud model")]
     fn rd_sample_on_point_model_panics() {
         let samples = toy_rd_samples(1);
-        let model = TrainedModel::untrained(ModelKind::PointNet, 2, FeatureConfig::default());
-        model.probabilities_batch(&[&samples[0]]);
+        fresh(ModelKind::PointNet).probabilities_batch(&[&samples[0]]);
     }
 
     #[test]

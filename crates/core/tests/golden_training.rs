@@ -20,9 +20,7 @@
 //! cargo test -p gestureprint-core --test golden_training -- --ignored
 //! ```
 
-use gestureprint_core::{
-    train_classifier, train_rd_classifier, ArtifactFormat, ModelKind, TrainConfig, TrainedModel,
-};
+use gestureprint_core::{train_classifier, ArtifactFormat, ModelKind, TrainConfig, TrainedModel};
 use gp_codec::Value;
 use gp_models::features::FeatureConfig;
 use gp_pipeline::{AugmenterConfig, LabeledSample};
@@ -68,11 +66,11 @@ fn train(kind: ModelKind) -> TrainedModel {
     if kind.is_rd() {
         let samples = gp_testkit::toy_rd_samples(2);
         let pairs: Vec<(&RdLabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        train_rd_classifier(&pairs, 2, &config(kind))
+        train_classifier(&pairs, 2, &config(kind), None)
     } else {
         let samples = gp_testkit::toy_labeled_samples(2);
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-        train_classifier(&pairs, 2, &config(kind))
+        train_classifier(&pairs, 2, &config(kind), None)
     }
 }
 
@@ -120,7 +118,11 @@ fn expected(kind: ModelKind) -> Expected {
         artifact_fnv64: format!("{:016x}", fnv64(&artifact)),
         probes: probe_rows(&model)
             .iter()
-            .map(|row| row.iter().map(|v| format!("{:016x}", v.to_bits())).collect())
+            .map(|row| {
+                row.iter()
+                    .map(|v| format!("{:016x}", v.to_bits()))
+                    .collect()
+            })
             .collect(),
     }
 }
@@ -176,7 +178,10 @@ fn regenerate_golden_training() {
             let line = Value::record([
                 ("kind", Value::Str(e.kind)),
                 ("artifact_fnv64", Value::Str(e.artifact_fnv64)),
-                ("probes", Value::Seq(e.probes.into_iter().map(seq).collect())),
+                (
+                    "probes",
+                    Value::Seq(e.probes.into_iter().map(seq).collect()),
+                ),
             ]);
             gp_codec::to_json(&line).unwrap()
         })

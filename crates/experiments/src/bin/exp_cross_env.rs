@@ -3,9 +3,11 @@
 //! Train on Office, test on Meeting Room (and vice versa) with the same
 //! 17 participants. Paper: >90% GRA and ≈75% UIA across environments.
 
-use gestureprint_core::{classification_report, train_classifier};
+use gestureprint_core::classification_report;
 use gp_datasets::presets;
-use gp_experiments::{build_dataset, default_train, parse_scale, scale_name, write_csv};
+use gp_experiments::{
+    build_dataset, default_train, parse_scale, scale_name, train_gr_ui, write_csv,
+};
 use gp_pipeline::LabeledSample;
 use gp_radar::Environment;
 
@@ -27,16 +29,9 @@ fn main() {
     ] {
         let train: Vec<&LabeledSample> = train_ds.samples.iter().map(|s| &s.labeled).collect();
         let test: Vec<&LabeledSample> = test_ds.samples.iter().map(|s| &s.labeled).collect();
-        let cfg = default_train();
-
-        let gr_pairs: Vec<(&LabeledSample, usize)> =
-            train.iter().map(|s| (*s, s.gesture)).collect();
-        let gr_model = train_classifier(&gr_pairs, gestures, &cfg);
+        let (gr_model, ui_model) = train_gr_ui(&train, gestures, users, &default_train());
         let gr_test: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.gesture)).collect();
         let gra = classification_report(&gr_model, &gr_test).accuracy;
-
-        let ui_pairs: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, s.user)).collect();
-        let ui_model = train_classifier(&ui_pairs, users, &cfg);
         let ui_test: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.user)).collect();
         let uia = classification_report(&ui_model, &ui_test).accuracy;
 

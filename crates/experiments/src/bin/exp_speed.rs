@@ -4,9 +4,11 @@
 //! (speed scales 0.7 / 1.0 / 1.4); train on all speeds mixed, test held
 //! out. Paper: 97.73% GRA and 98.81% UIA despite speed changes.
 
-use gestureprint_core::{classification_report, train_classifier};
+use gestureprint_core::classification_report;
 use gp_datasets::presets;
-use gp_experiments::{build_dataset, default_train, parse_scale, scale_name, split80, write_csv};
+use gp_experiments::{
+    build_dataset, default_train, parse_scale, scale_name, split80, train_gr_ui, write_csv,
+};
 use gp_pipeline::LabeledSample;
 
 fn main() {
@@ -21,15 +23,14 @@ fn main() {
 
     let samples: Vec<&LabeledSample> = ds.samples.iter().map(|s| &s.labeled).collect();
     let (train, test) = split80(&samples, 0x5BEE);
-    let cfg = default_train();
-
-    let gr_pairs: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, s.gesture)).collect();
-    let gr_model = train_classifier(&gr_pairs, spec.set.gesture_count(), &cfg);
+    let (gr_model, ui_model) = train_gr_ui(
+        &train,
+        spec.set.gesture_count(),
+        spec.users,
+        &default_train(),
+    );
     let gr_test: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.gesture)).collect();
     let gr = classification_report(&gr_model, &gr_test);
-
-    let ui_pairs: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, s.user)).collect();
-    let ui_model = train_classifier(&ui_pairs, spec.users, &cfg);
     let ui_test: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.user)).collect();
     let ui = classification_report(&ui_model, &ui_test);
 

@@ -6,9 +6,9 @@
 //! paper's hardware; the shape to check is preprocessing + inference ≪
 //! gesture duration.
 
-use gestureprint_core::{train_classifier, TrainConfig};
+use gestureprint_core::TrainConfig;
 use gp_datasets::{build, presets, BuildOptions, Scale};
-use gp_experiments::write_csv;
+use gp_experiments::{train_gr_ui, write_csv};
 use gp_kinematics::gestures::{GestureId, GestureSet};
 use gp_kinematics::{Performance, UserProfile};
 use gp_pipeline::{LabeledSample, Preprocessor, PreprocessorConfig};
@@ -45,10 +45,7 @@ fn main() {
         epochs: 6,
         ..TrainConfig::default()
     };
-    let gr_pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (*s, s.gesture)).collect();
-    let gr_model = train_classifier(&gr_pairs, spec.set.gesture_count(), &quick);
-    let ui_pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (*s, s.user)).collect();
-    let ui_model = train_classifier(&ui_pairs, spec.users, &quick);
+    let (gr_model, ui_model) = train_gr_ui(&samples, spec.set.gesture_count(), spec.users, &quick);
 
     let sample = samples[0];
     let t1 = Instant::now();

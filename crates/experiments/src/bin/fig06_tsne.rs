@@ -36,7 +36,7 @@ fn main() {
             spec.users
         };
         let pairs: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, label_of(s))).collect();
-        let model = train_classifier(&pairs, classes, &TrainConfig::default());
+        let model = train_classifier(&pairs, classes, &TrainConfig::default(), None);
 
         // Tap features on up to 150 test samples.
         let mut low = Vec::new();

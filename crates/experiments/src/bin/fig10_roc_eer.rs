@@ -36,7 +36,7 @@ fn main() {
         let samples: Vec<&LabeledSample> = ds.samples.iter().map(|s| &s.labeled).collect();
         let (train, test) = split80(&samples, 0xF1610);
         let ui_train: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, s.user)).collect();
-        let model = train_classifier(&ui_train, spec.users, &default_train());
+        let model = train_classifier(&ui_train, spec.users, &default_train(), None);
         let ui_test: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.user)).collect();
         let report = classification_report(&model, &ui_test);
         let (scores, positives) =

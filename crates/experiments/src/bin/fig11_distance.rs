@@ -4,9 +4,11 @@
 //! observes reliable performance within 3.6 m and a graceful decline
 //! beyond as CFAR misses thin out the clouds.
 
-use gestureprint_core::{classification_report, train_classifier};
+use gestureprint_core::classification_report;
 use gp_datasets::presets;
-use gp_experiments::{build_dataset, default_train, parse_scale, scale_name, split80, write_csv};
+use gp_experiments::{
+    build_dataset, default_train, parse_scale, scale_name, split80, train_gr_ui, write_csv,
+};
 use gp_pipeline::LabeledSample;
 
 fn main() {
@@ -29,15 +31,14 @@ fn main() {
             continue;
         }
         let (train, test) = split80(&samples, 0xD157);
-        let cfg = default_train();
-        let gr_train: Vec<(&LabeledSample, usize)> =
-            train.iter().map(|s| (*s, s.gesture)).collect();
-        let gr_model = train_classifier(&gr_train, spec.set.gesture_count(), &cfg);
+        let (gr_model, ui_model) = train_gr_ui(
+            &train,
+            spec.set.gesture_count(),
+            spec.users,
+            &default_train(),
+        );
         let gr_test: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.gesture)).collect();
         let gr = classification_report(&gr_model, &gr_test);
-
-        let ui_train: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, s.user)).collect();
-        let ui_model = train_classifier(&ui_train, spec.users, &cfg);
         let ui_test: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.user)).collect();
         let ui = classification_report(&ui_model, &ui_test);
 

@@ -4,9 +4,11 @@
 //! at every anchor, with augmentation on and off. The paper finds DA
 //! recovers the accuracy lost at unseen distances.
 
-use gestureprint_core::{classification_report, train_classifier, TrainConfig};
+use gestureprint_core::{classification_report, TrainConfig};
 use gp_datasets::presets;
-use gp_experiments::{build_dataset, default_train, parse_scale, scale_name, write_csv};
+use gp_experiments::{
+    build_dataset, default_train, parse_scale, scale_name, train_gr_ui, write_csv,
+};
 use gp_pipeline::LabeledSample;
 
 const ANCHORS: [f64; 3] = [1.35, 1.5, 1.65];
@@ -40,12 +42,8 @@ fn main() {
             if !with_da {
                 cfg.augment = None;
             }
-            let gr_pairs: Vec<(&LabeledSample, usize)> =
-                train.iter().map(|s| (*s, s.gesture)).collect();
-            let gr_model = train_classifier(&gr_pairs, spec.set.gesture_count(), &cfg);
-            let ui_pairs: Vec<(&LabeledSample, usize)> =
-                train.iter().map(|s| (*s, s.user)).collect();
-            let ui_model = train_classifier(&ui_pairs, spec.users, &cfg);
+            let (gr_model, ui_model) =
+                train_gr_ui(&train, spec.set.gesture_count(), spec.users, &cfg);
 
             for &test_d in &ANCHORS {
                 if (test_d - train_d).abs() < 1e-9 {

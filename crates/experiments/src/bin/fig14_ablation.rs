@@ -5,9 +5,9 @@
 //! plus an extra arm the paper does not report — noise canceling off —
 //! to quantify the preprocessing contribution (DESIGN.md §4).
 
-use gestureprint_core::{classification_report, train_classifier, ModelKind, TrainConfig};
+use gestureprint_core::{classification_report, ModelKind, TrainConfig};
 use gp_datasets::{build, presets, BuildOptions};
-use gp_experiments::{default_train, parse_scale, scale_name, split80, write_csv};
+use gp_experiments::{default_train, parse_scale, scale_name, split80, train_gr_ui, write_csv};
 use gp_pipeline::LabeledSample;
 use gp_radar::Environment;
 
@@ -56,16 +56,11 @@ fn main() {
             ),
         ];
         for (arm, cfg) in arms {
-            let gr_pairs: Vec<(&LabeledSample, usize)> =
-                train.iter().map(|s| (*s, s.gesture)).collect();
-            let gr_model = train_classifier(&gr_pairs, spec.set.gesture_count(), &cfg);
+            let (gr_model, ui_model) =
+                train_gr_ui(&train, spec.set.gesture_count(), spec.users, &cfg);
             let gr_test: Vec<(&LabeledSample, usize)> =
                 test.iter().map(|s| (*s, s.gesture)).collect();
             let gr = classification_report(&gr_model, &gr_test);
-
-            let ui_pairs: Vec<(&LabeledSample, usize)> =
-                train.iter().map(|s| (*s, s.user)).collect();
-            let ui_model = train_classifier(&ui_pairs, spec.users, &cfg);
             let ui_test: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.user)).collect();
             let ui = classification_report(&ui_model, &ui_test);
             println!(

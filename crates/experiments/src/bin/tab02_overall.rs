@@ -51,6 +51,7 @@ fn main() {
                     model: kind,
                     ..cfg.clone()
                 },
+                None,
             );
             let rep = classification_report(&m, &gr_test);
             baseline_accs.push((kind.name(), rep.accuracy));

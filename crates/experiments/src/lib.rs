@@ -7,7 +7,7 @@
 
 use gestureprint_core::{
     classification_report, train_classifier, ClassificationReport, GesturePrint,
-    GesturePrintConfig, IdentificationMode, TrainConfig,
+    GesturePrintConfig, IdentificationMode, TrainConfig, TrainedModel,
 };
 use gp_datasets::{build, BuildOptions, Dataset, DatasetSpec, Scale};
 use gp_pipeline::LabeledSample;
@@ -64,6 +64,23 @@ pub fn split80<'a>(
         tr.iter().map(|&i| samples[i]).collect(),
         te.iter().map(|&i| samples[i]).collect(),
     )
+}
+
+/// Trains the two classifiers of one experiment arm on one training
+/// set: gesture recognition on the gesture labels, then (parallel-mode)
+/// user identification on the user labels. The paper trains one
+/// architecture for both tasks; the label picks the task.
+pub fn train_gr_ui(
+    train: &[&LabeledSample],
+    gestures: usize,
+    users: usize,
+    cfg: &TrainConfig,
+) -> (TrainedModel, TrainedModel) {
+    let gr_pairs: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, s.gesture)).collect();
+    let gr_model = train_classifier(&gr_pairs, gestures, cfg, None);
+    let ui_pairs: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, s.user)).collect();
+    let ui_model = train_classifier(&ui_pairs, users, cfg, None);
+    (gr_model, ui_model)
 }
 
 /// Results of evaluating both tasks on one scenario.
@@ -139,7 +156,7 @@ pub fn evaluate_scenario(
 
     // Parallel-mode identifier.
     let ui_pairs: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, s.user)).collect();
-    let ui_model = train_classifier(&ui_pairs, users, train_cfg);
+    let ui_model = train_classifier(&ui_pairs, users, train_cfg, None);
     let ui_test: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.user)).collect();
     let ui_parallel = classification_report(&ui_model, &ui_test);
 

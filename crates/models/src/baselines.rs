@@ -19,6 +19,31 @@ use gp_nn::conv::{maxpool2x2, maxpool2x2_backward};
 use gp_nn::{softmax_cross_entropy, Conv2d, Linear, Lstm, Matrix, MaxPool, Parameterized, Relu};
 use rand::Rng;
 
+/// A batch through a per-sample forward: one logits row per input, in
+/// input order. No baseline has a fusion tap.
+fn stack_logits(
+    classes: usize,
+    inputs: &[ModelInput],
+    logits: impl Fn(&ModelInput) -> Vec<f32>,
+) -> (Matrix, Option<Matrix>) {
+    if inputs.is_empty() {
+        return (Matrix::zeros(0, classes), None);
+    }
+    let rows: Vec<Vec<f32>> = inputs.iter().map(logits).collect();
+    (Matrix::from_rows(&rows), None)
+}
+
+/// A mini-batch through a per-sample step, in input order; returns the
+/// summed loss.
+fn sum_steps(
+    inputs: &[&ModelInput],
+    labels: &[usize],
+    mut step: impl FnMut(&ModelInput, usize) -> f32,
+) -> f32 {
+    assert_eq!(inputs.len(), labels.len(), "inputs/labels length mismatch");
+    inputs.iter().zip(labels).map(|(x, &y)| step(x, y)).sum()
+}
+
 /// PointNet-style classifier: shared MLP per point, global max pool, FC
 /// head.
 #[derive(Debug, Clone)]
@@ -64,6 +89,22 @@ impl PointNet {
             logits,
         }
     }
+
+    fn train_one(&mut self, input: &ModelInput, label: usize) -> f32 {
+        let t = self.forward(input);
+        let (loss, grad) = softmax_cross_entropy(&t.logits, label);
+        let g = Matrix::from_rows(&[grad]);
+        let g = self.head_b.backward(&t.hact, &g);
+        let g = Relu.backward(&t.hpre, &g);
+        let g_m = Matrix::from_rows(&[t.global.clone()]);
+        let dglobal = self.head_a.backward(&g_m, &g);
+        let g = MaxPool.backward(t.act2.rows(), &t.arg, dglobal.row(0));
+        let g = Relu.backward(&t.pre2, &g);
+        let g = self.l2.backward(&t.act1, &g);
+        let g = Relu.backward(&t.pre1, &g);
+        let _ = self.l1.backward(&input.points, &g);
+        loss
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -80,32 +121,12 @@ struct PointNetTrace {
 }
 
 impl PointModel for PointNet {
-    fn classes(&self) -> usize {
-        self.classes
+    fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>) {
+        stack_logits(self.classes, inputs, |x| self.forward(x).logits)
     }
 
-    fn logits(&self, input: &ModelInput) -> Vec<f32> {
-        self.forward(input).logits
-    }
-
-    fn train_step(&mut self, input: &ModelInput, label: usize) -> f32 {
-        let t = self.forward(input);
-        let (loss, grad) = softmax_cross_entropy(&t.logits, label);
-        let g = Matrix::from_rows(&[grad]);
-        let g = self.head_b.backward(&t.hact, &g);
-        let g = Relu.backward(&t.hpre, &g);
-        let g_m = Matrix::from_rows(&[t.global.clone()]);
-        let dglobal = self.head_a.backward(&g_m, &g);
-        let g = MaxPool.backward(t.act2.rows(), &t.arg, dglobal.row(0));
-        let g = Relu.backward(&t.pre2, &g);
-        let g = self.l2.backward(&t.act1, &g);
-        let g = Relu.backward(&t.pre1, &g);
-        let _ = self.l1.backward(&input.points, &g);
-        loss
-    }
-
-    fn name(&self) -> &'static str {
-        "PointNet"
+    fn train_step_batch(&mut self, inputs: &[&ModelInput], labels: &[usize]) -> f32 {
+        sum_steps(inputs, labels, |x, y| self.train_one(x, y))
     }
 }
 
@@ -188,33 +209,8 @@ impl ProfileCnn {
             logits,
         }
     }
-}
 
-#[derive(Debug, Clone)]
-struct ProfileTrace {
-    c1: Vec<f32>,
-    a1: Vec<f32>,
-    p1: Vec<f32>,
-    arg1: Vec<usize>,
-    c2: Vec<f32>,
-    a2: Vec<f32>,
-    p2: Vec<f32>,
-    arg2: Vec<usize>,
-    hpre: Matrix,
-    hact: Matrix,
-    logits: Vec<f32>,
-}
-
-impl PointModel for ProfileCnn {
-    fn classes(&self) -> usize {
-        self.classes
-    }
-
-    fn logits(&self, input: &ModelInput) -> Vec<f32> {
-        self.forward(input).logits
-    }
-
-    fn train_step(&mut self, input: &ModelInput, label: usize) -> f32 {
+    fn train_one(&mut self, input: &ModelInput, label: usize) -> f32 {
         let (h, w) = self.shape;
         let (h2, w2) = (h / 2, w / 2);
         let t = self.forward(input);
@@ -241,9 +237,30 @@ impl PointModel for ProfileCnn {
         let _ = self.conv1.backward(&input.profile, &dc1, h, w);
         loss
     }
+}
 
-    fn name(&self) -> &'static str {
-        "ProfileCNN"
+#[derive(Debug, Clone)]
+struct ProfileTrace {
+    c1: Vec<f32>,
+    a1: Vec<f32>,
+    p1: Vec<f32>,
+    arg1: Vec<usize>,
+    c2: Vec<f32>,
+    a2: Vec<f32>,
+    p2: Vec<f32>,
+    arg2: Vec<usize>,
+    hpre: Matrix,
+    hact: Matrix,
+    logits: Vec<f32>,
+}
+
+impl PointModel for ProfileCnn {
+    fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>) {
+        stack_logits(self.classes, inputs, |x| self.forward(x).logits)
+    }
+
+    fn train_step_batch(&mut self, inputs: &[&ModelInput], labels: &[usize]) -> f32 {
+        sum_steps(inputs, labels, |x, y| self.train_one(x, y))
     }
 }
 
@@ -281,19 +298,13 @@ impl LstmNet {
             head: Linear::new(32, classes, rng),
         }
     }
-}
 
-impl PointModel for LstmNet {
-    fn classes(&self) -> usize {
-        self.classes
-    }
-
-    fn logits(&self, input: &ModelInput) -> Vec<f32> {
+    fn forward(&self, input: &ModelInput) -> Vec<f32> {
         let (h, _) = self.lstm.forward(&input.sequence);
         self.head.forward(&Matrix::from_rows(&[h])).row(0).to_vec()
     }
 
-    fn train_step(&mut self, input: &ModelInput, label: usize) -> f32 {
+    fn train_one(&mut self, input: &ModelInput, label: usize) -> f32 {
         let (h, trace) = self.lstm.forward(&input.sequence);
         let h_m = Matrix::from_rows(&[h]);
         let logits = self.head.forward(&h_m).row(0).to_vec();
@@ -302,9 +313,15 @@ impl PointModel for LstmNet {
         self.lstm.backward(&trace, dh.row(0));
         loss
     }
+}
 
-    fn name(&self) -> &'static str {
-        "LSTM"
+impl PointModel for LstmNet {
+    fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>) {
+        stack_logits(self.classes, inputs, |x| self.forward(x))
+    }
+
+    fn train_step_batch(&mut self, inputs: &[&ModelInput], labels: &[usize]) -> f32 {
+        sum_steps(inputs, labels, |x, y| self.train_one(x, y))
     }
 }
 
@@ -353,6 +370,12 @@ mod tests {
         )
     }
 
+    /// Logits of one input: a batch of one.
+    fn logits_of(model: &dyn PointModel, input: &ModelInput) -> Vec<f32> {
+        let (logits, _) = model.logits_and_embedding_batch(std::slice::from_ref(input));
+        logits.row(0).to_vec()
+    }
+
     fn train_to_separate<M: PointModel>(model: &mut M, epochs: usize) -> usize {
         let data: Vec<(ModelInput, usize)> = (0..8)
             .map(|i| {
@@ -366,13 +389,13 @@ mod tests {
         let mut adam = Adam::new(5e-3);
         for _ in 0..epochs {
             for (x, y) in &data {
-                model.train_step(x, *y);
+                model.train_step_batch(&[x], &[*y]);
                 adam.begin_step();
                 model.for_each_param(&mut |p, g| adam.update(p, g));
             }
         }
         data.iter()
-            .filter(|(x, y)| argmax(&model.logits(x)) == *y)
+            .filter(|(x, y)| argmax(&logits_of(&*model, x)) == *y)
             .count()
     }
 
@@ -404,12 +427,12 @@ mod tests {
     fn logits_have_class_count() {
         let mut rng = StdRng::seed_from_u64(3);
         let input = toy_input(5, 0.0);
-        assert_eq!(PointNet::new(9, &mut rng).logits(&input).len(), 9);
+        assert_eq!(logits_of(&PointNet::new(9, &mut rng), &input).len(), 9);
         assert_eq!(
-            ProfileCnn::new(5, (16, 24), &mut rng).logits(&input).len(),
+            logits_of(&ProfileCnn::new(5, (16, 24), &mut rng), &input).len(),
             5
         );
-        assert_eq!(LstmNet::new(4, &mut rng).logits(&input).len(), 4);
+        assert_eq!(logits_of(&LstmNet::new(4, &mut rng), &input).len(), 4);
     }
 
     #[test]
@@ -421,13 +444,15 @@ mod tests {
             Box::new(LstmNet::new(3, &mut rng)),
         ];
         let inputs = [toy_input(6, 0.0), toy_input(7, 0.2)];
-        for model in &models {
+        for (m, model) in models.iter().enumerate() {
             let (logits, embeddings) = model.logits_and_embedding_batch(&inputs);
-            assert!(embeddings.is_none(), "{}", model.name());
+            assert!(embeddings.is_none(), "model {m}");
             for (i, input) in inputs.iter().enumerate() {
-                assert_eq!(logits.row(i), model.logits(input).as_slice());
-                assert_eq!(model.logits_and_embedding(input).1, None);
+                assert_eq!(logits.row(i), logits_of(&**model, input).as_slice());
             }
+            let (empty, embeddings) = model.logits_and_embedding_batch(&[]);
+            assert_eq!((empty.rows(), empty.cols()), (0, 3), "model {m}");
+            assert!(embeddings.is_none(), "model {m}");
         }
     }
 
@@ -436,19 +461,5 @@ mod tests {
     fn profile_shape_validated() {
         let mut rng = StdRng::seed_from_u64(0);
         ProfileCnn::new(2, (15, 24), &mut rng);
-    }
-
-    #[test]
-    fn names_distinct() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let names = [
-            PointNet::new(2, &mut rng).name(),
-            ProfileCnn::new(2, (16, 24), &mut rng).name(),
-            LstmNet::new(2, &mut rng).name(),
-        ];
-        assert_eq!(
-            names.iter().collect::<std::collections::HashSet<_>>().len(),
-            3
-        );
     }
 }

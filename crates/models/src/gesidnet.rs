@@ -319,9 +319,9 @@ impl GesIDNet {
     /// the fused feature `Y¹` each row was classified from (the
     /// identification embedding, `low_dim` wide).
     ///
-    /// Work is shared two ways, while staying bit-identical to running
-    /// each input alone as a batch of one (which is what
-    /// [`PointModel::logits_and_embedding`] does):
+    /// This is [`PointModel::logits_and_embedding_batch`]. Work is shared
+    /// two ways, while staying bit-identical to running each input alone
+    /// as a batch of one:
     ///
     /// 1. **Deduplication** — identical inputs (same positions and
     ///    features) run FPS, grouping, and the whole forward once; their
@@ -789,30 +789,11 @@ fn fuse_backward_batch(
 }
 
 impl PointModel for GesIDNet {
-    fn classes(&self) -> usize {
-        self.config.classes
-    }
-
-    fn logits(&self, input: &ModelInput) -> Vec<f32> {
-        self.logits_and_embedding(input).0
-    }
-
-    fn logits_and_embedding(&self, input: &ModelInput) -> (Vec<f32>, Option<Vec<f32>>) {
-        // A batch of one through the stacked forward. The primary
-        // prediction P1 is the inference output (paper §IV-C).
-        let (logits, y1) = self.forward_stacked(&[input]);
-        (logits.row(0).to_vec(), Some(y1.row(0).to_vec()))
-    }
-
     fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>) {
-        // Overrides the map-per-sample default with the genuinely
-        // batched forward (deduped grouping + multi-row kernels).
+        // The deduped stacked forward; the primary prediction P1 is the
+        // inference output (paper §IV-C).
         let (logits, embeddings) = self.forward_batch(inputs);
         (logits, Some(embeddings))
-    }
-
-    fn train_step(&mut self, input: &ModelInput, label: usize) -> f32 {
-        self.train_step_batch(&[input], &[label])
     }
 
     fn train_step_batch(&mut self, inputs: &[&ModelInput], labels: &[usize]) -> f32 {
@@ -822,10 +803,6 @@ impl PointModel for GesIDNet {
         }
         let trace = self.forward_batch_trace(inputs);
         self.backward_batch(&trace, labels)
-    }
-
-    fn name(&self) -> &'static str {
-        "GesIDNet"
     }
 
     fn feature_taps(&self, input: &ModelInput) -> Option<(Vec<f32>, Vec<f32>, Vec<f32>)> {
@@ -915,11 +892,26 @@ mod tests {
         )
     }
 
+    /// Logits and embedding of one input: a batch of one.
+    fn logits_and_embedding_of(net: &GesIDNet, input: &ModelInput) -> (Vec<f32>, Vec<f32>) {
+        let (logits, embeddings) = net.logits_and_embedding_batch(std::slice::from_ref(input));
+        (logits.row(0).to_vec(), embeddings.unwrap().row(0).to_vec())
+    }
+
+    fn logits_of(net: &GesIDNet, input: &ModelInput) -> Vec<f32> {
+        logits_and_embedding_of(net, input).0
+    }
+
+    /// One training step on one pair: a batch of one.
+    fn step_one(net: &mut GesIDNet, input: &ModelInput, label: usize) -> f32 {
+        net.train_step_batch(&[input], &[label])
+    }
+
     #[test]
     fn forward_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let net = GesIDNet::new(GesIDNetConfig::for_classes(7), &mut rng);
-        let logits = net.logits(&toy_input(1, 0.0));
+        let logits = logits_of(&net, &toy_input(1, 0.0));
         assert_eq!(logits.len(), 7);
         assert!(logits.iter().all(|v| v.is_finite()));
     }
@@ -929,7 +921,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let net = GesIDNet::new(GesIDNetConfig::for_classes(4), &mut rng);
         let input = toy_input(2, 0.0);
-        assert_eq!(net.logits(&input), net.logits(&input));
+        assert_eq!(logits_of(&net, &input), logits_of(&net, &input));
     }
 
     #[test]
@@ -938,12 +930,12 @@ mod tests {
         let mut net = GesIDNet::new(GesIDNetConfig::tiny(3), &mut rng);
         let mut adam = gp_nn::Adam::new(5e-3);
         let input = toy_input(3, 0.0);
-        let first = net.train_step(&input, 1);
+        let first = step_one(&mut net, &input, 1);
         adam.begin_step();
         net.for_each_param(&mut |p, g| adam.update(p, g));
         let mut last = first;
         for _ in 0..60 {
-            last = net.train_step(&input, 1);
+            last = step_one(&mut net, &input, 1);
             adam.begin_step();
             net.for_each_param(&mut |p, g| adam.update(p, g));
         }
@@ -969,14 +961,14 @@ mod tests {
             .collect();
         for _ in 0..80 {
             for (x, y) in &data {
-                net.train_step(x, *y);
+                step_one(&mut net, x, *y);
                 adam.begin_step();
                 net.for_each_param(&mut |p, g| adam.update(p, g));
             }
         }
         let correct = data
             .iter()
-            .filter(|(x, y)| argmax(&net.logits(x)) == *y)
+            .filter(|(x, y)| argmax(&logits_of(&net, x)) == *y)
             .count();
         assert!(correct >= 7, "classification failed: {correct}/8");
     }
@@ -992,11 +984,11 @@ mod tests {
             let (batched, embeddings) = net.forward_batch(&inputs);
             assert_eq!(batched.rows(), batch);
             for (i, input) in inputs.iter().enumerate() {
-                let (logits, embedding) = net.logits_and_embedding(input);
+                let (logits, embedding) = logits_and_embedding_of(&net, input);
                 assert_eq!(batched.row(i), logits.as_slice(), "batch {batch} row {i}");
                 assert_eq!(
                     embeddings.row(i),
-                    embedding.unwrap().as_slice(),
+                    embedding.as_slice(),
                     "batch {batch} embedding {i}"
                 );
             }
@@ -1016,7 +1008,7 @@ mod tests {
         let inputs = vec![a.clone(), b.clone(), a.clone(), a, b];
         let (batched, embeddings) = net.forward_batch(&inputs);
         for (i, input) in inputs.iter().enumerate() {
-            assert_eq!(batched.row(i), net.logits(input).as_slice(), "row {i}");
+            assert_eq!(batched.row(i), logits_of(&net, input).as_slice(), "row {i}");
         }
         assert_eq!(batched.row(0), batched.row(2));
         assert_eq!(batched.row(1), batched.row(4));
@@ -1037,7 +1029,7 @@ mod tests {
         let inputs: Vec<ModelInput> = (0..3).map(|k| toy_input(30 + k, 0.0)).collect();
         let (batched, embeddings) = net.forward_batch(&inputs);
         for (i, input) in inputs.iter().enumerate() {
-            assert_eq!(batched.row(i), net.logits(input).as_slice(), "row {i}");
+            assert_eq!(batched.row(i), logits_of(&net, input).as_slice(), "row {i}");
             // Without fusion the embedding is the low-level feature F¹.
             let (low, _, fused) = net.feature_taps(input).unwrap();
             assert_eq!(fused, low);
@@ -1058,7 +1050,7 @@ mod tests {
             &mut rng,
         );
         let input = toy_input(6, 0.0);
-        assert_ne!(with.logits(&input), without.logits(&input));
+        assert_ne!(logits_of(&with, &input), logits_of(&without, &input));
     }
 
     #[test]
@@ -1071,9 +1063,8 @@ mod tests {
         assert_eq!(high.len(), net.config().high_dim);
         assert_eq!(fused.len(), net.config().low_dim);
         // Inference hands back the same fused tap next to the logits.
-        let (logits, embedding) = net.logits_and_embedding(&input);
-        assert_eq!(logits, net.logits(&input));
-        assert_eq!(embedding, Some(fused));
+        let (_, embedding) = logits_and_embedding_of(&net, &input);
+        assert_eq!(embedding, fused);
     }
 
     fn grads_of(net: &mut GesIDNet) -> Vec<f32> {
@@ -1096,7 +1087,7 @@ mod tests {
 
         let mut seq_loss = 0.0f32;
         for (x, &y) in inputs.iter().zip(&labels) {
-            seq_loss += seq.train_step(x, y);
+            seq_loss += step_one(&mut seq, x, y);
         }
         let refs: Vec<&ModelInput> = inputs.iter().collect();
         let bat_loss = bat.train_step_batch(&refs, &labels);
@@ -1132,7 +1123,7 @@ mod tests {
         let inputs: Vec<ModelInput> = (0..3).map(|k| toy_input(60 + k, 0.2 * k as f64)).collect();
         let labels = [1usize, 0, 1];
         for (x, &y) in inputs.iter().zip(&labels) {
-            seq.train_step(x, y);
+            step_one(&mut seq, x, y);
         }
         let refs: Vec<&ModelInput> = inputs.iter().collect();
         bat.train_step_batch(&refs, &labels);
@@ -1149,8 +1140,8 @@ mod tests {
     #[test]
     fn batched_gradients_match_finite_differences() {
         // The backward checked against numeric differentiation of the
-        // summed loss, for a batch of one (what per-sample `train_step`
-        // runs) and a stacked batch of three. Spot-checks parameters
+        // summed loss, for a batch of one (a single sample's step) and a
+        // stacked batch of three. Spot-checks parameters
         // across all blocks of a tiny network.
         let inputs: Vec<ModelInput> = (0..3).map(|k| toy_input(70 + k, 0.1 * k as f64)).collect();
         let labels = [2usize, 0, 1];
@@ -1262,7 +1253,7 @@ mod tests {
         let mut bat_loss = 0.0f32;
         for _ in 0..25 {
             for chunk in data.chunks(4) {
-                seq_loss = chunk.iter().map(|(x, y)| seq.train_step(x, *y)).sum();
+                seq_loss = chunk.iter().map(|(x, y)| step_one(&mut seq, x, *y)).sum();
                 adam_seq.begin_step();
                 seq.for_each_param(&mut |p, g| adam_seq.update(p, g));
 
@@ -1280,8 +1271,8 @@ mod tests {
         );
         for (i, (x, _)) in data.iter().enumerate() {
             assert_eq!(
-                argmax(&seq.logits(x)),
-                argmax(&bat.logits(x)),
+                argmax(&logits_of(&seq, x)),
+                argmax(&logits_of(&bat, x)),
                 "prediction {i} diverged"
             );
         }

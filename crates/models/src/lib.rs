@@ -11,7 +11,9 @@
 //!   style), and a per-frame temporal LSTM (Pantomime-style).
 //!
 //! All models implement [`PointModel`], so the training/evaluation
-//! harness in `gp-core` treats them interchangeably.
+//! harness in `gp-core` treats them interchangeably. Its contract is
+//! two batch calls, [`PointModel::logits_and_embedding_batch`] and
+//! [`PointModel::train_step_batch`]; a single sample is a batch of one.
 
 pub mod baselines;
 pub mod features;
@@ -23,82 +25,37 @@ pub use gesidnet::{GesIDNet, GesIDNetConfig};
 
 use gp_nn::{Matrix, Parameterized};
 
-/// A classifier over preprocessed gesture samples.
+/// A classifier over preprocessed gesture samples. The contract is
+/// batch-only: a single sample is a batch of one.
 ///
 /// `Send + Sync` because inference is `&self` and trained models are
 /// shared across serving workers (`gp-serve` holds one system behind an
 /// `Arc` while micro-batches run on a thread pool).
 pub trait PointModel: Parameterized + Send + Sync {
-    /// Class count.
-    fn classes(&self) -> usize;
-
-    /// Inference: class logits for one sample.
-    fn logits(&self, input: &ModelInput) -> Vec<f32>;
-
-    /// Inference with the identification tap: class logits plus the
-    /// fused embedding they were computed from (GesIDNet's `Y¹`), out
-    /// of one forward pass. The embedding is `None` for architectures
-    /// without a fusion tap, which is the default.
-    fn logits_and_embedding(&self, input: &ModelInput) -> (Vec<f32>, Option<Vec<f32>>) {
-        (self.logits(input), None)
-    }
-
-    /// Batched inference: one row of class logits per input.
-    fn logits_batch(&self, inputs: &[ModelInput]) -> Matrix {
-        self.logits_and_embedding_batch(inputs).0
-    }
-
-    /// Batched [`PointModel::logits_and_embedding`]: row `i` of the
-    /// logits and of the embeddings (when the model has a tap) belongs
-    /// to input `i`.
+    /// Inference: one row of class logits per input, plus the fused
+    /// embedding rows they were computed from (GesIDNet's `Y¹`), out of
+    /// one forward pass. Row `i` belongs to input `i`. The embeddings
+    /// are `None` for architectures without a fusion tap.
     ///
-    /// The default maps [`PointModel::logits_and_embedding`] over the
-    /// batch; models with genuinely batched kernels can override it
-    /// without changing callers. The serving executor and `gp-core`'s
-    /// batched entry point go through this, so the whole path is
-    /// already batch-shaped.
-    fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>) {
-        if inputs.is_empty() {
-            return (Matrix::zeros(0, self.classes()), None);
-        }
-        let (logits, embeddings): (Vec<Vec<f32>>, Vec<Option<Vec<f32>>>) =
-            inputs.iter().map(|i| self.logits_and_embedding(i)).unzip();
-        let embeddings: Option<Vec<Vec<f32>>> = embeddings.into_iter().collect();
-        (
-            Matrix::from_rows(&logits),
-            embeddings.map(|rows| Matrix::from_rows(&rows)),
-        )
-    }
+    /// GesIDNet runs the batch through its stacked multi-row kernels;
+    /// the baselines run their per-sample forward over the inputs in
+    /// order. Either way each row is bit-exact with its input run alone.
+    fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>);
 
-    /// Training: forward + backward for one `(input, label)` pair,
-    /// accumulating parameter gradients. Returns the loss.
-    fn train_step(&mut self, input: &ModelInput, label: usize) -> f32;
-
-    /// Training over a mini-batch: accumulates gradients for every
-    /// `(input, label)` pair before the caller takes one optimizer step.
-    /// Returns the summed loss over the batch.
+    /// Training over a mini-batch: forward + backward for every
+    /// `(input, label)` pair, accumulating parameter gradients before
+    /// the caller takes one optimizer step. Returns the summed loss.
     ///
-    /// The default loops [`PointModel::train_step`] in order. GesIDNet
-    /// overrides it with its one stacked forward/backward, pushing the
-    /// whole mini-batch through multi-row kernels; its `train_step` is
-    /// this method on a batch of one. A stacked batch computes the same
-    /// mathematical gradient sum as a loop of single steps but may
-    /// associate the floating-point additions differently.
+    /// The baselines loop their per-sample step over the pairs in
+    /// order. GesIDNet pushes the whole mini-batch through one stacked
+    /// forward/backward, which computes the same mathematical gradient
+    /// sum as a loop of batches of one but may associate the
+    /// floating-point additions differently.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` and `labels` have different lengths.
-    fn train_step_batch(&mut self, inputs: &[&ModelInput], labels: &[usize]) -> f32 {
-        assert_eq!(inputs.len(), labels.len(), "inputs/labels length mismatch");
-        inputs
-            .iter()
-            .zip(labels)
-            .map(|(x, &y)| self.train_step(x, y))
-            .sum()
-    }
-
-    /// Model name for reports.
-    fn name(&self) -> &'static str;
+    fn train_step_batch(&mut self, inputs: &[&ModelInput], labels: &[usize]) -> f32;
 
     /// Taps intermediate features for visualisation (paper Fig. 6);
     /// returns `(low, high, fused)` when the model exposes them.

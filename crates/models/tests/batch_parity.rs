@@ -59,18 +59,18 @@ fn net(seed: u64, classes: usize, fusion: bool) -> GesIDNet {
     )
 }
 
-/// Checks every batched row — logits against per-sample `logits`, and
-/// the embedding against the per-sample fused tap `feature_taps(..).2`
-/// — bit for bit.
+/// Checks every batched row — logits against the sample's batch of
+/// one, and the embedding against the per-sample fused tap
+/// `feature_taps(..).2` — bit for bit.
 fn assert_rows_bit_exact(net: &GesIDNet, inputs: &[ModelInput]) -> Result<(), TestCaseError> {
     let (batched, embeddings) = net.logits_and_embedding_batch(inputs);
     let embeddings = embeddings.expect("GesIDNet has a fusion tap");
     prop_assert_eq!(batched.rows(), inputs.len());
     prop_assert_eq!(embeddings.rows(), inputs.len());
-    prop_assert_eq!(&net.logits_batch(inputs), &batched);
+    prop_assert_eq!(&net.forward_batch(inputs).0, &batched);
     for (i, sample) in inputs.iter().enumerate() {
-        let single = net.logits(sample);
-        prop_assert_eq!(batched.row(i), single.as_slice(), "row {}", i);
+        let (single, _) = net.logits_and_embedding_batch(std::slice::from_ref(sample));
+        prop_assert_eq!(batched.row(i), single.row(0), "row {}", i);
         let (_, _, fused) = net.feature_taps(sample).expect("GesIDNet has a fusion tap");
         prop_assert_eq!(embeddings.row(i), fused.as_slice(), "embedding row {}", i);
     }
@@ -80,13 +80,12 @@ fn assert_rows_bit_exact(net: &GesIDNet, inputs: &[ModelInput]) -> Result<(), Te
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `forward_batch` (and through it `logits_batch` and
-    /// `logits_and_embedding_batch`) is bit-exact with batches of one
-    /// for batch sizes 1..=8 over clouds of mixed raw sizes,
-    /// including sparse ones below the resampling width, with the
-    /// attention fusion on and off.
+    /// `forward_batch` (and through it `logits_and_embedding_batch`) is
+    /// bit-exact with batches of one for batch sizes 1..=8 over clouds
+    /// of mixed raw sizes, including sparse ones below the resampling
+    /// width, with the attention fusion on and off.
     #[test]
-    fn logits_batch_bit_exact_for_mixed_batches(
+    fn batch_rows_bit_exact_for_mixed_batches(
         seed in 0u64..200,
         batch in 1usize..=8,
         num_points in 16usize..=48,

@@ -10,10 +10,10 @@
 //! embedding `Y¹` as f32 bit patterns, and the low/high-level features
 //! `F¹`/`F²` as a 64-bit FNV-1a hash of their bits.
 //!
-//! The live test checks every entry point a caller can reach — the
-//! per-sample `logits`, `logits_and_embedding` and `feature_taps`, and
-//! one `forward_batch` over all inputs plus a duplicate — against the
-//! fixture. A failure means the network's forward changed numerically.
+//! The live test checks every entry point a caller can reach — a batch
+//! of one through `logits_and_embedding_batch`, the per-sample
+//! `feature_taps`, and one `forward_batch` over all inputs plus a
+//! duplicate — against the fixture. A failure means the network's forward changed numerically.
 //! If that is intended (a deliberate change to the architecture or its
 //! kernels), regenerate the fixture and say so in the change log:
 //!
@@ -129,8 +129,9 @@ struct Expected {
 
 fn record(net: &GesIDNet, input: &ModelInput) -> Expected {
     let (f1, f2, y1) = net.feature_taps(input).expect("GesIDNet has feature taps");
+    let (logits, _) = net.logits_and_embedding_batch(std::slice::from_ref(input));
     Expected {
-        logits: bits(&net.logits(input)),
+        logits: bits(logits.row(0)),
         y1: bits(&y1),
         f1: hash(&f1),
         f2: hash(&f2),
@@ -188,10 +189,10 @@ fn forward_matches_golden_fixture() {
         for (i, (input, want)) in inputs.iter().zip(expected).enumerate() {
             let ctx = format!("net seed {seed} fusion {fusion}, input {i}");
             assert_eq!(&record(&net, input), want, "{ctx}: per-sample taps");
-            let (logits, embedding) = net.logits_and_embedding(input);
-            assert_eq!(bits(&logits), want.logits, "{ctx}: logits_and_embedding");
-            let embedding = embedding.expect("GesIDNet has an embedding");
-            assert_eq!(bits(&embedding), want.y1, "{ctx}: embedding");
+            let (logits, embeddings) = net.logits_and_embedding_batch(std::slice::from_ref(input));
+            assert_eq!(bits(logits.row(0)), want.logits, "{ctx}: batch of one");
+            let embeddings = embeddings.expect("GesIDNet has an embedding");
+            assert_eq!(bits(embeddings.row(0)), want.y1, "{ctx}: embedding");
         }
         // One batch over every input plus a duplicate of the first: each
         // row is the input's own frozen output.

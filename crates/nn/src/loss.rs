@@ -36,9 +36,10 @@ pub fn softmax_cross_entropy(logits: &[f32], label: usize) -> (f32, Vec<f32>) {
 /// Row-wise softmax over a batch of logit rows.
 ///
 /// The batched counterpart of [`softmax`]: row `r` of the result is
-/// `softmax(logits.row(r))`. Used by the batched inference path
-/// (`PointModel::logits_batch` consumers) so probabilities come out in
-/// the same `(batch × classes)` shape the logits went in.
+/// `softmax(logits.row(r))`. Used by the batched inference path (the
+/// logits of `PointModel::logits_and_embedding_batch` and
+/// `RdNet::logits_and_embedding_batch`) so probabilities come out in the
+/// same `(batch × classes)` shape the logits went in.
 pub fn softmax_rows(logits: &Matrix) -> Matrix {
     let mut out = logits.clone();
     for r in 0..logits.rows() {

@@ -11,7 +11,10 @@
 //! * [`segment()`]/[`OnlineRdSegmenter`] find gesture activity in the
 //!   frame stream,
 //! * [`extract`] encodes segments into [`RdInput`]s, and
-//! * [`RdNet`] is the conv+recurrent classifier trained on them.
+//! * [`RdNet`] is the conv+recurrent classifier trained on them. Like
+//!   `gp-models`' `PointModel`, it exposes two batch calls,
+//!   [`RdNet::logits_and_embedding_batch`] and
+//!   [`RdNet::train_step_batch`]; a single sample is a batch of one.
 //!
 //! `gp-core` wraps all of this behind its `SensingBackend` dispatch so
 //! serving sessions can declare either modality — or fall back to this

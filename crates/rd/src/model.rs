@@ -73,19 +73,48 @@ impl RdNet {
         }
     }
 
-    /// Number of output classes.
-    pub fn classes(&self) -> usize {
-        self.classes
+    /// Inference: one row of class scores per input, plus the fused
+    /// 48-wide embeddings (the identification feature vectors) they were
+    /// computed from. Row `i` belongs to input `i`; the inputs run the
+    /// per-sample forward in order, so each row is bit-exact with its
+    /// input run alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input's map does not have the model's map shape.
+    pub fn logits_and_embedding_batch(&self, inputs: &[RdInput]) -> (Matrix, Matrix) {
+        if inputs.is_empty() {
+            return (
+                Matrix::zeros(0, self.classes),
+                Matrix::zeros(0, FUSED_WIDTH),
+            );
+        }
+        let (logits, embeddings): (Vec<Vec<f32>>, Vec<Vec<f32>>) = inputs
+            .iter()
+            .map(|input| {
+                let t = self.forward(input);
+                (t.logits, t.fuse_act.row(0).to_vec())
+            })
+            .unzip();
+        (Matrix::from_rows(&logits), Matrix::from_rows(&embeddings))
     }
 
-    /// Map shape the conv branch expects.
-    pub fn map_shape(&self) -> (usize, usize) {
-        self.map_shape
-    }
-
-    /// Model name for telemetry and reports.
-    pub fn name(&self) -> &'static str {
-        "RdNet"
+    /// Training over a mini-batch: forward + backward for every
+    /// `(input, label)` pair in order, accumulating parameter gradients;
+    /// returns the summed loss. Pair with an external `Adam` step as for
+    /// the point models.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` and `labels` have different lengths, or an
+    /// input's map does not have the model's map shape.
+    pub fn train_step_batch(&mut self, inputs: &[&RdInput], labels: &[usize]) -> f32 {
+        assert_eq!(inputs.len(), labels.len(), "inputs/labels length mismatch");
+        inputs
+            .iter()
+            .zip(labels)
+            .map(|(x, &y)| self.train_one(x, y))
+            .sum()
     }
 
     fn forward(&self, input: &RdInput) -> RdTrace {
@@ -129,27 +158,7 @@ impl RdNet {
         }
     }
 
-    /// Class scores for one encoded sample.
-    pub fn logits(&self, input: &RdInput) -> Vec<f32> {
-        self.forward(input).logits
-    }
-
-    /// The fused 48-wide embedding (the identification feature vector).
-    pub fn embedding(&self, input: &RdInput) -> Vec<f32> {
-        self.forward(input).fuse_act.row(0).to_vec()
-    }
-
-    /// Class scores and the fused embedding they were computed from,
-    /// out of one forward pass.
-    pub fn logits_and_embedding(&self, input: &RdInput) -> (Vec<f32>, Vec<f32>) {
-        let t = self.forward(input);
-        (t.logits, t.fuse_act.row(0).to_vec())
-    }
-
-    /// One forward/backward pass accumulating gradients; returns the
-    /// sample loss. Pair with an external `Adam` step as for the point
-    /// models.
-    pub fn train_step(&mut self, input: &RdInput, label: usize) -> f32 {
+    fn train_one(&mut self, input: &RdInput, label: usize) -> f32 {
         let (h, w) = self.map_shape;
         let (h2, w2) = (h / 2, w / 2);
         let t = self.forward(input);
@@ -248,18 +257,28 @@ mod tests {
         }
     }
 
+    /// Logits of one input: a batch of one.
+    fn logits_of(model: &RdNet, input: &RdInput) -> Vec<f32> {
+        let (logits, _) = model.logits_and_embedding_batch(std::slice::from_ref(input));
+        logits.row(0).to_vec()
+    }
+
     #[test]
     fn shapes_and_taps() {
         let mut rng = StdRng::seed_from_u64(0);
         let model = RdNet::new(5, (16, 24), &mut rng);
-        let input = toy_input(0, 1);
-        assert_eq!(model.logits(&input).len(), 5);
-        assert_eq!(model.embedding(&input).len(), FUSED_WIDTH);
-        assert_eq!(model.classes(), 5);
-        assert_eq!(
-            model.logits_and_embedding(&input),
-            (model.logits(&input), model.embedding(&input))
-        );
+        let inputs = [toy_input(0, 1), toy_input(1, 2)];
+        let (logits, embeddings) = model.logits_and_embedding_batch(&inputs);
+        assert_eq!((logits.rows(), logits.cols()), (2, 5));
+        assert_eq!((embeddings.rows(), embeddings.cols()), (2, FUSED_WIDTH));
+        for (i, input) in inputs.iter().enumerate() {
+            let (one, embedding) = model.logits_and_embedding_batch(std::slice::from_ref(input));
+            assert_eq!(logits.row(i), one.row(0), "row {i}");
+            assert_eq!(embeddings.row(i), embedding.row(0), "embedding {i}");
+        }
+        let (logits, embeddings) = model.logits_and_embedding_batch(&[]);
+        assert_eq!((logits.rows(), logits.cols()), (0, 5));
+        assert_eq!((embeddings.rows(), embeddings.cols()), (0, FUSED_WIDTH));
     }
 
     #[test]
@@ -279,14 +298,14 @@ mod tests {
         let mut adam = Adam::new(5e-3);
         for _ in 0..40 {
             for (x, y) in &data {
-                model.train_step(x, *y);
+                model.train_step_batch(&[x], &[*y]);
                 adam.begin_step();
                 model.for_each_param(&mut |p, g| adam.update(p, g));
             }
         }
         let correct = data
             .iter()
-            .filter(|(x, y)| argmax(&model.logits(x)) == *y)
+            .filter(|(x, y)| argmax(&logits_of(&model, x)) == *y)
             .count();
         assert!(correct >= 7, "RdNet: {correct}/8");
     }

@@ -13,8 +13,8 @@
 
 use gestureprint_core::artifact::{kinds, Artifact, ModelArtifact, SCHEMA_VERSION};
 use gestureprint_core::{
-    classification_report, train_classifier, train_rd_classifier, ClassificationReport, ModelKind,
-    TrainConfig, TrainedModel,
+    classification_report, train_classifier, ClassificationReport, ModelKind, TrainConfig,
+    TrainedModel,
 };
 use gp_codec::{Decode, Encode, Value};
 use gp_models::features::FeatureConfig;
@@ -58,7 +58,7 @@ fn fixture_samples() -> Vec<LabeledSample> {
 fn train_fixture_model() -> TrainedModel {
     let samples = fixture_samples();
     let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-    train_classifier(&pairs, 2, &fixture_train_config())
+    train_classifier(&pairs, 2, &fixture_train_config(), None)
 }
 
 #[test]
@@ -107,7 +107,7 @@ fn fixture_rd_train_config() -> TrainConfig {
 fn train_fixture_rd_model() -> TrainedModel {
     let samples = toy_rd_samples(3);
     let pairs: Vec<(&RdLabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
-    train_rd_classifier(&pairs, 2, &fixture_rd_train_config())
+    train_classifier(&pairs, 2, &fixture_rd_train_config(), None)
 }
 
 #[test]

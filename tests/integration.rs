@@ -76,6 +76,7 @@ fn all_architectures_beat_chance_on_gestures() {
                 model: kind,
                 ..quick_train()
             },
+            None,
         );
         let report = classification_report(&model, &gr_test);
         assert!(
@@ -101,8 +102,8 @@ fn deterministic_end_to_end() {
         epochs: 3,
         ..quick_train()
     };
-    let ma = train_classifier(&pa, 5, &cfg);
-    let mb = train_classifier(&pb, 5, &cfg);
+    let ma = train_classifier(&pa, 5, &cfg, None);
+    let mb = train_classifier(&pb, 5, &cfg, None);
     for (x, y) in sa.iter().zip(sb.iter()) {
         assert_eq!(ma.probabilities_batch(&[*x]), mb.probabilities_batch(&[*y]));
     }
@@ -116,7 +117,7 @@ fn report_metrics_are_coherent() {
     let train: Vec<&LabeledSample> = tr.iter().map(|&i| samples[i]).collect();
     let test: Vec<&LabeledSample> = te.iter().map(|&i| samples[i]).collect();
     let pairs: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (*s, s.user)).collect();
-    let model = train_classifier(&pairs, 3, &quick_train());
+    let model = train_classifier(&pairs, 3, &quick_train(), None);
     let test_pairs: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (*s, s.user)).collect();
     let r = classification_report(&model, &test_pairs);
     assert!(r.accuracy >= 0.0 && r.accuracy <= 1.0);
