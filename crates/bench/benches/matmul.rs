@@ -157,8 +157,9 @@ fn bench_matmul(c: &mut Criterion) {
         // reported, not gated. The ≥2× matmul floor needs a SIMD
         // micro-kernel: the naive ikj loop autovectorizes to near the
         // SSE2 mul+add peak, which no scalar-codegen kernel can double.
-        // With the default std-only build the blocked engine must merely
-        // not lose to naive (0.9 leaves room for timer noise);
+        // Where only the scalar micro-kernel exists (off `x86_64`) the
+        // blocked engine must merely not lose to naive (0.9 leaves room
+        // for timer noise);
         // matmul_transpose's naive row-dot reduction does not vectorize,
         // so its 2× floor holds on every backend. Smoke mode (`--test`)
         // skips the assertions: 5 iterations on a shared CI box is not a

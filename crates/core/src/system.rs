@@ -25,8 +25,9 @@ pub struct GesturePrintConfig {
     pub mode: IdentificationMode,
     /// Training configuration shared by all models.
     pub train: TrainConfig,
-    /// Number of worker threads for training the per-gesture identifiers
-    /// (`0` = available parallelism).
+    /// Number of worker threads that train the gesture model and the
+    /// identifiers side by side (`0` = available parallelism). The
+    /// trained weights do not depend on it.
     pub threads: usize,
 }
 
@@ -122,8 +123,9 @@ impl GesturePrint {
     ///
     /// In serialized mode one identifier is trained per gesture (on that
     /// gesture's samples only); gestures with no training samples fall
-    /// back to a global identifier. Identifier training runs in parallel
-    /// across gestures.
+    /// back to a global identifier. The gesture model and every
+    /// identifier train in parallel on a pool of `config.threads`
+    /// workers, in both modes.
     ///
     /// # Panics
     ///
@@ -158,7 +160,7 @@ impl GesturePrint {
 
     /// The body of [`GesturePrint::train`] and [`GesturePrint::train_rd`]
     /// over samples of either backend: every model goes through
-    /// [`train_classifier`].
+    /// [`train_classifier`], as one job of a single pool map.
     fn train_with<'a, S: Copy + Into<SampleRef<'a>>>(
         samples: &[S],
         gestures: usize,
@@ -169,44 +171,50 @@ impl GesturePrint {
         let samples: Vec<SampleRef<'a>> = samples.iter().map(|&s| s.into()).collect();
         let gesture_pairs: Vec<(SampleRef<'a>, usize)> =
             samples.iter().map(|&s| (s, s.labels().0)).collect();
-        let gesture_model = train_classifier(&gesture_pairs, gestures, &config.train, None);
-
         let all_pairs: Vec<(SampleRef<'a>, usize)> =
             samples.iter().map(|&s| (s, s.labels().1)).collect();
-        let identifiers = match config.mode {
-            IdentificationMode::Parallel => {
-                vec![train_classifier(&all_pairs, users, &config.train, None)]
-            }
+        // Serialized mode: each gesture's samples, labelled by user.
+        let groups: Vec<Vec<(SampleRef<'a>, usize)>> = match config.mode {
+            IdentificationMode::Parallel => Vec::new(),
             IdentificationMode::Serialized => {
-                // Group samples per gesture.
-                let mut groups: Vec<Vec<(SampleRef<'a>, usize)>> = vec![Vec::new(); gestures];
+                let mut groups = vec![Vec::new(); gestures];
                 for &s in &samples {
                     let (gesture, user) = s.labels();
                     groups[gesture].push((s, user));
                 }
+                groups
+            }
+        };
 
-                // Train per-gesture identifiers in parallel on the
-                // shared runtime pool; `scope_map` preserves gesture
-                // order, so no re-sorting is needed.
-                let train_cfg = &config.train;
-                let pool = WorkerPool::new(config.threads);
-                pool.scope_map((0..gestures).collect(), |_, g| {
-                    let pairs: &[(SampleRef<'a>, usize)] = if groups[g].is_empty() {
-                        &all_pairs
-                    } else {
-                        &groups[g]
-                    };
-                    let mut cfg = train_cfg.clone();
+        // One job per model: the gesture model first (it sees every
+        // sample, so it is the longest job and should start first), then
+        // the identifiers in dispatch order.
+        let mut jobs = vec![(gesture_pairs.as_slice(), gestures, config.train.clone())];
+        match config.mode {
+            IdentificationMode::Parallel => jobs.push((&all_pairs, users, config.train.clone())),
+            IdentificationMode::Serialized => {
+                for (g, group) in groups.iter().enumerate() {
+                    let pairs = if group.is_empty() { &all_pairs } else { group };
+                    let mut cfg = config.train.clone();
                     cfg.seed = cfg.seed.wrapping_add(g as u64 * 0x1009);
                     // Per-gesture identifiers see a fraction of the data;
                     // scale epochs (capped at 3×) so each model gets a
                     // comparable optimisation budget.
                     let ratio = (samples.len() as f64 / pairs.len().max(1) as f64).min(3.0);
                     cfg.epochs = ((cfg.epochs as f64) * ratio).round() as usize;
-                    train_classifier(pairs, users, &cfg, None)
-                })
+                    jobs.push((pairs, users, cfg));
+                }
             }
-        };
+        }
+
+        // Every model is seeded on its own and `scope_map` keeps job
+        // order, so the weights do not depend on the worker count.
+        let pool = WorkerPool::new(config.threads);
+        let mut models = pool.scope_map(jobs, |_, (pairs, classes, cfg)| {
+            train_classifier(pairs, classes, &cfg, None)
+        });
+        let gesture_model = models.remove(0);
+        let identifiers = models;
 
         GesturePrint {
             gesture_model,

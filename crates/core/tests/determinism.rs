@@ -4,12 +4,16 @@
 //! training.
 //!
 //! This extends the builder-level `single_thread_matches_parallel` unit
-//! test (`gp-datasets`) across crate boundaries into `gp-core`. The
-//! identification embedding an inference returns is held to the same
-//! bar, against a separate forward of the dispatched identifier
-//! (`embedding_for_gesture`).
+//! test (`gp-datasets`) across crate boundaries into `gp-core`, for both
+//! identification modes and both sensing backends: the gesture model and
+//! the identifiers train side by side on one pool, so their weights must
+//! not depend on its size. The identification embedding an inference
+//! returns is held to the same bar, against a separate forward of the
+//! dispatched identifier (`embedding_for_gesture`).
 
-use gestureprint_core::{GesturePrint, GesturePrintConfig, IdentificationMode, TrainConfig};
+use gestureprint_core::{
+    ArtifactFormat, GesturePrint, GesturePrintConfig, IdentificationMode, TrainConfig,
+};
 use gp_datasets::{build, presets, BuildOptions, Dataset, Scale};
 use gp_pipeline::LabeledSample;
 use gp_rd::RdLabeledSample;
@@ -48,18 +52,24 @@ fn dataset_identical_across_thread_counts() {
     }
 }
 
+/// The trained system's full binary artifact: every weight of the
+/// gesture model and of each identifier, byte for byte.
+fn weights(system: &GesturePrint) -> Vec<u8> {
+    system.save_artifact_with(ArtifactFormat::Binary)
+}
+
 #[test]
 fn trained_system_identical_across_thread_counts() {
     let seq = build_with_threads(1);
     let par = build_with_threads(4);
-    let train_on = |ds: &Dataset, threads: usize| -> GesturePrint {
+    let train_on = |ds: &Dataset, mode: IdentificationMode, threads: usize| -> GesturePrint {
         let samples = ordered(ds);
         GesturePrint::train(
             &samples,
             5,
             2,
             &GesturePrintConfig {
-                mode: IdentificationMode::Serialized,
+                mode,
                 train: TrainConfig {
                     epochs: 4,
                     ..quick_train()
@@ -68,47 +78,88 @@ fn trained_system_identical_across_thread_counts() {
             },
         )
     };
-    let system_seq = train_on(&seq, 1);
-    let system_par = train_on(&par, 4);
+    for mode in [IdentificationMode::Serialized, IdentificationMode::Parallel] {
+        let system_seq = train_on(&seq, mode, 1);
+        let system_par = train_on(&par, mode, 4);
+        assert!(
+            weights(&system_seq) == weights(&system_par),
+            "{mode:?}: trained weights diverge between 1 and 4 threads"
+        );
 
-    // Identical inference on every probe sample, bit for bit.
-    for probe in ordered(&seq) {
-        let a = system_seq.infer(probe);
-        let b = system_par.infer(probe);
-        assert_eq!(a.gesture, b.gesture);
-        assert_eq!(a.user, b.user);
-        assert_eq!(
-            a.gesture_probs, b.gesture_probs,
-            "gesture posteriors diverge"
-        );
-        assert_eq!(a.user_probs, b.user_probs, "user posteriors diverge");
-        // The embedding inference hands back is the one a separate
-        // forward of the dispatched identifier computes.
-        assert_eq!(
-            a.embedding,
-            system_seq.embedding_for_gesture(probe, a.gesture),
-            "inference embedding diverges from the identifier's tap"
-        );
-        assert!(a.embedding.is_some(), "GesIDNet identifiers have a tap");
-        assert_eq!(a.embedding, b.embedding, "embeddings diverge");
+        // Identical inference on every probe sample, bit for bit.
+        for probe in ordered(&seq) {
+            let a = system_seq.infer(probe);
+            let b = system_par.infer(probe);
+            assert_eq!(a.gesture, b.gesture);
+            assert_eq!(a.user, b.user);
+            assert_eq!(
+                a.gesture_probs, b.gesture_probs,
+                "{mode:?}: gesture posteriors diverge"
+            );
+            assert_eq!(
+                a.user_probs, b.user_probs,
+                "{mode:?}: user posteriors diverge"
+            );
+            // The embedding inference hands back is the one a separate
+            // forward of the dispatched identifier computes.
+            assert_eq!(
+                a.embedding,
+                system_seq.embedding_for_gesture(probe, a.gesture),
+                "{mode:?}: inference embedding diverges from the identifier's tap"
+            );
+            assert!(a.embedding.is_some(), "GesIDNet identifiers have a tap");
+            assert_eq!(a.embedding, b.embedding, "{mode:?}: embeddings diverge");
+        }
+
+        // And the batched path is bit-identical for every batch size
+        // 1..=8, embeddings included, regardless of which thread count
+        // trained the system: batch composition must never leak into
+        // predictions.
+        let probes = ordered(&seq);
+        let reference: Vec<_> = probes.iter().map(|p| system_seq.infer(p)).collect();
+        for system in [&system_seq, &system_par] {
+            for batch in 1..=8usize {
+                let mut batched = Vec::with_capacity(probes.len());
+                for chunk in probes.chunks(batch) {
+                    batched.extend(system.infer_batch(chunk));
+                }
+                assert_eq!(
+                    batched, reference,
+                    "{mode:?}: batched inference diverges at batch size {batch}"
+                );
+            }
+        }
     }
 
-    // And the batched path is bit-identical for every batch size 1..=8,
-    // embeddings included, regardless of which thread count trained the
-    // system: batch composition must never leak into predictions.
-    let probes = ordered(&seq);
-    let reference: Vec<_> = probes.iter().map(|p| system_seq.infer(p)).collect();
-    for system in [&system_seq, &system_par] {
-        for batch in 1..=8usize {
-            let mut batched = Vec::with_capacity(probes.len());
-            for chunk in probes.chunks(batch) {
-                batched.extend(system.infer_batch(chunk));
-            }
-            assert_eq!(
-                batched, reference,
-                "batched inference diverges at batch size {batch}"
-            );
-        }
+    // The range-Doppler backend trains through the same pool.
+    let samples = gp_testkit::toy_rd_samples(3);
+    let refs: Vec<&RdLabeledSample> = samples.iter().collect();
+    for mode in [IdentificationMode::Serialized, IdentificationMode::Parallel] {
+        let train_rd = |threads: usize| {
+            GesturePrint::train_rd(
+                &refs,
+                2,
+                2,
+                &GesturePrintConfig {
+                    mode,
+                    train: TrainConfig {
+                        epochs: 4,
+                        ..gp_testkit::quick_rd_train()
+                    },
+                    threads,
+                },
+            )
+        };
+        let (rd_seq, rd_par) = (train_rd(1), train_rd(4));
+        assert!(
+            weights(&rd_seq) == weights(&rd_par),
+            "RD {mode:?}: trained weights diverge between 1 and 4 threads"
+        );
+        assert_eq!(
+            rd_seq.infer_batch(&refs),
+            rd_par.infer_batch(&refs),
+            "RD {mode:?}: inference diverges between 1 and 4 threads"
+        );
     }
 }
 

@@ -24,11 +24,20 @@
 //!
 //! * results are bit-identical run to run,
 //! * the scalar, SSE2, and AVX2 micro-kernels are bit-identical to each
-//!   other (verified by `tests/kernel_properties.rs` under
-//!   `--features simd`), so enabling the feature never changes logits,
+//!   other (verified by `tests/kernel_properties.rs` on every `x86_64`
+//!   test run), so which backend [`active_backend`] picks never changes
+//!   a logit,
 //! * each output row is a function of its input rows alone, preserving
 //!   the batch-size-independence that `GesIDNet::forward_batch`'s
 //!   bit-exactness guarantee rests on.
+//!
+//! # Backends
+//!
+//! On `x86_64` every build compiles the SSE2 and AVX2 micro-kernels, and
+//! [`active_backend`] picks the widest one the CPU supports at runtime.
+//! Other targets run the portable scalar micro-kernel, which also stays
+//! the oracle the SIMD kernels are pinned against through
+//! [`gemm_with_backend`].
 //!
 //! The pre-existing naive triple loops are retained below as
 //! [`naive_matmul`]/[`naive_matmul_transpose`]/[`naive_transpose_matmul`]
@@ -51,45 +60,38 @@ const SMALL_FLOPS: usize = 8 * 1024;
 
 /// Which micro-kernel executes the inner loop.
 ///
-/// `Auto` resolves via [`active_backend`]; the explicit variants exist
-/// so tests can pin a backend and assert cross-backend bit-equality.
+/// Production products run on [`active_backend`]'s choice; the variants
+/// are public so tests can pin a backend through [`gemm_with_backend`]
+/// and assert cross-backend bit-equality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Portable scalar micro-kernel (always available).
+    /// Portable scalar micro-kernel (always available; the oracle).
     Scalar,
-    /// SSE2 (baseline on `x86_64`); only built under `--features simd`.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    /// SSE2 (baseline on `x86_64`).
+    #[cfg(target_arch = "x86_64")]
     Sse2,
-    /// AVX2, runtime-detected; only built under `--features simd`.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    /// AVX2, runtime-detected on `x86_64`.
+    #[cfg(target_arch = "x86_64")]
     Avx2,
 }
 
 /// The backend `Matrix`'s products dispatch to on this machine: the
-/// widest SIMD micro-kernel the CPU supports when the `simd` feature is
-/// enabled, otherwise the scalar one. (All backends are bit-identical;
-/// this only selects speed.)
+/// widest SIMD micro-kernel the CPU supports on `x86_64`, the scalar one
+/// elsewhere. (All backends are bit-identical; this only selects speed.)
 pub fn active_backend() -> Backend {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    // std caches the CPUID probe, so this is one atomic load per call.
+    #[cfg(target_arch = "x86_64")]
     {
-        use std::sync::atomic::{AtomicU8, Ordering};
-        static DETECTED: AtomicU8 = AtomicU8::new(0);
-        match DETECTED.load(Ordering::Relaxed) {
-            1 => return Backend::Avx2,
-            2 => return Backend::Sse2,
-            _ => {}
-        }
-        let backend = if std::arch::is_x86_feature_detected!("avx2") {
-            DETECTED.store(1, Ordering::Relaxed);
+        if std::arch::is_x86_feature_detected!("avx2") {
             Backend::Avx2
         } else {
-            DETECTED.store(2, Ordering::Relaxed);
             Backend::Sse2
-        };
-        return backend;
+        }
     }
-    #[allow(unreachable_code)]
-    Backend::Scalar
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        Backend::Scalar
+    }
 }
 
 /// `a · b` through the blocked engine (production path of
@@ -111,6 +113,10 @@ pub fn transpose_matmul(a: &Matrix, b: &Matrix) -> Matrix {
 /// The blocked engine with a pinned [`Backend`], bypassing the
 /// small-shape fast path so the micro-kernel under test actually runs.
 /// Test/bench entry point; production code uses the `Matrix` methods.
+///
+/// # Panics
+///
+/// Panics if `backend` is `Backend::Avx2` on a CPU without AVX2.
 pub fn gemm_with_backend(
     a: &Matrix,
     a_trans: bool,
@@ -118,6 +124,11 @@ pub fn gemm_with_backend(
     b_trans: bool,
     backend: Backend,
 ) -> Matrix {
+    #[cfg(target_arch = "x86_64")]
+    assert!(
+        backend != Backend::Avx2 || std::arch::is_x86_feature_detected!("avx2"),
+        "Backend::Avx2 pinned on a CPU without AVX2"
+    );
     let (m, n, k) = gemm_dims(a, a_trans, b, b_trans);
     let mut c = Matrix::zeros(m, n);
     gemm_blocked(a, a_trans, b, b_trans, m, n, k, backend, &mut c);
@@ -369,12 +380,11 @@ fn run_microkernel(
 ) {
     match backend {
         Backend::Scalar => microkernel_scalar(apack, bpanel, klen, acc),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => microkernel_sse2(apack, bpanel, klen, acc),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: Avx2 is only ever produced by `active_backend` after
-        // runtime detection, or passed explicitly by tests that did the
-        // same check.
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 reaches here only from `active_backend`'s runtime
+        // detection or through `gemm_with_backend`, which checks the CPU.
         Backend::Avx2 => unsafe { microkernel_avx2(apack, bpanel, klen, acc) },
     }
 }
@@ -403,7 +413,7 @@ fn microkernel_scalar(apack: &[f32], bpanel: &[f32], klen: usize, acc: &mut [[f3
 /// SSE2 micro-kernel: the `NR` lane runs as two 128-bit halves.
 /// Multiply-then-add (no FMA) keeps rounding identical to the scalar
 /// kernel lane for lane.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn microkernel_sse2(apack: &[f32], bpanel: &[f32], klen: usize, acc: &mut [[f32; NR]; MR]) {
     use std::arch::x86_64::*;
     // SAFETY: SSE2 is part of the x86_64 baseline; all pointer reads are
@@ -432,7 +442,7 @@ fn microkernel_sse2(apack: &[f32], bpanel: &[f32], klen: usize, acc: &mut [[f32;
 /// # Safety
 ///
 /// The CPU must support AVX2 (callers go through [`active_backend`]).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn microkernel_avx2(apack: &[f32], bpanel: &[f32], klen: usize, acc: &mut [[f32; NR]; MR]) {
     use std::arch::x86_64::*;

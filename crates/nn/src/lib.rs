@@ -17,7 +17,7 @@
 //! * **Determinism** — all initialisation is seeded, and the matmul
 //!   kernels ([`kernels`]) accumulate every output element in a fixed
 //!   ascending-k order, so results are bit-stable run to run and across
-//!   the scalar/SIMD backends (`--features simd`).
+//!   the scalar, SSE2 and AVX2 micro-kernels (picked at runtime).
 //!
 //! # Example
 //!

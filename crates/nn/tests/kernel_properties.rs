@@ -6,7 +6,7 @@
 //!   are not multiples of the `MR`/`NR` tiles and cross the `KC` cache
 //!   tile),
 //! * two runs of the blocked kernel are bit-identical,
-//! * under `--features simd`, every available SIMD backend is
+//! * on `x86_64`, SSE2 and the runtime-detected backend are
 //!   bit-identical to the pinned scalar backend (not merely close).
 
 use gp_nn::kernels::{self, Backend, KC, MR, NR};
@@ -140,10 +140,10 @@ proptest! {
     }
 }
 
-/// Under `--features simd`, every backend the machine supports must be
+/// On `x86_64`, SSE2 and the backend `active_backend` detects must be
 /// bit-identical to the scalar micro-kernel — the contract that makes
-/// the feature flag a pure speed knob.
-#[cfg(feature = "simd")]
+/// the runtime dispatch a pure speed choice.
+#[cfg(target_arch = "x86_64")]
 #[test]
 fn simd_backends_bit_identical_to_scalar() {
     let backends = [Backend::Sse2, kernels::active_backend()];
@@ -180,9 +180,8 @@ fn simd_backends_bit_identical_to_scalar() {
     }
 }
 
-/// Two runs of the SIMD-dispatched kernel are bit-identical (the
-/// feature-flag half of the determinism satellite).
-#[cfg(feature = "simd")]
+/// Two runs of the SIMD-dispatched kernel are bit-identical.
+#[cfg(target_arch = "x86_64")]
 #[test]
 fn simd_kernel_is_run_to_run_deterministic() {
     let backend = kernels::active_backend();
