@@ -1,7 +1,7 @@
 //! Batched vs sequential inference through the full GesturePrint stack.
 //!
-//! `GesturePrint::infer_batch` routes every sample through
-//! `GesIDNet::forward_batch` (deduplicated grouping + multi-row
+//! `GesturePrint::infer_batch` routes every sample through GesIDNet's
+//! `logits_and_embedding_batch` (deduplicated grouping + multi-row
 //! kernels). "Sequential" means N single `infer` calls, each a batch of
 //! one through the same stacked code, so the pair of benchmarks below
 //! measures what stacking N segments saves. The parity assertion at

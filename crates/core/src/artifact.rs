@@ -310,7 +310,8 @@ impl ModelArtifact {
     /// # Errors
     ///
     /// [`ArtifactError::Malformed`] when the declared architecture
-    /// cannot be built (a pooled shape with a side not divisible by 4);
+    /// cannot be built (a pooled shape with a side not divisible by 4,
+    /// or a point-cloud model with `feature.num_points` 0);
     /// [`ArtifactError::Params`] when the stream does not match the
     /// declared architecture (truncated, corrupt, or mislabeled).
     pub fn into_model(&self) -> Result<TrainedModel, ArtifactError> {
@@ -802,8 +803,9 @@ mod tests {
     #[test]
     fn unpoolable_shapes_fail_typed_never_panic() {
         // ProfileCNN and RdNet pool their 2-D input twice, so each side
-        // of its shape must be divisible by 4. An artifact declaring
-        // another shape is malformed, in either byte format, alone or
+        // of its shape must be divisible by 4, and a point-cloud model
+        // cannot encode a sample into zero points. An artifact declaring
+        // such a shape is malformed, in either byte format, alone or
         // inside a system.
         let mut rng = StdRng::seed_from_u64(0);
         let mut fresh = |kind| {
@@ -814,6 +816,8 @@ mod tests {
         profile.feature.profile_shape = (5, 5);
         let mut rd = ModelArtifact::from_model(&fresh(ModelKind::RdNet));
         rd.rd_feature.map_shape = (5, 5);
+        let mut pointless = ModelArtifact::from_model(&fresh(ModelKind::GesIdNet));
+        pointless.feature.num_points = 0;
         let system = GesturePrint::from_parts(
             fresh(ModelKind::ProfileCnn),
             vec![fresh(ModelKind::ProfileCnn)],
@@ -821,25 +825,35 @@ mod tests {
             2,
             2,
         );
-        let mut system_payload = Artifact::from_bytes(&system.save_artifact())
+        let system_payload = Artifact::from_bytes(&system.save_artifact())
             .unwrap()
             .payload
             .as_map()
             .unwrap()
             .clone();
-        system_payload.insert("gesture_model".into(), profile.encode());
-        let names_the_shape =
-            |e: &ArtifactError| matches!(e, ArtifactError::Malformed(m) if m.contains("(5, 5)"));
+        let names = |e: &ArtifactError, what: &str| matches!(e, ArtifactError::Malformed(m) if m.contains(what));
         for format in [ArtifactFormat::Json, ArtifactFormat::Binary] {
-            for bad in [&profile, &rd] {
+            for (bad, what) in [
+                (&profile, "(5, 5)"),
+                (&rd, "(5, 5)"),
+                (&pointless, "feature.num_points"),
+            ] {
                 let bytes = Artifact::new(kinds::MODEL, bad.encode()).into_bytes_with(format);
                 let err = TrainedModel::load_artifact(&bytes).unwrap_err();
-                assert!(names_the_shape(&err), "{:?}, {format:?}: {err}", bad.kind);
+                assert!(names(&err, what), "{:?}, {format:?}: {err}", bad.kind);
             }
-            let bytes = Artifact::new(kinds::SYSTEM, Value::Map(system_payload.clone()))
-                .into_bytes_with(format);
-            let err = GesturePrint::load_artifact(&bytes).unwrap_err();
-            assert!(names_the_shape(&err), "system, {format:?}: {err}");
+            for (bad, what) in [(&profile, "(5, 5)"), (&pointless, "feature.num_points")] {
+                let mut payload = system_payload.clone();
+                payload.insert("gesture_model".into(), bad.encode());
+                let bytes =
+                    Artifact::new(kinds::SYSTEM, Value::Map(payload)).into_bytes_with(format);
+                let err = GesturePrint::load_artifact(&bytes).unwrap_err();
+                assert!(
+                    names(&err, what),
+                    "system, {:?}, {format:?}: {err}",
+                    bad.kind
+                );
+            }
         }
     }
 

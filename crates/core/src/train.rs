@@ -395,7 +395,9 @@ impl TrainedModel {
     ///
     /// A message naming the shape when `kind` pools a 2-D input
     /// (ProfileCNN's `feature.profile_shape`, RdNet's
-    /// `rd_feature.map_shape`) whose sides are not divisible by 4.
+    /// `rd_feature.map_shape`) whose sides are not divisible by 4, or
+    /// naming `feature.num_points` when a point-cloud `kind` would
+    /// encode samples into zero points.
     pub(crate) fn build(
         kind: ModelKind,
         classes: usize,
@@ -404,6 +406,12 @@ impl TrainedModel {
         encode_seed: u64,
         rng: &mut StdRng,
     ) -> Result<Self, String> {
+        if kind.backend() == SensingBackend::PointCloud && feature.num_points == 0 {
+            return Err(format!(
+                "{} needs a feature.num_points above 0",
+                kind.name()
+            ));
+        }
         let pooled = match kind {
             ModelKind::ProfileCnn => Some(("feature.profile_shape", feature.profile_shape)),
             ModelKind::RdNet => Some(("rd_feature.map_shape", rd_feature.map_shape)),
@@ -503,7 +511,8 @@ impl TrainedModel {
 /// Panics if `samples` is empty, any label is `>= classes`, a sample is
 /// not of `config.model`'s backend, or `config` gives the architecture a
 /// shape it cannot pool: ProfileCNN's `feature.profile_shape` or RdNet's
-/// `rd_feature` map shape with a side not divisible by 4.
+/// `rd_feature` map shape with a side not divisible by 4, or a
+/// point-cloud architecture a `feature.num_points` of 0.
 pub fn train_classifier<'a, S: Copy + Into<SampleRef<'a>>>(
     samples: &[(S, usize)],
     classes: usize,

@@ -14,9 +14,11 @@
 //!   modelling in Pantomime/Tesla).
 
 use crate::features::{ModelInput, POINT_FEATURES, SEQUENCE_FEATURES};
+use crate::mlp::{SharedMlp, SharedMlpTrace};
 use crate::PointModel;
-use gp_nn::conv::{maxpool2x2, maxpool2x2_backward};
-use gp_nn::{softmax_cross_entropy, Conv2d, Linear, Lstm, Matrix, MaxPool, Parameterized, Relu};
+use gp_nn::conv::ConvStackTrace;
+use gp_nn::lstm::LstmTrace;
+use gp_nn::{softmax_cross_entropy, ConvStack, Linear, Lstm, Matrix, MaxPool, Parameterized, Relu};
 use rand::Rng;
 
 /// A batch through a per-sample forward: one logits row per input, in
@@ -49,8 +51,7 @@ fn sum_steps(
 #[derive(Debug, Clone)]
 pub struct PointNet {
     classes: usize,
-    l1: Linear,
-    l2: Linear,
+    mlp: SharedMlp,
     head_a: Linear,
     head_b: Linear,
 }
@@ -60,28 +61,21 @@ impl PointNet {
     pub fn new<R: Rng>(classes: usize, rng: &mut R) -> Self {
         PointNet {
             classes,
-            l1: Linear::new(POINT_FEATURES, 48, rng),
-            l2: Linear::new(48, 96, rng),
+            mlp: SharedMlp::new(POINT_FEATURES, 48, 96, rng),
             head_a: Linear::new(96, 48, rng),
             head_b: Linear::new(48, classes, rng),
         }
     }
 
     fn forward(&self, input: &ModelInput) -> PointNetTrace {
-        let pre1 = self.l1.forward(&input.points);
-        let act1 = Relu.forward(&pre1);
-        let pre2 = self.l2.forward(&act1);
-        let act2 = Relu.forward(&pre2);
-        let (global, arg) = MaxPool.forward(&act2);
+        let (points, mlp) = self.mlp.forward(&input.points);
+        let (global, arg) = MaxPool.forward(&points);
         let g_m = Matrix::from_rows(&[global.clone()]);
         let hpre = self.head_a.forward(&g_m);
         let hact = Relu.forward(&hpre);
         let logits = self.head_b.forward(&hact).row(0).to_vec();
         PointNetTrace {
-            pre1,
-            act1,
-            pre2,
-            act2,
+            mlp,
             global,
             arg,
             hpre,
@@ -98,21 +92,15 @@ impl PointNet {
         let g = Relu.backward(&t.hpre, &g);
         let g_m = Matrix::from_rows(&[t.global.clone()]);
         let dglobal = self.head_a.backward(&g_m, &g);
-        let g = MaxPool.backward(t.act2.rows(), &t.arg, dglobal.row(0));
-        let g = Relu.backward(&t.pre2, &g);
-        let g = self.l2.backward(&t.act1, &g);
-        let g = Relu.backward(&t.pre1, &g);
-        let _ = self.l1.backward(&input.points, &g);
+        let g = MaxPool.backward(input.points.rows(), &t.arg, dglobal.row(0));
+        let _ = self.mlp.backward(&input.points, &t.mlp, &g);
         loss
     }
 }
 
 #[derive(Debug, Clone)]
 struct PointNetTrace {
-    pre1: Matrix,
-    act1: Matrix,
-    pre2: Matrix,
-    act2: Matrix,
+    mlp: SharedMlpTrace,
     global: Vec<f32>,
     arg: Vec<usize>,
     hpre: Matrix,
@@ -132,15 +120,13 @@ impl PointModel for PointNet {
 
 impl Parameterized for PointNet {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.l1.for_each_param(f);
-        self.l2.for_each_param(f);
+        self.mlp.for_each_param(f);
         self.head_a.for_each_param(f);
         self.head_b.for_each_param(f);
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
-        self.l1.visit_params(f);
-        self.l2.visit_params(f);
+        self.mlp.visit_params(f);
         self.head_a.visit_params(f);
         self.head_b.visit_params(f);
     }
@@ -151,9 +137,7 @@ impl Parameterized for PointNet {
 #[derive(Debug, Clone)]
 pub struct ProfileCnn {
     classes: usize,
-    shape: (usize, usize),
-    conv1: Conv2d,
-    conv2: Conv2d,
+    conv: ConvStack,
     head_a: Linear,
     head_b: Linear,
 }
@@ -166,44 +150,24 @@ impl ProfileCnn {
     ///
     /// Panics if the shape is not divisible by 4.
     pub fn new<R: Rng>(classes: usize, shape: (usize, usize), rng: &mut R) -> Self {
-        assert!(
-            shape.0 % 4 == 0 && shape.1 % 4 == 0,
-            "profile shape must be divisible by 4"
-        );
-        let flat = 12 * (shape.0 / 4) * (shape.1 / 4);
+        let conv = ConvStack::new(shape, rng);
         ProfileCnn {
             classes,
-            shape,
-            conv1: Conv2d::new(1, 6, rng),
-            conv2: Conv2d::new(6, 12, rng),
-            head_a: Linear::new(flat, 48, rng),
+            head_a: Linear::new(conv.output_len(), 48, rng),
             head_b: Linear::new(48, classes, rng),
+            conv,
         }
     }
 
-    #[allow(clippy::type_complexity)]
     fn forward(&self, input: &ModelInput) -> ProfileTrace {
-        let (h, w) = self.shape;
-        let c1 = self.conv1.forward(&input.profile, h, w);
-        let a1: Vec<f32> = c1.iter().map(|v| v.max(0.0)).collect();
-        let (p1, arg1) = maxpool2x2(&a1, 6, h, w);
-        let (h2, w2) = (h / 2, w / 2);
-        let c2 = self.conv2.forward(&p1, h2, w2);
-        let a2: Vec<f32> = c2.iter().map(|v| v.max(0.0)).collect();
-        let (p2, arg2) = maxpool2x2(&a2, 12, h2, w2);
-        let flat = Matrix::from_rows(&[p2.clone()]);
+        let (flat, conv) = self.conv.forward(&input.profile);
+        let flat = Matrix::from_rows(&[flat]);
         let hpre = self.head_a.forward(&flat);
         let hact = Relu.forward(&hpre);
         let logits = self.head_b.forward(&hact).row(0).to_vec();
         ProfileTrace {
-            c1,
-            a1,
-            p1,
-            arg1,
-            c2,
-            a2,
-            p2,
-            arg2,
+            conv,
+            flat,
             hpre,
             hact,
             logits,
@@ -211,44 +175,21 @@ impl ProfileCnn {
     }
 
     fn train_one(&mut self, input: &ModelInput, label: usize) -> f32 {
-        let (h, w) = self.shape;
-        let (h2, w2) = (h / 2, w / 2);
         let t = self.forward(input);
         let (loss, grad) = softmax_cross_entropy(&t.logits, label);
         let g = Matrix::from_rows(&[grad]);
         let g = self.head_b.backward(&t.hact, &g);
         let g = Relu.backward(&t.hpre, &g);
-        let flat = Matrix::from_rows(&[t.p2.clone()]);
-        let dflat = self.head_a.backward(&flat, &g);
-        let dp2 = dflat.row(0);
-        let da2 = maxpool2x2_backward(dp2, &t.arg2, t.a2.len());
-        let dc2: Vec<f32> = da2
-            .iter()
-            .zip(t.c2.iter())
-            .map(|(g, &c)| if c > 0.0 { *g } else { 0.0 })
-            .collect();
-        let dp1 = self.conv2.backward(&t.p1, &dc2, h2, w2);
-        let da1 = maxpool2x2_backward(&dp1, &t.arg1, t.a1.len());
-        let dc1: Vec<f32> = da1
-            .iter()
-            .zip(t.c1.iter())
-            .map(|(g, &c)| if c > 0.0 { *g } else { 0.0 })
-            .collect();
-        let _ = self.conv1.backward(&input.profile, &dc1, h, w);
+        let dflat = self.head_a.backward(&t.flat, &g);
+        let _ = self.conv.backward(&input.profile, &t.conv, dflat.row(0));
         loss
     }
 }
 
 #[derive(Debug, Clone)]
 struct ProfileTrace {
-    c1: Vec<f32>,
-    a1: Vec<f32>,
-    p1: Vec<f32>,
-    arg1: Vec<usize>,
-    c2: Vec<f32>,
-    a2: Vec<f32>,
-    p2: Vec<f32>,
-    arg2: Vec<usize>,
+    conv: ConvStackTrace,
+    flat: Matrix,
     hpre: Matrix,
     hact: Matrix,
     logits: Vec<f32>,
@@ -266,15 +207,13 @@ impl PointModel for ProfileCnn {
 
 impl Parameterized for ProfileCnn {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.conv1.for_each_param(f);
-        self.conv2.for_each_param(f);
+        self.conv.for_each_param(f);
         self.head_a.for_each_param(f);
         self.head_b.for_each_param(f);
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
-        self.conv1.visit_params(f);
-        self.conv2.visit_params(f);
+        self.conv.visit_params(f);
         self.head_a.visit_params(f);
         self.head_b.visit_params(f);
     }
@@ -299,17 +238,19 @@ impl LstmNet {
         }
     }
 
-    fn forward(&self, input: &ModelInput) -> Vec<f32> {
-        let (h, _) = self.lstm.forward(&input.sequence);
-        self.head.forward(&Matrix::from_rows(&[h])).row(0).to_vec()
+    /// The logits, plus what the backward needs: the final hidden state
+    /// (the head's input) and the LSTM's trace.
+    fn forward(&self, input: &ModelInput) -> (Vec<f32>, Matrix, LstmTrace) {
+        let (h, trace) = self.lstm.forward(&input.sequence);
+        let h = Matrix::from_rows(&[h]);
+        let logits = self.head.forward(&h).row(0).to_vec();
+        (logits, h, trace)
     }
 
     fn train_one(&mut self, input: &ModelInput, label: usize) -> f32 {
-        let (h, trace) = self.lstm.forward(&input.sequence);
-        let h_m = Matrix::from_rows(&[h]);
-        let logits = self.head.forward(&h_m).row(0).to_vec();
+        let (logits, h, trace) = self.forward(input);
         let (loss, grad) = softmax_cross_entropy(&logits, label);
-        let dh = self.head.backward(&h_m, &Matrix::from_rows(&[grad]));
+        let dh = self.head.backward(&h, &Matrix::from_rows(&[grad]));
         self.lstm.backward(&trace, dh.row(0));
         loss
     }
@@ -317,7 +258,7 @@ impl LstmNet {
 
 impl PointModel for LstmNet {
     fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>) {
-        stack_logits(self.classes, inputs, |x| self.forward(x))
+        stack_logits(self.classes, inputs, |x| self.forward(x).0)
     }
 
     fn train_step_batch(&mut self, inputs: &[&ModelInput], labels: &[usize]) -> f32 {

@@ -22,6 +22,7 @@
 //!    sum, i.e. `aux_weight = 1`).
 
 use crate::features::{ModelInput, POINT_FEATURES};
+use crate::mlp::{SharedMlp, SharedMlpTrace};
 use crate::PointModel;
 use gp_nn::{softmax, softmax_cross_entropy, Linear, Matrix, MaxPool, Parameterized, Relu};
 use gp_pointcloud::sampling::farthest_point_indices;
@@ -129,74 +130,8 @@ impl GesIDNetConfig {
     }
 }
 
-/// A two-layer shared MLP (Linear→ReLU→Linear→ReLU) applied point-wise.
-#[derive(Debug, Clone)]
-struct SharedMlp {
-    l1: Linear,
-    l2: Linear,
-}
-
-#[derive(Debug, Clone)]
-struct SharedMlpTrace {
-    x: Matrix,
-    pre1: Matrix,
-    act1: Matrix,
-    pre2: Matrix,
-}
-
-impl SharedMlp {
-    fn new<R: Rng>(input: usize, hidden: usize, out: usize, rng: &mut R) -> Self {
-        SharedMlp {
-            l1: Linear::new(input, hidden, rng),
-            l2: Linear::new(hidden, out, rng),
-        }
-    }
-
-    /// Inference-only forward (no trace): the batched path stacks many
-    /// groups into one matrix and runs both layers as single multi-row
-    /// kernels. Row-for-row bit-identical to [`SharedMlp::forward`].
-    fn infer(&self, x: &Matrix) -> Matrix {
-        Relu.forward(&self.l2.forward(&Relu.forward(&self.l1.forward(x))))
-    }
-
-    fn forward(&self, x: Matrix) -> (Matrix, SharedMlpTrace) {
-        let pre1 = self.l1.forward(&x);
-        let act1 = Relu.forward(&pre1);
-        let pre2 = self.l2.forward(&act1);
-        let out = Relu.forward(&pre2);
-        (
-            out,
-            SharedMlpTrace {
-                x,
-                pre1,
-                act1,
-                pre2,
-            },
-        )
-    }
-
-    fn backward(&mut self, t: &SharedMlpTrace, grad_out: &Matrix) -> Matrix {
-        let g = Relu.backward(&t.pre2, grad_out);
-        let g = self.l2.backward(&t.act1, &g);
-        let g = Relu.backward(&t.pre1, &g);
-        self.l1.backward(&t.x, &g)
-    }
-}
-
-impl Parameterized for SharedMlp {
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.l1.for_each_param(f);
-        self.l2.for_each_param(f);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
-        self.l1.visit_params(f);
-        self.l2.visit_params(f);
-    }
-}
-
-/// Per-sample geometry shared by the stacked forward paths: the point
-/// cloud, its FPS centroids, and the per-sample centroid counts.
+/// Per-sample geometry of a batch: the point cloud, its FPS centroids,
+/// and the per-sample centroid counts.
 struct BatchGeometry {
     clouds: Vec<PointCloud>,
     centroids: Vec<Vec<Vec3>>,
@@ -213,11 +148,21 @@ struct Sa2Stack {
     members: Vec<Vec<usize>>,
 }
 
-/// Trace of one shared-MLP + segmented-pool stage over stacked groups.
-struct StackedScaleTrace {
-    lens: Vec<usize>,
+/// Trace of one set-abstraction stage (an SA1 scale or SA2) over
+/// stacked groups: the shared MLP's input and intermediates, the group
+/// lengths, and each group's segment-local pool argmaxes.
+struct SaTrace {
+    x: Matrix,
     mlp: SharedMlpTrace,
+    lens: Vec<usize>,
     pool_args: Vec<Vec<usize>>,
+}
+
+/// Trace of one global-feature stage (`F¹` or `F²`): the projection's
+/// pre-activation and each sample's pool argmaxes.
+struct GlobalTrace {
+    pre: Matrix,
+    args: Vec<Vec<usize>>,
 }
 
 /// Attention-fusion intermediates at one level for a whole batch (row
@@ -233,29 +178,24 @@ struct BatchFusionTrace {
     weights: Vec<[f32; 2]>,
 }
 
-/// Trace of a batched training forward pass: every intermediate the
-/// batched backward needs, with all samples' groups stacked per stage.
+/// What a recording [`GesIDNet::forward`] keeps for the backward: every
+/// intermediate, with all samples' rows stacked per stage, and the
+/// training-only level-2 fusion `Y²` and auxiliary head P2.
 struct BatchTrace {
-    sa1: Vec<StackedScaleTrace>,
+    sa1: Vec<SaTrace>,
     sa1_concat: Matrix, // (Σ n₁) × c1
     counts1: Vec<usize>,
-    low_pre: Matrix,
-    f1_args: Vec<Vec<usize>>,
+    low: GlobalTrace,
     sa2_members: Vec<Vec<usize>>,
-    sa2_lens: Vec<usize>,
-    sa2_mlp_trace: SharedMlpTrace,
-    sa2_pool_args: Vec<Vec<usize>>,
+    sa2: SaTrace,
     sa2_out: Matrix, // (Σ n₂) × out
     counts2: Vec<usize>,
-    high_pre: Matrix,
-    f2_args: Vec<Vec<usize>>,
+    high: GlobalTrace,
     fusion1: Option<BatchFusionTrace>,
-    y1: Matrix,
-    fusion2: Option<BatchFusionTrace>,
-    y2: Matrix,
     h1_pre: Matrix,
     h1_act: Matrix,
-    logits1: Matrix,
+    fusion2: Option<BatchFusionTrace>,
+    y2: Matrix,
     h2_pre_a: Matrix,
     h2_act_a: Matrix,
     h2_pre_b: Matrix,
@@ -313,65 +253,6 @@ impl GesIDNet {
     /// The configuration.
     pub fn config(&self) -> &GesIDNetConfig {
         &self.config
-    }
-
-    /// Genuinely batched inference: one row of P1 logits per input, and
-    /// the fused feature `Y¹` each row was classified from (the
-    /// identification embedding, `low_dim` wide).
-    ///
-    /// This is [`PointModel::logits_and_embedding_batch`]. Work is shared
-    /// two ways, while staying bit-identical to running each input alone
-    /// as a batch of one:
-    ///
-    /// 1. **Deduplication** — identical inputs (same positions and
-    ///    features) run FPS, grouping, and the whole forward once; their
-    ///    logits and embedding rows are copied to every duplicate. The
-    ///    scan is O(B²) comparisons, fine at micro-batch sizes.
-    /// 2. **Multi-row kernels** — per scale, every group of every
-    ///    sample is stacked into one matrix, so each shared MLP runs as
-    ///    two big matmuls instead of `B × n₁` small ones, pooled by
-    ///    [`MaxPool::forward_segments`]. The projections, the attention
-    ///    fusion, and the primary head likewise run over all samples'
-    ///    rows at once. (The auxiliary head P2 is training-only and is
-    ///    skipped entirely here.)
-    ///
-    /// Bit-exactness holds because every kernel computes each output
-    /// row from its input rows alone, in the same operation order
-    /// whatever the batch size.
-    pub fn forward_batch(&self, inputs: &[ModelInput]) -> (Matrix, Matrix) {
-        if inputs.is_empty() {
-            return (
-                Matrix::zeros(0, self.config.classes),
-                Matrix::zeros(0, self.config.low_dim),
-            );
-        }
-        // Dedupe identical inputs so shared FPS/grouping work runs once:
-        // `unique[k]` is the index of the k-th distinct input, and
-        // `source[i]` is the distinct slot input `i` maps to.
-        let mut unique: Vec<usize> = Vec::new();
-        let mut source: Vec<usize> = Vec::with_capacity(inputs.len());
-        for (i, input) in inputs.iter().enumerate() {
-            match unique.iter().position(|&u| &inputs[u] == input) {
-                Some(k) => source.push(k),
-                None => {
-                    source.push(unique.len());
-                    unique.push(i);
-                }
-            }
-        }
-        let uniq: Vec<&ModelInput> = unique.iter().map(|&i| &inputs[i]).collect();
-        let (logits, embeddings) = self.forward_stacked(&uniq);
-        if uniq.len() == inputs.len() {
-            return (logits, embeddings);
-        }
-        let expand = |m: &Matrix| {
-            let mut out = Matrix::zeros(inputs.len(), m.cols());
-            for (i, &k) in source.iter().enumerate() {
-                out.row_mut(i).copy_from_slice(m.row(k));
-            }
-            out
-        };
-        (expand(&logits), expand(&embeddings))
     }
 
     /// Per-sample geometry: each input's FPS centroids (grouping is
@@ -434,10 +315,30 @@ impl GesIDNet {
         }
     }
 
-    /// The stacked forward over distinct inputs (see
-    /// [`GesIDNet::forward_batch`] for the kernel layout): the P1 logits
-    /// and the fused features `Y¹` they were computed from.
-    fn forward_stacked(&self, inputs: &[&ModelInput]) -> (Matrix, Matrix) {
+    /// The stacked forward, GesIDNet's one body for inference and
+    /// training: the P1 logits and the fused features `Y¹` they were
+    /// computed from, one row per input.
+    ///
+    /// Per scale, every group of every sample is stacked into one
+    /// matrix, so each shared MLP runs as two big matmuls instead of
+    /// `B × n₁` small ones, pooled per group by one segmented kernel.
+    /// The projections, the attention fusion and the heads likewise run
+    /// over all samples' rows at once. Every kernel computes each output
+    /// row from its input rows alone, in the same operation order
+    /// whatever the batch size, so each row is bit-identical to its
+    /// input run as a batch of one.
+    ///
+    /// With `record` the forward also returns the backward's trace: it
+    /// keeps every stage's intermediates and pool argmaxes, and runs the
+    /// level-2 fusion `Y²` and the auxiliary head P2, which exist only
+    /// for the training loss. Without it each stage drops its
+    /// intermediates when it ends and pools without argmaxes, so
+    /// inference pays for none of the recording.
+    fn forward(
+        &self,
+        inputs: &[&ModelInput],
+        record: bool,
+    ) -> (Matrix, Matrix, Option<BatchTrace>) {
         let cfg = &self.config;
         let c1_dim: usize = cfg.sa1_scales.iter().map(|s| s.out).sum();
         let geo = self.batch_geometry(inputs);
@@ -445,155 +346,115 @@ impl GesIDNet {
 
         // --- SA1: per scale, stack every group of every sample -------
         let mut sa1_concat = Matrix::zeros(total_c1, c1_dim);
+        let mut sa1 = Vec::new();
         let mut col_off = 0;
         for (scale, mlp) in cfg.sa1_scales.iter().zip(&self.sa1_mlps) {
             let (stacked, lens) = stack_sa1_scale(inputs, &geo, scale);
-            let pooled = MaxPool.forward_segments(&mlp.infer(&stacked), &lens);
+            let (pooled, trace) = sa_stage(mlp, stacked, lens, record);
             for r in 0..total_c1 {
                 sa1_concat.row_mut(r)[col_off..col_off + scale.out].copy_from_slice(pooled.row(r));
             }
             col_off += scale.out;
+            sa1.extend(trace);
         }
 
         // --- Low-level feature F1: one projection over all samples'
         // centroid rows, pooled per sample ----------------------------
-        let low = Relu.forward(&self.low_proj.forward(&sa1_concat));
-        let f1 = MaxPool.forward_segments(&low, &geo.counts1); // b × low_dim
+        let (f1, low) = global_stage(&self.low_proj, &sa1_concat, &geo.counts1, record);
 
         // --- SA2 over SA1 centroids, stacked across the batch --------
         let sa2s = self.stack_sa2(&geo, &sa1_concat);
-        let sa2_out = MaxPool.forward_segments(&self.sa2_mlp.infer(&sa2s.stacked), &sa2s.lens);
+        let (sa2_out, sa2) = sa_stage(&self.sa2_mlp, sa2s.stacked, sa2s.lens, record);
 
         // --- High-level feature F2 -----------------------------------
-        let high = Relu.forward(&self.high_proj.forward(&sa2_out));
-        let f2 = MaxPool.forward_segments(&high, &sa2s.counts2); // b × high_dim
+        let (f2, high) = global_stage(&self.high_proj, &sa2_out, &sa2s.counts2, record);
 
-        // --- Attention fusion (Eqs. 2–3), batched: score all samples'
-        // candidates with two multi-row passes of g, then weight
-        // per row. Only Y¹ is needed: P1 is the inference output and
-        // Y¹ the identification embedding. -----------------------------
-        let y1 = if cfg.fusion {
-            fuse_batch(&self.rb_low, &self.g1, &f2, &f1).0
-        } else {
-            f1
-        };
+        // --- Attention fusion (Eqs. 2–3) at level 1, batched: score
+        // all samples' candidates with two multi-row passes of g, then
+        // weight per row. Y¹ is the identification embedding. --------
+        let (y1, fusion1) = self.fuse(&self.rb_low, &self.g1, &f2, &f1);
 
-        // --- Primary head P1 as multi-row matmuls --------------------
-        let hidden = Relu.forward(&self.head1_a.forward(&y1));
-        (self.head1_b.forward(&hidden), y1)
-    }
-
-    /// Batched training forward: the same stacked kernel layout as
-    /// [`GesIDNet::forward_stacked`], but keeping every intermediate
-    /// (MLP traces, segment argmaxes, fusion weights) and running the
-    /// auxiliary head P2, which inference skips.
-    fn forward_batch_trace(&self, inputs: &[&ModelInput]) -> BatchTrace {
-        let cfg = &self.config;
-        let c1_dim: usize = cfg.sa1_scales.iter().map(|s| s.out).sum();
-        let geo = self.batch_geometry(inputs);
-        let total_c1: usize = geo.counts1.iter().sum();
-
-        // --- SA1 with traces -----------------------------------------
-        let mut sa1_concat = Matrix::zeros(total_c1, c1_dim);
-        let mut sa1 = Vec::with_capacity(self.sa1_mlps.len());
-        let mut col_off = 0;
-        for (scale, mlp) in cfg.sa1_scales.iter().zip(&self.sa1_mlps) {
-            let (stacked, lens) = stack_sa1_scale(inputs, &geo, scale);
-            let (out, mlp_trace) = mlp.forward(stacked);
-            let (pooled, pool_args) = MaxPool.forward_segments_trace(&out, &lens);
-            for r in 0..total_c1 {
-                sa1_concat.row_mut(r)[col_off..col_off + scale.out].copy_from_slice(pooled.row(r));
-            }
-            col_off += scale.out;
-            sa1.push(StackedScaleTrace {
-                lens,
-                mlp: mlp_trace,
-                pool_args,
-            });
-        }
-
-        // --- Low-level feature F1 ------------------------------------
-        let low_pre = self.low_proj.forward(&sa1_concat);
-        let low_act = Relu.forward(&low_pre);
-        let (f1, f1_args) = MaxPool.forward_segments_trace(&low_act, &geo.counts1);
-
-        // --- SA2 with traces -----------------------------------------
-        let sa2s = self.stack_sa2(&geo, &sa1_concat);
-        let (out2, sa2_mlp_trace) = self.sa2_mlp.forward(sa2s.stacked);
-        let (sa2_out, sa2_pool_args) = MaxPool.forward_segments_trace(&out2, &sa2s.lens);
-
-        // --- High-level feature F2 -----------------------------------
-        let high_pre = self.high_proj.forward(&sa2_out);
-        let high_act = Relu.forward(&high_pre);
-        let (f2, f2_args) = MaxPool.forward_segments_trace(&high_act, &sa2s.counts2);
-
-        // --- Attention fusion, both levels ---------------------------
-        let (y1, fusion1) = if cfg.fusion {
-            let (y, t) = fuse_batch(&self.rb_low, &self.g1, &f2, &f1);
-            (y, Some(t))
-        } else {
-            (f1.clone(), None)
-        };
-        let (y2, fusion2) = if cfg.fusion {
-            let (y, t) = fuse_batch(&self.rb_high, &self.g2, &f1, &f2);
-            (y, Some(t))
-        } else {
-            (f2.clone(), None)
-        };
-
-        // --- Heads (multi-row) ---------------------------------------
+        // --- Primary head P1, the inference output -------------------
         let h1_pre = self.head1_a.forward(&y1);
         let h1_act = Relu.forward(&h1_pre);
-        let logits1 = self.head1_b.forward(&h1_act);
+        let logits = self.head1_b.forward(&h1_act);
 
+        // Without `record` no stage kept a trace, and the forward ends
+        // here.
+        let (Some(low), Some(sa2), Some(high)) = (low, sa2, high) else {
+            return (logits, y1, None);
+        };
+
+        // --- Y² and the auxiliary head P2, for the training loss -----
+        let (y2, fusion2) = self.fuse(&self.rb_high, &self.g2, &f1, &f2);
         let h2_pre_a = self.head2_a.forward(&y2);
         let h2_act_a = Relu.forward(&h2_pre_a);
         let h2_pre_b = self.head2_b.forward(&h2_act_a);
         let h2_act_b = Relu.forward(&h2_pre_b);
         let logits2 = self.head2_c.forward(&h2_act_b);
 
-        BatchTrace {
+        let trace = BatchTrace {
             sa1,
             sa1_concat,
             counts1: geo.counts1,
-            low_pre,
-            f1_args,
+            low,
             sa2_members: sa2s.members,
-            sa2_lens: sa2s.lens,
-            sa2_mlp_trace,
-            sa2_pool_args,
+            sa2,
             sa2_out,
             counts2: sa2s.counts2,
-            high_pre,
-            f2_args,
+            high,
             fusion1,
-            y1,
-            fusion2,
-            y2,
             h1_pre,
             h1_act,
-            logits1,
+            fusion2,
+            y2,
             h2_pre_a,
             h2_act_a,
             h2_pre_b,
             h2_act_b,
             logits2,
+        };
+        (logits, y1, Some(trace))
+    }
+
+    /// Attention fusion at one level, `Y^k` from `own = F^k` and the
+    /// other level's feature, or `Y^k = F^k` when the ablation turns
+    /// fusion off.
+    fn fuse(
+        &self,
+        rb: &Linear,
+        g: &Linear,
+        other: &Matrix,
+        own: &Matrix,
+    ) -> (Matrix, Option<BatchFusionTrace>) {
+        if self.config.fusion {
+            let (y, t) = fuse_batch(rb, g, other, own);
+            (y, Some(t))
+        } else {
+            (own.clone(), None)
         }
     }
 
-    /// Batched backward of [`GesIDNet::forward_batch_trace`]: loss
-    /// `CE(P1) + aux_weight·CE(P2)` per sample, then every Linear/ReLU
-    /// backward runs once over all samples' stacked rows and every
-    /// pooled gradient scatters through [`MaxPool::backward_segments`].
-    /// Gradients accumulate for the whole mini-batch; the caller takes
-    /// one optimizer step. Returns the summed loss.
-    fn backward_batch(&mut self, t: &BatchTrace, labels: &[usize]) -> f32 {
+    /// Backward of a recording [`GesIDNet::forward`] that returned
+    /// `logits1`, `y1` and `t`: loss `CE(P1) + aux_weight·CE(P2)` per
+    /// sample, then every Linear/ReLU backward runs once over all
+    /// samples' stacked rows and every pooled gradient scatters through
+    /// [`MaxPool::backward_segments`]. Gradients accumulate for the
+    /// whole mini-batch; the caller takes one optimizer step. Returns
+    /// the summed loss.
+    fn backward_batch(
+        &mut self,
+        logits1: &Matrix,
+        y1: &Matrix,
+        t: &BatchTrace,
+        labels: &[usize],
+    ) -> f32 {
         let b = labels.len();
         let mut total_loss = 0.0f32;
         let mut g1m = Matrix::zeros(b, self.config.classes);
         let mut g2m = Matrix::zeros(b, self.config.classes);
         for (i, &label) in labels.iter().enumerate() {
-            let (l1, grad1) = softmax_cross_entropy(t.logits1.row(i), label);
+            let (l1, grad1) = softmax_cross_entropy(logits1.row(i), label);
             let (l2, grad2) = softmax_cross_entropy(t.logits2.row(i), label);
             g1m.row_mut(i).copy_from_slice(&grad1);
             for (dst, g) in g2m.row_mut(i).iter_mut().zip(&grad2) {
@@ -605,7 +466,7 @@ impl GesIDNet {
         // Head 1 backward → dY1 (b × low_dim).
         let g = self.head1_b.backward(&t.h1_act, &g1m);
         let g = Relu.backward(&t.h1_pre, &g);
-        let dy1 = self.head1_a.backward(&t.y1, &g);
+        let dy1 = self.head1_a.backward(y1, &g);
 
         // Head 2 backward → dY2 (b × high_dim).
         let g = self.head2_c.backward(&t.h2_act_b, &g2m);
@@ -631,14 +492,12 @@ impl GesIDNet {
         };
 
         // High branch backward: F2 → sa2_out rows.
-        let g_high = MaxPool.backward_segments(&t.counts2, &t.f2_args, &df2);
-        let g_high = Relu.backward(&t.high_pre, &g_high);
-        let d_sa2_out = self.high_proj.backward(&t.sa2_out, &g_high);
+        let d_sa2_out =
+            global_stage_backward(&mut self.high_proj, &t.sa2_out, &t.counts2, &t.high, &df2);
 
         // SA2 backward: one stacked MLP pass, then scatter into the
         // global SA1 concat rows each group gathered from.
-        let g_pool2 = MaxPool.backward_segments(&t.sa2_lens, &t.sa2_pool_args, &d_sa2_out);
-        let g_group2 = self.sa2_mlp.backward(&t.sa2_mlp_trace, &g_pool2);
+        let g_group2 = sa_stage_backward(&mut self.sa2_mlp, &t.sa2, &d_sa2_out);
         let mut d_sa1_concat = Matrix::zeros(t.sa1_concat.rows(), t.sa1_concat.cols());
         let mut base = 0;
         for members in &t.sa2_members {
@@ -655,9 +514,8 @@ impl GesIDNet {
         }
 
         // Low branch backward: F1 → SA1 concat rows.
-        let g_low = MaxPool.backward_segments(&t.counts1, &t.f1_args, &df1);
-        let g_low = Relu.backward(&t.low_pre, &g_low);
-        let d_low = self.low_proj.backward(&t.sa1_concat, &g_low);
+        let d_low =
+            global_stage_backward(&mut self.low_proj, &t.sa1_concat, &t.counts1, &t.low, &df1);
         d_sa1_concat.add_assign(&d_low);
 
         // SA1 backward per scale: slice this scale's columns out of the
@@ -665,7 +523,6 @@ impl GesIDNet {
         // shared MLP in one stacked pass.
         let mut offset = 0;
         for (scale_i, scale) in self.config.sa1_scales.iter().enumerate() {
-            let st = &t.sa1[scale_i];
             let width = scale.out;
             let mut d_scale = Matrix::zeros(d_sa1_concat.rows(), width);
             for r in 0..d_sa1_concat.rows() {
@@ -673,13 +530,76 @@ impl GesIDNet {
                     .row_mut(r)
                     .copy_from_slice(&d_sa1_concat.row(r)[offset..offset + width]);
             }
-            let g_pool = MaxPool.backward_segments(&st.lens, &st.pool_args, &d_scale);
-            let _ = self.sa1_mlps[scale_i].backward(&st.mlp, &g_pool);
+            let _ = sa_stage_backward(&mut self.sa1_mlps[scale_i], &t.sa1[scale_i], &d_scale);
             offset += width;
         }
 
         total_loss
     }
+}
+
+/// Segmented max-pool. Only a recording forward computes the argmaxes:
+/// [`MaxPool::forward_segments`] skips them, and inference runs it.
+fn pool(x: &Matrix, lens: &[usize], record: bool) -> (Matrix, Option<Vec<Vec<usize>>>) {
+    if record {
+        let (pooled, args) = MaxPool.forward_segments_trace(x, lens);
+        (pooled, Some(args))
+    } else {
+        (MaxPool.forward_segments(x, lens), None)
+    }
+}
+
+/// A set-abstraction stage: the shared MLP over every stacked group
+/// row, then one max-pool per group of `lens` rows. Without `record`
+/// the MLP's intermediates are dropped here, at the end of the stage.
+fn sa_stage(
+    mlp: &SharedMlp,
+    x: Matrix,
+    lens: Vec<usize>,
+    record: bool,
+) -> (Matrix, Option<SaTrace>) {
+    let (out, mlp_trace) = mlp.forward(&x);
+    let (pooled, pool_args) = pool(&out, &lens, record);
+    let trace = pool_args.map(|pool_args| SaTrace {
+        x,
+        mlp: mlp_trace,
+        lens,
+        pool_args,
+    });
+    (pooled, trace)
+}
+
+/// Backward of [`sa_stage`]: the gradient w.r.t. its stacked group rows.
+fn sa_stage_backward(mlp: &mut SharedMlp, t: &SaTrace, grad_out: &Matrix) -> Matrix {
+    let g = MaxPool.backward_segments(&t.lens, &t.pool_args, grad_out);
+    mlp.backward(&t.x, &t.mlp, &g)
+}
+
+/// A global-feature stage (`F¹` or `F²`): projection and ReLU over every
+/// row of `x`, then one max-pool per sample of `counts` rows.
+fn global_stage(
+    proj: &Linear,
+    x: &Matrix,
+    counts: &[usize],
+    record: bool,
+) -> (Matrix, Option<GlobalTrace>) {
+    let pre = proj.forward(x);
+    let (pooled, args) = pool(&Relu.forward(&pre), counts, record);
+    (pooled, args.map(|args| GlobalTrace { pre, args }))
+}
+
+/// Backward of [`global_stage`] over the same `x` and `counts`: the
+/// gradient w.r.t. `x`.
+fn global_stage_backward(
+    proj: &mut Linear,
+    x: &Matrix,
+    counts: &[usize],
+    t: &GlobalTrace,
+    grad_out: &Matrix,
+) -> Matrix {
+    let g = MaxPool.backward_segments(counts, &t.args, grad_out);
+    let g = Relu.backward(&t.pre, &g);
+    proj.backward(x, &g)
 }
 
 /// Stacks every SA1 group of every sample for one scale into a single
@@ -790,10 +710,43 @@ fn fuse_backward_batch(
 
 impl PointModel for GesIDNet {
     fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>) {
-        // The deduped stacked forward; the primary prediction P1 is the
-        // inference output (paper §IV-C).
-        let (logits, embeddings) = self.forward_batch(inputs);
-        (logits, Some(embeddings))
+        if inputs.is_empty() {
+            return (
+                Matrix::zeros(0, self.config.classes),
+                Some(Matrix::zeros(0, self.config.low_dim)),
+            );
+        }
+        // Identical inputs (same positions and features) run FPS,
+        // grouping and the forward once, and their rows are copied to
+        // every duplicate. `unique[k]` is the index of the k-th distinct
+        // input, and `source[i]` the distinct slot input `i` maps to.
+        // The scan is O(B²) comparisons, fine at micro-batch sizes.
+        let mut unique: Vec<usize> = Vec::new();
+        let mut source: Vec<usize> = Vec::with_capacity(inputs.len());
+        for (i, input) in inputs.iter().enumerate() {
+            match unique.iter().position(|&u| &inputs[u] == input) {
+                Some(k) => source.push(k),
+                None => {
+                    source.push(unique.len());
+                    unique.push(i);
+                }
+            }
+        }
+        let uniq: Vec<&ModelInput> = unique.iter().map(|&i| &inputs[i]).collect();
+        // The primary prediction P1 is the inference output (paper
+        // §IV-C).
+        let (logits, embeddings, _) = self.forward(&uniq, false);
+        if uniq.len() == inputs.len() {
+            return (logits, Some(embeddings));
+        }
+        let expand = |m: &Matrix| {
+            let mut out = Matrix::zeros(inputs.len(), m.cols());
+            for (i, &k) in source.iter().enumerate() {
+                out.row_mut(i).copy_from_slice(m.row(k));
+            }
+            out
+        };
+        (expand(&logits), Some(expand(&embeddings)))
     }
 
     fn train_step_batch(&mut self, inputs: &[&ModelInput], labels: &[usize]) -> f32 {
@@ -801,20 +754,23 @@ impl PointModel for GesIDNet {
         if inputs.is_empty() {
             return 0.0;
         }
-        let trace = self.forward_batch_trace(inputs);
-        self.backward_batch(&trace, labels)
+        let (logits, y1, trace) = self.forward(inputs, true);
+        let trace = trace.expect("a recording forward returns its trace");
+        self.backward_batch(&logits, &y1, &trace, labels)
     }
 
     fn feature_taps(&self, input: &ModelInput) -> Option<(Vec<f32>, Vec<f32>, Vec<f32>)> {
-        // The training forward on a batch of one: F¹/F² are the fusion
+        // The recording forward on a batch of one: F¹/F² are the fusion
         // inputs at their own level (or Y¹/Y² themselves without
-        // fusion), so this also cross-checks the inference forward's Y¹.
-        let t = self.forward_batch_trace(&[input]);
+        // fusion), so this also cross-checks the non-recording
+        // forward's Y¹.
+        let (_, y1, trace) = self.forward(&[input], true);
+        let t = trace.expect("a recording forward returns its trace");
         let (f1, f2) = match (&t.fusion1, &t.fusion2) {
             (Some(t1), Some(t2)) => (t1.own.row(0).to_vec(), t2.own.row(0).to_vec()),
-            _ => (t.y1.row(0).to_vec(), t.y2.row(0).to_vec()),
+            _ => (y1.row(0).to_vec(), t.y2.row(0).to_vec()),
         };
-        Some((f1, f2, t.y1.row(0).to_vec()))
+        Some((f1, f2, y1.row(0).to_vec()))
     }
 }
 
@@ -892,10 +848,16 @@ mod tests {
         )
     }
 
+    /// Logits and embeddings of a batch.
+    fn batch_of(net: &GesIDNet, inputs: &[ModelInput]) -> (Matrix, Matrix) {
+        let (logits, embeddings) = net.logits_and_embedding_batch(inputs);
+        (logits, embeddings.expect("GesIDNet has an embedding"))
+    }
+
     /// Logits and embedding of one input: a batch of one.
     fn logits_and_embedding_of(net: &GesIDNet, input: &ModelInput) -> (Vec<f32>, Vec<f32>) {
-        let (logits, embeddings) = net.logits_and_embedding_batch(std::slice::from_ref(input));
-        (logits.row(0).to_vec(), embeddings.unwrap().row(0).to_vec())
+        let (logits, embeddings) = batch_of(net, std::slice::from_ref(input));
+        (logits.row(0).to_vec(), embeddings.row(0).to_vec())
     }
 
     fn logits_of(net: &GesIDNet, input: &ModelInput) -> Vec<f32> {
@@ -981,7 +943,7 @@ mod tests {
             let inputs: Vec<ModelInput> = (0..batch)
                 .map(|k| toy_input(10 + k as u64, 0.1 * k as f64))
                 .collect();
-            let (batched, embeddings) = net.forward_batch(&inputs);
+            let (batched, embeddings) = batch_of(&net, &inputs);
             assert_eq!(batched.rows(), batch);
             for (i, input) in inputs.iter().enumerate() {
                 let (logits, embedding) = logits_and_embedding_of(&net, input);
@@ -993,7 +955,7 @@ mod tests {
                 );
             }
         }
-        let (logits, embeddings) = net.forward_batch(&[]);
+        let (logits, embeddings) = batch_of(&net, &[]);
         assert_eq!((logits.rows(), embeddings.rows()), (0, 0));
     }
 
@@ -1006,7 +968,7 @@ mod tests {
         // Duplicates interleaved with distinct inputs must still land
         // each input's own logits in its own row.
         let inputs = vec![a.clone(), b.clone(), a.clone(), a, b];
-        let (batched, embeddings) = net.forward_batch(&inputs);
+        let (batched, embeddings) = batch_of(&net, &inputs);
         for (i, input) in inputs.iter().enumerate() {
             assert_eq!(batched.row(i), logits_of(&net, input).as_slice(), "row {i}");
         }
@@ -1027,7 +989,7 @@ mod tests {
             &mut rng,
         );
         let inputs: Vec<ModelInput> = (0..3).map(|k| toy_input(30 + k, 0.0)).collect();
-        let (batched, embeddings) = net.forward_batch(&inputs);
+        let (batched, embeddings) = batch_of(&net, &inputs);
         for (i, input) in inputs.iter().enumerate() {
             assert_eq!(batched.row(i), logits_of(&net, input).as_slice(), "row {i}");
             // Without fusion the embedding is the low-level feature F¹.
@@ -1156,10 +1118,11 @@ mod tests {
             let analytic = grads_of(&mut net);
 
             let loss_of = |net: &GesIDNet| {
-                let t = net.forward_batch_trace(&refs);
+                let (logits1, _, t) = net.forward(&refs, true);
+                let t = t.unwrap();
                 let mut loss = 0.0f32;
                 for (i, &label) in labels.iter().enumerate() {
-                    let (l1, _) = softmax_cross_entropy(t.logits1.row(i), label);
+                    let (l1, _) = softmax_cross_entropy(logits1.row(i), label);
                     let (l2, _) = softmax_cross_entropy(t.logits2.row(i), label);
                     loss += l1 + l2;
                 }

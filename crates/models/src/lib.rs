@@ -18,6 +18,7 @@
 pub mod baselines;
 pub mod features;
 pub mod gesidnet;
+mod mlp;
 
 pub use baselines::{LstmNet, PointNet, ProfileCnn};
 pub use features::{FeatureConfig, ModelInput};
@@ -37,9 +38,10 @@ pub trait PointModel: Parameterized + Send + Sync {
     /// one forward pass. Row `i` belongs to input `i`. The embeddings
     /// are `None` for architectures without a fusion tap.
     ///
-    /// GesIDNet runs the batch through its stacked multi-row kernels;
-    /// the baselines run their per-sample forward over the inputs in
-    /// order. Either way each row is bit-exact with its input run alone.
+    /// GesIDNet runs the batch through its one stacked forward without
+    /// recording anything for a backward; the baselines run their
+    /// per-sample forward over the inputs in order. Either way each row
+    /// is bit-exact with its input run alone.
     fn logits_and_embedding_batch(&self, inputs: &[ModelInput]) -> (Matrix, Option<Matrix>);
 
     /// Training over a mini-batch: forward + backward for every
@@ -47,10 +49,11 @@ pub trait PointModel: Parameterized + Send + Sync {
     /// the caller takes one optimizer step. Returns the summed loss.
     ///
     /// The baselines loop their per-sample step over the pairs in
-    /// order. GesIDNet pushes the whole mini-batch through one stacked
-    /// forward/backward, which computes the same mathematical gradient
-    /// sum as a loop of batches of one but may associate the
-    /// floating-point additions differently.
+    /// order. GesIDNet pushes the whole mini-batch through the same
+    /// stacked forward inference runs, recording its trace and the
+    /// auxiliary head P2, and then one stacked backward. That computes
+    /// the same mathematical gradient sum as a loop of batches of one
+    /// but may associate the floating-point additions differently.
     ///
     /// # Panics
     ///

@@ -12,8 +12,8 @@
 //!
 //! The live test checks every entry point a caller can reach — a batch
 //! of one through `logits_and_embedding_batch`, the per-sample
-//! `feature_taps`, and one `forward_batch` over all inputs plus a
-//! duplicate — against the fixture. A failure means the network's forward changed numerically.
+//! `feature_taps`, and one `logits_and_embedding_batch` over all inputs
+//! plus a duplicate — against the fixture. A failure means the network's forward changed numerically.
 //! If that is intended (a deliberate change to the architecture or its
 //! kernels), regenerate the fixture and say so in the change log:
 //!
@@ -198,7 +198,8 @@ fn forward_matches_golden_fixture() {
         // row is the input's own frozen output.
         let mut batch = inputs.clone();
         batch.push(inputs[0].clone());
-        let (logits, embeddings) = net.forward_batch(&batch);
+        let (logits, embeddings) = net.logits_and_embedding_batch(&batch);
+        let embeddings = embeddings.expect("GesIDNet has an embedding");
         assert_eq!(logits.rows(), batch.len());
         for r in 0..batch.len() {
             let want = &expected[r % inputs.len()];

@@ -28,7 +28,7 @@
 //!   test run), so which backend [`active_backend`] picks never changes
 //!   a logit,
 //! * each output row is a function of its input rows alone, preserving
-//!   the batch-size-independence that `GesIDNet::forward_batch`'s
+//!   the batch-size-independence that GesIDNet's batched-inference
 //!   bit-exactness guarantee rests on.
 //!
 //! # Backends

@@ -29,16 +29,6 @@ impl Linear {
         }
     }
 
-    /// Input feature count.
-    pub fn input_size(&self) -> usize {
-        self.w.cols()
-    }
-
-    /// Output feature count.
-    pub fn output_size(&self) -> usize {
-        self.w.rows()
-    }
-
     /// Forward pass: `(n × in) → (n × out)`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut y = x.matmul_transpose(&self.w);

@@ -54,7 +54,7 @@ pub mod matrix;
 pub mod optim;
 pub mod serialize;
 
-pub use conv::Conv2d;
+pub use conv::{Conv2d, ConvStack};
 pub use layers::{Linear, MaxPool, Relu};
 pub use loss::{argmax, softmax, softmax_cross_entropy, softmax_rows};
 pub use lstm::Lstm;

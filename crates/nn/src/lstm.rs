@@ -44,11 +44,6 @@ impl Lstm {
         }
     }
 
-    /// Hidden state size.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
-
     /// Runs the sequence, returning the final hidden state and the trace
     /// for [`Lstm::backward`].
     ///

@@ -147,13 +147,6 @@ impl Matrix {
             *a += b;
         }
     }
-
-    /// Scales all elements in place.
-    pub fn scale_assign(&mut self, k: f32) {
-        for v in &mut self.data {
-            *v *= k;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,12 +206,10 @@ mod tests {
     }
 
     #[test]
-    fn add_and_scale() {
+    fn add_assign_in_place() {
         let mut a = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let b = Matrix::from_rows(&[vec![3.0, -1.0]]);
         a.add_assign(&b);
         assert_eq!(a.row(0), &[4.0, 1.0]);
-        a.scale_assign(0.5);
-        assert_eq!(a.row(0), &[2.0, 0.5]);
     }
 }

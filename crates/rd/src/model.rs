@@ -9,8 +9,8 @@
 //! point-cloud side.
 
 use crate::features::{RdInput, RD_SEQUENCE_FEATURES};
-use gp_nn::conv::{maxpool2x2, maxpool2x2_backward};
-use gp_nn::{softmax_cross_entropy, Conv2d, Linear, Lstm, Matrix, Parameterized, Relu};
+use gp_nn::conv::ConvStackTrace;
+use gp_nn::{softmax_cross_entropy, ConvStack, Linear, Lstm, Matrix, Parameterized, Relu};
 use rand::Rng;
 
 /// Width of each branch code entering the fusion layer.
@@ -22,9 +22,7 @@ const FUSED_WIDTH: usize = 48;
 #[derive(Debug, Clone)]
 pub struct RdNet {
     classes: usize,
-    map_shape: (usize, usize),
-    conv1: Conv2d,
-    conv2: Conv2d,
+    conv: ConvStack,
     map_fc: Linear,
     lstm: Lstm,
     fuse: Linear,
@@ -32,14 +30,8 @@ pub struct RdNet {
 }
 
 struct RdTrace {
-    c1: Vec<f32>,
-    a1: Vec<f32>,
-    p1: Vec<f32>,
-    arg1: Vec<usize>,
-    c2: Vec<f32>,
-    a2: Vec<f32>,
-    p2: Vec<f32>,
-    arg2: Vec<usize>,
+    conv: ConvStackTrace,
+    flat: Matrix,
     map_pre: Matrix,
     lstm_trace: gp_nn::lstm::LstmTrace,
     concat: Matrix,
@@ -56,17 +48,11 @@ impl RdNet {
     ///
     /// Panics if the shape is not divisible by 4.
     pub fn new<R: Rng>(classes: usize, map_shape: (usize, usize), rng: &mut R) -> Self {
-        assert!(
-            map_shape.0 % 4 == 0 && map_shape.1 % 4 == 0,
-            "map shape must be divisible by 4"
-        );
-        let flat = 12 * (map_shape.0 / 4) * (map_shape.1 / 4);
+        let conv = ConvStack::new(map_shape, rng);
         RdNet {
             classes,
-            map_shape,
-            conv1: Conv2d::new(1, 6, rng),
-            conv2: Conv2d::new(6, 12, rng),
-            map_fc: Linear::new(flat, BRANCH_WIDTH, rng),
+            map_fc: Linear::new(conv.output_len(), BRANCH_WIDTH, rng),
+            conv,
             lstm: Lstm::new(RD_SEQUENCE_FEATURES, BRANCH_WIDTH, rng),
             fuse: Linear::new(2 * BRANCH_WIDTH, FUSED_WIDTH, rng),
             head: Linear::new(FUSED_WIDTH, classes, rng),
@@ -118,17 +104,9 @@ impl RdNet {
     }
 
     fn forward(&self, input: &RdInput) -> RdTrace {
-        let (h, w) = self.map_shape;
-        assert_eq!(input.map.len(), h * w, "map size mismatch");
-
-        let c1 = self.conv1.forward(&input.map, h, w);
-        let a1: Vec<f32> = c1.iter().map(|v| v.max(0.0)).collect();
-        let (p1, arg1) = maxpool2x2(&a1, 6, h, w);
-        let (h2, w2) = (h / 2, w / 2);
-        let c2 = self.conv2.forward(&p1, h2, w2);
-        let a2: Vec<f32> = c2.iter().map(|v| v.max(0.0)).collect();
-        let (p2, arg2) = maxpool2x2(&a2, 12, h2, w2);
-        let map_pre = self.map_fc.forward(&Matrix::from_rows(&[p2.clone()]));
+        let (flat, conv) = self.conv.forward(&input.map);
+        let flat = Matrix::from_rows(&[flat]);
+        let map_pre = self.map_fc.forward(&flat);
         let map_act = Relu.forward(&map_pre);
 
         let (lstm_h, lstm_trace) = self.lstm.forward(&input.sequence);
@@ -141,14 +119,8 @@ impl RdNet {
         let logits = self.head.forward(&fuse_act).row(0).to_vec();
 
         RdTrace {
-            c1,
-            a1,
-            p1,
-            arg1,
-            c2,
-            a2,
-            p2,
-            arg2,
+            conv,
+            flat,
             map_pre,
             lstm_trace,
             concat,
@@ -159,8 +131,6 @@ impl RdNet {
     }
 
     fn train_one(&mut self, input: &RdInput, label: usize) -> f32 {
-        let (h, w) = self.map_shape;
-        let (h2, w2) = (h / 2, w / 2);
         let t = self.forward(input);
         let (loss, grad) = softmax_cross_entropy(&t.logits, label);
 
@@ -179,31 +149,15 @@ impl RdNet {
 
         // Conv branch.
         let g = Relu.backward(&t.map_pre, &Matrix::from_rows(&[dmap_act]));
-        let dflat = self
-            .map_fc
-            .backward(&Matrix::from_rows(&[t.p2.clone()]), &g);
-        let da2 = maxpool2x2_backward(dflat.row(0), &t.arg2, t.a2.len());
-        let dc2: Vec<f32> = da2
-            .iter()
-            .zip(t.c2.iter())
-            .map(|(g, &c)| if c > 0.0 { *g } else { 0.0 })
-            .collect();
-        let dp1 = self.conv2.backward(&t.p1, &dc2, h2, w2);
-        let da1 = maxpool2x2_backward(&dp1, &t.arg1, t.a1.len());
-        let dc1: Vec<f32> = da1
-            .iter()
-            .zip(t.c1.iter())
-            .map(|(g, &c)| if c > 0.0 { *g } else { 0.0 })
-            .collect();
-        let _ = self.conv1.backward(&input.map, &dc1, h, w);
+        let dflat = self.map_fc.backward(&t.flat, &g);
+        let _ = self.conv.backward(&input.map, &t.conv, dflat.row(0));
         loss
     }
 }
 
 impl Parameterized for RdNet {
     fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.conv1.for_each_param(f);
-        self.conv2.for_each_param(f);
+        self.conv.for_each_param(f);
         self.map_fc.for_each_param(f);
         self.lstm.for_each_param(f);
         self.fuse.for_each_param(f);
@@ -211,8 +165,7 @@ impl Parameterized for RdNet {
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
-        self.conv1.visit_params(f);
-        self.conv2.visit_params(f);
+        self.conv.visit_params(f);
         self.map_fc.visit_params(f);
         self.lstm.visit_params(f);
         self.fuse.visit_params(f);
