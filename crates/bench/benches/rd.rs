@@ -10,10 +10,10 @@
 
 use criterion::{criterion_group, Criterion};
 use gp_bench::serve_config;
-use gp_rd::{extract_sample, RdConfig, RdFeatureConfig, RdFrame, RdSynthesizer};
+use gp_rd::{extract_sample, RdFeatureConfig, RdFrame};
 use gp_serve::ServeEngine;
 use gp_testkit::{
-    performance, rd_capture, rd_sample, toy_rd_system, toy_system, CANONICAL_DISTANCE,
+    performance, rd_capture, rd_frames, rd_sample, toy_rd_system, toy_system, CANONICAL_DISTANCE,
     CANONICAL_GESTURE,
 };
 
@@ -34,8 +34,7 @@ fn bench_rd(c: &mut Criterion) {
 
     group.bench_function("synthesize_capture", |b| {
         let perf = performance(0, CANONICAL_GESTURE, CANONICAL_DISTANCE, 7);
-        let synth = RdSynthesizer::new(RdConfig::default(), 7);
-        b.iter(|| synth.synthesize(&perf))
+        b.iter(|| rd_frames(&perf, 7))
     });
     group.bench_function("feature_extract_segment", |b| {
         let sample = rd_sample(0, CANONICAL_GESTURE, 3);

@@ -76,6 +76,21 @@ impl RadarConfig {
         }
     }
 
+    /// The single-antenna range-Doppler tap: 64 range bins × 16 Doppler
+    /// bins at the default 0.04 m / ±2.7 m/s resolution and 10 fps, out
+    /// to 64 × 0.04 m, with low thermal noise. Its power map is the
+    /// input of the range-Doppler backend (`gp-rd`).
+    pub fn range_doppler() -> Self {
+        RadarConfig {
+            samples_per_chirp: 64,
+            azimuth_antennas: 1,
+            elevation_antennas: 1,
+            max_range_m: 0.04 * 64.0,
+            noise_sigma: 0.05,
+            ..RadarConfig::default()
+        }
+    }
+
     /// Carrier wavelength λ (m).
     pub fn wavelength(&self) -> f64 {
         SPEED_OF_LIGHT / self.carrier_hz

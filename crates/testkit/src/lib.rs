@@ -15,13 +15,15 @@ use gestureprint_core::{
 use gp_datasets::{build, presets, BuildOptions, Dataset, DatasetSpec, Scale};
 use gp_kinematics::gestures::{GestureId, GestureSet};
 use gp_kinematics::performance::PerformanceConfig;
-use gp_kinematics::{Performance, UserProfile};
+use gp_kinematics::{Performance, Scatterer, UserProfile};
 use gp_models::features::FeatureConfig;
 use gp_pipeline::{LabeledSample, Preprocessor, PreprocessorConfig};
 use gp_pointcloud::{Point, PointCloud, Vec3};
+use gp_radar::processing::{power_map, range_doppler_maps};
+use gp_radar::signal::synthesize_frame;
 use gp_radar::{Backend, Environment, Frame, RadarConfig, RadarSimulator, Scene};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Seed shared by every fixture profile (the "cohort" seed).
 pub const PROFILE_SEED: u64 = 42;
@@ -229,17 +231,50 @@ pub fn toy_labeled_samples(reps: usize) -> Vec<LabeledSample> {
     out
 }
 
-/// Captures one performance as range-Doppler frames with the `gp-rd`
-/// synthesizer — the RD counterpart of [`capture`]: same kinematic
-/// ground truth, same seeding convention.
+/// Renders one range-Doppler frame from a scatterer snapshot: the power
+/// map of the radar's own FMCW chain (IF synthesis, Hann-windowed range
+/// FFT, static clutter removal, Doppler FFT) on `config`, summed over
+/// its antennas. `rng` drives the thermal noise.
+pub fn rd_frame<R: Rng>(
+    scatterers: &[Scatterer],
+    config: &RadarConfig,
+    timestamp: f64,
+    rng: &mut R,
+) -> gp_rd::RdFrame {
+    let cube = synthesize_frame(scatterers, config, rng);
+    gp_rd::RdFrame {
+        timestamp,
+        doppler_bins: config.chirps_per_frame,
+        range_bins: config.samples_per_chirp,
+        power: power_map(&range_doppler_maps(&cube, config)),
+    }
+}
+
+/// Renders a whole performance as range-Doppler frames ([`rd_frame`] on
+/// [`RadarConfig::range_doppler`]) at its 10 fps; `seed` drives the
+/// thermal noise, so equal `(perf, seed)` give identical frames.
+pub fn rd_frames(perf: &Performance, seed: u64) -> Vec<gp_rd::RdFrame> {
+    let config = RadarConfig::range_doppler();
+    let n = (perf.total_duration() * config.frame_rate_hz).ceil() as usize;
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let t = i as f64 * config.frame_interval();
+            rd_frame(&perf.scatterers_at(t), &config, t, &mut rng)
+        })
+        .collect()
+}
+
+/// Captures one performance as range-Doppler frames ([`rd_frames`]) —
+/// the RD counterpart of [`capture`]: same kinematic ground truth, same
+/// seeding convention.
 pub fn rd_capture(
     user: usize,
     gesture: usize,
     rep_seed: u64,
 ) -> (Performance, Vec<gp_rd::RdFrame>) {
     let perf = performance(user, gesture, CANONICAL_DISTANCE, rep_seed);
-    let synth = gp_rd::RdSynthesizer::new(gp_rd::RdConfig::default(), rep_seed ^ 0xF00D);
-    let frames = synth.synthesize(&perf);
+    let frames = rd_frames(&perf, rep_seed ^ 0xF00D);
     (perf, frames)
 }
 
