@@ -575,7 +575,6 @@ mod tests {
 
     /// RD toy world mirroring the system tests.
     fn toy_rd_samples(reps: usize) -> Vec<gp_rd::RdLabeledSample> {
-        let cfg = gp_rd::RdConfig::default();
         let mut out = Vec::new();
         for gesture in 0..2usize {
             for user in 0..2usize {
@@ -584,8 +583,8 @@ mod tests {
                     let r0 = if gesture == 0 { 10 } else { 36 };
                     let frames: Vec<gp_rd::RdFrame> = (0..6)
                         .map(|i| {
-                            let mut f = gp_rd::RdFrame::zeros(&cfg, i as f64 * 0.1);
-                            f.power[d * cfg.range_bins + r0 + (rep + i) % 4] = 40.0 + rep as f64;
+                            let mut f = gp_rd::RdFrame::zeros(16, 64, i as f64 * 0.1);
+                            f.power[d * f.range_bins + r0 + (rep + i) % 4] = 40.0 + rep as f64;
                             f
                         })
                         .collect();

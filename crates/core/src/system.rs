@@ -585,7 +585,6 @@ mod tests {
     /// column band, user controls which side of zero Doppler the energy
     /// sits on.
     fn toy_rd_samples(reps: usize) -> Vec<RdLabeledSample> {
-        let cfg = gp_rd::RdConfig::default();
         let mut out = Vec::new();
         for gesture in 0..2usize {
             for user in 0..2usize {
@@ -594,10 +593,10 @@ mod tests {
                     let r0 = if gesture == 0 { 10 } else { 36 };
                     let frames: Vec<gp_rd::RdFrame> = (0..8)
                         .map(|i| {
-                            let mut f = gp_rd::RdFrame::zeros(&cfg, i as f64 * 0.1);
+                            let mut f = gp_rd::RdFrame::zeros(16, 64, i as f64 * 0.1);
                             let r = r0 + (rep + i) % 4;
-                            f.power[d * cfg.range_bins + r] = 40.0 + rep as f64;
-                            f.power[(d + 1) * cfg.range_bins + r] = 20.0;
+                            f.power[d * f.range_bins + r] = 40.0 + rep as f64;
+                            f.power[(d + 1) * f.range_bins + r] = 20.0;
                             f
                         })
                         .collect();

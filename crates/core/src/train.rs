@@ -849,17 +849,16 @@ mod tests {
     /// Hand-built RD samples: the user's energy blob sits above or
     /// below the zero-Doppler row.
     fn toy_rd_samples(reps: usize) -> Vec<RdLabeledSample> {
-        let cfg = gp_rd::RdConfig::default();
         let mut out = Vec::new();
         for user in 0..2usize {
             for rep in 0..reps {
                 let d = if user == 0 { 4 } else { 12 };
                 let frames: Vec<gp_rd::RdFrame> = (0..8)
                     .map(|i| {
-                        let mut f = gp_rd::RdFrame::zeros(&cfg, i as f64 * 0.1);
+                        let mut f = gp_rd::RdFrame::zeros(16, 64, i as f64 * 0.1);
                         let r = 18 + (rep + i) % 3;
-                        f.power[d * cfg.range_bins + r] = 40.0 + rep as f64;
-                        f.power[(d + 1) * cfg.range_bins + r] = 25.0;
+                        f.power[d * f.range_bins + r] = 40.0 + rep as f64;
+                        f.power[(d + 1) * f.range_bins + r] = 25.0;
                         f
                     })
                     .collect();

@@ -57,23 +57,6 @@ pub fn fft(input: &[Complex]) -> Vec<Complex> {
     buf
 }
 
-/// Out-of-place inverse FFT; the input is zero-padded to the next power of
-/// two if necessary.
-pub fn ifft(input: &[Complex]) -> Vec<Complex> {
-    let n = next_power_of_two(input.len());
-    let mut buf = Vec::with_capacity(n);
-    buf.extend_from_slice(input);
-    buf.resize(n, Complex::ZERO);
-    ifft_in_place(&mut buf);
-    buf
-}
-
-/// FFT of a real-valued signal (convenience wrapper).
-pub fn fft_real(input: &[f64]) -> Vec<Complex> {
-    let buf: Vec<Complex> = input.iter().map(|&x| Complex::new(x, 0.0)).collect();
-    fft(&buf)
-}
-
 /// Swaps the two halves of a spectrum so that the zero-frequency bin is
 /// centred, matching the usual Doppler-map layout where negative velocities
 /// occupy the left half.

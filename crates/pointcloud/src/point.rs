@@ -240,12 +240,6 @@ impl PointCloud {
         &self.points
     }
 
-    /// Consumes the cloud, returning the underlying vector.
-    #[inline]
-    pub fn into_points(self) -> Vec<Point> {
-        self.points
-    }
-
     /// Appends a point.
     #[inline]
     pub fn push(&mut self, point: Point) {

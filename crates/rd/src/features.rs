@@ -210,21 +210,20 @@ pub fn extract_all(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RdConfig;
 
-    fn toy_frame(cfg: &RdConfig, hot: &[(usize, usize, f64)], t: f64) -> RdFrame {
-        let mut f = RdFrame::zeros(cfg, t);
+    /// A 16 × 64 map, zero except for the `(row, col, power)` cells.
+    fn toy_frame(hot: &[(usize, usize, f64)], t: f64) -> RdFrame {
+        let mut f = RdFrame::zeros(16, 64, t);
         for &(d, r, p) in hot {
-            f.power[d * cfg.range_bins + r] = p;
+            f.power[d * f.range_bins + r] = p;
         }
         f
     }
 
     #[test]
     fn shapes_are_fixed() {
-        let cfg = RdConfig::default();
         let fc = RdFeatureConfig::default();
-        let frames = vec![toy_frame(&cfg, &[(3, 10, 5.0)], 0.0); 6];
+        let frames = vec![toy_frame(&[(3, 10, 5.0)], 0.0); 6];
         let input = extract(&frames, &fc);
         assert_eq!(input.map.len(), 16 * 24);
         assert_eq!(input.map_shape, (16, 24));
@@ -241,31 +240,28 @@ mod tests {
 
     #[test]
     fn motion_energy_ignores_clutter_notch() {
-        let cfg = RdConfig::default();
-        let centre = cfg.doppler_bins / 2;
-        let static_frame = toy_frame(&cfg, &[(centre, 20, 100.0)], 0.0);
-        let moving_frame = toy_frame(&cfg, &[(centre + 4, 20, 100.0)], 0.0);
+        let centre = 16 / 2;
+        let static_frame = toy_frame(&[(centre, 20, 100.0)], 0.0);
+        let moving_frame = toy_frame(&[(centre + 4, 20, 100.0)], 0.0);
         assert_eq!(motion_energy(&static_frame, 1), 0.0);
         assert!(motion_energy(&moving_frame, 1) > 1.0);
     }
 
     #[test]
     fn sequence_respects_max_frames() {
-        let cfg = RdConfig::default();
         let fc = RdFeatureConfig {
             max_frames: 4,
             ..RdFeatureConfig::default()
         };
-        let frames = vec![toy_frame(&cfg, &[(2, 2, 1.0)], 0.0); 9];
+        let frames = vec![toy_frame(&[(2, 2, 1.0)], 0.0); 9];
         assert_eq!(extract(&frames, &fc).sequence.len(), 4);
     }
 
     #[test]
     fn doppler_sign_visible_in_features() {
-        let cfg = RdConfig::default();
         let fc = RdFeatureConfig::default();
-        let up = extract(&[toy_frame(&cfg, &[(12, 20, 50.0)], 0.0)], &fc);
-        let down = extract(&[toy_frame(&cfg, &[(4, 20, 50.0)], 0.0)], &fc);
+        let up = extract(&[toy_frame(&[(12, 20, 50.0)], 0.0)], &fc);
+        let down = extract(&[toy_frame(&[(4, 20, 50.0)], 0.0)], &fc);
         assert!(up.sequence[0][2] > 0.0);
         assert!(down.sequence[0][2] < 0.0);
     }

@@ -1,7 +1,4 @@
-//! Range-Doppler power frames and CFAR detection masks.
-
-use crate::config::RdConfig;
-use gp_dsp::cfar::cfar_2d;
+//! Range-Doppler power frames.
 
 /// One processed radar frame: a Doppler × range power map.
 ///
@@ -21,13 +18,13 @@ pub struct RdFrame {
 }
 
 impl RdFrame {
-    /// An all-zero frame of the configured shape.
-    pub fn zeros(config: &RdConfig, timestamp: f64) -> Self {
+    /// An all-zero `doppler_bins × range_bins` frame.
+    pub fn zeros(doppler_bins: usize, range_bins: usize, timestamp: f64) -> Self {
         RdFrame {
             timestamp,
-            doppler_bins: config.doppler_bins,
-            range_bins: config.range_bins,
-            power: vec![0.0; config.doppler_bins * config.range_bins],
+            doppler_bins,
+            range_bins,
+            power: vec![0.0; doppler_bins * range_bins],
         }
     }
 
@@ -46,11 +43,6 @@ impl RdFrame {
         self.power[doppler_row * self.range_bins + range_col]
     }
 
-    /// Total linear power over the map.
-    pub fn total_power(&self) -> f64 {
-        self.power.iter().sum()
-    }
-
     /// The `(doppler_row, range_col)` of the strongest cell.
     pub fn peak(&self) -> (usize, usize) {
         let mut best = 0usize;
@@ -61,27 +53,6 @@ impl RdFrame {
         }
         (best / self.range_bins, best % self.range_bins)
     }
-
-    /// Runs the configured 2-D CFAR over the map, returning a boolean
-    /// detection mask in row-major map order. Deterministic: equal maps
-    /// give equal masks.
-    pub fn detection_mask(&self, config: &RdConfig) -> Vec<bool> {
-        let mut mask = vec![false; self.power.len()];
-        for det in cfar_2d(
-            &self.power,
-            self.doppler_bins,
-            self.range_bins,
-            &config.cfar,
-        ) {
-            mask[det.index.0 * self.range_bins + det.index.1] = true;
-        }
-        mask
-    }
-
-    /// Number of CFAR detections in the map.
-    pub fn detection_count(&self, config: &RdConfig) -> usize {
-        self.detection_mask(config).iter().filter(|&&d| d).count()
-    }
 }
 
 #[cfg(test)]
@@ -90,25 +61,11 @@ mod tests {
 
     #[test]
     fn zeros_shape_and_peak() {
-        let cfg = RdConfig::default();
-        let mut f = RdFrame::zeros(&cfg, 0.3);
+        let mut f = RdFrame::zeros(16, 64, 0.3);
         assert_eq!(f.shape(), (16, 64));
-        assert_eq!(f.total_power(), 0.0);
+        assert!(f.power.iter().all(|&p| p == 0.0));
         f.power[5 * 64 + 30] = 2.0;
         assert_eq!(f.peak(), (5, 30));
         assert_eq!(f.at(5, 30), 2.0);
-    }
-
-    #[test]
-    fn mask_flags_isolated_peak() {
-        let cfg = RdConfig::default();
-        let mut f = RdFrame::zeros(&cfg, 0.0);
-        for p in f.power.iter_mut() {
-            *p = 1.0;
-        }
-        f.power[7 * 64 + 12] = 500.0;
-        let mask = f.detection_mask(&cfg);
-        assert!(mask[7 * 64 + 12]);
-        assert_eq!(f.detection_count(&cfg), 1);
     }
 }

@@ -43,13 +43,11 @@ impl RdLabeledSample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RdConfig;
 
     #[test]
     fn slices_and_labels() {
-        let cfg = RdConfig::default();
         let frames: Vec<RdFrame> = (0..10)
-            .map(|i| RdFrame::zeros(&cfg, i as f64 * 0.1))
+            .map(|i| RdFrame::zeros(16, 64, i as f64 * 0.1))
             .collect();
         let s = RdLabeledSample::from_segment(&frames, 2, 7, 3, 1);
         assert_eq!(s.duration_frames, 5);
@@ -61,8 +59,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bad segment bounds")]
     fn rejects_empty_segment() {
-        let cfg = RdConfig::default();
-        let frames = vec![RdFrame::zeros(&cfg, 0.0)];
+        let frames = vec![RdFrame::zeros(16, 64, 0.0)];
         RdLabeledSample::from_segment(&frames, 1, 1, 0, 0);
     }
 }

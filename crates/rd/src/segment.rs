@@ -211,44 +211,41 @@ pub fn dominant_segment(frames: &[RdFrame], config: &RdSegmentConfig) -> Option<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RdConfig;
 
-    /// A frame whose off-DC log-power sums to roughly `level`.
-    fn frame_with_energy(cfg: &RdConfig, level: f64, t: f64) -> RdFrame {
-        let mut f = RdFrame::zeros(cfg, t);
+    /// A 16 × 64 frame whose off-DC log-power sums to roughly `level`.
+    fn frame_with_energy(level: f64, t: f64) -> RdFrame {
+        let mut f = RdFrame::zeros(16, 64, t);
         if level > 0.0 {
-            f.power[12 * cfg.range_bins + 20] = level.exp() - 1.0;
+            f.power[12 * f.range_bins + 20] = level.exp() - 1.0;
         }
         f
     }
 
-    fn capture(cfg: &RdConfig, active: &[(usize, usize)], len: usize) -> Vec<RdFrame> {
+    fn capture(active: &[(usize, usize)], len: usize) -> Vec<RdFrame> {
         (0..len)
             .map(|i| {
                 let on = active.iter().any(|&(s, e)| i >= s && i < e);
-                frame_with_energy(cfg, if on { 20.0 } else { 0.1 }, i as f64 * 0.1)
+                frame_with_energy(if on { 20.0 } else { 0.1 }, i as f64 * 0.1)
             })
             .collect()
     }
 
     #[test]
     fn finds_single_burst() {
-        let cfg = RdConfig::default();
-        let frames = capture(&cfg, &[(10, 22)], 40);
+        let frames = capture(&[(10, 22)], 40);
         let segs = segment(&frames, &RdSegmentConfig::default());
         assert_eq!(segs, vec![RdSegment { start: 10, end: 22 }]);
     }
 
     #[test]
     fn bridges_short_gap_and_splits_long() {
-        let cfg = RdConfig::default();
         let sc = RdSegmentConfig::default();
         // Gap of 2 (< max_gap) bridges into one segment.
-        let frames = capture(&cfg, &[(5, 10), (12, 18)], 30);
+        let frames = capture(&[(5, 10), (12, 18)], 30);
         let segs = segment(&frames, &sc);
         assert_eq!(segs, vec![RdSegment { start: 5, end: 18 }]);
         // Gap of 8 splits.
-        let frames = capture(&cfg, &[(5, 10), (18, 24)], 34);
+        let frames = capture(&[(5, 10), (18, 24)], 34);
         let segs = segment(&frames, &sc);
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0], RdSegment { start: 5, end: 10 });
@@ -257,33 +254,30 @@ mod tests {
 
     #[test]
     fn drops_sub_minimum_blips() {
-        let cfg = RdConfig::default();
-        let frames = capture(&cfg, &[(10, 12)], 30);
+        let frames = capture(&[(10, 12)], 30);
         assert!(segment(&frames, &RdSegmentConfig::default()).is_empty());
     }
 
     #[test]
     fn closes_open_segment_at_stream_end() {
-        let cfg = RdConfig::default();
-        let frames = capture(&cfg, &[(24, 30)], 30);
+        let frames = capture(&[(24, 30)], 30);
         let segs = segment(&frames, &RdSegmentConfig::default());
         assert_eq!(segs, vec![RdSegment { start: 24, end: 30 }]);
     }
 
     #[test]
     fn earliest_needed_tracks_open_segment() {
-        let cfg = RdConfig::default();
         let sc = RdSegmentConfig::default();
         let mut online = OnlineRdSegmenter::new(sc);
         // Idle frames: nothing to retain — the trim point follows the
         // stream head.
         for i in 0..5 {
-            online.push(&frame_with_energy(&cfg, 0.1, i as f64 * 0.1));
+            online.push(&frame_with_energy(0.1, i as f64 * 0.1));
             assert_eq!(online.earliest_needed(), i + 1);
         }
         // Active frames pin the trim point to the segment start.
         for i in 5..9 {
-            online.push(&frame_with_energy(&cfg, 20.0, i as f64 * 0.1));
+            online.push(&frame_with_energy(20.0, i as f64 * 0.1));
             assert_eq!(online.earliest_needed(), 5);
         }
     }
@@ -301,9 +295,8 @@ mod tests {
 
     #[test]
     fn online_matches_offline() {
-        let cfg = RdConfig::default();
         let sc = RdSegmentConfig::default();
-        let frames = capture(&cfg, &[(6, 16), (25, 33)], 45);
+        let frames = capture(&[(6, 16), (25, 33)], 45);
         let offline = segment(&frames, &sc);
         let mut online = OnlineRdSegmenter::new(sc);
         let mut streamed = Vec::new();

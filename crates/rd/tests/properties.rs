@@ -1,12 +1,10 @@
-//! Property tests for the range-Doppler chain: the DSP identities and
-//! determinism guarantees the synthesis/feature path relies on.
+//! Property tests for the range-Doppler path: the DSP identity the
+//! radar chain's map tap relies on, and the determinism guarantee of
+//! feature extraction.
 //!
-//! * **Parseval** — the windowed FFT the synthesizer runs over every
-//!   chirp and range bin conserves energy: `Σ|x_w[n]|² = (1/N)Σ|X[k]|²`
-//!   for every window kind in the catalogue.
-//! * **CFAR determinism** — equal maps give equal detection masks, on
-//!   repeated runs and on clones (the mask is a pure function of the
-//!   power map).
+//! * **Parseval** — the windowed FFT the chain runs over every chirp
+//!   and range bin conserves energy: `Σ|x_w[n]|² = (1/N)Σ|X[k]|²` for
+//!   every window kind in the catalogue.
 //! * **Thread-count bit-equality** — `extract_all` returns bit-identical
 //!   `RdInput`s for 1 and N extraction threads, in input order. The
 //!   serving engine's determinism tests build on this.
@@ -14,7 +12,7 @@
 use gp_dsp::fft::fft_in_place;
 use gp_dsp::window::{apply_window, WindowKind};
 use gp_dsp::Complex;
-use gp_rd::{extract_all, RdConfig, RdFeatureConfig, RdFrame, RdLabeledSample};
+use gp_rd::{extract_all, RdFeatureConfig, RdFrame, RdLabeledSample};
 use proptest::prelude::*;
 
 /// A bounded complex sample: large enough to exercise the dynamic
@@ -23,32 +21,13 @@ fn complex_sample() -> impl Strategy<Value = Complex> {
     (-1e3..1e3f64, -1e3..1e3f64).prop_map(|(re, im)| Complex::new(re, im))
 }
 
-/// A small power map (8 Doppler × 16 range) as one RdFrame.
-fn power_frame() -> impl Strategy<Value = (RdConfig, RdFrame)> {
-    prop::collection::vec(0.0..1e4f64, 8 * 16).prop_map(|power| {
-        let cfg = RdConfig {
-            doppler_bins: 8,
-            range_bins: 16,
-            ..RdConfig::default()
-        };
-        let mut frame = RdFrame::zeros(&cfg, 0.0);
-        frame.power = power;
-        (cfg, frame)
-    })
-}
-
 /// A short burst of small frames for feature extraction.
 fn frame_burst() -> impl Strategy<Value = Vec<RdFrame>> {
     prop::collection::vec(prop::collection::vec(0.0..1e4f64, 8 * 16), 4..12).prop_map(|maps| {
-        let cfg = RdConfig {
-            doppler_bins: 8,
-            range_bins: 16,
-            ..RdConfig::default()
-        };
         maps.into_iter()
             .enumerate()
             .map(|(i, power)| {
-                let mut frame = RdFrame::zeros(&cfg, i as f64 * 0.1);
+                let mut frame = RdFrame::zeros(8, 16, i as f64 * 0.1);
                 frame.power = power;
                 frame
             })
@@ -72,8 +51,8 @@ proptest! {
         ][window_index];
         let n = samples.len();
         let mut data = samples;
-        // The exact per-chirp path the synthesizer runs: window, then
-        // in-place FFT.
+        // The per-chirp path of gp-radar's chain: window, then in-place
+        // FFT.
         apply_window(&mut data, &window.coefficients(n));
         let time_energy: f64 = data.iter().map(|z| z.norm_sqr()).sum();
         fft_in_place(&mut data);
@@ -83,19 +62,6 @@ proptest! {
         prop_assert!(
             (time_energy - freq_energy).abs() <= 1e-9 * scale,
             "Parseval violated for {window:?}: time {time_energy} vs freq {freq_energy}"
-        );
-    }
-
-    #[test]
-    fn cfar_mask_is_deterministic(map in power_frame()) {
-        let (cfg, frame) = map;
-        let first = frame.detection_mask(&cfg);
-        prop_assert_eq!(&first, &frame.detection_mask(&cfg), "repeat run diverged");
-        let clone = frame.clone();
-        prop_assert_eq!(&first, &clone.detection_mask(&cfg), "clone diverged");
-        prop_assert_eq!(
-            frame.detection_count(&cfg),
-            first.iter().filter(|&&d| d).count()
         );
     }
 

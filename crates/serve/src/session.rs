@@ -323,7 +323,7 @@ mod tests {
     use super::*;
     use gp_pipeline::{PreprocessorConfig, SegmenterConfig};
     use gp_pointcloud::{Point, PointCloud, Vec3};
-    use gp_rd::{RdConfig, RdSegmentConfig};
+    use gp_rd::RdSegmentConfig;
 
     fn frame(i: usize, points: usize) -> Frame {
         let cloud: PointCloud = (0..points)
@@ -332,11 +332,11 @@ mod tests {
         Frame::new(i as f64 * 0.1, cloud)
     }
 
-    /// An RD frame with roughly `level` off-DC log-power.
-    fn rd_frame(cfg: &RdConfig, i: usize, level: f64) -> RdFrame {
-        let mut f = RdFrame::zeros(cfg, i as f64 * 0.1);
+    /// A 16 × 64 RD frame with roughly `level` off-DC log-power.
+    fn rd_frame(i: usize, level: f64) -> RdFrame {
+        let mut f = RdFrame::zeros(16, 64, i as f64 * 0.1);
         if level > 0.0 {
-            f.power[12 * cfg.range_bins + 20] = level.exp() - 1.0;
+            f.power[12 * f.range_bins + 20] = level.exp() - 1.0;
         }
         f
     }
@@ -399,14 +399,13 @@ mod tests {
 
     #[test]
     fn rd_session_segments_a_burst() {
-        let cfg = RdConfig::default();
         let mut session = Session::new_rd(OnlineRdSegmenter::new(RdSegmentConfig::default()), None);
         assert_eq!(session.backend(), SensingBackend::RangeDoppler);
         let pre = Preprocessor::new(PreprocessorConfig::default());
         let mut out = Vec::new();
         for i in 0..40 {
             let level = if (10..22).contains(&i) { 20.0 } else { 0.1 };
-            out.extend(session.push_rd(rd_frame(&cfg, i, level)));
+            out.extend(session.push_rd(rd_frame(i, level)));
         }
         out.extend(session.finish(&pre));
         assert_eq!(out.len(), 1, "expected exactly one segment");
@@ -422,14 +421,13 @@ mod tests {
 
     #[test]
     fn paired_session_carries_aligned_rd_window() {
-        let cfg = RdConfig::default();
         let mut session =
             Session::new_point(OnlineSegmenter::new(SegmenterConfig::default()), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
         let mut out = Vec::new();
         for i in 0..70 {
             let points = if (20..45).contains(&i) { 14 } else { 1 };
-            out.extend(session.push_paired(frame(i, points), rd_frame(&cfg, i, 5.0), &pre));
+            out.extend(session.push_paired(frame(i, points), rd_frame(i, 5.0), &pre));
         }
         out.extend(session.finish(&pre));
         assert_eq!(out.len(), 1);
@@ -445,10 +443,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "range-Doppler frame pushed into a point-cloud session")]
     fn point_session_rejects_rd_frames() {
-        let cfg = RdConfig::default();
         let mut session =
             Session::new_point(OnlineSegmenter::new(SegmenterConfig::default()), None);
-        session.push_rd(rd_frame(&cfg, 0, 0.1));
+        session.push_rd(rd_frame(0, 0.1));
     }
 
     #[test]
@@ -462,11 +459,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "paired from the first frame")]
     fn late_pairing_is_rejected() {
-        let cfg = RdConfig::default();
         let mut session =
             Session::new_point(OnlineSegmenter::new(SegmenterConfig::default()), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
         session.push(frame(0, 1), &pre);
-        session.push_paired(frame(1, 1), rd_frame(&cfg, 1, 0.1), &pre);
+        session.push_paired(frame(1, 1), rd_frame(1, 0.1), &pre);
     }
 }

@@ -15,7 +15,7 @@ use gestureprint_core::{
 };
 use gp_pointcloud::{Point, PointCloud, Vec3};
 use gp_radar::Frame;
-use gp_rd::{RdConfig, RdFrame, RdLabeledSample};
+use gp_rd::{RdFrame, RdLabeledSample};
 use gp_serve::{SensingBackend, ServeConfig, ServeEngine, ServeEvent};
 use gp_testkit::{rd_capture, rd_sample, toy_rd_system, toy_system};
 
@@ -163,11 +163,11 @@ fn point_frame(i: usize, points: usize) -> Frame {
 
 /// An RD frame shaped like the toy RD cohort's gesture-1/user-1 cell,
 /// active only inside the paired point burst.
-fn paired_rd_frame(cfg: &RdConfig, i: usize, active: bool) -> RdFrame {
-    let mut f = RdFrame::zeros(cfg, i as f64 * 0.1);
+fn paired_rd_frame(i: usize, active: bool) -> RdFrame {
+    let mut f = RdFrame::zeros(16, 64, i as f64 * 0.1);
     if active {
-        f.power[12 * cfg.range_bins + 36 + i % 4] = 45.0;
-        f.power[13 * cfg.range_bins + 36 + i % 4] = 25.0;
+        f.power[12 * f.range_bins + 36 + i % 4] = 45.0;
+        f.power[13 * f.range_bins + 36 + i % 4] = 25.0;
     }
     f
 }
@@ -184,16 +184,11 @@ fn replay_paired(min_points: Option<usize>) -> (ServeEngine, Vec<ServeEvent>) {
         },
     )
     .with_rd_system(toy_rd_system());
-    let cfg = RdConfig::default();
     let session = engine.open_session();
     for i in 0..70 {
         let burst = (20..45).contains(&i);
         let points = if burst { 14 } else { 1 };
-        engine.push_paired_frame(
-            session,
-            point_frame(i, points),
-            paired_rd_frame(&cfg, i, burst),
-        );
+        engine.push_paired_frame(session, point_frame(i, points), paired_rd_frame(i, burst));
     }
     engine.close_session(session);
     let events = engine.drain();
@@ -246,7 +241,6 @@ fn mixed_point_and_rd_sessions_share_the_executor() {
         },
     )
     .with_rd_system(toy_rd_system());
-    let cfg = RdConfig::default();
     let point_session = engine.open_session();
     let rd_session = engine.open_rd_session();
     assert_eq!(
@@ -256,7 +250,7 @@ fn mixed_point_and_rd_sessions_share_the_executor() {
     for i in 0..70 {
         let burst = (20..45).contains(&i);
         engine.push_frame(point_session, point_frame(i, if burst { 14 } else { 1 }));
-        engine.push_rd_frame(rd_session, paired_rd_frame(&cfg, i, burst));
+        engine.push_rd_frame(rd_session, paired_rd_frame(i, burst));
     }
     engine.close_session(point_session);
     engine.close_session(rd_session);
@@ -288,7 +282,7 @@ fn rd_frames_into_point_session_panic() {
     let engine =
         ServeEngine::new(toy_system(), ServeConfig::default()).with_rd_system(toy_rd_system());
     let session = engine.open_session();
-    engine.push_rd_frame(session, RdFrame::zeros(&RdConfig::default(), 0.0));
+    engine.push_rd_frame(session, RdFrame::zeros(16, 64, 0.0));
 }
 
 #[test]

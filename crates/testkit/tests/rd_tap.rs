@@ -28,7 +28,7 @@ fn single_mover(r: f64, v: f64) -> Vec<Scatterer> {
     }]
 }
 
-fn total_power(frame: &RdFrame) -> f64 {
+fn summed_power(frame: &RdFrame) -> f64 {
     frame.power.iter().sum()
 }
 
@@ -79,10 +79,10 @@ fn clutter_removal_suppresses_static_target() {
     let still = quiet_frame(&single_mover(1.2, 0.0), 9);
     let moving = quiet_frame(&single_mover(1.2, 1.0), 9);
     assert!(
-        total_power(&still) < 1e-3 * total_power(&moving),
+        summed_power(&still) < 1e-3 * summed_power(&moving),
         "static residue {} vs moving {}",
-        total_power(&still),
-        total_power(&moving)
+        summed_power(&still),
+        summed_power(&moving)
     );
 }
 

@@ -25,7 +25,7 @@ use gestureprint::core::{
 };
 use gestureprint::pointcloud::{Point, PointCloud, Vec3};
 use gestureprint::radar::Frame;
-use gestureprint::rd::{RdConfig, RdFrame, RdLabeledSample};
+use gestureprint::rd::{RdFrame, RdLabeledSample};
 use gestureprint::serve::{SensingBackend, ServeConfig, ServeEngine};
 use gp_testkit::{rd_capture, rd_sample, toy_system};
 
@@ -133,17 +133,16 @@ fn main() {
     //    sparsity threshold configured above — so the engine distrusts
     //    the point segment and re-routes the aligned RD window.
     println!("\nhybrid session (sparse point clouds, RD fallback):");
-    let cfg = RdConfig::default();
     let session = engine.open_session();
     for i in 0..70usize {
         let burst = (20..45).contains(&i);
         let cloud: PointCloud = (0..if burst { 14 } else { 1 })
             .map(|k| Point::new(Vec3::new(k as f64 * 0.05, 1.2, 1.0), 0.4, 15.0))
             .collect();
-        let mut rd = RdFrame::zeros(&cfg, i as f64 * 0.1);
+        let mut rd = RdFrame::zeros(16, 64, i as f64 * 0.1);
         if burst {
-            rd.power[12 * cfg.range_bins + 36 + i % 4] = 45.0;
-            rd.power[13 * cfg.range_bins + 36 + i % 4] = 25.0;
+            rd.power[12 * rd.range_bins + 36 + i % 4] = 45.0;
+            rd.power[13 * rd.range_bins + 36 + i % 4] = 25.0;
         }
         engine.push_paired_frame(session, Frame::new(i as f64 * 0.1, cloud), rd);
     }
