@@ -51,7 +51,7 @@
 //! blocking engine calls are bounded gate waits inside `flush`.
 
 use crate::wire::{
-    from_wire, to_wire, ClientMsg, ServerMsg, WireLedger, MIN_WIRE_VERSION, WIRE_VERSION,
+    from_wire, try_to_wire, ClientMsg, ServerMsg, WireLedger, MIN_WIRE_VERSION, WIRE_VERSION,
 };
 use gp_codec::FrameDecoder;
 use gp_radar::Frame;
@@ -66,6 +66,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Longest `Error` text the server sends (bytes). Error texts may quote
+/// client bytes, and an `Error` must always fit the frame cap.
+const MAX_ERROR_TEXT: usize = 256;
 
 /// Socket-front configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -715,13 +719,11 @@ impl Reactor {
                 }
                 let session = self.engine.open_session();
                 self.routes.insert(session, id);
-                let welcome = to_wire(
-                    &ServerMsg::Welcome { session: session.0 },
-                    self.config.max_frame,
-                );
-                let conn = self.conns.get_mut(&id).expect("conn exists");
-                conn.state = ConnState::Streaming(session);
-                conn.queue(&welcome);
+                self.conns.get_mut(&id).expect("conn exists").state = ConnState::Streaming(session);
+                let welcome = ServerMsg::Welcome { session: session.0 };
+                if let Some(bytes) = self.encode_reply(id, &welcome) {
+                    self.conns.get_mut(&id).expect("conn exists").queue(&bytes);
+                }
             }
             (ConnState::Streaming(session), ClientMsg::Frame(frame)) => {
                 self.counters.decoded_frames.inc();
@@ -752,19 +754,25 @@ impl Reactor {
                     .engine
                     .telemetry_snapshot()
                     .unwrap_or_else(|| self.registry.snapshot());
-                let bytes = to_wire(&ServerMsg::Stats(snapshot), self.config.max_frame);
-                self.conns.get_mut(&id).expect("conn exists").queue(&bytes);
+                if let Some(bytes) = self.encode_reply(id, &ServerMsg::Stats(snapshot)) {
+                    self.conns.get_mut(&id).expect("conn exists").queue(&bytes);
+                }
             }
             (ConnState::Streaming(session), ClientMsg::Enroll { user }) => {
                 // A mode switch only affects segments that *complete*
                 // after it — the engine snapshots the mode at enqueue —
                 // so the ack is an exact promise: everything behind the
-                // ack enrolls under `user`.
+                // ack enrolls under `user`. The ack echoes the name, so
+                // it is encoded first: a name too long to echo back
+                // ends the connection without switching the mode.
+                let ack = ServerMsg::EnrollAck { user: user.clone() };
+                let Some(bytes) = self.encode_reply(id, &ack) else {
+                    return;
+                };
                 if self
                     .engine
-                    .set_session_mode(session, SessionMode::Enroll(user.clone()))
+                    .set_session_mode(session, SessionMode::Enroll(user))
                 {
-                    let bytes = to_wire(&ServerMsg::EnrollAck { user }, self.config.max_frame);
                     // Acks are control messages: always queued, like
                     // Welcome/Stats/Bye.
                     self.conns.get_mut(&id).expect("conn exists").queue(&bytes);
@@ -782,7 +790,7 @@ impl Reactor {
                 self.conns.get_mut(&id).expect("conn exists").state = ConnState::Closing(session);
             }
             (_, msg) => {
-                self.fatal(id, &format!("message out of order: {msg:?}"));
+                self.fatal(id, &format!("{} message out of order", msg.kind()));
             }
         }
     }
@@ -811,7 +819,9 @@ impl Reactor {
                 latency_us: event.latency.as_micros() as u64,
                 identity: event.identity,
             };
-            let bytes = to_wire(&msg, self.config.max_frame);
+            let Some(bytes) = self.encode_reply(conn_id, &msg) else {
+                continue;
+            };
             let conn = self.conns.get_mut(&conn_id).expect("routed conn exists");
             if conn.out_backlog() + bytes.len() > self.config.out_buffer_cap {
                 conn.dropped_results += 1;
@@ -852,24 +862,48 @@ impl Reactor {
             dropped_results: conn.dropped_results,
             ..ledger
         };
-        let bytes = to_wire(&ServerMsg::Bye(ledger), self.config.max_frame);
-        conn.queue(&bytes);
         conn.state = ConnState::Draining;
+        if let Some(bytes) = self.encode_reply(id, &ServerMsg::Bye(ledger)) {
+            self.conns.get_mut(&id).expect("conn exists").queue(&bytes);
+        }
+    }
+
+    /// Encodes a reply to connection `id`: the one path every reply but
+    /// `Error` takes to the wire. A reply that cannot be framed under
+    /// `max_frame` is never sent; the connection gets a typed `Error`
+    /// instead (counted in `net.protocol_errors`) and drains, and
+    /// `None` comes back. No reply panics the reactor.
+    fn encode_reply(&mut self, id: u64, msg: &ServerMsg) -> Option<Vec<u8>> {
+        let bytes = try_to_wire(msg, self.config.max_frame);
+        if bytes.is_none() {
+            let cap = self.config.max_frame;
+            self.fatal(
+                id,
+                &format!("{} reply exceeds the {cap}-byte frame cap", msg.kind()),
+            );
+        }
+        bytes
     }
 
     /// Sends a protocol error and schedules teardown, first settling
-    /// the engine side of any live session.
+    /// the engine side of any live session. The text is cut to
+    /// [`MAX_ERROR_TEXT`] bytes, since it may quote client bytes; under
+    /// a frame cap too small for even that, the connection drains
+    /// without it.
     fn fatal(&mut self, id: u64, message: &str) {
         self.counters.protocol_errors.inc();
         self.finish_stream(id);
-        let bytes = to_wire(
-            &ServerMsg::Error {
-                message: message.to_owned(),
-            },
-            self.config.max_frame,
-        );
+        let mut cut = message.len().min(MAX_ERROR_TEXT);
+        while !message.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        let error = ServerMsg::Error {
+            message: message[..cut].to_owned(),
+        };
         let conn = self.conns.get_mut(&id).expect("conn exists");
-        conn.queue(&bytes);
+        if let Some(bytes) = try_to_wire(&error, self.config.max_frame) {
+            conn.queue(&bytes);
+        }
         conn.state = ConnState::Draining;
     }
 

@@ -219,16 +219,29 @@ fn frame_from_value(value: &Value) -> Result<Frame, DecodeError> {
     Ok(Frame::new(timestamp, cloud))
 }
 
+impl ClientMsg {
+    /// The message's wire `"type"` tag, e.g. `"frame"`.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            ClientMsg::Hello { .. } => "hello",
+            ClientMsg::Frame(_) => "frame",
+            ClientMsg::StatsQuery => "stats_query",
+            ClientMsg::Enroll { .. } => "enroll",
+            ClientMsg::Identify => "identify",
+            ClientMsg::Close => "close",
+        }
+    }
+}
+
 impl Encode for ClientMsg {
     fn encode(&self) -> Value {
-        match self {
-            ClientMsg::Hello { version } => tagged("hello", vec![("version", version.encode())]),
-            ClientMsg::Frame(frame) => tagged("frame", vec![("frame", frame_to_value(frame))]),
-            ClientMsg::StatsQuery => tagged("stats_query", vec![]),
-            ClientMsg::Enroll { user } => tagged("enroll", vec![("user", user.encode())]),
-            ClientMsg::Identify => tagged("identify", vec![]),
-            ClientMsg::Close => tagged("close", vec![]),
-        }
+        let fields = match self {
+            ClientMsg::Hello { version } => vec![("version", version.encode())],
+            ClientMsg::Frame(frame) => vec![("frame", frame_to_value(frame))],
+            ClientMsg::Enroll { user } => vec![("user", user.encode())],
+            ClientMsg::StatsQuery | ClientMsg::Identify | ClientMsg::Close => vec![],
+        };
+        tagged(self.kind(), fields)
     }
 }
 
@@ -312,12 +325,24 @@ fn identity_from_value(value: &Value) -> Result<Option<IdentityOutcome>, DecodeE
     Ok(Some(identity))
 }
 
+impl ServerMsg {
+    /// The message's wire `"type"` tag, e.g. `"enroll_ack"`.
+    pub(crate) fn kind(&self) -> &'static str {
+        match self {
+            ServerMsg::Welcome { .. } => "welcome",
+            ServerMsg::Result { .. } => "result",
+            ServerMsg::EnrollAck { .. } => "enroll_ack",
+            ServerMsg::Stats(_) => "stats",
+            ServerMsg::Bye(_) => "bye",
+            ServerMsg::Error { .. } => "error",
+        }
+    }
+}
+
 impl Encode for ServerMsg {
     fn encode(&self) -> Value {
-        match self {
-            ServerMsg::Welcome { session } => {
-                tagged("welcome", vec![("session", session.encode())])
-            }
+        let fields = match self {
+            ServerMsg::Welcome { session } => vec![("session", session.encode())],
             ServerMsg::Result {
                 seq,
                 start,
@@ -340,13 +365,14 @@ impl Encode for ServerMsg {
                 if let Some(identity) = identity {
                     fields.push(("identity", identity_to_value(identity)));
                 }
-                tagged("result", fields)
+                fields
             }
-            ServerMsg::EnrollAck { user } => tagged("enroll_ack", vec![("user", user.encode())]),
-            ServerMsg::Stats(snapshot) => tagged("stats", vec![("snapshot", snapshot.encode())]),
-            ServerMsg::Bye(ledger) => tagged("bye", vec![("ledger", ledger.encode())]),
-            ServerMsg::Error { message } => tagged("error", vec![("message", message.encode())]),
-        }
+            ServerMsg::EnrollAck { user } => vec![("user", user.encode())],
+            ServerMsg::Stats(snapshot) => vec![("snapshot", snapshot.encode())],
+            ServerMsg::Bye(ledger) => vec![("ledger", ledger.encode())],
+            ServerMsg::Error { message } => vec![("message", message.encode())],
+        };
+        tagged(self.kind(), fields)
     }
 }
 
@@ -387,10 +413,19 @@ impl Decode for ServerMsg {
 ///
 /// Panics if the encoded payload exceeds `max_frame` — sender-side
 /// messages are built from bounded radar frames, so exceeding the cap
-/// is a configuration bug, not a data condition.
+/// is a configuration bug, not a data condition. The server encodes its
+/// replies through a fallible twin instead, because some echo client
+/// bytes.
 pub fn to_wire<T: Encode>(msg: &T, max_frame: usize) -> Vec<u8> {
-    let json = gp_codec::to_json(&msg.encode()).expect("wire messages are finite and shallow");
-    gp_codec::encode_frame(json.as_bytes(), max_frame).expect("wire message exceeds frame cap")
+    try_to_wire(msg, max_frame).expect("wire message exceeds frame cap")
+}
+
+/// Encodes a message to its framed wire bytes, or `None` if it cannot
+/// be framed: its payload exceeds `max_frame`, or it holds a value JSON
+/// cannot carry.
+pub(crate) fn try_to_wire<T: Encode>(msg: &T, max_frame: usize) -> Option<Vec<u8>> {
+    let json = gp_codec::to_json(&msg.encode()).ok()?;
+    gp_codec::encode_frame(json.as_bytes(), max_frame).ok()
 }
 
 /// Decodes one deframed payload into a message.

@@ -4,7 +4,9 @@
 
 use gp_net::wire::{from_wire, to_wire};
 use gp_net::{ClientMsg, NetClient, NetConfig, NetListener, NetServer, ServerMsg, WIRE_VERSION};
-use gp_serve::{AdmissionConfig, ServeConfig, ServeEngine};
+use gp_pointcloud::{Point, PointCloud, Vec3};
+use gp_radar::Frame;
+use gp_serve::{AdmissionConfig, IdentityStore, RegistryConfig, ServeConfig, ServeEngine};
 use gp_testkit::{stream_fixture, toy_system};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -19,6 +21,23 @@ fn spawn_tcp(config: ServeConfig) -> (Arc<ServeEngine>, NetServer, std::net::Soc
         NetServer::spawn(engine.clone(), listener, NetConfig::default()).expect("spawn server");
     let addr = server.local_addr().expect("tcp address");
     (engine, server, addr)
+}
+
+/// Reads server messages until the server hangs up.
+fn read_until_hangup(sock: &mut TcpStream) -> Vec<ServerMsg> {
+    let mut decoder = gp_codec::FrameDecoder::new(MAX_FRAME);
+    let mut messages = Vec::new();
+    loop {
+        let mut chunk = [0u8; 4096];
+        let n = sock.read(&mut chunk).expect("read");
+        if n == 0 {
+            return messages;
+        }
+        decoder.extend(&chunk[..n]);
+        while let Some(payload) = decoder.next().expect("well-framed server bytes") {
+            messages.push(from_wire::<ServerMsg>(&payload).expect("server msg"));
+        }
+    }
 }
 
 /// Replays the fixture in-process and returns `(start, end, gesture,
@@ -272,24 +291,9 @@ fn malformed_message_gets_an_error_reply_and_disconnect() {
     let junk = gp_codec::encode_frame(b"this is not json", MAX_FRAME).expect("frame junk");
     sock.write_all(&junk).expect("send junk");
 
-    let mut decoder = gp_codec::FrameDecoder::new(MAX_FRAME);
-    let mut saw_error = false;
-    loop {
-        let mut chunk = [0u8; 4096];
-        let n = sock.read(&mut chunk).expect("read");
-        if n == 0 {
-            break; // server hung up after the error
-        }
-        decoder.extend(&chunk[..n]);
-        while let Some(payload) = decoder.next().expect("well-framed server bytes") {
-            if matches!(
-                from_wire::<ServerMsg>(&payload).expect("server msg"),
-                ServerMsg::Error { .. }
-            ) {
-                saw_error = true;
-            }
-        }
-    }
+    let saw_error = read_until_hangup(&mut sock)
+        .iter()
+        .any(|msg| matches!(msg, ServerMsg::Error { .. }));
     assert!(saw_error, "a protocol violation must get a typed Error");
     assert!(server.stats().protocol_errors >= 1);
 
@@ -317,22 +321,114 @@ fn wrong_wire_version_is_rejected_at_handshake() {
     ))
     .expect("bad hello");
 
-    let mut decoder = gp_codec::FrameDecoder::new(MAX_FRAME);
-    let mut messages = Vec::new();
-    loop {
-        let mut chunk = [0u8; 4096];
-        let n = sock.read(&mut chunk).expect("read");
-        if n == 0 {
-            break;
-        }
-        decoder.extend(&chunk[..n]);
-        while let Some(payload) = decoder.next().expect("well-framed") {
-            messages.push(from_wire::<ServerMsg>(&payload).expect("server msg"));
-        }
-    }
+    let messages = read_until_hangup(&mut sock);
     assert!(
         matches!(messages.as_slice(), [ServerMsg::Error { .. }]),
         "expected exactly one Error, got {messages:?}"
     );
     server.shutdown();
+}
+
+/// Checks that a hostile connection got exactly one short `Error`, was
+/// counted, and left the server able to complete a fresh handshake.
+fn assert_contained(server: &NetServer, addr: std::net::SocketAddr, messages: &[ServerMsg]) {
+    match messages {
+        [ServerMsg::Error { message }] => assert!(
+            message.len() <= 256,
+            "error text must be bounded, got {} bytes",
+            message.len()
+        ),
+        other => panic!("expected exactly one Error, got {} messages", other.len()),
+    }
+    assert!(server.stats().protocol_errors >= 1);
+    let client = NetClient::connect_tcp(addr, MAX_FRAME).expect("fresh handshake after the error");
+    client.close().expect("close");
+}
+
+#[test]
+fn oversized_frame_before_hello_gets_a_bounded_error() {
+    let (_engine, server, addr) = spawn_tcp(ServeConfig::default());
+    // A ~720 KB frame fits the cap, but its debug form does not: an
+    // error that echoed the message would overflow the reply frame.
+    let cloud: PointCloud = (0..7_500)
+        .map(|k| {
+            let v = 1.0 + k as f64 * 1.234_567_890_123e-4;
+            Point::new(Vec3::new(v, v, v), v, v)
+        })
+        .collect();
+    let frame = ClientMsg::Frame(Frame::new(0.123_456_789, cloud));
+    let wire = to_wire(&frame, MAX_FRAME);
+    assert!(format!("{frame:?}").len() > MAX_FRAME);
+
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    sock.write_all(&wire).expect("send frame before hello");
+    let messages = read_until_hangup(&mut sock);
+    assert_contained(&server, addr, &messages);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_message_type_gets_a_bounded_error() {
+    let (_engine, server, addr) = spawn_tcp(ServeConfig::default());
+    // The decoder's error quotes the unknown type tag.
+    let tag = "x".repeat(MAX_FRAME - 16);
+    let payload = format!("{{\"type\":\"{tag}\"}}");
+    let wire = gp_codec::encode_frame(payload.as_bytes(), MAX_FRAME).expect("fits the cap");
+
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    sock.write_all(&wire).expect("send message");
+    let messages = read_until_hangup(&mut sock);
+    assert_contained(&server, addr, &messages);
+    server.shutdown();
+}
+
+#[test]
+fn enroll_name_too_long_to_echo_gets_an_error() {
+    let dir = std::env::temp_dir().join(format!("gp-net-socket-enroll-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store =
+        Arc::new(IdentityStore::open(&dir, RegistryConfig::default()).expect("open scratch store"));
+    let engine = Arc::new(ServeEngine::with_store(
+        toy_system(),
+        ServeConfig::default(),
+        store,
+    ));
+    let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind loopback");
+    let server =
+        NetServer::spawn(engine.clone(), listener, NetConfig::default()).expect("spawn server");
+    let addr = server.local_addr().expect("tcp address");
+
+    // An Enroll one byte under the cap: the ack that echoes the name is
+    // 4 bytes longer and cannot be framed.
+    let empty = to_wire(
+        &ClientMsg::Enroll {
+            user: String::new(),
+        },
+        MAX_FRAME,
+    );
+    let header = gp_codec::encode_frame(b"", MAX_FRAME)
+        .expect("empty frame")
+        .len();
+    let user = "u".repeat(MAX_FRAME - 1 - (empty.len() - header));
+    let enroll = to_wire(&ClientMsg::Enroll { user }, MAX_FRAME);
+    assert_eq!(enroll.len() - header, MAX_FRAME - 1);
+
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    sock.write_all(&to_wire(
+        &ClientMsg::Hello {
+            version: WIRE_VERSION,
+        },
+        MAX_FRAME,
+    ))
+    .expect("hello");
+    sock.write_all(&enroll).expect("enroll");
+    let messages = read_until_hangup(&mut sock);
+    assert!(
+        matches!(messages.first(), Some(ServerMsg::Welcome { .. })),
+        "the handshake completes before the enrollment"
+    );
+    assert_contained(&server, addr, &messages[1..]);
+    server.shutdown();
+    assert_eq!(engine.session_count(), 0, "no session leaked");
+    let _ = std::fs::remove_dir_all(&dir);
 }
