@@ -760,8 +760,9 @@ impl Reactor {
             }
             (ConnState::Streaming(session), ClientMsg::Enroll { user }) => {
                 // A mode switch only affects segments that *complete*
-                // after it — the engine snapshots the mode at enqueue —
-                // so the ack is an exact promise: everything behind the
+                // after it — the session stamps its mode on a segment
+                // as it closes, the one its close flushes included — so
+                // the ack is an exact promise: everything behind the
                 // ack enrolls under `user`. The ack echoes the name, so
                 // it is encoded first: a name too long to echo back
                 // ends the connection without switching the mode.

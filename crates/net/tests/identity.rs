@@ -14,7 +14,7 @@
 
 use gp_datasets::{presets, Scale};
 use gp_net::{IdentityOutcome, NetClient, NetConfig, NetListener, NetServer};
-use gp_radar::Environment;
+use gp_radar::{Environment, Frame};
 use gp_serve::{IdentityStore, RegistryConfig, ServeConfig, ServeEngine, SessionMode};
 use gp_testkit::{stream_capture, toy_system, GestureStream};
 use std::sync::Arc;
@@ -246,4 +246,96 @@ fn enroll_without_a_store_is_a_typed_protocol_error() {
         "error names the missing capability: {err}"
     );
     server.shutdown();
+}
+
+/// Alice's recording cut mid-gesture: its first 27 frames end 8 frames
+/// after the segmenter opened the gesture, so only the stream's close
+/// completes it. Kept whole, the same recording's idle tail lets the
+/// segmenter close the gesture itself.
+fn cut_mid_gesture() -> Vec<Frame> {
+    user_stream(0, 7).frames[..27].to_vec()
+}
+
+/// An engine over an empty identity store in a fresh directory named
+/// after the calling test.
+fn engine_with_store(test: &str) -> (Arc<ServeEngine>, Arc<IdentityStore>, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("gp-net-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(
+        IdentityStore::open(&dir, RegistryConfig::default()).expect("open identity store"),
+    );
+    let engine = Arc::new(ServeEngine::with_store(
+        toy_system(),
+        ServeConfig::default(),
+        store.clone(),
+    ));
+    (engine, store, dir)
+}
+
+/// Streams the cut recording in process under `mode`, closes the
+/// session, and returns the one event the close flushed.
+fn close_flushed_event(engine: &ServeEngine, mode: SessionMode) -> gp_serve::ServeEvent {
+    let session = engine.open_session();
+    assert!(engine.set_session_mode(session, mode));
+    for frame in cut_mid_gesture() {
+        assert_eq!(engine.push_frame(session, frame), 0, "gesture still open");
+    }
+    assert_eq!(engine.close_session(session), 1, "the close flushes it");
+    let mut events = engine.drain();
+    assert_eq!(events.len(), 1);
+    events.pop().expect("one event")
+}
+
+#[test]
+fn close_flushed_gesture_enrolls_in_process() {
+    let (engine, store, dir) = engine_with_store("flush-enroll");
+    let event = close_flushed_event(&engine, SessionMode::Enroll("alice".into()));
+    assert_eq!(
+        event.identity,
+        Some(IdentityOutcome::Enrolled {
+            user: "alice".into(),
+            samples: 1
+        })
+    );
+    assert_eq!(store.users(), 1, "the flushed gesture joins the gallery");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn close_flushed_gesture_is_identified_in_process() {
+    let (engine, _store, dir) = engine_with_store("flush-identify");
+    let event = close_flushed_event(&engine, SessionMode::Identify);
+    assert_eq!(
+        event.identity,
+        Some(IdentityOutcome::Unknown { distance: None }),
+        "an empty gallery knows nobody"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn close_flushed_gesture_enrolls_over_the_socket() {
+    let (engine, store, dir) = engine_with_store("flush-socket");
+    let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind loopback");
+    let server = NetServer::spawn(engine, listener, NetConfig::default()).expect("spawn server");
+    let addr = server.local_addr().expect("tcp address");
+
+    let mut client = NetClient::connect_tcp(addr, MAX_FRAME).expect("connect");
+    client.enroll("alice").expect("enroll ack");
+    for frame in &cut_mid_gesture() {
+        client.send_frame(frame).expect("send frame");
+    }
+    let report = client.close().expect("graceful close");
+    assert_eq!(report.results.len(), 1, "the close flushes the gesture");
+    assert_eq!(
+        report.results[0].identity,
+        Some(IdentityOutcome::Enrolled {
+            user: "alice".into(),
+            samples: 1
+        })
+    );
+    assert_eq!(report.ledger.enrolled, 1);
+    assert_eq!(store.users(), 1);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

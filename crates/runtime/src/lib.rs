@@ -11,20 +11,19 @@
 //!   primitives. Long-lived workers each own a deque; [`WorkerPool::spawn`]
 //!   round-robins jobs and idle workers steal, so uneven work still keeps
 //!   every thread busy.
-//! * **Ordered maps** — [`WorkerPool::map`] (and the borrowing
-//!   [`WorkerPool::scope_map`] / [`WorkerPool::scope_chunked_map`])
-//!   apply a function across items on the pool and return results in
-//!   input order. The scoped variants accept closures that borrow the
-//!   caller's stack, replacing every ad-hoc `std::thread::scope`
-//!   chunking loop in the workspace.
+//! * **Ordered map** — [`WorkerPool::scope_map`] applies a function
+//!   across items on the pool and returns results in input order. Its
+//!   closure may borrow the caller's stack, which replaced every ad-hoc
+//!   `std::thread::scope` chunking loop in the workspace.
 //! * [`Gate`] — a weighted high-watermark counter for bounded-queue
 //!   submission: acquiring past the watermark blocks the producer until
-//!   enough outstanding work drains. [`WorkerPool::spawn_gated`] is the
-//!   one-call form (the whole weight releases when the job finishes);
-//!   `gp-serve` instead composes [`Gate::acquire`] with per-segment
-//!   releases so blocked producers unblock as each result publishes,
-//!   not only at batch end. Either way a runaway producer blocks
-//!   instead of growing the queue without limit.
+//!   enough outstanding work drains, so a runaway producer blocks
+//!   instead of growing the queue without limit. [`Gate::has_room`]
+//!   probes without acquiring, and [`Gate::wait_empty`] waits until
+//!   everything acquired has been released. `gp-serve` acquires one
+//!   weight per dispatched segment and releases it once that segment's
+//!   result is published, so its gate is the engine's one count of
+//!   in-flight segments.
 //! * [`TokenBucket`] — a per-tenant rate budget (capacity `burst`,
 //!   refilling at `rate`/second, caller-supplied clock). Where the
 //!   `Gate` bounds *global* capacity, a bucket bounds one tenant: an
@@ -33,8 +32,9 @@
 //!   session for admission control.
 //!
 //! Everything here is deterministic in the sense callers rely on:
-//! ordered maps return results positionally, so a pure per-item function
-//! yields identical output for 1 or N workers regardless of scheduling.
+//! the ordered map returns results positionally, so a pure per-item
+//! function yields identical output for 1 or N workers regardless of
+//! scheduling.
 
 pub mod budget;
 pub mod gate;

@@ -23,8 +23,6 @@ use std::thread::JoinHandle;
 
 use gp_telemetry::{Counter, Gauge, Registry};
 
-use crate::gate::Gate;
-
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Utilization handles installed by [`WorkerPool::instrument`]: how
@@ -177,24 +175,6 @@ impl WorkerPool {
         self.inject(Box::new(job));
     }
 
-    /// Enqueues a job behind `gate`, blocking while the gate's
-    /// outstanding weight is at its high watermark — the bounded-queue
-    /// submission path. The job's weight is released when it finishes
-    /// (even if it panics), which unblocks waiting producers.
-    pub fn spawn_gated(
-        &self,
-        gate: &Arc<Gate>,
-        weight: usize,
-        job: impl FnOnce() + Send + 'static,
-    ) {
-        gate.acquire(weight);
-        let permit = gate.clone().into_permit(weight);
-        self.spawn(move || {
-            let _permit = permit;
-            job();
-        });
-    }
-
     fn inject(&self, job: Job) {
         let w = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
         lock(&self.shared.queues[w]).push_back(job);
@@ -202,18 +182,6 @@ impl WorkerPool {
         state.queued += 1;
         drop(state);
         self.shared.work_available.notify_one();
-    }
-
-    /// Parallel indexed map over owned items: applies `f(index, item)`
-    /// to every item on the pool and blocks until all results are in,
-    /// preserving input order.
-    pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send + 'static,
-        U: Send + 'static,
-        F: Fn(usize, T) -> U + Send + Sync + 'static,
-    {
-        self.scope_map(items, f)
     }
 
     /// Parallel indexed map whose closure may borrow from the caller —
@@ -278,37 +246,6 @@ impl WorkerPool {
             .into_iter()
             .map(|slot| slot.expect("a scoped map closure panicked; its result slot is empty"))
             .collect()
-    }
-
-    /// [`WorkerPool::scope_map`] over chunks: items are grouped into
-    /// runs of `chunk` consecutive items and each run is one pool job,
-    /// amortising per-job overhead when items are cheap. Results stay
-    /// in input order and `f` still sees each item's original index.
-    pub fn scope_chunked_map<T, U, F>(&self, items: Vec<T>, chunk: usize, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(usize, T) -> U + Sync,
-    {
-        let chunk = chunk.max(1);
-        let mut chunks: Vec<Vec<(usize, T)>> = Vec::new();
-        for (i, item) in items.into_iter().enumerate() {
-            if i % chunk == 0 {
-                chunks.push(Vec::with_capacity(chunk));
-            }
-            chunks
-                .last_mut()
-                .expect("chunk pushed above")
-                .push((i, item));
-        }
-        self.scope_map(chunks, |_, run| {
-            run.into_iter()
-                .map(|(i, item)| f(i, item))
-                .collect::<Vec<U>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 }
 
@@ -388,7 +325,7 @@ mod tests {
     #[test]
     fn map_preserves_order() {
         let pool = WorkerPool::new(4);
-        let out = pool.map((0..100u64).collect(), |i, x| {
+        let out = pool.scope_map((0..100u64).collect(), |i, x| {
             assert_eq!(i as u64, x);
             x * 2
         });
@@ -415,16 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_chunked_map_preserves_order_and_indices() {
-        let pool = WorkerPool::new(2);
-        let out = pool.scope_chunked_map((0..23u64).collect(), 5, |i, x| {
-            assert_eq!(i as u64, x);
-            x + 100
-        });
-        assert_eq!(out, (100..123u64).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn many_more_jobs_than_workers_all_run() {
         let pool = WorkerPool::new(2);
         let counter = Arc::new(AtomicU64::new(0));
@@ -443,7 +370,7 @@ mod tests {
         let pool = WorkerPool::new(2);
         pool.spawn(|| panic!("poisoned batch"));
         // The pool must still process subsequent work on every thread.
-        let out = pool.map((0..64u64).collect(), |_, x| x + 1);
+        let out = pool.scope_map((0..64u64).collect(), |_, x| x + 1);
         assert_eq!(out.len(), 64);
     }
 
@@ -521,24 +448,5 @@ mod tests {
         // have participated (a single thread would need 320 ms of
         // serial work while its siblings steal).
         assert!(seen.lock().unwrap().len() >= 2);
-    }
-
-    #[test]
-    fn spawn_gated_bounds_outstanding_weight() {
-        let pool = WorkerPool::new(2);
-        let gate = Arc::new(Gate::new(3));
-        let peak = Arc::new(AtomicU64::new(0));
-        for _ in 0..40 {
-            let gate_obs = gate.clone();
-            let peak = peak.clone();
-            pool.spawn_gated(&gate, 1, move || {
-                peak.fetch_max(gate_obs.outstanding() as u64, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            });
-            assert!(gate.outstanding() <= 3, "producer overran the watermark");
-        }
-        drop(pool);
-        assert_eq!(gate.outstanding(), 0, "all permits released");
-        assert!(peak.load(Ordering::SeqCst) <= 3);
     }
 }

@@ -14,7 +14,7 @@ use gestureprint_core::{Inference, SensingBackend};
 use gp_pipeline::GestureSegment;
 use gp_telemetry::{Histogram, SpanId};
 use std::collections::BTreeMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// One classified gesture segment flowing out of the engine.
@@ -112,16 +112,12 @@ struct BusInner {
     evicted: SessionCounters,
     /// Number of closed sessions folded into `evicted`.
     evicted_sessions: u64,
-    /// Segments dispatched to workers whose result has not been
-    /// published yet.
-    in_flight: usize,
 }
 
 /// Internal bus shared by the engine and its workers.
 #[derive(Debug, Default)]
 pub(crate) struct EventBus {
     inner: Mutex<BusInner>,
-    idle: Condvar,
 }
 
 impl EventBus {
@@ -203,9 +199,9 @@ impl EventBus {
     /// concurrent `close_session` calls: the engine snapshots
     /// [`EventBus::close_epoch`] before `flush`, so every eligible
     /// session's final segment was dispatched by that flush and
-    /// published before `wait_idle` returned — its counters are final,
-    /// folding them keeps every aggregate total exact, and a published
-    /// result can never resurrect an evicted session's entry.
+    /// published before the engine's gate emptied — its counters are
+    /// final, folding them keeps every aggregate total exact, and a
+    /// published result can never resurrect an evicted session's entry.
     pub(crate) fn sweep_closed(&self, retain: usize, up_to_epoch: u64) {
         let mut inner = self.lock();
         while inner.closed.len() > retain
@@ -234,38 +230,12 @@ impl EventBus {
         }
     }
 
-    pub(crate) fn add_in_flight(&self, n: usize) {
-        self.lock().in_flight += n;
-    }
-
-    /// Releases one in-flight slot *without* publishing a result — the
-    /// safety valve for a worker that panicked mid-batch, so
-    /// [`EventBus::wait_idle`] cannot hang on a lost segment.
-    pub(crate) fn forfeit_in_flight(&self) {
-        let mut inner = self.lock();
-        inner.in_flight = inner.in_flight.saturating_sub(1);
-        drop(inner);
-        self.idle.notify_all();
-    }
-
     pub(crate) fn publish(&self, event: ServeEvent) {
         let mut inner = self.lock();
         let counters = inner.sessions.entry(event.session).or_default();
         counters.results += 1;
         counters.latency.record_duration(event.latency);
         inner.events.push(event);
-        inner.in_flight = inner.in_flight.saturating_sub(1);
-        drop(inner);
-        self.idle.notify_all();
-    }
-
-    /// Blocks until every dispatched segment has published (or
-    /// forfeited) its result.
-    pub(crate) fn wait_idle(&self) {
-        let mut inner = self.lock();
-        while inner.in_flight > 0 {
-            inner = self.idle.wait(inner).expect("event bus poisoned");
-        }
     }
 
     /// Drains all published events.
@@ -361,12 +331,6 @@ impl SessionStats {
         self.frames
     }
 
-    /// Frames dropped for any reason (engine saturation plus the
-    /// session's own budget).
-    pub fn shed_total(&self) -> u64 {
-        self.shed_frames + self.shed_budget
-    }
-
     /// The `p`-th latency percentile (`0.0..=100.0`), nearest-rank over
     /// the histogram buckets: exact at the extremes, within one
     /// sub-bucket (≤25%, never under-reporting) elsewhere.
@@ -458,18 +422,6 @@ impl ServeStats {
         self.sessions.values().map(|s| s.shed_budget).sum::<u64>() + self.evicted.shed_budget
     }
 
-    /// Total frames deferred at least once by a network front before
-    /// admission (evicted included).
-    pub fn total_deferred(&self) -> u64 {
-        self.sessions.values().map(|s| s.deferred).sum::<u64>() + self.evicted.deferred
-    }
-
-    /// Total segments enrolled into the identity gallery across all
-    /// sessions (evicted included).
-    pub fn total_enrolled(&self) -> u64 {
-        self.sessions.values().map(|s| s.enrolled).sum::<u64>() + self.evicted.enrolled
-    }
-
     /// The `p`-th segment-to-result latency percentile across all
     /// sessions, evicted aggregate included — an exact merge of every
     /// session's histogram.
@@ -559,7 +511,6 @@ mod tests {
         }
         for i in 0..600u64 {
             for (id, latency) in [(fast, ms(1)), (slow, ms(100))] {
-                bus.add_in_flight(1);
                 bus.publish(ServeEvent {
                     session: id,
                     seq: i,
@@ -655,15 +606,5 @@ mod tests {
             stats.sessions.keys().copied().collect::<Vec<_>>(),
             vec![SessionId(3), SessionId(4), SessionId(5)]
         );
-    }
-
-    #[test]
-    fn wait_idle_returns_after_forfeit() {
-        let bus = EventBus::default();
-        bus.add_in_flight(2);
-        bus.forfeit_in_flight();
-        bus.forfeit_in_flight();
-        bus.wait_idle(); // must not hang
-        assert!(bus.take_events().is_empty());
     }
 }

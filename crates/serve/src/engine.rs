@@ -15,7 +15,7 @@
 //! even that.
 
 use crate::bus::{EventBus, IdentityOutcome, ServeEvent, ServeStats, StageBreakdown};
-use crate::session::{ClosedSegment, Session, SessionId};
+use crate::session::{ClosedSegment, SegmentData, SensorFrame, Session, SessionId};
 use gestureprint_core::{GesturePrint, Inference, SensingBackend};
 use gp_pipeline::{
     GestureSample, GestureSegment, LabeledSample, OnlineSegmenter, Preprocessor, PreprocessorConfig,
@@ -222,9 +222,10 @@ pub enum RejectReason {
 /// What a session does with the segments it produces, beyond
 /// classification. Every session starts in [`SessionMode::Classify`];
 /// fronts switch modes via [`ServeEngine::set_session_mode`] (the
-/// gp-net `Enroll`/`Identify` wire messages). The mode is snapshotted
-/// when a segment closes, so a mode switch never retroactively
-/// relabels segments already in flight.
+/// gp-net `Enroll`/`Identify` wire messages). The session stamps its
+/// mode on each segment as it closes, under the session lock, including
+/// the gesture [`ServeEngine::close_session`] flushes. A mode switch
+/// therefore never relabels a segment that already closed.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SessionMode {
     /// Plain gesture + user classification (no identity resolution).
@@ -339,7 +340,9 @@ pub struct ServeEngine {
     preprocessor: Preprocessor,
     pool: WorkerPool,
     /// Bounded-submission gate: weight = segments dispatched but not
-    /// yet published.
+    /// yet published. Each job releases its weight after publishing its
+    /// event, so an empty gate means every dispatched result is on the
+    /// bus ([`ServeEngine::drain`] waits for that).
     gate: Arc<Gate>,
     sessions: RwLock<HashMap<SessionId, Arc<Mutex<Session>>>>,
     pending: Mutex<VecDeque<SegmentJob>>,
@@ -352,8 +355,6 @@ pub struct ServeEngine {
     /// The identity store, when this engine serves enrollment and
     /// open-set identification ([`ServeEngine::with_store`]).
     store: Option<Arc<IdentityStore>>,
-    /// Per-session segment handling modes; absent = `Classify`.
-    modes: RwLock<HashMap<SessionId, SessionMode>>,
     /// `Some` when [`ServeConfig::telemetry`] is on.
     telemetry: Option<EngineTelemetry>,
     /// Epoch for the admission buckets' caller-supplied clock.
@@ -419,7 +420,6 @@ impl ServeEngine {
             next_span: AtomicU64::new(0),
             bus: Arc::new(EventBus::default()),
             store,
-            modes: RwLock::new(HashMap::new()),
             telemetry,
             epoch: Instant::now(),
         }
@@ -462,28 +462,14 @@ impl ServeEngine {
     /// non-[`SessionMode::Classify`] mode is requested on an engine
     /// without an identity store.
     pub fn set_session_mode(&self, id: SessionId, mode: SessionMode) -> bool {
-        if self.session(id).is_none() {
-            return false;
-        }
         if mode != SessionMode::Classify && self.store.is_none() {
             return false;
         }
-        self.modes
-            .write()
-            .expect("mode registry poisoned")
-            .insert(id, mode);
+        let Some(session) = self.session(id) else {
+            return false;
+        };
+        session.lock().expect("session poisoned").mode = mode;
         true
-    }
-
-    /// The session's current mode ([`SessionMode::Classify`] for
-    /// sessions that never switched, or unknown ids).
-    pub fn session_mode(&self, id: SessionId) -> SessionMode {
-        self.modes
-            .read()
-            .expect("mode registry poisoned")
-            .get(&id)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// The trained system being served.
@@ -564,14 +550,6 @@ impl ServeEngine {
         id
     }
 
-    /// The sensing modality a live session was opened with (`None` for
-    /// closed or unknown ids).
-    pub fn session_backend(&self, id: SessionId) -> Option<SensingBackend> {
-        let session = self.session(id)?;
-        let backend = session.lock().expect("session poisoned").backend();
-        Some(backend)
-    }
-
     /// Live session count.
     pub fn session_count(&self) -> usize {
         self.sessions
@@ -608,35 +586,7 @@ impl ServeEngine {
     ///
     /// Panics if `id` is not a live session.
     pub fn push_frame(&self, id: SessionId, frame: Frame) -> usize {
-        let session = self
-            .session(id)
-            .unwrap_or_else(|| panic!("push_frame on unknown {id}"));
-        // Frame ingest: mint the stage-tracing span. Stage clocks tick
-        // only when telemetry is on.
-        let span = self.mint_span();
-        let ingest = self.telemetry.as_ref().map(|t| (t, Instant::now()));
-        let completed = {
-            let mut session = session.lock().expect("session poisoned");
-            // `admission_wait` for the direct path is the time spent
-            // contending for the session lock (no budget/gate stage).
-            let seg_start = ingest.as_ref().map(|(t, start)| {
-                t.stages.admission_wait.record_duration(start.elapsed());
-                Instant::now()
-            });
-            let completed = session.push(frame, &self.preprocessor);
-            if let (Some((t, _)), Some(seg_start)) = (&ingest, seg_start) {
-                t.stages.segmentation.record_duration(seg_start.elapsed());
-            }
-            // Sequence numbers are drawn while the session lock is still
-            // held, so concurrent pushers to one session cannot invert
-            // the per-session `seq` order `drain` sorts by.
-            completed.map(|c| (c, self.next_seq.fetch_add(1, Ordering::Relaxed)))
-        };
-        self.record_completed(id, completed, span)
-    }
-
-    fn mint_span(&self) -> SpanId {
-        SpanId(self.next_span.fetch_add(1, Ordering::Relaxed))
+        self.push(id, frame)
     }
 
     /// Feeds one range-Doppler frame into an RD session; returns the
@@ -649,27 +599,7 @@ impl ServeEngine {
     /// Panics if `id` is not a live session, or was not opened in
     /// range-Doppler mode.
     pub fn push_rd_frame(&self, id: SessionId, frame: RdFrame) -> usize {
-        let session = self
-            .session(id)
-            .unwrap_or_else(|| panic!("push_rd_frame on unknown {id}"));
-        if let Some(t) = &self.telemetry {
-            t.rd.frames.inc();
-        }
-        let span = self.mint_span();
-        let ingest = self.telemetry.as_ref().map(|t| (t, Instant::now()));
-        let completed = {
-            let mut session = session.lock().expect("session poisoned");
-            let seg_start = ingest.as_ref().map(|(t, start)| {
-                t.stages.admission_wait.record_duration(start.elapsed());
-                Instant::now()
-            });
-            let completed = session.push_rd(frame);
-            if let (Some((t, _)), Some(seg_start)) = (&ingest, seg_start) {
-                t.stages.segmentation.record_duration(seg_start.elapsed());
-            }
-            completed.map(|c| (c, self.next_seq.fetch_add(1, Ordering::Relaxed)))
-        };
-        self.record_completed(id, completed, span)
+        self.push(id, frame)
     }
 
     /// Feeds one point-cloud frame *plus* the aligned range-Doppler
@@ -690,27 +620,7 @@ impl ServeEngine {
             self.rd_system.is_some(),
             "push_paired_frame requires an RD system (ServeEngine::with_rd_system)"
         );
-        let session = self
-            .session(id)
-            .unwrap_or_else(|| panic!("push_paired_frame on unknown {id}"));
-        if let Some(t) = &self.telemetry {
-            t.rd.frames.inc();
-        }
-        let span = self.mint_span();
-        let ingest = self.telemetry.as_ref().map(|t| (t, Instant::now()));
-        let completed = {
-            let mut session = session.lock().expect("session poisoned");
-            let seg_start = ingest.as_ref().map(|(t, start)| {
-                t.stages.admission_wait.record_duration(start.elapsed());
-                Instant::now()
-            });
-            let completed = session.push_paired(frame, rd, &self.preprocessor);
-            if let (Some((t, _)), Some(seg_start)) = (&ingest, seg_start) {
-                t.stages.segmentation.record_duration(seg_start.elapsed());
-            }
-            completed.map(|c| (c, self.next_seq.fetch_add(1, Ordering::Relaxed)))
-        };
-        self.record_completed(id, completed, span)
+        self.push(id, (frame, rd))
     }
 
     /// Load-shedding variant of [`ServeEngine::push_frame`]: a frame
@@ -725,17 +635,16 @@ impl ServeEngine {
     ///    ([`crate::SessionStats::shed_budget`]) *before* the global
     ///    gate is consulted, so a hot tenant's excess never competes
     ///    for — or is excused by — engine-global capacity.
-    /// 2. The engine-global backpressure gate, reserving a full batch's
-    ///    worth of headroom via [`Gate::try_acquire`]. When `max_batch`
-    ///    more segments would not fit below
-    ///    [`ServeConfig::pending_high_watermark`], the frame is shed
-    ///    against engine saturation
+    /// 2. The engine-global backpressure gate, probed for a full
+    ///    batch's worth of headroom. When `max_batch` more segments
+    ///    would not fit below [`ServeConfig::pending_high_watermark`],
+    ///    the frame is shed against engine saturation
     ///    ([`crate::SessionStats::shed_frames`]).
     ///
     /// Shed frames never enter the session (not counted in
     /// [`crate::SessionStats::frames`]) and return `None`. When
     /// admitted, the frame proceeds exactly like
-    /// [`ServeEngine::push_frame`], and because the reserved headroom
+    /// [`ServeEngine::push_frame`], and because the probed headroom
     /// covers the largest possible batch, a dispatch this frame
     /// triggers never blocks a lone producer. (Producers racing each
     /// other can still briefly block on the gate between admission and
@@ -787,53 +696,92 @@ impl ServeEngine {
     ///
     /// Panics if `id` is not a live session.
     pub fn offer_frame(&self, id: SessionId, frame: Frame) -> Admission {
+        match self.ingest(id, frame, true) {
+            Ok(completed) => Admission::Admitted(completed),
+            Err((frame, reason)) => Admission::Rejected { frame, reason },
+        }
+    }
+
+    /// [`ServeEngine::ingest`] without admission, which admits every
+    /// frame.
+    fn push(&self, id: SessionId, frame: impl Into<SensorFrame>) -> usize {
+        match self.ingest(id, frame, false) {
+            Ok(completed) => completed,
+            Err(_) => unreachable!("ingest refuses frames only under admission"),
+        }
+    }
+
+    /// The one frame path. Mints the frame's span, runs admission when
+    /// `admit` is set (handing a refused frame back), feeds the frame
+    /// to its session and enqueues the segment it closes.
+    ///
+    /// `admission_wait` times session-lock contention plus admission;
+    /// `segmentation` times the session's push.
+    fn ingest<F: Into<SensorFrame>>(
+        &self,
+        id: SessionId,
+        frame: F,
+        admit: bool,
+    ) -> Result<usize, (F, RejectReason)> {
         let session = self
             .session(id)
-            .unwrap_or_else(|| panic!("offer_frame on unknown {id}"));
-        let headroom = self.config.max_batch.max(1);
+            .unwrap_or_else(|| panic!("frame pushed into unknown {id}"));
         let span = self.mint_span();
         let ingest = self.telemetry.as_ref().map(|t| (t, Instant::now()));
         let completed = {
             let mut session = session.lock().expect("session poisoned");
-            // Stage 1: the session's own budget. Consulted before the
-            // global gate so a hot tenant sheds against itself even
-            // when the engine also happens to be saturated.
-            if let Some(bucket) = session.budget_mut() {
-                let now = self.epoch.elapsed().as_secs_f64();
-                if !bucket.try_take(1.0, now) {
+            if admit {
+                if let Err(reason) = self.admit(&mut session) {
                     drop(session);
-                    self.bus.record_shed_budget(id);
-                    return Admission::Rejected {
-                        frame,
-                        reason: RejectReason::Budget,
-                    };
+                    if reason == RejectReason::Budget {
+                        self.bus.record_shed_budget(id);
+                    }
+                    return Err((frame, reason));
                 }
             }
-            // Stage 2: engine-global capacity.
-            if !self.gate.try_acquire(headroom) {
-                // Not the tenant's fault — give the token back.
-                if let Some(bucket) = session.budget_mut() {
-                    bucket.refund(1.0);
-                }
-                return Admission::Rejected {
-                    frame,
-                    reason: RejectReason::Capacity,
-                };
-            }
-            self.gate.release(headroom);
-            // Admission decided: both stages passed. `admission_wait`
-            // covers lock contention + budget + gate probe.
-            let seg_start = ingest.as_ref().map(|(t, start)| {
+            let frame = frame.into();
+            let seg_start = ingest.map(|(t, start)| {
                 t.stages.admission_wait.record_duration(start.elapsed());
-                Instant::now()
+                if !matches!(frame, SensorFrame::Points(_)) {
+                    t.rd.frames.inc();
+                }
+                (t, Instant::now())
             });
             let completed = session.push(frame, &self.preprocessor);
-            if let (Some((t, _)), Some(seg_start)) = (&ingest, seg_start) {
+            if let Some((t, seg_start)) = seg_start {
                 t.stages.segmentation.record_duration(seg_start.elapsed());
             }
+            // Sequence numbers are drawn while the session lock is still
+            // held, so concurrent pushers to one session cannot invert
+            // the per-session `seq` order `drain` sorts by.
             completed.map(|c| (c, self.next_seq.fetch_add(1, Ordering::Relaxed)))
         };
-        Admission::Admitted(self.record_completed(id, completed, span))
+        Ok(self.record_completed(id, completed, span))
+    }
+
+    /// Two-stage admission under the session lock. The session's own
+    /// budget goes first, so a hot tenant sheds against itself even
+    /// when the engine also happens to be saturated. Then the engine's
+    /// gate must have room for a full batch; this probe acquires
+    /// nothing. A capacity refusal refunds the budget token.
+    fn admit(&self, session: &mut Session) -> Result<(), RejectReason> {
+        if let Some(bucket) = &mut session.budget {
+            if !bucket.try_take(1.0, self.epoch.elapsed().as_secs_f64()) {
+                return Err(RejectReason::Budget);
+            }
+        }
+        if !self.gate.has_room(self.config.max_batch.max(1)) {
+            // Not the tenant's fault — give the token back.
+            if let Some(bucket) = &mut session.budget {
+                bucket.refund(1.0);
+            }
+            return Err(RejectReason::Capacity);
+        }
+        Ok(())
+    }
+
+    fn mint_span(&self) -> SpanId {
+        SpanId(self.next_span.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Records that a front-end deferred a capacity-rejected frame for
@@ -856,12 +804,6 @@ impl ServeEngine {
             .expect("session registry poisoned")
             .remove(&id);
         let Some(session) = session else { return 0 };
-        // Segments already enqueued carry their mode snapshot; the
-        // session's mode entry itself dies with the session.
-        self.modes
-            .write()
-            .expect("mode registry poisoned")
-            .remove(&id);
         // A segment flushed by stream end is "ingested" by the close
         // itself — it still gets a span for its trip through the queue.
         let span = self.mint_span();
@@ -894,40 +836,49 @@ impl ServeEngine {
         completed: Option<(ClosedSegment, u64)>,
         span: SpanId,
     ) -> usize {
-        let Some((closed, seq)) = completed else {
+        let Some((ClosedSegment { mode, data }, seq)) = completed else {
             return 0;
         };
         self.bus.record_segment(id);
-        match closed {
-            ClosedSegment::Point(segment, sample, rd_window) => {
+        let payload = match data {
+            SegmentData::Point(segment, sample, rd_window) => {
                 if let Some(rd_sample) = self.take_rd_fallback(&sample, rd_window) {
                     if let Some(t) = &self.telemetry {
                         t.rd.fallback.inc();
                         t.rd.segments.inc();
                     }
-                    let payload = JobPayload::Rd {
+                    Some(JobPayload::Rd {
                         segment: RdSegment {
                             start: segment.start,
                             end: segment.end,
                         },
                         sample: rd_sample,
-                    };
-                    self.enqueue(id, payload, seq, span);
-                } else if let Some(sample) = sample {
-                    let payload = JobPayload::Point {
+                    })
+                } else {
+                    sample.map(|sample| JobPayload::Point {
                         segment,
                         sample: LabeledSample::from_sample(sample, 0, 0),
-                    };
-                    self.enqueue(id, payload, seq, span);
+                    })
                 }
             }
-            ClosedSegment::Rd(segment, sample) => {
+            SegmentData::Rd(segment, sample) => {
                 if let Some(t) = &self.telemetry {
                     t.rd.segments.inc();
                 }
-                let payload = JobPayload::Rd { segment, sample };
-                self.enqueue(id, payload, seq, span);
+                Some(JobPayload::Rd { segment, sample })
             }
+        };
+        if let Some(payload) = payload {
+            let now = Instant::now();
+            self.enqueue(SegmentJob {
+                session: id,
+                seq,
+                span,
+                payload,
+                detected: now,
+                enqueued: now,
+                mode,
+            });
         }
         1
     }
@@ -950,18 +901,8 @@ impl ServeEngine {
         sparse.then_some(rd)
     }
 
-    fn enqueue(&self, id: SessionId, payload: JobPayload, seq: u64, span: SpanId) {
-        let now = Instant::now();
-        let job = SegmentJob {
-            session: id,
-            seq,
-            span,
-            payload,
-            detected: now,
-            enqueued: now,
-            mode: self.session_mode(id),
-        };
-        self.bus.record_enqueued(id);
+    fn enqueue(&self, job: SegmentJob) {
+        self.bus.record_enqueued(job.session);
         // Collect under the lock, dispatch after releasing it: dispatch
         // touches the bus and the pool, and other sessions' segment
         // closes must not serialize behind that.
@@ -995,7 +936,6 @@ impl ServeEngine {
         // batch — while the executor already has a high watermark's
         // worth of segments outstanding.
         self.gate.acquire(batch.len());
-        self.bus.add_in_flight(batch.len());
         let system = self.system.clone();
         let rd_system = self.rd_system.clone();
         let bus = self.bus.clone();
@@ -1004,24 +944,19 @@ impl ServeEngine {
         let stages = self.telemetry.as_ref().map(|t| t.stages.clone());
         let rd_metrics = self.telemetry.as_ref().map(|t| t.rd.clone());
         self.pool.spawn(move || {
-            // Guard: if inference panics, release the batch's gate
-            // weight and in-flight slots so neither blocked producers
-            // nor `drain` can hang on lost segments.
+            // Guard: if inference panics, release the gate weight of
+            // the batch's unpublished segments so neither blocked
+            // producers nor `drain` can hang on lost segments.
             struct Forfeit {
-                bus: Arc<EventBus>,
-                gate: Arc<gp_runtime::Gate>,
+                gate: Arc<Gate>,
                 remaining: usize,
             }
             impl Drop for Forfeit {
                 fn drop(&mut self) {
                     self.gate.release(self.remaining);
-                    for _ in 0..self.remaining {
-                        self.bus.forfeit_in_flight();
-                    }
                 }
             }
             let mut guard = Forfeit {
-                bus: bus.clone(),
                 gate,
                 remaining: batch.len(),
             };
@@ -1076,7 +1011,6 @@ impl ServeEngine {
                 .into_iter()
                 .map(|i| i.expect("every job in the batch was inferred"));
             for (job, inference) in batch.iter().zip(inferences) {
-                guard.remaining -= 1;
                 // Identity resolution happens on the worker, after
                 // inference: the inference carries the fusion feature of
                 // the identifier the predicted gesture routed to, which
@@ -1085,8 +1019,8 @@ impl ServeEngine {
                 if matches!(identity, Some(IdentityOutcome::Enrolled { .. })) {
                     bus.record_enrolled(job.session);
                 }
-                // Stage clocks are recorded *before* the publish: the
-                // publish is what releases `wait_idle`, so anything
+                // Stage clocks are recorded *before* the gate release:
+                // the release is what lets `drain` return, so anything
                 // recorded after it races a stats() reader.
                 if let (Some(stages), Some((infer_elapsed, done_at))) = (&stages, &infer_done) {
                     stages.inference.record_duration(*infer_elapsed);
@@ -1113,10 +1047,6 @@ impl ServeEngine {
                         rd.results.inc();
                     }
                 }
-                // Gate weight releases *before* the publish: once
-                // `wait_idle` observes every result, the gate is
-                // provably back to zero (`drain` relies on this).
-                guard.gate.release(1);
                 bus.publish(ServeEvent {
                     session: job.session,
                     seq: job.seq,
@@ -1127,6 +1057,11 @@ impl ServeEngine {
                     identity,
                     latency: job.detected.elapsed(),
                 });
+                // Gate weight releases *after* the publish: once the gate
+                // is empty, every dispatched result is on the bus
+                // (`drain` relies on this).
+                guard.gate.release(1);
+                guard.remaining -= 1;
             }
         });
     }
@@ -1168,12 +1103,12 @@ impl ServeEngine {
         // Eviction eligibility is snapshotted *before* the flush: a
         // session closed before this point has already enqueued its
         // final segment (see `close_session`), so the flush dispatches
-        // it and `wait_idle` sees its result published — its accounting
-        // is final. Sessions closed concurrently after the snapshot
-        // simply wait for the next drain.
+        // it and the gate empties only once its result is published —
+        // its accounting is final. Sessions closed concurrently after
+        // the snapshot simply wait for the next drain.
         let eligible = self.bus.close_epoch();
         self.flush();
-        self.bus.wait_idle();
+        self.gate.wait_empty();
         self.bus
             .sweep_closed(self.config.retain_closed_sessions, eligible);
         let mut events = self.bus.take_events();

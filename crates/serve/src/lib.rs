@@ -15,19 +15,28 @@
 //!   and collected *across sessions* into batches of up to
 //!   [`ServeConfig::max_batch`], then run through
 //!   [`gestureprint_core::GesturePrint::infer_batch`] on the shared
-//!   work-stealing [`gp_runtime::WorkerPool`]. Submission is bounded:
-//!   once [`ServeConfig::pending_high_watermark`] segments are pending
-//!   or in flight, `push_frame` blocks the producer (backpressure)
+//!   work-stealing [`gp_runtime::WorkerPool`]. Submission is bounded by
+//!   one gate, which counts the segments dispatched but not yet
+//!   published: once [`ServeConfig::pending_high_watermark`] of them
+//!   are in flight, `push_frame` blocks the producer (backpressure)
 //!   instead of growing the queue without limit, while
 //!   [`ServeEngine::try_push_frame`] *sheds* the frame instead — for
 //!   producers that must never stall — counting it in the session's
-//!   [`SessionStats::shed_frames`].
-//! * **Per-session admission** ([`AdmissionConfig`]) — an optional
-//!   token bucket charged *before* the shared gate, in that order: a
-//!   `Budget` rejection is definitive (the tenant is over its own rate,
-//!   counted in [`SessionStats::shed_budget`]), while a `Capacity`
-//!   rejection refunds the token, so transient engine-wide overload is
-//!   never billed to an in-budget tenant. [`ServeEngine::offer_frame`]
+//!   [`SessionStats::shed_frames`]. [`ServeEngine::drain`] waits for
+//!   the same gate to empty.
+//! * **One frame path** — `push_frame`, `push_rd_frame`,
+//!   `push_paired_frame` and `offer_frame` all enter through one ingest
+//!   body: mint the frame's span, feed the session under its lock,
+//!   enqueue the segment it closes. Each session owns its
+//!   [`SessionMode`] and stamps it on every segment as it closes,
+//!   including the gesture [`ServeEngine::close_session`] flushes.
+//! * **Per-session admission** ([`AdmissionConfig`]) — the one step
+//!   [`ServeEngine::offer_frame`] adds to that path: an optional token
+//!   bucket charged *before* a read-only probe of the shared gate, in
+//!   that order. A `Budget` rejection is definitive (the tenant is over
+//!   its own rate, counted in [`SessionStats::shed_budget`]), while a
+//!   `Capacity` rejection refunds the token, so transient engine-wide
+//!   overload is never billed to an in-budget tenant. `offer_frame`
 //!   exposes the staged decision (admitted / rejected with the frame
 //!   handed back) for fronts like `gp-net` that want to defer rather
 //!   than drop on capacity.
@@ -110,5 +119,5 @@ pub use gp_store::{IdentityStore, RegistryConfig};
 pub use gp_telemetry::{Histogram, Registry, SpanId, TelemetrySnapshot};
 // The execution substrate lives in `gp-runtime` (shared with training
 // and the dataset builder); re-exported for serving callers.
-pub use gp_runtime::{Gate, WorkerPool};
+pub use gp_runtime::WorkerPool;
 pub use session::SessionId;

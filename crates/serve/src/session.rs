@@ -1,16 +1,16 @@
 //! Per-stream session state: an online segmenter plus a bounded frame
 //! buffer that keeps exactly the frames a future segment can still
-//! reference.
+//! reference, and the session's [`SessionMode`].
 //!
 //! A session declares its sensing modality when it is opened and keeps
 //! the matching segmentation state: point-cloud sessions run
 //! [`OnlineSegmenter`] over radar [`Frame`]s, range-Doppler sessions
 //! run [`OnlineRdSegmenter`] over [`RdFrame`]s. A point-cloud session
-//! may additionally be driven with *paired* pushes (one point frame +
+//! may additionally be driven with *paired* frames (one point frame +
 //! the aligned RD frame), in which case it keeps an RD shadow buffer so
 //! the engine can hand a sparse segment to the range-Doppler backend.
 
-use gestureprint_core::SensingBackend;
+use crate::engine::SessionMode;
 use gp_pipeline::{GestureSample, GestureSegment, OnlineSegmenter, Preprocessor};
 use gp_radar::Frame;
 use gp_rd::{OnlineRdSegmenter, RdFrame, RdLabeledSample, RdSegment};
@@ -27,16 +27,57 @@ impl std::fmt::Display for SessionId {
     }
 }
 
-/// A segment completed by one push (or by the session close), in
-/// whichever representation the session streams.
+/// One frame offered to a session, in whichever representation the
+/// session streams.
 #[derive(Debug)]
-pub(crate) enum ClosedSegment {
+pub(crate) enum SensorFrame {
+    /// A point-cloud frame.
+    Points(Frame),
+    /// A range-Doppler frame.
+    Rd(RdFrame),
+    /// A point-cloud frame with the aligned range-Doppler frame
+    /// (hybrid session).
+    Paired(Frame, RdFrame),
+}
+
+impl From<Frame> for SensorFrame {
+    fn from(frame: Frame) -> Self {
+        SensorFrame::Points(frame)
+    }
+}
+
+impl From<RdFrame> for SensorFrame {
+    fn from(frame: RdFrame) -> Self {
+        SensorFrame::Rd(frame)
+    }
+}
+
+impl From<(Frame, RdFrame)> for SensorFrame {
+    fn from((frame, rd): (Frame, RdFrame)) -> Self {
+        SensorFrame::Paired(frame, rd)
+    }
+}
+
+/// A segment completed by one push (or by the session close), stamped
+/// with the mode its session was in when it closed.
+#[derive(Debug)]
+pub(crate) struct ClosedSegment {
+    /// The session's mode at close: a later mode switch never relabels
+    /// a segment that already closed.
+    pub(crate) mode: SessionMode,
+    pub(crate) data: SegmentData,
+}
+
+/// A closed segment's boundaries and assembled sample, in whichever
+/// representation the session streams.
+#[derive(Debug)]
+pub(crate) enum SegmentData {
     /// A point-cloud segment. The sample side is `None` when noise
     /// canceling rejects the closed segment (mirroring the offline
     /// pipeline's drop rule) — the segment is still reported so drop
-    /// rates are observable. For hybrid (paired-push) sessions the
-    /// aligned range-Doppler window rides along so the engine's
-    /// sparse-cloud fallback can re-route the segment.
+    /// rates are observable. For hybrid (paired) sessions the aligned
+    /// range-Doppler window rides along so the engine's sparse-cloud
+    /// fallback can re-route the segment.
     Point(
         GestureSegment,
         Option<GestureSample>,
@@ -55,7 +96,7 @@ enum Stream {
         /// Retained frames; `buffer[0]` has absolute index `base`.
         buffer: VecDeque<Frame>,
         /// Aligned RD shadow buffer, allocated on the first paired
-        /// push. A session that starts paired must stay paired — the
+        /// frame. A session that starts paired must stay paired — the
         /// shadow shares `base` with the point buffer.
         rd_shadow: Option<VecDeque<RdFrame>>,
         base: usize,
@@ -74,7 +115,10 @@ pub(crate) struct Session {
     stream: Stream,
     /// Per-session admission budget; `None` = unlimited. Guarded by the
     /// session mutex like the rest of the per-stream state.
-    budget: Option<TokenBucket>,
+    pub(crate) budget: Option<TokenBucket>,
+    /// What the engine does with this session's segments; stamped on
+    /// each one as it closes.
+    pub(crate) mode: SessionMode,
 }
 
 impl Session {
@@ -88,6 +132,7 @@ impl Session {
                 base: 0,
             },
             budget,
+            mode: SessionMode::Classify,
         }
     }
 
@@ -100,148 +145,99 @@ impl Session {
                 base: 0,
             },
             budget,
+            mode: SessionMode::Classify,
         }
     }
 
-    /// The sensing modality this session was opened with.
-    pub(crate) fn backend(&self) -> SensingBackend {
-        match &self.stream {
-            Stream::Point { .. } => SensingBackend::PointCloud,
-            Stream::Rd { .. } => SensingBackend::RangeDoppler,
-        }
-    }
-
-    /// The session's admission budget, if one is configured.
-    pub(crate) fn budget_mut(&mut self) -> Option<&mut TokenBucket> {
-        self.budget.as_mut()
-    }
-
-    /// Feeds one point-cloud frame; when it closes a gesture, assembles
-    /// the segment's sample from the buffered frames.
+    /// Feeds one frame; when it closes a gesture, assembles the
+    /// segment's sample from the buffered frames. A hybrid session's
+    /// paired frames must start with its first frame, so the two
+    /// buffers' absolute indices line up.
     ///
     /// # Panics
     ///
-    /// Panics on a range-Doppler session, or on a hybrid session that
-    /// has already received paired pushes (the shadow buffer would
-    /// desynchronize).
-    pub(crate) fn push(&mut self, frame: Frame, pre: &Preprocessor) -> Option<ClosedSegment> {
-        self.push_point(frame, None, pre)
-    }
-
-    /// Feeds one point-cloud frame together with the aligned
-    /// range-Doppler frame (hybrid session). The two streams must be
-    /// paired from the session's first frame so absolute indices line
-    /// up.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a range-Doppler session, or when earlier frames were
-    /// pushed unpaired.
-    pub(crate) fn push_paired(
-        &mut self,
-        frame: Frame,
-        rd: RdFrame,
-        pre: &Preprocessor,
-    ) -> Option<ClosedSegment> {
-        self.push_point(frame, Some(rd), pre)
-    }
-
-    fn push_point(
-        &mut self,
-        frame: Frame,
-        rd: Option<RdFrame>,
-        pre: &Preprocessor,
-    ) -> Option<ClosedSegment> {
-        let Stream::Point {
-            segmenter,
-            buffer,
-            rd_shadow,
-            base,
-        } = &mut self.stream
-        else {
-            panic!("point-cloud frame pushed into a range-Doppler session");
-        };
-        match (&mut *rd_shadow, rd) {
-            (Some(shadow), Some(rd)) => shadow.push_back(rd),
-            (None, Some(rd)) => {
-                assert!(
-                    buffer.is_empty() && *base == 0,
-                    "hybrid sessions must be paired from the first frame"
-                );
-                let mut shadow = VecDeque::new();
-                shadow.push_back(rd);
-                *rd_shadow = Some(shadow);
-            }
-            (Some(_), None) => panic!("hybrid sessions must stay paired (unpaired push)"),
-            (None, None) => {}
-        }
-        let segment = segmenter.push_frame(&frame);
-        buffer.push_back(frame);
-        let out = segment.map(|seg| {
-            let sample = assemble_point(buffer, *base, seg, pre);
-            let rd = rd_shadow
-                .as_mut()
-                .map(|shadow| assemble_rd(shadow, *base, seg.start, seg.end));
-            ClosedSegment::Point(seg, sample, rd)
-        });
-        let keep_from = segmenter.earliest_needed();
-        trim(buffer, base, keep_from, rd_shadow.as_mut());
-        out
-    }
-
-    /// Feeds one range-Doppler frame; when it closes a segment,
-    /// assembles the segment's sample from the buffered frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a point-cloud session.
-    pub(crate) fn push_rd(&mut self, frame: RdFrame) -> Option<ClosedSegment> {
-        let Stream::Rd {
-            segmenter,
-            buffer,
-            base,
-        } = &mut self.stream
-        else {
-            panic!("range-Doppler frame pushed into a point-cloud session");
-        };
-        let segment = segmenter.push(&frame);
-        buffer.push_back(frame);
-        let out = segment.map(|seg| {
-            let sample = assemble_rd(buffer, *base, seg.start, seg.end);
-            ClosedSegment::Rd(seg, sample)
-        });
-        let keep_from = segmenter.earliest_needed();
-        trim(buffer, base, keep_from, None);
-        out
-    }
-
-    /// Closes a gesture still open at end of stream, if any.
-    pub(crate) fn finish(&mut self, pre: &Preprocessor) -> Option<ClosedSegment> {
-        match &mut self.stream {
+    /// Panics on a frame the session's modality does not stream, and
+    /// on a point-cloud session whose pairing changes mid-stream (the
+    /// shadow buffer would desynchronize).
+    pub(crate) fn push(&mut self, frame: SensorFrame, pre: &Preprocessor) -> Option<ClosedSegment> {
+        let data = match &mut self.stream {
             Stream::Point {
                 segmenter,
                 buffer,
                 rd_shadow,
                 base,
             } => {
-                let seg = segmenter.finish()?;
-                let sample = assemble_point(buffer, *base, seg, pre);
-                let rd = rd_shadow
-                    .as_mut()
-                    .map(|shadow| assemble_rd(shadow, *base, seg.start, seg.end));
-                Some(ClosedSegment::Point(seg, sample, rd))
+                let (frame, rd) = match frame {
+                    SensorFrame::Points(frame) => (frame, None),
+                    SensorFrame::Paired(frame, rd) => (frame, Some(rd)),
+                    SensorFrame::Rd(_) => {
+                        panic!("range-Doppler frame pushed into a point-cloud session")
+                    }
+                };
+                match (&mut *rd_shadow, rd) {
+                    (Some(shadow), Some(rd)) => shadow.push_back(rd),
+                    (None, Some(rd)) => {
+                        assert!(
+                            buffer.is_empty() && *base == 0,
+                            "hybrid sessions must be paired from the first frame"
+                        );
+                        *rd_shadow = Some(VecDeque::from([rd]));
+                    }
+                    (Some(_), None) => panic!("hybrid sessions must stay paired (unpaired push)"),
+                    (None, None) => {}
+                }
+                let segment = segmenter.push_frame(&frame);
+                buffer.push_back(frame);
+                let out = segment.map(|seg| point_data(buffer, rd_shadow, *base, seg, pre));
+                let keep_from = segmenter.earliest_needed();
+                trim(buffer, base, keep_from, rd_shadow.as_mut());
+                out
             }
             Stream::Rd {
                 segmenter,
                 buffer,
                 base,
             } => {
-                let seg = segmenter.finish()?;
-                Some(ClosedSegment::Rd(
-                    seg,
-                    assemble_rd(buffer, *base, seg.start, seg.end),
-                ))
+                let SensorFrame::Rd(frame) = frame else {
+                    panic!("point-cloud frame pushed into a range-Doppler session");
+                };
+                let segment = segmenter.push(&frame);
+                buffer.push_back(frame);
+                let out = segment.map(|seg| {
+                    SegmentData::Rd(seg, assemble_rd(buffer, *base, seg.start, seg.end))
+                });
+                trim(buffer, base, segmenter.earliest_needed(), None);
+                out
             }
+        }?;
+        Some(self.stamp(data))
+    }
+
+    /// Closes a gesture still open at end of stream, if any.
+    pub(crate) fn finish(&mut self, pre: &Preprocessor) -> Option<ClosedSegment> {
+        let data = match &mut self.stream {
+            Stream::Point {
+                segmenter,
+                buffer,
+                rd_shadow,
+                base,
+            } => point_data(buffer, rd_shadow, *base, segmenter.finish()?, pre),
+            Stream::Rd {
+                segmenter,
+                buffer,
+                base,
+            } => {
+                let seg = segmenter.finish()?;
+                SegmentData::Rd(seg, assemble_rd(buffer, *base, seg.start, seg.end))
+            }
+        };
+        Some(self.stamp(data))
+    }
+
+    fn stamp(&self, data: SegmentData) -> ClosedSegment {
+        ClosedSegment {
+            mode: self.mode.clone(),
+            data,
         }
     }
 
@@ -263,12 +259,15 @@ impl Session {
     }
 }
 
-fn assemble_point(
+/// Assembles a closed point-cloud segment's sample, with its aligned
+/// RD window when the session is paired.
+fn point_data(
     buffer: &mut VecDeque<Frame>,
+    rd_shadow: &mut Option<VecDeque<RdFrame>>,
     base: usize,
     seg: GestureSegment,
     pre: &Preprocessor,
-) -> Option<GestureSample> {
+) -> SegmentData {
     debug_assert!(
         seg.start >= base,
         "segment start {} precedes trimmed buffer base {}",
@@ -278,7 +277,11 @@ fn assemble_point(
     let lo = seg.start - base;
     let hi = seg.end - base;
     let frames = buffer.make_contiguous();
-    pre.assemble(&frames[lo..hi], seg.start)
+    let sample = pre.assemble(&frames[lo..hi], seg.start);
+    let rd = rd_shadow
+        .as_mut()
+        .map(|shadow| assemble_rd(shadow, base, seg.start, seg.end));
+    SegmentData::Point(seg, sample, rd)
 }
 
 /// Slices the `[start, end)` window out of an RD buffer as an unlabeled
@@ -348,7 +351,7 @@ mod tests {
         let mut session = Session::new_point(OnlineSegmenter::new(cfg), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
         for i in 0..5_000 {
-            assert!(session.push(frame(i, 1), &pre).is_none());
+            assert!(session.push(frame(i, 1).into(), &pre).is_none());
             assert!(
                 session.buffered() <= motion_window + 1,
                 "idle buffer grew to {} at frame {i}",
@@ -356,7 +359,6 @@ mod tests {
             );
         }
         assert_eq!(session.frames_seen(), 5_000);
-        assert_eq!(session.backend(), SensingBackend::PointCloud);
     }
 
     #[test]
@@ -367,11 +369,11 @@ mod tests {
         let mut out = Vec::new();
         for i in 0..70 {
             let points = if (20..45).contains(&i) { 14 } else { 1 };
-            out.extend(session.push(frame(i, points), &pre));
+            out.extend(session.push(frame(i, points).into(), &pre));
         }
         out.extend(session.finish(&pre));
         assert_eq!(out.len(), 1, "expected exactly one segment");
-        let ClosedSegment::Point(seg, sample, rd) = &out[0] else {
+        let SegmentData::Point(seg, sample, rd) = &out[0].data else {
             panic!("point session closed a non-point segment");
         };
         let sample = sample.as_ref().expect("noise canceling keeps the burst");
@@ -390,7 +392,7 @@ mod tests {
         let mut out = Vec::new();
         for i in 0..45 {
             let points = if i >= 30 { 14 } else { 1 };
-            out.extend(session.push(frame(i, points), &pre));
+            out.extend(session.push(frame(i, points).into(), &pre));
         }
         assert!(out.is_empty(), "gesture still open");
         out.extend(session.finish(&pre));
@@ -400,16 +402,15 @@ mod tests {
     #[test]
     fn rd_session_segments_a_burst() {
         let mut session = Session::new_rd(OnlineRdSegmenter::new(RdSegmentConfig::default()), None);
-        assert_eq!(session.backend(), SensingBackend::RangeDoppler);
         let pre = Preprocessor::new(PreprocessorConfig::default());
         let mut out = Vec::new();
         for i in 0..40 {
             let level = if (10..22).contains(&i) { 20.0 } else { 0.1 };
-            out.extend(session.push_rd(rd_frame(i, level)));
+            out.extend(session.push(rd_frame(i, level).into(), &pre));
         }
         out.extend(session.finish(&pre));
         assert_eq!(out.len(), 1, "expected exactly one segment");
-        let ClosedSegment::Rd(seg, sample) = &out[0] else {
+        let SegmentData::Rd(seg, sample) = &out[0].data else {
             panic!("RD session closed a non-RD segment");
         };
         assert_eq!((seg.start, seg.end), (10, 22));
@@ -427,11 +428,11 @@ mod tests {
         let mut out = Vec::new();
         for i in 0..70 {
             let points = if (20..45).contains(&i) { 14 } else { 1 };
-            out.extend(session.push_paired(frame(i, points), rd_frame(i, 5.0), &pre));
+            out.extend(session.push((frame(i, points), rd_frame(i, 5.0)).into(), &pre));
         }
         out.extend(session.finish(&pre));
         assert_eq!(out.len(), 1);
-        let ClosedSegment::Point(seg, _, rd) = &out[0] else {
+        let SegmentData::Point(seg, _, rd) = &out[0].data else {
             panic!("paired session closed a non-point segment");
         };
         let rd = rd.as_ref().expect("paired session carries the RD window");
@@ -445,7 +446,8 @@ mod tests {
     fn point_session_rejects_rd_frames() {
         let mut session =
             Session::new_point(OnlineSegmenter::new(SegmenterConfig::default()), None);
-        session.push_rd(rd_frame(0, 0.1));
+        let pre = Preprocessor::new(PreprocessorConfig::default());
+        session.push(rd_frame(0, 0.1).into(), &pre);
     }
 
     #[test]
@@ -453,7 +455,7 @@ mod tests {
     fn rd_session_rejects_point_frames() {
         let mut session = Session::new_rd(OnlineRdSegmenter::new(RdSegmentConfig::default()), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
-        session.push(frame(0, 1), &pre);
+        session.push(frame(0, 1).into(), &pre);
     }
 
     #[test]
@@ -462,7 +464,7 @@ mod tests {
         let mut session =
             Session::new_point(OnlineSegmenter::new(SegmenterConfig::default()), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
-        session.push(frame(0, 1), &pre);
-        session.push_paired(frame(1, 1), rd_frame(1, 0.1), &pre);
+        session.push(frame(0, 1).into(), &pre);
+        session.push((frame(1, 1), rd_frame(1, 0.1)).into(), &pre);
     }
 }

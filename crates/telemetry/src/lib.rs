@@ -17,18 +17,15 @@
 //!   and threaded through the serve pipeline so the per-stage
 //!   histograms (`admission_wait → segmentation → queue_wait →
 //!   inference → publish`) decompose one result's end-to-end latency.
-//! - **Export** ([`TelemetrySnapshot`], [`PeriodicExporter`]): a
-//!   versioned, deterministic, sparsely-encoded snapshot of the whole
-//!   registry — the payload behind `BENCH_*.json` trajectory
-//!   artifacts, the gp-net `StatsQuery` reply, and the soak test's
-//!   tier-2 upload.
+//! - **Export** ([`TelemetrySnapshot`]): a versioned, deterministic,
+//!   sparsely-encoded snapshot of the whole registry — the payload
+//!   behind `BENCH_*.json` trajectory artifacts, the gp-net
+//!   `StatsQuery` reply, and the soak test's tier-2 upload.
 
-pub mod export;
 pub mod hist;
 pub mod registry;
 pub mod snapshot;
 
-pub use export::PeriodicExporter;
 pub use hist::{AtomicHistogram, Histogram};
 pub use registry::{Counter, Gauge, Registry};
 pub use snapshot::{TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION};
