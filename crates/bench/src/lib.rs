@@ -22,12 +22,13 @@
 //! * [`ReplayPacer`] — fixed-fps replay with deterministic jitter, so
 //!   replays measure steady-state latency instead of burst latency.
 //! * [`drive_sessions`] — replays one stream per session concurrently
-//!   on a `gp_runtime::WorkerPool` (the migrated form of the scoped
-//!   driver threads the bench and example used to hand-roll).
+//!   through `gp_runtime::scope_map`, one thread per session.
+
+#![forbid(unsafe_code)]
 
 use gestureprint_core::artifact::{kinds, Artifact};
 use gp_codec::{Decode, Encode, Value};
-use gp_runtime::WorkerPool;
+use gp_runtime::scope_map;
 use gp_serve::{ServeConfig, ServeEngine, ServeStats, SessionId, TelemetrySnapshot};
 use gp_testkit::GestureStream;
 use std::time::{Duration, Instant};
@@ -208,7 +209,7 @@ impl ReplayPacer {
     }
 }
 
-/// Replays one stream per session concurrently — one pool worker per
+/// Replays one stream per session concurrently — one thread per
 /// session — and closes each session at stream end. `pacer: None`
 /// replays as fast as possible (burst mode); `Some` paces every
 /// driver's frames on its own clock (steady-state mode).
@@ -217,11 +218,7 @@ pub fn drive_sessions(
     sessions: &[(SessionId, &GestureStream)],
     pacer: Option<ReplayPacer>,
 ) {
-    if sessions.is_empty() {
-        return;
-    }
-    let drivers = WorkerPool::new(sessions.len());
-    drivers.scope_map(sessions.to_vec(), |_, (session, stream)| {
+    scope_map(sessions.len(), sessions.to_vec(), |_, (session, stream)| {
         let start = Instant::now();
         for (i, frame) in stream.frames.iter().enumerate() {
             if let Some(pacer) = &pacer {

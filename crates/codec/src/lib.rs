@@ -51,6 +51,8 @@
 //! assert_eq!(back.x, 1.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod binary;
 pub mod framing;
 pub mod json;

@@ -43,6 +43,8 @@
 //! println!("gesture {} by user {}", out.gesture, out.user);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod artifact;
 pub mod crossval;
 pub mod report;

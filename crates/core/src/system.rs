@@ -6,7 +6,7 @@ use crate::train::{
 };
 use gp_pipeline::LabeledSample;
 use gp_rd::RdLabeledSample;
-use gp_runtime::WorkerPool;
+use gp_runtime::scope_map;
 
 /// Runtime identification mode (paper §IV-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,8 +124,8 @@ impl GesturePrint {
     /// In serialized mode one identifier is trained per gesture (on that
     /// gesture's samples only); gestures with no training samples fall
     /// back to a global identifier. The gesture model and every
-    /// identifier train in parallel on a pool of `config.threads`
-    /// workers, in both modes.
+    /// identifier train in parallel on up to `config.threads` threads,
+    /// in both modes.
     ///
     /// # Panics
     ///
@@ -209,8 +209,7 @@ impl GesturePrint {
 
         // Every model is seeded on its own and `scope_map` keeps job
         // order, so the weights do not depend on the worker count.
-        let pool = WorkerPool::new(config.threads);
-        let mut models = pool.scope_map(jobs, |_, (pairs, classes, cfg)| {
+        let mut models = scope_map(config.threads, jobs, |_, (pairs, classes, cfg)| {
             train_classifier(pairs, classes, &cfg, None)
         });
         let gesture_model = models.remove(0);

@@ -131,7 +131,7 @@ fn trained_system_identical_across_thread_counts() {
         }
     }
 
-    // The range-Doppler backend trains through the same pool.
+    // The range-Doppler backend trains through the same scoped map.
     let samples = gp_testkit::toy_rd_samples(3);
     let refs: Vec<&RdLabeledSample> = samples.iter().collect();
     for mode in [IdentificationMode::Serialized, IdentificationMode::Parallel] {

@@ -5,7 +5,7 @@ use gp_kinematics::gestures::GestureId;
 use gp_kinematics::{Performance, UserProfile};
 use gp_pipeline::{LabeledSample, Preprocessor, PreprocessorConfig};
 use gp_radar::{Backend, Environment, RadarConfig, RadarSimulator, Scene};
-use gp_runtime::WorkerPool;
+use gp_runtime::scope_map;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -132,14 +132,14 @@ pub fn build(spec: &DatasetSpec, options: &BuildOptions) -> Dataset {
         }
     }
 
-    // Each capture is an independent (seed-derived) simulation, so the
-    // shared runtime pool runs them one-per-job and work stealing
-    // balances the load; `scope_map` keeps results in work order, which
-    // makes the build deterministic for any thread count.
-    let pool = WorkerPool::new(options.threads);
+    // Each capture is an independent (seed-derived) simulation; every
+    // `scope_map` thread takes the next capture as it frees up, and the
+    // results come back in work order, so the build is deterministic
+    // for any thread count.
     let total = work.len();
-    let captured: Vec<Option<DatasetSample>> =
-        pool.scope_map(work, |_, item| capture_one(spec, options, &item));
+    let captured: Vec<Option<DatasetSample>> = scope_map(options.threads, work, |_, item| {
+        capture_one(spec, options, &item)
+    });
 
     let mut samples = Vec::with_capacity(total);
     let mut dropped = 0;

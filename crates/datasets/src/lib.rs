@@ -26,6 +26,8 @@
 //! println!("{} samples", dataset.samples.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod spec;
 

@@ -34,6 +34,8 @@
 //! assert_eq!(peak, 5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cfar;
 pub mod complex;
 pub mod fft;

@@ -8,6 +8,8 @@
 //! which the false-positive and false-negative rates cross in the
 //! one-vs-rest verification setting.
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod roc;
 pub mod split;

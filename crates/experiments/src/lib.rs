@@ -5,6 +5,8 @@
 //! to run at published cohort sizes; the default `small` scale finishes
 //! on a laptop-class CPU and preserves the result *shapes*.
 
+#![forbid(unsafe_code)]
+
 use gestureprint_core::{
     classification_report, train_classifier, ClassificationReport, GesturePrint,
     GesturePrintConfig, IdentificationMode, TrainConfig, TrainedModel,

@@ -41,6 +41,8 @@
 //! assert!(!scatterers.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod gestures;
 pub mod path;
 pub mod performance;

@@ -15,6 +15,8 @@
 //! two batch calls, [`PointModel::logits_and_embedding_batch`] and
 //! [`PointModel::train_step_batch`]; a single sample is a batch of one.
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod features;
 pub mod gesidnet;

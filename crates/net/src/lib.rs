@@ -58,6 +58,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod server;
 pub mod wire;

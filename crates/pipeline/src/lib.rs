@@ -35,6 +35,8 @@
 //! assert!(!segments[0].cloud.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod augment;
 pub mod noise;
 pub mod sample;

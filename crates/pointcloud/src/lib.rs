@@ -27,6 +27,8 @@
 //! assert!((c.x - 0.45).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dbscan;
 pub mod metrics;
 pub mod neighbors;

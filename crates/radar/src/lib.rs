@@ -33,6 +33,8 @@
 //! assert!(!frames.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod environment;
 pub mod frame;

@@ -14,7 +14,7 @@
 
 use crate::frame::RdFrame;
 use crate::sample::RdLabeledSample;
-use gp_runtime::WorkerPool;
+use gp_runtime::scope_map;
 
 /// Width of each per-frame summary vector in [`RdInput::sequence`].
 pub const RD_SEQUENCE_FEATURES: usize = 8;
@@ -192,9 +192,10 @@ pub fn extract_sample(sample: &RdLabeledSample, config: &RdFeatureConfig) -> RdI
     extract(&sample.frames, config)
 }
 
-/// Encodes a batch across `threads` workers. Per-sample extraction is
-/// pure and outputs are returned in input order, so the result is
-/// bit-identical for every thread count (guarded by the property tests).
+/// Encodes a batch across `threads` threads (`0` and `1` run on the
+/// caller). Per-sample extraction is pure and outputs are returned in
+/// input order, so the result is bit-identical for every thread count
+/// (guarded by the property tests).
 pub fn extract_all(
     samples: &[&RdLabeledSample],
     config: &RdFeatureConfig,
@@ -203,8 +204,7 @@ pub fn extract_all(
     if threads <= 1 || samples.len() <= 1 {
         return samples.iter().map(|s| extract_sample(s, config)).collect();
     }
-    let pool = WorkerPool::new(threads);
-    pool.scope_map(samples.to_vec(), |_, s| extract_sample(s, config))
+    scope_map(threads, samples.to_vec(), |_, s| extract_sample(s, config))
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 //! serving sessions can declare either modality — or fall back to this
 //! one when a point-cloud segment is too sparse to trust.
 
+#![forbid(unsafe_code)]
+
 pub mod features;
 pub mod frame;
 pub mod model;

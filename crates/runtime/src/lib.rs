@@ -3,18 +3,19 @@
 //! Before this crate existed, three different crates hand-rolled their
 //! own parallelism: `gestureprint-core` chunked per-gesture identifier
 //! training over `std::thread::scope`, `gp-datasets` did the same for
-//! capture work items, and `gp-serve` owned a private work-stealing pool
-//! for its micro-batching executor. This crate is the single home for
-//! all of it:
+//! capture work items, and `gp-serve` owned a private pool for its
+//! micro-batching executor. This crate is the single home for all of
+//! it:
 //!
-//! * [`WorkerPool`] — a fixed-size work-stealing pool over `std`
-//!   primitives. Long-lived workers each own a deque; [`WorkerPool::spawn`]
-//!   round-robins jobs and idle workers steal, so uneven work still keeps
-//!   every thread busy.
-//! * **Ordered map** — [`WorkerPool::scope_map`] applies a function
-//!   across items on the pool and returns results in input order. Its
-//!   closure may borrow the caller's stack, which replaced every ad-hoc
-//!   `std::thread::scope` chunking loop in the workspace.
+//! * [`WorkerPool`] — a fixed-size pool of long-lived workers over one
+//!   FIFO job queue: [`WorkerPool::spawn`] appends a `'static` job and
+//!   the next idle worker takes the oldest. A panicking job is caught
+//!   and counted; dropping the pool runs every queued job first.
+//! * **Ordered map** — [`scope_map`] applies a function across items on
+//!   scoped threads and returns results in input order. Its closure may
+//!   borrow the caller's stack, and it waits only on threads it
+//!   started, so it is safe to call from a pool job or from inside
+//!   another `scope_map` item.
 //! * [`Gate`] — a weighted high-watermark counter for bounded-queue
 //!   submission: acquiring past the watermark blocks the producer until
 //!   enough outstanding work drains, so a runaway producer blocks
@@ -33,8 +34,10 @@
 //!
 //! Everything here is deterministic in the sense callers rely on:
 //! the ordered map returns results positionally, so a pure per-item
-//! function yields identical output for 1 or N workers regardless of
+//! function yields identical output for 1 or N threads regardless of
 //! scheduling.
+
+#![forbid(unsafe_code)]
 
 pub mod budget;
 pub mod gate;
@@ -42,4 +45,4 @@ pub mod pool;
 
 pub use budget::TokenBucket;
 pub use gate::Gate;
-pub use pool::WorkerPool;
+pub use pool::{scope_map, WorkerPool};

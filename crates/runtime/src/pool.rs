@@ -1,23 +1,19 @@
-//! A work-stealing worker pool over `std` primitives, with ordered
-//! parallel maps over both owned (`'static`) and borrowed (scoped) work.
+//! A FIFO worker pool for owned (`'static`) jobs, and an ordered
+//! parallel map for borrowed work on scoped threads.
 //!
-//! The pool owns long-lived workers, each with its own deque;
-//! [`WorkerPool::spawn`] distributes jobs round-robin and idle workers
-//! steal from their siblings' queues, so an uneven job mix still keeps
-//! every thread busy. Jobs are plain `FnOnce` boxes; a panicking job is
+//! [`WorkerPool`] owns long-lived workers that share one job queue:
+//! [`WorkerPool::spawn`] appends a job and the next idle worker takes
+//! the oldest one. Jobs are plain `FnOnce` boxes; a panicking job is
 //! caught and dropped so one poisoned work item cannot take a worker
 //! (and every queued job behind it) down with it.
 //!
-//! [`WorkerPool::scope_map`] is the replacement for the
-//! `std::thread::scope` chunking that used to be copy-pasted across
-//! `gestureprint-core`, `gp-datasets`, and the serve bench: it runs a
-//! borrowing closure over items *on the pool's existing threads* and
-//! blocks until every item has finished, which is what makes the
-//! borrow sound (see the safety comment inside).
+//! [`scope_map`] runs a borrowing closure over items on scoped threads
+//! (`std::thread::scope`) and returns the results in input order. It
+//! waits only for threads it started itself, so it may be called from
+//! anywhere, a pool job or another `scope_map` item included.
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
@@ -36,120 +32,73 @@ struct PoolMetrics {
     busy_us: Arc<Counter>,
 }
 
-/// Locks ignoring poison: pool bookkeeping must stay reachable even if
-/// some thread panicked at an unfortunate moment, because
-/// [`WorkerPool::scope_map`]'s soundness depends on always being able
-/// to wait for outstanding jobs.
+/// Locks ignoring poison: no job or map closure ever runs under these
+/// locks, so a poisoned one still guards consistent data.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Job-count + shutdown flag, guarded together so workers can sleep.
-struct PoolState {
-    /// Jobs queued but not yet claimed by a worker.
-    queued: usize,
+/// `0` means the machine's available parallelism.
+fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    } else {
+        threads
+    }
+}
+
+/// Queued jobs and the shutdown flag, guarded together so workers can
+/// sleep on one condition variable.
+struct Queue {
+    jobs: VecDeque<Job>,
     shutdown: bool,
 }
 
 struct PoolShared {
-    /// One deque per worker; `spawn` round-robins, idle workers steal.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    state: Mutex<PoolState>,
+    queue: Mutex<Queue>,
     work_available: Condvar,
     /// Set at most once by [`WorkerPool::instrument`]; uninstrumented
     /// pools pay a single relaxed load per job.
     metrics: OnceLock<PoolMetrics>,
 }
 
-/// A fixed-size work-stealing thread pool.
+/// A fixed-size thread pool over one FIFO job queue.
 ///
-/// Dropping the pool drains all queued jobs, then joins the workers.
+/// Dropping the pool runs every queued job, then joins the workers.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
-    next: AtomicUsize,
     workers: Vec<JoinHandle<()>>,
-}
-
-/// Completion latch for one `scope_map` call: counts finished jobs and
-/// wakes the waiting caller.
-struct Latch {
-    count: Mutex<usize>,
-    done: Condvar,
-}
-
-impl Latch {
-    fn new() -> Latch {
-        Latch {
-            count: Mutex::new(0),
-            done: Condvar::new(),
-        }
-    }
-
-    /// Blocks until `n` jobs have counted themselves finished.
-    fn wait(&self, n: usize) {
-        let mut count = lock(&self.count);
-        while *count < n {
-            count = self
-                .done
-                .wait(count)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// Counts one finished job on drop — so a panicking closure still
-/// counts and the caller cannot wait forever. The notify happens while
-/// the latch mutex is held: once the caller observes the final count
-/// (and may free the latch), this guard provably no longer touches it.
-struct LatchGuard<'a>(&'a Latch);
-
-impl Drop for LatchGuard<'_> {
-    fn drop(&mut self) {
-        let mut count = lock(&self.0.count);
-        *count += 1;
-        self.0.done.notify_all();
-    }
 }
 
 impl WorkerPool {
     /// Creates a pool with `threads` workers (`0` = available
     /// parallelism).
     pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            threads
-        };
         let shared = Arc::new(PoolShared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            state: Mutex::new(PoolState {
-                queued: 0,
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
                 shutdown: false,
             }),
             work_available: Condvar::new(),
             metrics: OnceLock::new(),
         });
-        let workers = (0..threads)
+        let workers = (0..resolve_threads(threads))
             .map(|w| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("gp-runtime-worker-{w}"))
-                    .spawn(move || worker_loop(w, &shared))
+                    .spawn(move || worker_loop(&shared))
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        WorkerPool {
-            shared,
-            next: AtomicUsize::new(0),
-            workers,
-        }
+        WorkerPool { shared, workers }
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.shared.queues.len()
+        self.workers.len()
     }
 
     /// Publishes this pool's utilization into `registry` under
@@ -170,121 +119,32 @@ impl WorkerPool {
         });
     }
 
-    /// Enqueues a job; returns immediately.
+    /// Enqueues a job behind every job already queued; returns
+    /// immediately.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.inject(Box::new(job));
-    }
-
-    fn inject(&self, job: Job) {
-        let w = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-        lock(&self.shared.queues[w]).push_back(job);
-        let mut state = lock(&self.shared.state);
-        state.queued += 1;
-        drop(state);
+        lock(&self.shared.queue).jobs.push_back(Box::new(job));
         self.shared.work_available.notify_one();
-    }
-
-    /// Parallel indexed map whose closure may borrow from the caller —
-    /// the streaming-pool replacement for `std::thread::scope` chunking.
-    /// Applies `f(index, item)` to every item on the pool's workers and
-    /// blocks until all results are in, preserving input order.
-    ///
-    /// Results are positional, so a pure `f` yields identical output
-    /// for any worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any closure invocation panicked (after all items have
-    /// finished). Must not be called from within a pool job of the same
-    /// pool: the caller blocks its worker, which can deadlock.
-    pub fn scope_map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(usize, T) -> U + Sync,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let slots: Mutex<Vec<Option<U>>> = Mutex::new((0..n).map(|_| None).collect());
-        let latch = Latch::new();
-        {
-            let slots = &slots;
-            let latch = &latch;
-            let f = &f;
-            for (i, item) in items.into_iter().enumerate() {
-                let job = move || {
-                    // Declared first so it drops last: the slot write
-                    // happens before the finish count, and a panic in
-                    // `f` still counts on unwind (leaving the slot
-                    // empty, which the caller detects below).
-                    let _finished = LatchGuard(latch);
-                    let out = f(i, item);
-                    lock(slots)[i] = Some(out);
-                };
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(job);
-                // SAFETY: the job borrows `f`, `slots`, and `latch`,
-                // which live on this stack frame. Erasing the lifetime
-                // is sound because this function cannot return (or
-                // unwind) before `latch.wait(n)` observes every job
-                // finished: jobs enqueued on the pool always run
-                // (worker panics are caught per job, and pool shutdown
-                // drains queues before joining), every job counts the
-                // latch exactly once via `LatchGuard` even when `f`
-                // panics, and nothing between this loop and the wait
-                // can fail (all pool/latch locks ignore poisoning).
-                let job: Job =
-                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-                self.inject(job);
-            }
-            latch.wait(n);
-        }
-        slots
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            .map(|slot| slot.expect("a scoped map closure panicked; its result slot is empty"))
-            .collect()
     }
 }
 
-fn worker_loop(me: usize, shared: &PoolShared) {
+fn worker_loop(shared: &PoolShared) {
     loop {
-        // Sleep until a job is queued (or drain the backlog on shutdown).
-        {
-            let mut state = lock(&shared.state);
-            while state.queued == 0 && !state.shutdown {
-                state = shared
+        // Take the oldest job; sleep while the queue is empty, and exit
+        // once it is empty after shutdown (so drop drains the backlog).
+        let job = {
+            let mut queue = lock(&shared.queue);
+            loop {
+                if let Some(job) = queue.jobs.pop_front() {
+                    break job;
+                }
+                if queue.shutdown {
+                    return;
+                }
+                queue = shared
                     .work_available
-                    .wait(state)
+                    .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            if state.queued == 0 && state.shutdown {
-                return;
-            }
-            state.queued -= 1;
-        }
-        // One job is now reserved for us somewhere: own queue first
-        // (front, FIFO), then steal from siblings (back, LIFO — the
-        // classic stealing end). The reservation count guarantees the
-        // scan terminates.
-        let job = 'find: loop {
-            for k in 0..shared.queues.len() {
-                let q = (me + k) % shared.queues.len();
-                let popped = {
-                    let mut queue = lock(&shared.queues[q]);
-                    if q == me {
-                        queue.pop_front()
-                    } else {
-                        queue.pop_back()
-                    }
-                };
-                if let Some(job) = popped {
-                    break 'find job;
-                }
-            }
-            std::thread::yield_now();
         };
         // A panicking job must not kill the worker: the queue behind it
         // still has owners waiting on results. Instrumented pools count
@@ -306,10 +166,7 @@ fn worker_loop(me: usize, shared: &PoolShared) {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut state = lock(&self.shared.state);
-            state.shutdown = true;
-        }
+        lock(&self.shared.queue).shutdown = true;
         self.shared.work_available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -317,15 +174,66 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Parallel indexed map whose closure may borrow from the caller:
+/// applies `f(index, item)` to every item on `min(threads,
+/// items.len())` scoped threads (`threads == 0` = available
+/// parallelism) while the caller waits, and returns the results in
+/// input order.
+///
+/// Every thread takes the next unclaimed item in input order until
+/// none is left. Results are positional, so a pure `f` yields
+/// identical output for any thread count.
+///
+/// # Panics
+///
+/// If any invocation of `f` panics, re-panics in the caller with that
+/// payload once every thread has finished.
+pub fn scope_map<T, U, F>(threads: usize, items: Vec<T>, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(usize, T) -> U + Sync,
+{
+    let threads = resolve_threads(threads).min(items.len());
+    let queue = Mutex::new(items.into_iter().enumerate());
+    // A closure, so the guard drops before `f` runs (`while let` on the
+    // lock itself would hold it through the loop body).
+    let next = || lock(&queue).next();
+    let run = || {
+        let mut done = Vec::new();
+        while let Some((i, item)) = next() {
+            done.push((i, f(i, item)));
+        }
+        done
+    };
+    let mut done = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|_| s.spawn(run)).collect();
+        let mut done = Vec::new();
+        for worker in workers {
+            // Resuming here still waits for the other threads: the
+            // scope joins every thread before it re-raises the panic.
+            match worker.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     #[test]
     fn map_preserves_order() {
-        let pool = WorkerPool::new(4);
-        let out = pool.scope_map((0..100u64).collect(), |i, x| {
+        let out = scope_map(4, (0..100u64).collect(), |i, x| {
             assert_eq!(i as u64, x);
             x * 2
         });
@@ -334,10 +242,9 @@ mod tests {
 
     #[test]
     fn scope_map_borrows_caller_state() {
-        let pool = WorkerPool::new(3);
         // Borrowed, non-'static data: the whole point of scope_map.
-        let base = vec![10u64, 20, 30, 40, 50];
-        let out = pool.scope_map((0..5usize).collect(), |_, i| base[i] + 1);
+        let base = [10u64, 20, 30, 40, 50];
+        let out = scope_map(3, (0..5usize).collect(), |_, i| base[i] + 1);
         assert_eq!(out, vec![11, 21, 31, 41, 51]);
     }
 
@@ -345,10 +252,71 @@ mod tests {
     fn scope_map_matches_serial_for_any_worker_count() {
         let items: Vec<u64> = (0..37).collect();
         let serial: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for threads in [1, 2, 5] {
-            let pool = WorkerPool::new(threads);
-            assert_eq!(pool.scope_map(items.clone(), |_, x| x * x + 1), serial);
+        for threads in [0, 1, 2, 5, 64] {
+            assert_eq!(scope_map(threads, items.clone(), |_, x| x * x + 1), serial);
         }
+    }
+
+    #[test]
+    fn scope_map_of_nothing_is_empty() {
+        for threads in [0, 1, 4] {
+            let out: Vec<u64> = scope_map(threads, Vec::<u64>::new(), |_, x| x);
+            assert!(out.is_empty());
+        }
+    }
+
+    #[test]
+    fn scope_map_uses_at_most_min_of_threads_and_items() {
+        // Slow items, so every thread that was started gets to take one.
+        let threads_used = |threads: usize, items: usize| {
+            let ran_on: HashSet<ThreadId> = scope_map(threads, vec![(); items], |_, ()| {
+                std::thread::sleep(Duration::from_millis(2));
+                std::thread::current().id()
+            })
+            .into_iter()
+            .collect();
+            assert!(!ran_on.contains(&std::thread::current().id()));
+            ran_on.len()
+        };
+        assert!(threads_used(2, 8) <= 2);
+        assert!(threads_used(16, 3) <= 3);
+        assert_eq!(threads_used(16, 1), 1);
+    }
+
+    #[test]
+    fn nested_scope_map_completes() {
+        // Every outer item blocks on an inner map; the inner maps start
+        // their own threads, so nothing waits on a busy worker.
+        let out = scope_map(2, (0..4u64).collect(), |_, x| {
+            scope_map(2, (0..3u64).collect(), |_, y| x * 10 + y)
+                .into_iter()
+                .sum::<u64>()
+        });
+        assert_eq!(out, vec![3, 33, 63, 93]);
+    }
+
+    #[test]
+    fn scope_map_inside_a_pool_job_completes() {
+        let pool = WorkerPool::new(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.spawn(move || {
+            tx.send(scope_map(2, vec![1u64, 2, 3], |_, x| x * 2))
+                .unwrap();
+        });
+        let out = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(out, vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn single_worker_runs_jobs_in_submission_order() {
+        let pool = WorkerPool::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..50 {
+            let order = order.clone();
+            pool.spawn(move || order.lock().unwrap().push(i));
+        }
+        drop(pool);
+        assert_eq!(*order.lock().unwrap(), (0..50).collect::<Vec<_>>());
     }
 
     #[test]
@@ -370,24 +338,35 @@ mod tests {
         let pool = WorkerPool::new(2);
         pool.spawn(|| panic!("poisoned batch"));
         // The pool must still process subsequent work on every thread.
-        let out = pool.scope_map((0..64u64).collect(), |_, x| x + 1);
-        assert_eq!(out.len(), 64);
+        let counter = Arc::new(AtomicU64::new(0));
+        for _ in 0..64 {
+            let counter = counter.clone();
+            pool.spawn(move || {
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        drop(pool);
+        assert_eq!(counter.load(Ordering::SeqCst), 64);
     }
 
     #[test]
     fn panicking_map_closure_panics_the_caller_instead_of_hanging() {
-        let pool = WorkerPool::new(2);
+        let finished = AtomicU64::new(0);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope_map((0..8u64).collect(), |_, x| {
+            scope_map(2, (0..8u64).collect(), |_, x| {
                 if x == 3 {
                     panic!("bad item");
                 }
+                finished.fetch_add(1, Ordering::SeqCst);
                 x
             })
         }));
-        assert!(result.is_err(), "scope_map must not swallow the panic");
-        // And the pool is still usable afterwards.
-        assert_eq!(pool.scope_map(vec![1u64], |_, x| x * 2), vec![2]);
+        let payload = result.expect_err("scope_map must not swallow the panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"bad item"));
+        // Every other item still ran before the caller saw the panic.
+        assert_eq!(finished.load(Ordering::SeqCst), 7);
+        // And scope_map is still usable afterwards.
+        assert_eq!(scope_map(2, vec![1u64], |_, x| x * 2), vec![2]);
     }
 
     #[test]
@@ -395,12 +374,11 @@ mod tests {
         let registry = Registry::new();
         let pool = WorkerPool::new(2);
         pool.instrument(&registry, "pool");
-        pool.scope_map((0..32u64).collect(), |_, _| {
-            std::thread::sleep(std::time::Duration::from_micros(300));
-        });
-        // The scope_map latch releases inside the job, a hair before the
-        // worker's metric writes; joining the workers makes the counters
-        // exact rather than eventually-consistent.
+        for _ in 0..32 {
+            pool.spawn(|| std::thread::sleep(Duration::from_micros(300)));
+        }
+        // Dropping drains the queue and joins the workers, so the
+        // counters are exact rather than eventually-consistent.
         drop(pool);
         let snap = registry.snapshot();
         assert_eq!(snap.gauges.get("pool.workers"), Some(&2));
@@ -420,7 +398,7 @@ mod tests {
         for _ in 0..5 {
             pool.spawn(|| {});
         }
-        // Dropping drains the queues and joins the workers, so the
+        // Dropping drains the queue and joins the workers, so the
         // counters are final.
         drop(pool);
         let snap = registry.snapshot();
@@ -437,16 +415,36 @@ mod tests {
     #[test]
     fn work_distributes_across_threads() {
         let pool = WorkerPool::new(4);
-        let seen: Mutex<std::collections::HashSet<std::thread::ThreadId>> =
-            Mutex::new(std::collections::HashSet::new());
-        let slow = std::time::Duration::from_millis(20);
-        pool.scope_map((0..16u64).collect(), |_, _| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-            std::thread::sleep(slow);
-        });
-        // With 16 × 20 ms jobs on 4 workers, at least two threads must
-        // have participated (a single thread would need 320 ms of
-        // serial work while its siblings steal).
+        let seen = Arc::new(Mutex::new(HashSet::<ThreadId>::new()));
+        let running = Arc::new(AtomicU64::new(0));
+        let peak = Arc::new(AtomicU64::new(0));
+        for _ in 0..16 {
+            let (seen, running, peak) = (seen.clone(), running.clone(), peak.clone());
+            pool.spawn(move || {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                peak.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(20));
+                running.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        drop(pool);
+        // With 16 × 20 ms jobs on 4 workers, at least two workers must
+        // have taken jobs, and some jobs must have overlapped (a pool
+        // that ran one job at a time would peak at 1).
         assert!(seen.lock().unwrap().len() >= 2);
+        assert!(peak.load(Ordering::SeqCst) >= 2);
+    }
+
+    #[test]
+    fn scope_map_distributes_across_threads() {
+        let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+        scope_map(4, (0..16u64).collect(), |_, _| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            std::thread::sleep(Duration::from_millis(20));
+        });
+        // With 16 × 20 ms items on 4 threads, at least two threads must
+        // have participated (a single thread would need 320 ms of
+        // serial work while the others sit idle).
+        assert!(seen.into_inner().unwrap().len() >= 2);
     }
 }

@@ -4,9 +4,10 @@
 //! [`OnlineSegmenter`]s; segments that close are preprocessed and queued
 //! as jobs. The executor collects jobs *across sessions* into
 //! micro-batches of up to [`ServeConfig::max_batch`] segments and runs
-//! each batch through [`GesturePrint::infer_batch`] on the work-stealing
-//! [`WorkerPool`], so a burst on one stream and trickles on ten others
-//! still fill batches and keep every core busy.
+//! each batch through [`GesturePrint::infer_batch`] on the
+//! [`WorkerPool`], whose idle workers take the oldest queued batch, so a
+//! burst on one stream and trickles on ten others still fill batches
+//! and keep every core busy.
 //!
 //! Determinism: inference is a pure per-sample function, so predictions
 //! are identical regardless of worker count or how segments were split

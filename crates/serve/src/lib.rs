@@ -14,11 +14,12 @@
 //! * **Micro-batching executor** — segments that close are preprocessed
 //!   and collected *across sessions* into batches of up to
 //!   [`ServeConfig::max_batch`], then run through
-//!   [`gestureprint_core::GesturePrint::infer_batch`] on the shared
-//!   work-stealing [`gp_runtime::WorkerPool`]. Submission is bounded by
-//!   one gate, which counts the segments dispatched but not yet
-//!   published: once [`ServeConfig::pending_high_watermark`] of them
-//!   are in flight, `push_frame` blocks the producer (backpressure)
+//!   [`gestureprint_core::GesturePrint::infer_batch`] on the engine's
+//!   [`gp_runtime::WorkerPool`], whose workers take batches from one
+//!   FIFO queue. Submission is bounded by one gate, which counts the
+//!   segments dispatched but not yet published: once
+//!   [`ServeConfig::pending_high_watermark`] of them are in flight,
+//!   `push_frame` blocks the producer (backpressure)
 //!   instead of growing the queue without limit, while
 //!   [`ServeEngine::try_push_frame`] *sheds* the frame instead — for
 //!   producers that must never stall — counting it in the session's
@@ -96,6 +97,8 @@
 //! `tests/parity.rs` — and predictions are identical across 1 and N
 //! worker threads because inference is a pure per-sample function.
 
+#![forbid(unsafe_code)]
+
 pub mod bus;
 pub mod engine;
 pub mod session;
@@ -117,7 +120,4 @@ pub use gp_store::{IdentityStore, RegistryConfig};
 // The observability layer is shared with gp-net and gp-runtime;
 // re-exported so serving callers can name snapshot/histogram types.
 pub use gp_telemetry::{Histogram, Registry, SpanId, TelemetrySnapshot};
-// The execution substrate lives in `gp-runtime` (shared with training
-// and the dataset builder); re-exported for serving callers.
-pub use gp_runtime::WorkerPool;
 pub use session::SessionId;

@@ -107,9 +107,8 @@ fn concurrent_sessions_are_isolated() {
     );
     let stream = stream_fixture();
     let sessions: Vec<_> = (0..4).map(|_| engine.open_session()).collect();
-    // Concurrent drivers on the shared runtime pool (one per session).
-    let drivers = gp_serve::WorkerPool::new(sessions.len());
-    drivers.scope_map(sessions.clone(), |_, session| {
+    // Concurrent drivers, one thread per session.
+    gp_runtime::scope_map(sessions.len(), sessions.clone(), |_, session| {
         for frame in &stream.frames {
             engine.push_frame(session, frame.clone());
         }

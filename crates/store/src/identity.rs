@@ -6,6 +6,8 @@
 //! `RwLock`; identification only reads), and every mutation can be
 //! checkpointed as a `gestureprint.gallery` artifact — versioned,
 //! atomic, and retained like any other artifact in the registry.
+//! Checkpoints are taken one at a time, so a newer version never holds
+//! an older gallery than the version before it.
 
 use crate::gallery::{EmbeddingGallery, GalleryError, Identification};
 use crate::registry::{ArtifactRegistry, RegistryConfig};
@@ -46,6 +48,8 @@ struct Exported {
 pub struct IdentityStore {
     registry: ArtifactRegistry,
     gallery: RwLock<EmbeddingGallery>,
+    /// Held from a checkpoint's snapshot through its publish.
+    persisting: Mutex<()>,
     exported: Mutex<Option<Exported>>,
 }
 
@@ -90,6 +94,7 @@ impl IdentityStore {
         Ok(IdentityStore {
             registry,
             gallery: RwLock::new(gallery),
+            persisting: Mutex::new(()),
             exported: Mutex::new(None),
         })
     }
@@ -229,12 +234,15 @@ impl IdentityStore {
     }
 
     /// Publishes the current gallery as a new `gestureprint.gallery`
-    /// artifact version; returns that version.
+    /// artifact version; returns that version. Concurrent calls take
+    /// their snapshots in version order; enrollment waits only while
+    /// the snapshot is encoded, not during the write.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] from the registry publish.
     pub fn persist(&self) -> Result<u64, StoreError> {
+        let _persisting = lock_poisonless(&self.persisting);
         let artifact = Artifact::new(kinds::GALLERY, self.read().encode());
         self.registry.publish(GALLERY_ARTIFACT, artifact)
     }

@@ -8,9 +8,8 @@
 //!
 //! - [`ArtifactRegistry`] — a directory of versioned artifacts
 //!   (`<root>/<name>/v<version>.gpa`). Writes are tempfile + `rename`
-//!   atomic, retention keeps the newest N versions, and loads go
-//!   through an LRU of decoded artifacts so hot models skip the
-//!   filesystem and the decoder entirely (counter-verified).
+//!   atomic and serialized per registry, so concurrent publishers get
+//!   distinct versions; retention keeps the newest N versions.
 //! - [`EmbeddingGallery`] — per-user centroids of the GesIDNet fusion
 //!   feature, nearest-centroid matching, and an acceptance threshold
 //!   calibrated against a target false-accept rate with gp-eval's ROC
@@ -20,8 +19,10 @@
 //!   as `gestureprint.gallery` artifacts, `store.*` telemetry.
 //!
 //! Artifacts are format-agnostic on read: both the JSON and the binary
-//! (`GPB`) envelope encodings load transparently; the registry writes
-//! binary by default ([`RegistryConfig::format`]).
+//! (`GPB`) envelope encodings load transparently; the registry always
+//! writes binary.
+
+#![forbid(unsafe_code)]
 
 pub mod gallery;
 pub mod identity;

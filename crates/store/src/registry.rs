@@ -7,11 +7,15 @@
 //! published files, and stray `.tmp-*` leftovers are ignored by every
 //! listing and swept on the next [`ArtifactRegistry::open`].
 //!
+//! Publishes through one registry handle are serialized: choosing the
+//! next version, writing, renaming and pruning happen under one lock,
+//! so concurrent publishers always get distinct versions and no rename
+//! replaces another publisher's file. Separate handles over one
+//! directory do not coordinate: writers share one handle.
+//!
 //! Retention keeps the newest [`RegistryConfig::retain`] versions per
-//! name; older files are pruned after each publish. Loads go through an
-//! in-memory LRU of decoded [`Artifact`]s — a hit returns the shared
-//! `Arc` without touching the filesystem or the decoder (the
-//! hit/miss counters are the proof, see `lru_hits`).
+//! name; older files are pruned after each publish. New versions are
+//! written in the binary envelope; loads decode either envelope.
 
 use gestureprint_core::artifact::{Artifact, ArtifactFormat};
 use std::collections::BTreeMap;
@@ -28,33 +32,16 @@ pub struct RegistryConfig {
     /// Versions kept per artifact name; older ones are pruned after
     /// each publish. `0` is treated as `1` (the newest always stays).
     pub retain: usize,
-    /// Decoded-artifact LRU capacity (entries, across all names).
-    pub cache_capacity: usize,
-    /// Byte format for newly published artifacts. Either format loads
-    /// regardless — this only affects writes.
-    pub format: ArtifactFormat,
 }
 
 impl Default for RegistryConfig {
     fn default() -> Self {
-        RegistryConfig {
-            retain: 4,
-            cache_capacity: 8,
-            format: ArtifactFormat::Binary,
-        }
+        RegistryConfig { retain: 4 }
     }
-}
-
-struct CacheEntry {
-    name: String,
-    version: u64,
-    artifact: Arc<Artifact>,
 }
 
 /// Handles into the engine telemetry registry (`store.registry.*`).
 struct Exported {
-    lru_hits: Arc<gp_telemetry::Counter>,
-    lru_misses: Arc<gp_telemetry::Counter>,
     publishes: Arc<gp_telemetry::Counter>,
     load: Arc<gp_telemetry::AtomicHistogram>,
 }
@@ -63,11 +50,9 @@ struct Exported {
 pub struct ArtifactRegistry {
     root: PathBuf,
     config: RegistryConfig,
-    /// LRU, most recently used last.
-    cache: Mutex<Vec<CacheEntry>>,
+    /// Held for a whole publish: version choice, write, rename, prune.
+    publishing: Mutex<()>,
     next_tmp: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
     exported: Mutex<Option<Exported>>,
 }
 
@@ -138,10 +123,8 @@ impl ArtifactRegistry {
         Ok(ArtifactRegistry {
             root,
             config,
-            cache: Mutex::new(Vec::new()),
+            publishing: Mutex::new(()),
             next_tmp: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             exported: Mutex::new(None),
         })
     }
@@ -151,47 +134,32 @@ impl ArtifactRegistry {
         &self.root
     }
 
-    /// Registers the `store.registry.*` instruments (LRU hit/miss and
-    /// publish counters, load-latency histogram) in `registry`.
+    /// Registers the `store.registry.*` instruments (publish counter,
+    /// load-latency histogram) in `registry`.
     pub fn attach_telemetry(&self, registry: &gp_telemetry::Registry) {
-        let exported = Exported {
-            lru_hits: registry.counter("store.registry.lru_hits"),
-            lru_misses: registry.counter("store.registry.lru_misses"),
+        *lock_poisonless(&self.exported) = Some(Exported {
             publishes: registry.counter("store.registry.publishes"),
             load: registry.histogram("store.registry.load"),
-        };
-        // Carry over what already happened so the snapshot never
-        // under-reports after a late attach.
-        exported.lru_hits.add(self.hits.load(Ordering::Relaxed));
-        exported.lru_misses.add(self.misses.load(Ordering::Relaxed));
-        *lock_poisonless(&self.exported) = Some(exported);
-    }
-
-    /// LRU hits so far — loads served from memory with no file read and
-    /// no decode.
-    pub fn lru_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// LRU misses so far — loads that went to disk.
-    pub fn lru_misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        });
     }
 
     /// Publishes `artifact` as the next version of `name`, atomically:
     /// the bytes land in a tempfile first and are `rename`d into place,
     /// then versions beyond the retention window are pruned. Returns
-    /// the new version number (versions start at 1).
+    /// the new version number (versions start at 1). Concurrent
+    /// publishes through this registry run one at a time, so each gets
+    /// its own version.
     ///
     /// # Errors
     ///
     /// [`StoreError::InvalidName`] or [`StoreError::Io`].
     pub fn publish(&self, name: &str, artifact: Artifact) -> Result<u64, StoreError> {
         validate_name(name)?;
+        let bytes = artifact.into_bytes_with(ArtifactFormat::Binary);
+        let _publishing = lock_poisonless(&self.publishing);
         let dir = self.root.join(name);
         std::fs::create_dir_all(&dir)?;
         let version = self.versions(name)?.last().copied().unwrap_or(0) + 1;
-        let bytes = artifact.clone().into_bytes_with(self.config.format);
 
         let tmp = dir.join(format!(
             ".tmp-{}-{}",
@@ -222,13 +190,9 @@ impl ArtifactRegistry {
         if versions.len() > retain {
             for &old in &versions[..versions.len() - retain] {
                 let _ = std::fs::remove_file(dir.join(version_file(old)));
-                // A pruned version must not outlive its file in the LRU.
-                self.cache_evict(name, old);
             }
         }
 
-        // The fresh artifact is hot by definition: seed the LRU.
-        self.cache_put(name, version, Arc::new(artifact));
         if let Some(e) = &*lock_poisonless(&self.exported) {
             e.publishes.inc();
         }
@@ -260,13 +224,13 @@ impl ArtifactRegistry {
         Ok(versions)
     }
 
-    /// Loads the newest version of `name` through the LRU.
+    /// Loads the newest version of `name`.
     ///
     /// # Errors
     ///
     /// [`StoreError::NotFound`] when no version exists; otherwise see
     /// [`ArtifactRegistry::load_version`].
-    pub fn load_latest(&self, name: &str) -> Result<(u64, Arc<Artifact>), StoreError> {
+    pub fn load_latest(&self, name: &str) -> Result<(u64, Artifact), StoreError> {
         let version = self
             .versions(name)?
             .last()
@@ -277,27 +241,17 @@ impl ArtifactRegistry {
         Ok((version, self.load_version(name, version)?))
     }
 
-    /// Loads one specific version of `name` through the LRU: a cache
-    /// hit returns the shared decoded artifact without reading or
-    /// decoding anything.
+    /// Reads and decodes one specific version of `name` (either
+    /// envelope format).
     ///
     /// # Errors
     ///
     /// [`StoreError::NotFound`] for a missing version,
     /// [`StoreError::Artifact`] for bytes that fail to decode,
     /// [`StoreError::Io`] / [`StoreError::InvalidName`] otherwise.
-    pub fn load_version(&self, name: &str, version: u64) -> Result<Arc<Artifact>, StoreError> {
+    pub fn load_version(&self, name: &str, version: u64) -> Result<Artifact, StoreError> {
         validate_name(name)?;
         let start = Instant::now();
-        if let Some(hit) = self.cache_get(name, version) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(e) = &*lock_poisonless(&self.exported) {
-                e.lru_hits.inc();
-                e.load.record_duration(start.elapsed());
-            }
-            return Ok(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let path = self.root.join(name).join(version_file(version));
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
@@ -308,10 +262,8 @@ impl ArtifactRegistry {
             }
             Err(e) => return Err(e.into()),
         };
-        let artifact = Arc::new(Artifact::from_bytes(&bytes)?);
-        self.cache_put(name, version, artifact.clone());
+        let artifact = Artifact::from_bytes(&bytes)?;
         if let Some(e) = &*lock_poisonless(&self.exported) {
-            e.lru_misses.inc();
             e.load.record_duration(start.elapsed());
         }
         Ok(artifact)
@@ -336,45 +288,6 @@ impl ArtifactRegistry {
             }
         }
         Ok(out.into_keys().collect())
-    }
-
-    fn cache_get(&self, name: &str, version: u64) -> Option<Arc<Artifact>> {
-        let mut cache = lock_poisonless(&self.cache);
-        let idx = cache
-            .iter()
-            .position(|e| e.version == version && e.name == name)?;
-        // Move to the most-recent slot.
-        let entry = cache.remove(idx);
-        let artifact = entry.artifact.clone();
-        cache.push(entry);
-        Some(artifact)
-    }
-
-    fn cache_evict(&self, name: &str, version: u64) {
-        let mut cache = lock_poisonless(&self.cache);
-        cache.retain(|e| !(e.version == version && e.name == name));
-    }
-
-    fn cache_put(&self, name: &str, version: u64, artifact: Arc<Artifact>) {
-        let capacity = self.config.cache_capacity;
-        let mut cache = lock_poisonless(&self.cache);
-        if let Some(idx) = cache
-            .iter()
-            .position(|e| e.version == version && e.name == name)
-        {
-            cache.remove(idx);
-        }
-        if capacity == 0 {
-            return;
-        }
-        while cache.len() >= capacity {
-            cache.remove(0);
-        }
-        cache.push(CacheEntry {
-            name: name.to_owned(),
-            version,
-            artifact,
-        });
     }
 }
 
@@ -421,52 +334,9 @@ mod tests {
     }
 
     #[test]
-    fn lru_hits_skip_decode() {
-        let root = tmp_root("lru");
-        let reg = ArtifactRegistry::open(&root, RegistryConfig::default()).unwrap();
-        reg.publish("m", report(7)).unwrap();
-        // publish seeds the cache: the first load is already a hit.
-        let a = reg.load_latest("m").unwrap().1;
-        let b = reg.load_latest("m").unwrap().1;
-        assert!(Arc::ptr_eq(&a, &b), "hits share one decoded artifact");
-        assert_eq!(reg.lru_hits(), 2);
-        assert_eq!(reg.lru_misses(), 0);
-
-        // A cold registry over the same directory must miss, then hit.
-        let cold = ArtifactRegistry::open(&root, RegistryConfig::default()).unwrap();
-        cold.load_latest("m").unwrap();
-        cold.load_latest("m").unwrap();
-        assert_eq!(cold.lru_misses(), 1);
-        assert_eq!(cold.lru_hits(), 1);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn lru_evicts_at_capacity() {
-        let root = tmp_root("evict");
-        let config = RegistryConfig {
-            cache_capacity: 2,
-            ..RegistryConfig::default()
-        };
-        let reg = ArtifactRegistry::open(&root, config).unwrap();
-        for (i, name) in ["a", "b", "c"].iter().enumerate() {
-            reg.publish(name, report(i as i64)).unwrap();
-        }
-        // "a" was evicted by "c"; loading it is a miss, "c" stays hot.
-        reg.load_latest("a").unwrap();
-        assert_eq!(reg.lru_misses(), 1);
-        reg.load_latest("c").unwrap();
-        assert_eq!(reg.lru_hits(), 1);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn retention_prunes_old_versions() {
         let root = tmp_root("retain");
-        let config = RegistryConfig {
-            retain: 2,
-            ..RegistryConfig::default()
-        };
+        let config = RegistryConfig { retain: 2 };
         let reg = ArtifactRegistry::open(&root, config).unwrap();
         for i in 0..5 {
             reg.publish("r", report(i)).unwrap();
@@ -516,18 +386,17 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_counts_mirror_internal_counters() {
+    fn telemetry_counts_publishes_and_loads_after_attach() {
         let root = tmp_root("telemetry");
         let reg = ArtifactRegistry::open(&root, RegistryConfig::default()).unwrap();
         reg.publish("m", report(3)).unwrap();
-        reg.load_latest("m").unwrap(); // pre-attach hit
+        reg.load_latest("m").unwrap(); // pre-attach
         let telemetry = gp_telemetry::Registry::new();
         reg.attach_telemetry(&telemetry);
-        reg.load_latest("m").unwrap(); // post-attach hit
+        reg.load_latest("m").unwrap(); // post-attach
         reg.publish("m", report(4)).unwrap();
         let snap = telemetry.snapshot();
-        assert_eq!(snap.counters["store.registry.lru_hits"], 2);
-        assert_eq!(snap.counters["store.registry.lru_misses"], 0);
+        assert!(!snap.counters.contains_key("store.registry.lru_hits"));
         assert_eq!(snap.counters["store.registry.publishes"], 1);
         assert_eq!(snap.histograms["store.registry.load"].count(), 1);
         let _ = std::fs::remove_dir_all(&root);

@@ -22,6 +22,8 @@
 //!   behind `BENCH_*.json` trajectory artifacts, the gp-net
 //!   `StatsQuery` reply, and the soak test's tier-2 upload.
 
+#![forbid(unsafe_code)]
+
 pub mod hist;
 pub mod registry;
 pub mod snapshot;

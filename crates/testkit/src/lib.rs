@@ -9,6 +9,8 @@
 //! Everything is seeded and pure: calling the same fixture twice yields
 //! identical values, which the determinism tests rely on.
 
+#![forbid(unsafe_code)]
+
 use gestureprint_core::{
     GesturePrint, GesturePrintConfig, IdentificationMode, ModelKind, TrainConfig,
 };

@@ -2,12 +2,12 @@
 //! radar streams through the `gp-serve` engine.
 //!
 //! Trains a GesturePrint system on the mTransSee tiny cohort, then opens
-//! 8 concurrent sessions (driven on a `gp-runtime` worker pool, one
-//! driver per session) replaying multi-gesture recordings frame-by-frame,
+//! 8 concurrent sessions (driven by `gp_runtime::scope_map`, one
+//! driver thread per session) replaying multi-gesture recordings frame-by-frame,
 //! *paced* at a fixed frame rate with deterministic jitter (20× real
 //! time) so the latency numbers are steady-state rather than burst.
 //! Segments are detected online, micro-batched across sessions, and
-//! classified (gesture + user) on the work-stealing worker pool. Prints
+//! classified (gesture + user) on the engine's worker pool. Prints
 //! per-session predictions against ground truth plus aggregate
 //! frames/sec and p50/p99 segment-to-result latency.
 //!

@@ -24,7 +24,7 @@
 //! | [`models`] | `gp-models` | GesIDNet and baselines |
 //! | [`core`] | `gp-core` | end-to-end system (train / infer, serialized & parallel modes, versioned artifacts) |
 //! | [`telemetry`] | `gp-telemetry` | metrics registry, mergeable latency histograms, stage spans, versioned snapshots |
-//! | [`runtime`] | `gp-runtime` | work-stealing pool, scoped parallel maps, backpressure gate |
+//! | [`runtime`] | `gp-runtime` | FIFO worker pool, ordered scoped map, backpressure gate |
 //! | [`serve`] | `gp-serve` | streaming multi-session engine, micro-batched execution, per-session admission |
 //! | [`net`] | `gp-net` | socket front: framed TCP/UDS streams, reactor, budget-aware backpressure |
 //! | [`eval`] | `gp-eval` | accuracy / F1 / AUC / ROC / EER, k-fold, t-SNE |
@@ -34,6 +34,8 @@
 //! See `examples/quickstart.rs` for an end-to-end run: synthesise a small
 //! multi-user gesture dataset, train GesIDNet for recognition and
 //! identification, and evaluate both tasks.
+
+#![forbid(unsafe_code)]
 
 pub use gestureprint_core as core;
 pub use gp_codec as codec;
