@@ -187,13 +187,10 @@ fn bench_matmul(c: &mut Criterion) {
     snapshot
         .attrs
         .insert("bench".into(), gp_codec::Value::Str("matmul".into()));
-    let path = std::path::Path::new("results").join("BENCH_matmul.json");
-    match std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write(&path, gp_bench::telemetry_artifact(&snapshot)))
-    {
-        Ok(()) => println!("telemetry artifact: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    gp_bench::write_result(
+        "BENCH_matmul.json",
+        &gp_bench::telemetry_artifact(&snapshot),
+    );
 }
 
 criterion_group!(benches, bench_matmul);

@@ -429,11 +429,7 @@ fn write_artifact(quiet: usize, hot: usize, idle: &PhaseOutcome, over: &PhaseOut
     // net_fairness.json is the scratch copy of the latest local run;
     // BENCH_net_fairness.json is the committed trajectory artifact.
     for name in ["net_fairness.json", "BENCH_net_fairness.json"] {
-        let path = std::path::Path::new("results").join(name);
-        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, &artifact)) {
-            Ok(()) => println!("telemetry artifact: {}", path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-        }
+        gp_bench::write_result(name, &artifact);
     }
 }
 

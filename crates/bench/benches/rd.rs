@@ -56,8 +56,9 @@ fn bench_rd(c: &mut Criterion) {
 }
 
 /// One burst multi-session RD replay with operational numbers, exported
-/// as the committed `BENCH_rd.json` telemetry artifact. Runs in smoke
-/// mode too (it is itself a smoke test of the RD serving path).
+/// as the committed `BENCH_rd.json` telemetry artifact. The replay runs
+/// in smoke mode too (it is itself a smoke test of the RD serving path),
+/// but only a full run rewrites the artifact.
 fn rd_report() {
     const SESSIONS: usize = 4;
     let engine = ServeEngine::new(toy_system(), serve_config(0, 4)).with_rd_system(toy_rd_system());
@@ -99,13 +100,7 @@ fn rd_report() {
             .attrs
             .insert("frames_per_session".into(), frames_per_session.encode());
         print!("{}", snapshot.render_table("serve.stage."));
-        let bench_path = std::path::Path::new("results").join("BENCH_rd.json");
-        match std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write(&bench_path, gp_bench::telemetry_artifact(&snapshot)))
-        {
-            Ok(()) => println!("telemetry artifact: {}", bench_path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", bench_path.display()),
-        }
+        gp_bench::write_result("BENCH_rd.json", &gp_bench::telemetry_artifact(&snapshot));
     }
 }
 

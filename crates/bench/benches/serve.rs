@@ -102,11 +102,7 @@ fn throughput_report() {
     // are machine-comparable, not just human-readable.
     let artifact =
         gp_bench::serve_report_artifact(&config, SESSIONS, REPLAY_FPS, &stats, results, elapsed);
-    let path = std::path::Path::new("results").join("serve_steady_state.json");
-    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, &artifact)) {
-        Ok(()) => println!("report artifact: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    gp_bench::write_result("serve_steady_state.json", &artifact);
 
     // Export the replay's full telemetry registry — the per-stage
     // latency breakdown behind the pooled p50/p99 above — as the
@@ -124,11 +120,7 @@ fn throughput_report() {
             .attrs
             .insert("frames_per_session".into(), stream.frames.len().encode());
         print!("{}", snapshot.render_table("serve.stage."));
-        let bench_path = std::path::Path::new("results").join("BENCH_serve.json");
-        match std::fs::write(&bench_path, gp_bench::telemetry_artifact(&snapshot)) {
-            Ok(()) => println!("telemetry artifact: {}", bench_path.display()),
-            Err(e) => eprintln!("warning: cannot write {}: {e}", bench_path.display()),
-        }
+        gp_bench::write_result("BENCH_serve.json", &gp_bench::telemetry_artifact(&snapshot));
     }
 }
 

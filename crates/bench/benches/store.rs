@@ -125,12 +125,10 @@ fn size_report() {
         ("samples_per_user", SAMPLES_PER_USER.encode()),
         ("sizes", Value::Seq(rows)),
     ]);
-    let path = std::path::Path::new("results").join("BENCH_store.json");
-    let bytes = Artifact::new(kinds::REPORT, payload).to_bytes();
-    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, &bytes)) {
-        Ok(()) => println!("size artifact: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    gp_bench::write_result(
+        "BENCH_store.json",
+        &Artifact::new(kinds::REPORT, payload).to_bytes(),
+    );
 }
 
 criterion_group!(benches, bench_store);

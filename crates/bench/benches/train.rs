@@ -175,13 +175,7 @@ fn bench_train(c: &mut Criterion) {
         gp_codec::Value::Str(format!("{speedup:.2}")),
     );
     print!("{}", snapshot.render_table("train.stage."));
-    let path = std::path::Path::new("results").join("BENCH_train.json");
-    match std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write(&path, gp_bench::telemetry_artifact(&snapshot)))
-    {
-        Ok(()) => println!("telemetry artifact: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    gp_bench::write_result("BENCH_train.json", &gp_bench::telemetry_artifact(&snapshot));
 }
 
 criterion_group!(benches, bench_train);

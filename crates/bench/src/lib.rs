@@ -106,6 +106,26 @@ pub fn telemetry_artifact(snapshot: &TelemetrySnapshot) -> Vec<u8> {
     Artifact::new(kinds::TELEMETRY, snapshot.encode()).to_bytes()
 }
 
+/// Writes a bench's artifact to `results/<name>`, relative to the
+/// working directory (the package root under `cargo bench`), and says
+/// where it went.
+///
+/// A criterion smoke run (`--test`) leaves the committed `BENCH_*`
+/// trajectory artifacts as they are, so a smoke pass never rewrites
+/// them with smoke numbers; other names are scratch output and are
+/// written in either mode. A failed write is a warning, not a panic.
+pub fn write_result(name: &str, bytes: &[u8]) {
+    let path = std::path::Path::new("results").join(name);
+    if name.starts_with("BENCH_") && std::env::args().any(|a| a == "--test") {
+        println!("smoke run: {} left as committed", path.display());
+        return;
+    }
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, bytes)) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    }
+}
+
 /// Decodes a `BENCH_*.json` artifact back into its snapshot — the
 /// compat direction CI checks against the committed artifacts.
 ///

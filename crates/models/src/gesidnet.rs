@@ -25,8 +25,9 @@ use crate::features::{ModelInput, POINT_FEATURES};
 use crate::mlp::{SharedMlp, SharedMlpTrace};
 use crate::PointModel;
 use gp_nn::{softmax, softmax_cross_entropy, Linear, Matrix, MaxPool, Parameterized, Relu};
-use gp_pointcloud::sampling::farthest_point_indices;
-use gp_pointcloud::{neighbors, PointCloud, Vec3};
+use gp_pointcloud::neighbors::MultiBallQuery;
+use gp_pointcloud::sampling::farthest_position_indices;
+use gp_pointcloud::Vec3;
 use rand::Rng;
 
 /// One grouping scale of a set-abstraction block.
@@ -130,22 +131,21 @@ impl GesIDNetConfig {
     }
 }
 
-/// Per-sample geometry of a batch: the point cloud, its FPS centroids,
-/// and the per-sample centroid counts.
+/// Per-sample geometry of a batch: each sample's FPS centroids and
+/// their counts.
 struct BatchGeometry {
-    clouds: Vec<PointCloud>,
     centroids: Vec<Vec<Vec3>>,
     counts1: Vec<usize>,
 }
 
 /// Stacked SA2 grouping over the whole batch: the group rows, their
-/// lengths, the per-sample SA2 centroid counts, and each group's member
-/// indices as **global** rows of the stacked `sa1_concat`.
+/// lengths, the per-sample SA2 centroid counts, and each stacked row's
+/// source as a **global** row of the stacked `sa1_concat`.
 struct Sa2Stack {
     stacked: Matrix,
     lens: Vec<usize>,
     counts2: Vec<usize>,
-    members: Vec<Vec<usize>>,
+    members: Vec<usize>,
 }
 
 /// Trace of one set-abstraction stage (an SA1 scale or SA2) over
@@ -186,7 +186,7 @@ struct BatchTrace {
     sa1_concat: Matrix, // (Σ n₁) × c1
     counts1: Vec<usize>,
     low: GlobalTrace,
-    sa2_members: Vec<Vec<usize>>,
+    sa2_members: Vec<usize>,
     sa2: SaTrace,
     sa2_out: Matrix, // (Σ n₂) × out
     counts2: Vec<usize>,
@@ -255,24 +255,21 @@ impl GesIDNet {
         &self.config
     }
 
-    /// Per-sample geometry: each input's FPS centroids (grouping is
-    /// geometry-dependent, so it cannot batch across distinct clouds —
-    /// the MLPs can).
+    /// Per-sample geometry: each input's FPS centroids, read straight
+    /// from its positions (grouping is geometry-dependent, so it cannot
+    /// batch across distinct clouds — the MLPs can).
     fn batch_geometry(&self, inputs: &[&ModelInput]) -> BatchGeometry {
-        let mut clouds = Vec::with_capacity(inputs.len());
-        let mut centroids: Vec<Vec<Vec3>> = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            let pos_cloud = PointCloud::from_positions(input.positions.iter().copied());
-            let idx = farthest_point_indices(&pos_cloud, self.config.sa1_centroids);
-            centroids.push(idx.iter().map(|&i| input.positions[i]).collect());
-            clouds.push(pos_cloud);
-        }
+        let centroids: Vec<Vec<Vec3>> = inputs
+            .iter()
+            .map(|input| {
+                farthest_position_indices(&input.positions, self.config.sa1_centroids)
+                    .into_iter()
+                    .map(|i| input.positions[i])
+                    .collect()
+            })
+            .collect();
         let counts1 = centroids.iter().map(|c| c.len()).collect();
-        BatchGeometry {
-            clouds,
-            centroids,
-            counts1,
-        }
+        BatchGeometry { centroids, counts1 }
     }
 
     /// SA2 grouping over SA1 centroids, stacked across the batch.
@@ -282,30 +279,25 @@ impl GesIDNet {
         let cfg = &self.config;
         let sa2 = &cfg.sa2_scale;
         let sa2_width = 3 + sa1_concat.cols();
+        let mut query = MultiBallQuery::new([(sa2.radius, sa2.max_points)]);
         let mut counts2: Vec<usize> = Vec::with_capacity(geo.centroids.len());
         let mut lens: Vec<usize> = Vec::new();
-        let mut members_all: Vec<Vec<usize>> = Vec::new();
+        let mut members_all: Vec<usize> = Vec::new();
         let mut rows: Vec<f32> = Vec::new();
-        let mut row_off = 0; // sample s's first row within sa1_concat
-        for (s, cents) in geo.centroids.iter().enumerate() {
-            let cent_cloud = PointCloud::from_positions(cents.iter().copied());
-            let c2_idx = farthest_point_indices(&cent_cloud, cfg.sa2_centroids);
+        let mut row_off = 0; // this sample's first row within sa1_concat
+        for (cents, &count1) in geo.centroids.iter().zip(&geo.counts1) {
+            let c2_idx = farthest_position_indices(cents, cfg.sa2_centroids);
             counts2.push(c2_idx.len());
             for &ci in &c2_idx {
                 let c = cents[ci];
-                let members =
-                    neighbors::ball_query_padded(&cent_cloud, c, sa2.radius, sa2.max_points);
-                for &m in &members {
-                    let d = (cents[m] - c) * (1.0 / sa2.radius);
-                    rows.push(d.x as f32);
-                    rows.push(d.y as f32);
-                    rows.push(d.z as f32);
-                    rows.extend_from_slice(sa1_concat.row(row_off + m));
+                let members = &query.query(cents, c)[0];
+                for &m in members {
+                    push_member(&mut rows, cents[m] - c, sa2, sa1_concat.row(row_off + m));
                 }
                 lens.push(members.len());
-                members_all.push(members.iter().map(|&m| row_off + m).collect());
+                members_all.extend(members.iter().map(|&m| row_off + m));
             }
-            row_off += geo.counts1[s];
+            row_off += count1;
         }
         Sa2Stack {
             stacked: Matrix::from_vec(rows.len() / sa2_width, sa2_width, rows),
@@ -348,8 +340,9 @@ impl GesIDNet {
         let mut sa1_concat = Matrix::zeros(total_c1, c1_dim);
         let mut sa1 = Vec::new();
         let mut col_off = 0;
-        for (scale, mlp) in cfg.sa1_scales.iter().zip(&self.sa1_mlps) {
-            let (stacked, lens) = stack_sa1_scale(inputs, &geo, scale);
+        let stacks = stack_sa1(inputs, &geo, &cfg.sa1_scales);
+        for ((scale, mlp), (stacked, lens)) in cfg.sa1_scales.iter().zip(&self.sa1_mlps).zip(stacks)
+        {
             let (pooled, trace) = sa_stage(mlp, stacked, lens, record);
             for r in 0..total_c1 {
                 sa1_concat.row_mut(r)[col_off..col_off + scale.out].copy_from_slice(pooled.row(r));
@@ -499,18 +492,14 @@ impl GesIDNet {
         // global SA1 concat rows each group gathered from.
         let g_group2 = sa_stage_backward(&mut self.sa2_mlp, &t.sa2, &d_sa2_out);
         let mut d_sa1_concat = Matrix::zeros(t.sa1_concat.rows(), t.sa1_concat.cols());
-        let mut base = 0;
-        for members in &t.sa2_members {
-            for (r, &m) in members.iter().enumerate() {
-                let src = g_group2.row(base + r);
-                let dst = d_sa1_concat.row_mut(m);
-                for (d, s) in dst.iter_mut().zip(&src[3..]) {
-                    *d += s;
-                }
-                // positional gradient (src[0..3]) stops here: point
-                // coordinates are inputs, not parameters.
+        for (r, &m) in t.sa2_members.iter().enumerate() {
+            let src = g_group2.row(r);
+            let dst = d_sa1_concat.row_mut(m);
+            for (d, s) in dst.iter_mut().zip(&src[3..]) {
+                *d += s;
             }
-            base += members.len();
+            // positional gradient (src[0..3]) stops here: point
+            // coordinates are inputs, not parameters.
         }
 
         // Low branch backward: F1 → SA1 concat rows.
@@ -602,37 +591,54 @@ fn global_stage_backward(
     proj.backward(x, &g)
 }
 
-/// Stacks every SA1 group of every sample for one scale into a single
+/// Stacks every SA1 group of every sample, per scale, into a single
 /// `(Σ group rows) × (3 + POINT_FEATURES)` matrix, plus the per-group
-/// row counts (sample-major, then centroid order).
-fn stack_sa1_scale(
+/// row counts (sample-major, then centroid order). One ball query per
+/// centroid groups it at every scale.
+fn stack_sa1(
     inputs: &[&ModelInput],
     geo: &BatchGeometry,
-    scale: &SaScale,
-) -> (Matrix, Vec<usize>) {
+    scales: &[SaScale],
+) -> Vec<(Matrix, Vec<usize>)> {
     let group_width = 3 + POINT_FEATURES;
-    let mut lens: Vec<usize> = Vec::new();
-    let mut rows: Vec<f32> = Vec::new();
-    for (s, input) in inputs.iter().enumerate() {
-        for &c in &geo.centroids[s] {
-            let members =
-                neighbors::ball_query_padded(&geo.clouds[s], c, scale.radius, scale.max_points);
-            for &m in &members {
-                // Local offsets are normalised by the scale radius
-                // (standard PointNet++ conditioning).
-                let d = (input.positions[m] - c) * (1.0 / scale.radius);
-                rows.push(d.x as f32);
-                rows.push(d.y as f32);
-                rows.push(d.z as f32);
-                rows.extend_from_slice(input.points.row(m));
+    let groups: usize = geo.counts1.iter().sum();
+    let mut query = MultiBallQuery::new(scales.iter().map(|s| (s.radius, s.max_points)));
+    let mut stacks: Vec<(Vec<f32>, Vec<usize>)> = scales
+        .iter()
+        .map(|s| {
+            let rows = Vec::with_capacity(groups * s.max_points * group_width);
+            (rows, Vec::with_capacity(groups))
+        })
+        .collect();
+    for (input, centroids) in inputs.iter().zip(&geo.centroids) {
+        for &c in centroids {
+            let members = query.query(&input.positions, c);
+            for ((scale, members), (rows, lens)) in scales.iter().zip(members).zip(&mut stacks) {
+                for &m in members {
+                    push_member(rows, input.positions[m] - c, scale, input.points.row(m));
+                }
+                lens.push(members.len());
             }
-            lens.push(members.len());
         }
     }
-    (
-        Matrix::from_vec(rows.len() / group_width, group_width, rows),
-        lens,
-    )
+    stacks
+        .into_iter()
+        .map(|(rows, lens)| {
+            (
+                Matrix::from_vec(rows.len() / group_width, group_width, rows),
+                lens,
+            )
+        })
+        .collect()
+}
+
+/// Appends one group row: the member's `offset` from its centroid,
+/// normalised by the scale radius (standard PointNet++ conditioning),
+/// then the member's `features`.
+fn push_member(rows: &mut Vec<f32>, offset: Vec3, scale: &SaScale, features: &[f32]) {
+    let d = offset * (1.0 / scale.radius);
+    rows.extend_from_slice(&[d.x as f32, d.y as f32, d.z as f32]);
+    rows.extend_from_slice(features);
 }
 
 /// Attention fusion (Eqs. 2–3), one row per sample: resize `other` to
@@ -817,7 +823,7 @@ mod tests {
     use super::*;
     use crate::features::{encode, FeatureConfig};
     use gp_nn::argmax;
-    use gp_pointcloud::Point;
+    use gp_pointcloud::{Point, PointCloud};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -149,14 +149,15 @@ impl MaxPool {
             if len == 0 {
                 continue;
             }
-            out.row_mut(k).copy_from_slice(x.row(base));
+            let dst = out.row_mut(k);
+            dst.copy_from_slice(x.row(base));
             for r in base + 1..base + len {
-                let row = x.row(r);
-                let dst = out.row_mut(k);
-                for (j, &v) in row.iter().enumerate() {
-                    if v > dst[j] {
-                        dst[j] = v;
-                    }
+                // A select and an unconditional store, so the loop
+                // vectorizes. The strict `>` keeps the first maximum
+                // (and 0.0 over a later -0.0), and a NaN never replaces
+                // or is replaced.
+                for (d, &v) in dst.iter_mut().zip(x.row(r)) {
+                    *d = if v > *d { v } else { *d };
                 }
             }
             base += len;
@@ -184,16 +185,15 @@ impl MaxPool {
                 args.push(Vec::new());
                 continue;
             }
-            out.row_mut(k).copy_from_slice(x.row(base));
+            let dst = out.row_mut(k);
+            dst.copy_from_slice(x.row(base));
             let mut arg = vec![0usize; x.cols()];
             for r in 1..len {
-                let row = x.row(base + r);
-                let dst = out.row_mut(k);
-                for (j, &v) in row.iter().enumerate() {
-                    if v > dst[j] {
-                        dst[j] = v;
-                        arg[j] = r;
-                    }
+                // Selects, as in `forward_segments`.
+                for ((d, a), &v) in dst.iter_mut().zip(&mut arg).zip(x.row(base + r)) {
+                    let take = v > *d;
+                    *d = if take { v } else { *d };
+                    *a = if take { r } else { *a };
                 }
             }
             args.push(arg);

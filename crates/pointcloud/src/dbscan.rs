@@ -112,24 +112,32 @@ impl Clustering {
 /// (including themselves) within `eps`; clusters grow by expanding core
 /// points; border points join the first cluster that reaches them; the
 /// rest is noise.
+///
+/// An expansion queues each neighbour at most once: a point already
+/// queued is either still waiting in this expansion's queue or was
+/// claimed by a cluster when an earlier queue reached it, and would be
+/// skipped when popped again, so the labels are those of queueing every
+/// neighbour of every core point.
 pub fn dbscan(cloud: &PointCloud, config: &DbscanConfig) -> Clustering {
     let n = cloud.len();
     let eps_sqr = config.eps * config.eps;
     let mut labels = vec![None::<ClusterLabel>; n];
     let mut cluster_count = 0usize;
+    let mut queued = vec![false; n];
+    let mut queue: Vec<usize> = Vec::new();
+    let mut nbrs: Vec<usize> = Vec::new();
 
-    let neighbors = |i: usize| -> Vec<usize> {
+    let neighbors = |i: usize, out: &mut Vec<usize>| {
         let pi = cloud[i].position;
-        (0..n)
-            .filter(|&j| pi.distance_sqr(cloud[j].position) <= eps_sqr)
-            .collect()
+        out.clear();
+        out.extend((0..n).filter(|&j| pi.distance_sqr(cloud[j].position) <= eps_sqr));
     };
 
     for i in 0..n {
         if labels[i].is_some() {
             continue;
         }
-        let nbrs = neighbors(i);
+        neighbors(i, &mut nbrs);
         if nbrs.len() < config.min_points {
             labels[i] = Some(ClusterLabel::Noise);
             continue;
@@ -138,7 +146,8 @@ pub fn dbscan(cloud: &PointCloud, config: &DbscanConfig) -> Clustering {
         let id = cluster_count;
         cluster_count += 1;
         labels[i] = Some(ClusterLabel::Cluster(id));
-        let mut queue: Vec<usize> = nbrs;
+        queue.clear();
+        enqueue_new(&nbrs, &mut queued, &mut queue);
         let mut qi = 0;
         while qi < queue.len() {
             let j = queue[qi];
@@ -151,9 +160,9 @@ pub fn dbscan(cloud: &PointCloud, config: &DbscanConfig) -> Clustering {
                 Some(ClusterLabel::Cluster(_)) => continue,
                 None => {
                     labels[j] = Some(ClusterLabel::Cluster(id));
-                    let jn = neighbors(j);
-                    if jn.len() >= config.min_points {
-                        queue.extend(jn);
+                    neighbors(j, &mut nbrs);
+                    if nbrs.len() >= config.min_points {
+                        enqueue_new(&nbrs, &mut queued, &mut queue);
                     }
                 }
             }
@@ -166,6 +175,17 @@ pub fn dbscan(cloud: &PointCloud, config: &DbscanConfig) -> Clustering {
             .map(|l| l.expect("all labelled"))
             .collect(),
         cluster_count,
+    }
+}
+
+/// Appends to `queue` every point of `nbrs` not queued before, and marks
+/// it queued.
+fn enqueue_new(nbrs: &[usize], queued: &mut [bool], queue: &mut Vec<usize>) {
+    for &k in nbrs {
+        if !queued[k] {
+            queued[k] = true;
+            queue.push(k);
+        }
     }
 }
 

@@ -2,9 +2,12 @@
 //!
 //! The set-abstraction blocks of GesIDNet group, for each sampled centroid,
 //! the `m` nearest points within a radius `d` (paper §IV-C). Radar clouds
-//! are small (tens to a few hundred points), so brute-force scans are both
-//! simple and fast enough; the routines here are O(n·log n) per query due
-//! to sorting.
+//! are small (tens to a few hundred points), so every query is one
+//! brute-force distance scan. [`knn_indices`], [`ball_query`] and
+//! [`ball_query_padded`] then sort their candidates (O(n·log n) per
+//! query); [`MultiBallQuery`], the form GesIDNet runs, keeps only the
+//! `m` nearest in a bounded list (O(n·m) worst case, allocation-free once
+//! warm) and answers every grouping scale of a centroid from one scan.
 
 use crate::point::{PointCloud, Vec3};
 
@@ -68,6 +71,103 @@ pub fn ball_query_padded(
         idx.push(fill);
     }
     idx
+}
+
+/// Padded ball queries at several scales around one center, answered
+/// from one distance scan: for scale `k` with `(radius, max_points)`,
+/// group `k` equals `ball_query_padded(cloud, center, radius,
+/// max_points)` over the same positions, index for index.
+///
+/// The scan keeps the `max m` nearest points within the largest radius,
+/// ordered by `(distance², index)`, in a bounded insertion list: once
+/// the list is full, a point no nearer than its last entry is rejected
+/// without a search. Each scale's in-ball members are a prefix of that list (the
+/// smaller radii cut it further); the group is then padded with its
+/// closest member, or filled with the global nearest point when its
+/// ball is empty, exactly as [`ball_query_padded`] does. The list and
+/// the groups are reused across queries.
+#[derive(Debug, Clone)]
+pub struct MultiBallQuery {
+    /// `(radius², max_points)` per scale.
+    scales: Vec<(f64, usize)>,
+    /// The largest `radius²`; candidates beyond it are never kept.
+    reach: f64,
+    /// The largest `max_points`: the length the candidate list is held to.
+    keep: usize,
+    /// The `keep` nearest in-reach points so far, by `(distance², index)`.
+    nearest: Vec<(f64, usize)>,
+    /// The last query's padded group per scale.
+    groups: Vec<Vec<usize>>,
+}
+
+impl MultiBallQuery {
+    /// A query over `(radius, max_points)` scales.
+    pub fn new(scales: impl IntoIterator<Item = (f64, usize)>) -> Self {
+        let scales: Vec<(f64, usize)> = scales.into_iter().map(|(r, m)| (r * r, m)).collect();
+        // `f64::max` skips a NaN radius², whose ball is always empty.
+        let reach = scales
+            .iter()
+            .fold(f64::NEG_INFINITY, |acc, &(r2, _)| acc.max(r2));
+        let keep = scales.iter().map(|&(_, m)| m).max().unwrap_or(0);
+        MultiBallQuery {
+            groups: vec![Vec::new(); scales.len()],
+            nearest: Vec::with_capacity(keep + 1),
+            scales,
+            reach,
+            keep,
+        }
+    }
+
+    /// Groups `positions` around `center` at every scale; returns one
+    /// padded group of point indices per scale, in scale order. Every
+    /// group is empty when `positions` is.
+    pub fn query(&mut self, positions: &[Vec3], center: Vec3) -> &[Vec<usize>] {
+        self.nearest.clear();
+        if self.keep > 0 {
+            for (i, p) in positions.iter().enumerate() {
+                let d = p.distance_sqr(center);
+                // In reach (a NaN distance never is), and nearer than
+                // the last kept entry: later indices lose distance ties.
+                let full = self.nearest.len() == self.keep;
+                if !(d <= self.reach) || (full && d >= self.nearest[self.keep - 1].0) {
+                    continue;
+                }
+                let at = self.nearest.partition_point(|&(kept, _)| kept <= d);
+                self.nearest.insert(at, (d, i));
+                self.nearest.truncate(self.keep);
+            }
+        }
+        let mut global_nearest = None;
+        for (group, &(r2, m)) in self.groups.iter_mut().zip(&self.scales) {
+            group.clear();
+            if positions.is_empty() || m == 0 {
+                continue;
+            }
+            group.extend(
+                self.nearest[..m.min(self.nearest.len())]
+                    .iter()
+                    .take_while(|&&(d, _)| d <= r2)
+                    .map(|&(_, i)| i),
+            );
+            // An empty ball falls back to the nearest point overall,
+            // ordered as `knn_indices` orders it.
+            let fill = match group.first() {
+                Some(&closest) => closest,
+                None => *global_nearest.get_or_insert_with(|| {
+                    (0..positions.len())
+                        .min_by(|&a, &b| {
+                            positions[a]
+                                .distance_sqr(center)
+                                .total_cmp(&positions[b].distance_sqr(center))
+                                .then(a.cmp(&b))
+                        })
+                        .expect("non-empty")
+                }),
+            };
+            group.resize(m, fill);
+        }
+        &self.groups
+    }
 }
 
 #[cfg(test)]

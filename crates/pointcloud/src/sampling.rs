@@ -14,28 +14,36 @@ use rand::Rng;
 /// each subsequent pick maximises the minimum distance to the already
 /// selected set. If `k >= cloud.len()` all indices are returned.
 pub fn farthest_point_indices(cloud: &PointCloud, k: usize) -> Vec<usize> {
-    let n = cloud.len();
+    farthest_indices(cloud.len(), |i| cloud[i].position, k)
+}
+
+/// [`farthest_point_indices`] over bare positions: the same picks as on
+/// a cloud of those positions.
+pub fn farthest_position_indices(positions: &[Vec3], k: usize) -> Vec<usize> {
+    farthest_indices(positions.len(), |i| positions[i], k)
+}
+
+/// Farthest-point sampling over the `n` positions `at(0..n)`.
+fn farthest_indices(n: usize, at: impl Fn(usize) -> Vec3, k: usize) -> Vec<usize> {
     if n == 0 || k == 0 {
         return Vec::new();
     }
     if k >= n {
         return (0..n).collect();
     }
-    let centroid = cloud.centroid().expect("non-empty");
+    // Summed in index order, as `PointCloud::centroid` sums.
+    let centroid = (0..n).fold(Vec3::ZERO, |acc, i| acc + at(i)) * (1.0 / n as f64);
     let first = (0..n)
         .min_by(|&a, &b| {
-            cloud[a]
-                .position
+            at(a)
                 .distance_sqr(centroid)
-                .total_cmp(&cloud[b].position.distance_sqr(centroid))
+                .total_cmp(&at(b).distance_sqr(centroid))
         })
         .expect("non-empty");
 
     let mut selected = Vec::with_capacity(k);
     selected.push(first);
-    let mut min_dist: Vec<f64> = (0..n)
-        .map(|i| cloud[i].position.distance_sqr(cloud[first].position))
-        .collect();
+    let mut min_dist: Vec<f64> = (0..n).map(|i| at(i).distance_sqr(at(first))).collect();
 
     while selected.len() < k {
         let next = min_dist
@@ -45,11 +53,11 @@ pub fn farthest_point_indices(cloud: &PointCloud, k: usize) -> Vec<usize> {
             .expect("non-empty")
             .0;
         selected.push(next);
-        let np = cloud[next].position;
-        for i in 0..n {
-            let d = cloud[i].position.distance_sqr(np);
-            if d < min_dist[i] {
-                min_dist[i] = d;
+        let np = at(next);
+        for (i, d_min) in min_dist.iter_mut().enumerate() {
+            let d = at(i).distance_sqr(np);
+            if d < *d_min {
+                *d_min = d;
             }
         }
     }

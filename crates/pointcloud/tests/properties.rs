@@ -2,7 +2,7 @@
 
 use gp_pointcloud::dbscan::{dbscan, DbscanConfig};
 use gp_pointcloud::metrics::{chamfer, hausdorff, jsd, JsdConfig};
-use gp_pointcloud::neighbors::{ball_query, knn_indices};
+use gp_pointcloud::neighbors::{ball_query, ball_query_padded, knn_indices, MultiBallQuery};
 use gp_pointcloud::sampling::{farthest_point_indices, resample_to};
 use gp_pointcloud::{ClusterLabel, PointCloud, Vec3};
 use proptest::prelude::*;
@@ -15,6 +15,75 @@ fn vec3_strategy() -> impl Strategy<Value = Vec3> {
 
 fn cloud_strategy(min: usize, max: usize) -> impl Strategy<Value = PointCloud> {
     prop::collection::vec(vec3_strategy(), min..max).prop_map(PointCloud::from_positions)
+}
+
+/// A point on a 0.25 m grid of 7³ cells. Grid coordinates, their
+/// differences and squares are exact in binary, so squared distances
+/// tie exactly and can equal a grid radius² exactly; 200 draws from 343
+/// cells also repeat points.
+fn grid_point() -> impl Strategy<Value = Vec3> {
+    (-3i32..=3, -3i32..=3, -3i32..=3)
+        .prop_map(|(x, y, z)| Vec3::new(x as f64, y as f64, z as f64) * 0.25)
+}
+
+/// A `(radius, max_points)` grouping scale: radii on the 0.125 m grid
+/// (0 included, and boundaries the grid points hit exactly) or off it.
+fn scale_strategy() -> impl Strategy<Value = (f64, usize)> {
+    (0u32..=16, any::<bool>(), 0usize..16).prop_map(|(k, on_grid, m)| {
+        let step = if on_grid { 0.125 } else { 0.1 };
+        (k as f64 * step, m)
+    })
+}
+
+/// DBSCAN as written before its expansion queued each neighbour at most
+/// once: every core point's full neighbour list is queued, duplicates
+/// and already-claimed points included, and skipped when popped. Kept
+/// as the oracle for [`dbscan`]'s labels.
+fn dbscan_oracle(cloud: &PointCloud, config: &DbscanConfig) -> Vec<ClusterLabel> {
+    let n = cloud.len();
+    let eps_sqr = config.eps * config.eps;
+    let mut labels = vec![None::<ClusterLabel>; n];
+    let mut cluster_count = 0usize;
+    let neighbors = |i: usize| -> Vec<usize> {
+        let pi = cloud[i].position;
+        (0..n)
+            .filter(|&j| pi.distance_sqr(cloud[j].position) <= eps_sqr)
+            .collect()
+    };
+    for i in 0..n {
+        if labels[i].is_some() {
+            continue;
+        }
+        let nbrs = neighbors(i);
+        if nbrs.len() < config.min_points {
+            labels[i] = Some(ClusterLabel::Noise);
+            continue;
+        }
+        let id = cluster_count;
+        cluster_count += 1;
+        labels[i] = Some(ClusterLabel::Cluster(id));
+        let mut queue: Vec<usize> = nbrs;
+        let mut qi = 0;
+        while qi < queue.len() {
+            let j = queue[qi];
+            qi += 1;
+            match labels[j] {
+                Some(ClusterLabel::Noise) => labels[j] = Some(ClusterLabel::Cluster(id)),
+                Some(ClusterLabel::Cluster(_)) => continue,
+                None => {
+                    labels[j] = Some(ClusterLabel::Cluster(id));
+                    let jn = neighbors(j);
+                    if jn.len() >= config.min_points {
+                        queue.extend(jn);
+                    }
+                }
+            }
+        }
+    }
+    labels
+        .into_iter()
+        .map(|l| l.expect("all labelled"))
+        .collect()
 }
 
 proptest! {
@@ -128,5 +197,65 @@ proptest! {
         for i in ball_query(&cloud, q, r, 100) {
             prop_assert!(cloud[i].position.distance(q) <= r + 1e-12);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn multi_ball_query_matches_padded_oracle(
+        positions in prop::collection::vec(grid_point(), 0..200),
+        scales in prop::collection::vec(scale_strategy(), 1..4),
+        off_cloud in prop::collection::vec(grid_point(), 1..4),
+    ) {
+        // Every cloud point is an on-cloud center; each off-cloud center
+        // sits half a grid step off the lattice on x, or is a lattice
+        // point that may or may not be in the cloud.
+        let cloud = PointCloud::from_positions(positions.iter().copied());
+        let centers: Vec<Vec3> = positions
+            .iter()
+            .copied()
+            .chain(off_cloud.iter().map(|&c| c + Vec3::new(0.125, 0.0, 0.0)))
+            .chain(off_cloud.iter().copied())
+            .collect();
+        let mut query = MultiBallQuery::new(scales.iter().copied());
+        for (c, &center) in centers.iter().enumerate() {
+            let groups = query.query(&positions, center);
+            prop_assert_eq!(groups.len(), scales.len());
+            for (k, &(radius, max_points)) in scales.iter().enumerate() {
+                let expected = ball_query_padded(&cloud, center, radius, max_points);
+                prop_assert_eq!(
+                    &groups[k],
+                    &expected,
+                    "center {} {:?}, scale {} ({}, {})",
+                    c,
+                    center,
+                    k,
+                    radius,
+                    max_points
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dbscan_matches_oracle_labels(
+        positions in prop::collection::vec(grid_point(), 0..200),
+        eps_steps in 0u32..8,
+        min_points in 1usize..8,
+    ) {
+        // Grid clouds put pairs at exactly eps and repeat points.
+        let cloud = PointCloud::from_positions(positions);
+        let config = DbscanConfig { eps: eps_steps as f64 * 0.25, min_points };
+        let labels = dbscan(&cloud, &config).labels().to_vec();
+        prop_assert_eq!(labels, dbscan_oracle(&cloud, &config));
+    }
+
+    #[test]
+    fn dbscan_matches_oracle_labels_off_grid(cloud in cloud_strategy(0, 120), eps in 0.1f64..3.0) {
+        let config = DbscanConfig { eps, min_points: 4 };
+        let labels = dbscan(&cloud, &config).labels().to_vec();
+        prop_assert_eq!(labels, dbscan_oracle(&cloud, &config));
     }
 }
