@@ -68,17 +68,15 @@ impl PointNet {
     }
 
     fn forward(&self, input: &ModelInput) -> PointNetTrace {
-        let (points, mlp) = self.mlp.forward(&input.points);
-        let (global, arg) = MaxPool.forward(&points);
+        let mlp = self.mlp.forward(&input.points);
+        let (global, arg) = MaxPool.forward(&mlp.out);
         let g_m = Matrix::from_rows(&[global.clone()]);
-        let hpre = self.head_a.forward(&g_m);
-        let hact = Relu.forward(&hpre);
+        let hact = self.head_a.forward_relu(&g_m);
         let logits = self.head_b.forward(&hact).row(0).to_vec();
         PointNetTrace {
             mlp,
             global,
             arg,
-            hpre,
             hact,
             logits,
         }
@@ -89,11 +87,11 @@ impl PointNet {
         let (loss, grad) = softmax_cross_entropy(&t.logits, label);
         let g = Matrix::from_rows(&[grad]);
         let g = self.head_b.backward(&t.hact, &g);
-        let g = Relu.backward(&t.hpre, &g);
+        let g = Relu.backward(&t.hact, g);
         let g_m = Matrix::from_rows(&[t.global.clone()]);
         let dglobal = self.head_a.backward(&g_m, &g);
         let g = MaxPool.backward(input.points.rows(), &t.arg, dglobal.row(0));
-        let _ = self.mlp.backward(&input.points, &t.mlp, &g);
+        let _ = self.mlp.backward(&input.points, &t.mlp, g);
         loss
     }
 }
@@ -103,7 +101,6 @@ struct PointNetTrace {
     mlp: SharedMlpTrace,
     global: Vec<f32>,
     arg: Vec<usize>,
-    hpre: Matrix,
     hact: Matrix,
     logits: Vec<f32>,
 }
@@ -162,13 +159,11 @@ impl ProfileCnn {
     fn forward(&self, input: &ModelInput) -> ProfileTrace {
         let (flat, conv) = self.conv.forward(&input.profile);
         let flat = Matrix::from_rows(&[flat]);
-        let hpre = self.head_a.forward(&flat);
-        let hact = Relu.forward(&hpre);
+        let hact = self.head_a.forward_relu(&flat);
         let logits = self.head_b.forward(&hact).row(0).to_vec();
         ProfileTrace {
             conv,
             flat,
-            hpre,
             hact,
             logits,
         }
@@ -179,7 +174,7 @@ impl ProfileCnn {
         let (loss, grad) = softmax_cross_entropy(&t.logits, label);
         let g = Matrix::from_rows(&[grad]);
         let g = self.head_b.backward(&t.hact, &g);
-        let g = Relu.backward(&t.hpre, &g);
+        let g = Relu.backward(&t.hact, g);
         let dflat = self.head_a.backward(&t.flat, &g);
         let _ = self.conv.backward(&input.profile, &t.conv, dflat.row(0));
         loss
@@ -190,7 +185,6 @@ impl ProfileCnn {
 struct ProfileTrace {
     conv: ConvStackTrace,
     flat: Matrix,
-    hpre: Matrix,
     hact: Matrix,
     logits: Vec<f32>,
 }

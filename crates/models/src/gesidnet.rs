@@ -149,7 +149,7 @@ struct Sa2Stack {
 }
 
 /// Trace of one set-abstraction stage (an SA1 scale or SA2) over
-/// stacked groups: the shared MLP's input and intermediates, the group
+/// stacked groups: the shared MLP's input and activations, the group
 /// lengths, and each group's segment-local pool argmaxes.
 struct SaTrace {
     x: Matrix,
@@ -159,20 +159,18 @@ struct SaTrace {
 }
 
 /// Trace of one global-feature stage (`F¹` or `F²`): the projection's
-/// pre-activation and each sample's pool argmaxes.
+/// activation and each sample's pool argmaxes.
 struct GlobalTrace {
-    pre: Matrix,
+    act: Matrix,
     args: Vec<Vec<usize>>,
 }
 
 /// Attention-fusion intermediates at one level for a whole batch (row
 /// `i` belongs to sample `i`): the raw other-level feature fed to the
-/// Resizing Block, its pre-activation and output (`F^{l→k}`), the own
-/// level's feature `F^k`, and the softmax weights over the two
-/// candidates.
+/// Resizing Block, its output (`F^{l→k}`), the own level's feature
+/// `F^k`, and the softmax weights over the two candidates.
 struct BatchFusionTrace {
     other: Matrix,
-    resized_pre: Matrix,
     resized: Matrix,
     own: Matrix,
     weights: Vec<[f32; 2]>,
@@ -192,13 +190,10 @@ struct BatchTrace {
     counts2: Vec<usize>,
     high: GlobalTrace,
     fusion1: Option<BatchFusionTrace>,
-    h1_pre: Matrix,
     h1_act: Matrix,
     fusion2: Option<BatchFusionTrace>,
     y2: Matrix,
-    h2_pre_a: Matrix,
     h2_act_a: Matrix,
-    h2_pre_b: Matrix,
     h2_act_b: Matrix,
     logits2: Matrix,
 }
@@ -368,8 +363,7 @@ impl GesIDNet {
         let (y1, fusion1) = self.fuse(&self.rb_low, &self.g1, &f2, &f1);
 
         // --- Primary head P1, the inference output -------------------
-        let h1_pre = self.head1_a.forward(&y1);
-        let h1_act = Relu.forward(&h1_pre);
+        let h1_act = self.head1_a.forward_relu(&y1);
         let logits = self.head1_b.forward(&h1_act);
 
         // Without `record` no stage kept a trace, and the forward ends
@@ -380,10 +374,8 @@ impl GesIDNet {
 
         // --- Y² and the auxiliary head P2, for the training loss -----
         let (y2, fusion2) = self.fuse(&self.rb_high, &self.g2, &f1, &f2);
-        let h2_pre_a = self.head2_a.forward(&y2);
-        let h2_act_a = Relu.forward(&h2_pre_a);
-        let h2_pre_b = self.head2_b.forward(&h2_act_a);
-        let h2_act_b = Relu.forward(&h2_pre_b);
+        let h2_act_a = self.head2_a.forward_relu(&y2);
+        let h2_act_b = self.head2_b.forward_relu(&h2_act_a);
         let logits2 = self.head2_c.forward(&h2_act_b);
 
         let trace = BatchTrace {
@@ -397,13 +389,10 @@ impl GesIDNet {
             counts2: sa2s.counts2,
             high,
             fusion1,
-            h1_pre,
             h1_act,
             fusion2,
             y2,
-            h2_pre_a,
             h2_act_a,
-            h2_pre_b,
             h2_act_b,
             logits2,
         };
@@ -458,14 +447,14 @@ impl GesIDNet {
 
         // Head 1 backward → dY1 (b × low_dim).
         let g = self.head1_b.backward(&t.h1_act, &g1m);
-        let g = Relu.backward(&t.h1_pre, &g);
+        let g = Relu.backward(&t.h1_act, g);
         let dy1 = self.head1_a.backward(y1, &g);
 
         // Head 2 backward → dY2 (b × high_dim).
         let g = self.head2_c.backward(&t.h2_act_b, &g2m);
-        let g = Relu.backward(&t.h2_pre_b, &g);
+        let g = Relu.backward(&t.h2_act_b, g);
         let g = self.head2_b.backward(&t.h2_act_a, &g);
-        let g = Relu.backward(&t.h2_pre_a, &g);
+        let g = Relu.backward(&t.h2_act_a, g);
         let dy2 = self.head2_a.backward(&t.y2, &g);
 
         // Fusion backward → dF1, dF2 (accumulated from both levels).
@@ -540,18 +529,18 @@ fn pool(x: &Matrix, lens: &[usize], record: bool) -> (Matrix, Option<Vec<Vec<usi
 
 /// A set-abstraction stage: the shared MLP over every stacked group
 /// row, then one max-pool per group of `lens` rows. Without `record`
-/// the MLP's intermediates are dropped here, at the end of the stage.
+/// the MLP's activations are dropped here, at the end of the stage.
 fn sa_stage(
     mlp: &SharedMlp,
     x: Matrix,
     lens: Vec<usize>,
     record: bool,
 ) -> (Matrix, Option<SaTrace>) {
-    let (out, mlp_trace) = mlp.forward(&x);
-    let (pooled, pool_args) = pool(&out, &lens, record);
+    let acts = mlp.forward(&x);
+    let (pooled, pool_args) = pool(&acts.out, &lens, record);
     let trace = pool_args.map(|pool_args| SaTrace {
         x,
-        mlp: mlp_trace,
+        mlp: acts,
         lens,
         pool_args,
     });
@@ -561,20 +550,21 @@ fn sa_stage(
 /// Backward of [`sa_stage`]: the gradient w.r.t. its stacked group rows.
 fn sa_stage_backward(mlp: &mut SharedMlp, t: &SaTrace, grad_out: &Matrix) -> Matrix {
     let g = MaxPool.backward_segments(&t.lens, &t.pool_args, grad_out);
-    mlp.backward(&t.x, &t.mlp, &g)
+    mlp.backward(&t.x, &t.mlp, g)
 }
 
 /// A global-feature stage (`F¹` or `F²`): projection and ReLU over every
-/// row of `x`, then one max-pool per sample of `counts` rows.
+/// row of `x`, then one max-pool per sample of `counts` rows. Without
+/// `record` the activation is dropped here, at the end of the stage.
 fn global_stage(
     proj: &Linear,
     x: &Matrix,
     counts: &[usize],
     record: bool,
 ) -> (Matrix, Option<GlobalTrace>) {
-    let pre = proj.forward(x);
-    let (pooled, args) = pool(&Relu.forward(&pre), counts, record);
-    (pooled, args.map(|args| GlobalTrace { pre, args }))
+    let act = proj.forward_relu(x);
+    let (pooled, args) = pool(&act, counts, record);
+    (pooled, args.map(|args| GlobalTrace { act, args }))
 }
 
 /// Backward of [`global_stage`] over the same `x` and `counts`: the
@@ -587,7 +577,7 @@ fn global_stage_backward(
     grad_out: &Matrix,
 ) -> Matrix {
     let g = MaxPool.backward_segments(counts, &t.args, grad_out);
-    let g = Relu.backward(&t.pre, &g);
+    let g = Relu.backward(&t.act, g);
     proj.backward(x, &g)
 }
 
@@ -647,8 +637,7 @@ fn push_member(rows: &mut Vec<f32>, offset: Vec3, scale: &SaScale, features: &[f
 /// scoring passes run as multi-row kernels, so row `i` does not depend
 /// on the other rows.
 fn fuse_batch(rb: &Linear, g: &Linear, other: &Matrix, own: &Matrix) -> (Matrix, BatchFusionTrace) {
-    let resized_pre = rb.forward(other);
-    let resized = Relu.forward(&resized_pre);
+    let resized = rb.forward_relu(other);
     let scores_resized = g.forward(&resized); // b × 1
     let scores_own = g.forward(own); // b × 1
     let b = own.rows();
@@ -665,7 +654,6 @@ fn fuse_batch(rb: &Linear, g: &Linear, other: &Matrix, own: &Matrix) -> (Matrix,
         y,
         BatchFusionTrace {
             other: other.clone(),
-            resized_pre,
             resized,
             own: own.clone(),
             weights,
@@ -709,7 +697,7 @@ fn fuse_backward_batch(
     d_resized.add_assign(&g.backward(&t.resized, &da));
     d_own.add_assign(&g.backward(&t.own, &db));
     // Through the RB to the other level's raw feature.
-    let g_rb = Relu.backward(&t.resized_pre, &d_resized);
+    let g_rb = Relu.backward(&t.resized, d_resized);
     let d_other = rb.backward(&t.other, &g_rb);
     (d_other, d_own)
 }

@@ -13,12 +13,12 @@ pub(crate) struct SharedMlp {
     l2: Linear,
 }
 
-/// The intermediates [`SharedMlp::backward`] needs from the forward.
+/// Both layers' activations: [`SharedMlp::backward`] masks each
+/// layer's gradient on its own, and `out` is the MLP's output.
 #[derive(Debug, Clone)]
 pub(crate) struct SharedMlpTrace {
-    pre1: Matrix,
     act1: Matrix,
-    pre2: Matrix,
+    pub(crate) out: Matrix,
 }
 
 impl SharedMlp {
@@ -29,22 +29,20 @@ impl SharedMlp {
         }
     }
 
-    /// The output rows, one per input row, and the trace for the
-    /// backward. A caller that does not train drops the trace.
-    pub(crate) fn forward(&self, x: &Matrix) -> (Matrix, SharedMlpTrace) {
-        let pre1 = self.l1.forward(x);
-        let act1 = Relu.forward(&pre1);
-        let pre2 = self.l2.forward(&act1);
-        let out = Relu.forward(&pre2);
-        (out, SharedMlpTrace { pre1, act1, pre2 })
+    /// Both layers' activations, one `out` row per input row. A caller
+    /// that does not train drops them once it has read `out`.
+    pub(crate) fn forward(&self, x: &Matrix) -> SharedMlpTrace {
+        let act1 = self.l1.forward_relu(x);
+        let out = self.l2.forward_relu(&act1);
+        SharedMlpTrace { act1, out }
     }
 
     /// Accumulates parameter gradients and returns the gradient w.r.t.
     /// `x`, the matrix given to [`SharedMlp::forward`].
-    pub(crate) fn backward(&mut self, x: &Matrix, t: &SharedMlpTrace, grad_out: &Matrix) -> Matrix {
-        let g = Relu.backward(&t.pre2, grad_out);
+    pub(crate) fn backward(&mut self, x: &Matrix, t: &SharedMlpTrace, grad_out: Matrix) -> Matrix {
+        let g = Relu.backward(&t.out, grad_out);
         let g = self.l2.backward(&t.act1, &g);
-        let g = Relu.backward(&t.pre1, &g);
+        let g = Relu.backward(&t.act1, g);
         self.l1.backward(x, &g)
     }
 }

@@ -14,6 +14,9 @@
 //!   blocks, so one packed `B` block (≤ `KC·NR` floats per panel) stays
 //!   resident while every row block of `A` streams past it.
 //!
+//! [`bias_relu`] is the one epilogue over a product: the bias add and
+//! ReLU that `Linear::forward_relu` runs as one branch-free pass.
+//!
 //! # Determinism contract
 //!
 //! Every output element is produced by a **single accumulator summing in
@@ -108,6 +111,32 @@ pub fn matmul_transpose(a: &Matrix, b: &Matrix) -> Matrix {
 /// `aᵀ · b` through the blocked engine ([`Matrix::transpose_matmul`]).
 pub fn transpose_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     gemm(a, true, b, false, active_backend())
+}
+
+/// The bias-and-ReLU epilogue of [`Linear::forward_relu`]: adds `bias`
+/// to every row of `y` and rectifies each sum, in place, as
+/// `s = v + b; v = if s < 0.0 { 0.0 } else { s }`.
+///
+/// These are the bias add and the clamp `if v < 0.0 { v = 0.0 }`, in
+/// that order, so the result is bit-identical to running them as two
+/// passes: -0.0 and NaN sums pass through unchanged. (As for any
+/// addition, Rust leaves the sign and payload of a NaN sum of two NaNs
+/// unspecified, in either form.) A select in place of the conditional
+/// store keeps the loop free of branches, so it vectorizes.
+///
+/// [`Linear::forward_relu`]: crate::Linear::forward_relu
+///
+/// # Panics
+///
+/// Panics if `bias.len() != y.cols()`.
+pub fn bias_relu(y: &mut Matrix, bias: &[f32]) {
+    assert_eq!(y.cols(), bias.len(), "bias width mismatch");
+    for r in 0..y.rows() {
+        for (v, &b) in y.row_mut(r).iter_mut().zip(bias) {
+            let s = *v + b;
+            *v = if s < 0.0 { 0.0 } else { s };
+        }
+    }
 }
 
 /// The blocked engine with a pinned [`Backend`], bypassing the
@@ -290,20 +319,26 @@ fn gemm_blocked(
 /// B(k0+k, p·NR+jj)` (transposed read when `b_trans`). Ragged tail
 /// columns are zero-filled; their lanes are discarded at writeback.
 fn pack_b(b: &Matrix, b_trans: bool, k0: usize, klen: usize, n: usize, bpack: &mut [f32]) {
+    let zeros = [0.0f32; KC];
     let panels = n.div_ceil(NR);
     for p in 0..panels {
         let j0 = p * NR;
         let nlen = NR.min(n - j0);
         let dst = &mut bpack[p * NR * klen..(p + 1) * NR * klen];
         if b_trans {
-            // B(k, j) = b[j][k]: gather NR rows of b, one column at a time.
+            // B(k, j) = b[j][k]: each of the panel's rows of b is one
+            // contiguous run over k, written down its lane; a ragged
+            // panel's missing rows read as zeros.
+            let rows: [&[f32]; NR] = std::array::from_fn(|jj| {
+                if jj < nlen {
+                    &b.row(j0 + jj)[k0..k0 + klen]
+                } else {
+                    &zeros[..klen]
+                }
+            });
             for (kk, slot) in dst.chunks_exact_mut(NR).enumerate() {
-                for (jj, v) in slot.iter_mut().enumerate() {
-                    *v = if jj < nlen {
-                        b.at(j0 + jj, k0 + kk)
-                    } else {
-                        0.0
-                    };
+                for (v, row) in slot.iter_mut().zip(&rows) {
+                    *v = row[kk];
                 }
             }
         } else {

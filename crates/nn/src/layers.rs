@@ -1,6 +1,7 @@
 //! Core layers: [`Linear`], [`Relu`], [`MaxPool`].
 
 use crate::init::he_uniform;
+use crate::kernels;
 use crate::matrix::Matrix;
 use crate::Parameterized;
 use rand::Rng;
@@ -41,6 +42,18 @@ impl Linear {
         y
     }
 
+    /// Forward pass and ReLU, `relu(x·Wᵀ + b)`: the GEMM of
+    /// [`Linear::forward`], then one in-place pass
+    /// ([`kernels::bias_relu`]) that adds the bias and rectifies. Makes
+    /// no pre-activation copy, and is bit-identical to `forward`
+    /// followed by a clamp at zero. Pair it with [`Relu::backward`] on
+    /// the returned activation.
+    pub fn forward_relu(&self, x: &Matrix) -> Matrix {
+        let mut y = x.matmul_transpose(&self.w);
+        kernels::bias_relu(&mut y, &self.b);
+        y
+    }
+
     /// Backward pass: accumulates weight/bias gradients and returns the
     /// gradient w.r.t. the input. `x` must be the same matrix given to
     /// [`Linear::forward`].
@@ -72,31 +85,34 @@ impl Parameterized for Linear {
     }
 }
 
-/// Element-wise rectified linear unit.
+/// The rectified linear unit's backward. Its forward is fused into
+/// [`Linear::forward_relu`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Relu;
 
 impl Relu {
-    /// Forward pass.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut y = x.clone();
-        for v in y.as_mut_slice() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
+    /// Backward pass: zeroes `grad` in place wherever the activation
+    /// `act` is `<= 0.0`, and returns it.
+    ///
+    /// The forward maps a pre-activation `pre` to
+    /// `act = if pre < 0.0 { 0.0 } else { pre }`, so for every f32
+    /// (±0.0, ±∞ and NaN included) `act <= 0.0` holds exactly when
+    /// `pre <= 0.0`: masking on the activation is masking on the
+    /// pre-activation, and no trace needs to keep the latter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `act` and `grad` differ in shape.
+    pub fn backward(&self, act: &Matrix, mut grad: Matrix) -> Matrix {
+        assert_eq!(
+            (act.rows(), act.cols()),
+            (grad.rows(), grad.cols()),
+            "relu backward shape mismatch"
+        );
+        for (g, &a) in grad.as_mut_slice().iter_mut().zip(act.as_slice()) {
+            *g = if a <= 0.0 { 0.0 } else { *g };
         }
-        y
-    }
-
-    /// Backward pass; `x` is the pre-activation input.
-    pub fn backward(&self, x: &Matrix, grad_out: &Matrix) -> Matrix {
-        let mut g = grad_out.clone();
-        for (gv, &xv) in g.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            if xv <= 0.0 {
-                *gv = 0.0;
-            }
-        }
-        g
+        grad
     }
 }
 
@@ -355,11 +371,24 @@ mod tests {
 
     #[test]
     fn relu_clamps_and_masks() {
-        let x = Matrix::from_rows(&[vec![-1.0, 0.0, 2.0]]);
-        let y = Relu.forward(&x);
-        assert_eq!(y.row(0), &[0.0, 0.0, 2.0]);
-        let g = Relu.backward(&x, &Matrix::from_rows(&[vec![5.0, 5.0, 5.0]]));
-        assert_eq!(g.row(0), &[0.0, 0.0, 5.0]);
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut l = Linear::new(1, 3, &mut rng);
+        let params = [[1.0, 1.0, 1.0], [-2.0, 0.0, 1.0]]; // W (3 × 1), then b
+        let mut i = 0;
+        l.for_each_param(&mut |p, _| {
+            p.copy_from_slice(&params[i]);
+            i += 1;
+        });
+        let act = l.forward_relu(&Matrix::from_rows(&[vec![1.0]]));
+        assert_eq!(act.row(0), &[0.0, 1.0, 2.0]);
+        let g = Relu.backward(&act, Matrix::from_rows(&[vec![5.0, 5.0, 5.0]]));
+        assert_eq!(g.row(0), &[0.0, 5.0, 5.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "relu backward shape mismatch")]
+    fn relu_backward_checks_shapes() {
+        Relu.backward(&Matrix::zeros(1, 3), Matrix::zeros(1, 2));
     }
 
     #[test]

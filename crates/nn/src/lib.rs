@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! use gp_nn::{Linear, Relu, Adam, softmax_cross_entropy, Matrix, Parameterized};
+//! use gp_nn::{Linear, Adam, softmax_cross_entropy, Matrix, Parameterized};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!

@@ -5,6 +5,8 @@
 //!   relative epsilon across ragged shapes (1×1 up through sizes that
 //!   are not multiples of the `MR`/`NR` tiles and cross the `KC` cache
 //!   tile),
+//! * `a·bᵀ` is bit-identical to `a·(bᵀ)` from an explicit transpose on
+//!   blocked shapes (the transposed pack builds the same panels),
 //! * two runs of the blocked kernel are bit-identical,
 //! * on `x86_64`, SSE2 and the runtime-detected backend are
 //!   bit-identical to the pinned scalar backend (not merely close).
@@ -106,6 +108,30 @@ proptest! {
             &kernels::naive_matmul_transpose(&a, &bt),
             1e-4,
             "matmul_transpose(k>KC)",
+        );
+    }
+
+    /// `a·bᵀ` packs `b`'s rows straight into transposed panels; the
+    /// panels must be exactly those of `a·(bᵀ)` built from an explicit
+    /// transpose, so the two products agree bit for bit. The shapes all
+    /// take the blocked path, with a ragged last panel (`n % NR != 0`)
+    /// and a shared dimension that crosses the `KC` tile.
+    #[test]
+    fn transposed_pack_matches_explicit_transpose(
+        m in MR..=2 * MR + 1,
+        panels in 1usize..=3,
+        ragged in 1usize..NR,
+        k_extra in 0usize..=70,
+        seed in 0u64..200,
+    ) {
+        let n = panels * NR + ragged;
+        let k = KC - 5 + k_extra;
+        let a = filled(m, k, seed);
+        let bt = filled(n, k, seed ^ 0x7AC4);
+        prop_assert_eq!(
+            bits(&a.matmul_transpose(&bt)),
+            bits(&a.matmul(&bt.transposed())),
+            "{}x{}·({}x{})ᵀ", m, k, n, k
         );
     }
 

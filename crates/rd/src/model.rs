@@ -32,10 +32,9 @@ pub struct RdNet {
 struct RdTrace {
     conv: ConvStackTrace,
     flat: Matrix,
-    map_pre: Matrix,
+    map_act: Matrix,
     lstm_trace: gp_nn::lstm::LstmTrace,
     concat: Matrix,
-    fuse_pre: Matrix,
     fuse_act: Matrix,
     logits: Vec<f32>,
 }
@@ -106,25 +105,22 @@ impl RdNet {
     fn forward(&self, input: &RdInput) -> RdTrace {
         let (flat, conv) = self.conv.forward(&input.map);
         let flat = Matrix::from_rows(&[flat]);
-        let map_pre = self.map_fc.forward(&flat);
-        let map_act = Relu.forward(&map_pre);
+        let map_act = self.map_fc.forward_relu(&flat);
 
         let (lstm_h, lstm_trace) = self.lstm.forward(&input.sequence);
 
         let mut joined = map_act.row(0).to_vec();
         joined.extend_from_slice(&lstm_h);
         let concat = Matrix::from_rows(&[joined]);
-        let fuse_pre = self.fuse.forward(&concat);
-        let fuse_act = Relu.forward(&fuse_pre);
+        let fuse_act = self.fuse.forward_relu(&concat);
         let logits = self.head.forward(&fuse_act).row(0).to_vec();
 
         RdTrace {
             conv,
             flat,
-            map_pre,
+            map_act,
             lstm_trace,
             concat,
-            fuse_pre,
             fuse_act,
             logits,
         }
@@ -136,7 +132,7 @@ impl RdNet {
 
         let g = Matrix::from_rows(&[grad]);
         let g = self.head.backward(&t.fuse_act, &g);
-        let g = Relu.backward(&t.fuse_pre, &g);
+        let g = Relu.backward(&t.fuse_act, g);
         let dconcat = self.fuse.backward(&t.concat, &g);
 
         // Split the joint gradient back into the two branches.
@@ -148,7 +144,7 @@ impl RdNet {
         self.lstm.backward(&t.lstm_trace, &dlstm_h);
 
         // Conv branch.
-        let g = Relu.backward(&t.map_pre, &Matrix::from_rows(&[dmap_act]));
+        let g = Relu.backward(&t.map_act, Matrix::from_rows(&[dmap_act]));
         let dflat = self.map_fc.backward(&t.flat, &g);
         let _ = self.conv.backward(&input.map, &t.conv, dflat.row(0));
         loss
