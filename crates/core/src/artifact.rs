@@ -299,7 +299,7 @@ impl ModelArtifact {
             feature: model.feature().clone(),
             rd_feature: model.rd_feature().clone(),
             encode_seed: model.encode_seed(),
-            weights: save_params(model.model_ref()).to_vec(),
+            weights: save_params(model.model_ref()).into(),
         }
     }
 

@@ -1,9 +1,7 @@
 //! The full GesturePrint system: gesture recognition + user
 //! identification in serialized or parallel mode (paper §IV-C).
 
-use crate::train::{
-    argmax, train_classifier, SampleRef, SensingBackend, TrainConfig, TrainedModel,
-};
+use crate::train::{argmax, fit, SampleRef, SensingBackend, TrainConfig, TrainedModel, Untrained};
 use gp_pipeline::LabeledSample;
 use gp_rd::RdLabeledSample;
 use gp_runtime::scope_map;
@@ -159,8 +157,9 @@ impl GesturePrint {
     }
 
     /// The body of [`GesturePrint::train`] and [`GesturePrint::train_rd`]
-    /// over samples of either backend: every model goes through
-    /// [`train_classifier`], as one job of a single pool map.
+    /// over samples of either backend: every model trains as
+    /// [`crate::train_classifier`] trains one, as one job of a single
+    /// pool map.
     fn train_with<'a, S: Copy + Into<SampleRef<'a>>>(
         samples: &[S],
         gestures: usize,
@@ -208,9 +207,19 @@ impl GesturePrint {
         }
 
         // Every model is seeded on its own and `scope_map` keeps job
-        // order, so the weights do not depend on the worker count.
-        let mut models = scope_map(config.threads, jobs, |_, (pairs, classes, cfg)| {
-            train_classifier(pairs, classes, &cfg, None)
+        // order, so the weights do not depend on the worker count. The
+        // models are built here and only fitted on the map's threads,
+        // so the system's weights come from the heap of the thread that
+        // keeps them. Memory a short-lived thread allocates stays in its
+        // malloc arena after it exits, and which later threads take that
+        // arena over depends on thread start order, so a system built
+        // there made peak memory differ from run to run.
+        let jobs: Vec<_> = jobs
+            .into_iter()
+            .map(|(pairs, classes, cfg)| (pairs, Untrained::build(classes, &cfg), cfg))
+            .collect();
+        let mut models = scope_map(config.threads, jobs, |_, (pairs, model, cfg)| {
+            fit(model, pairs, &cfg, None)
         });
         let gesture_model = models.remove(0);
         let identifiers = models;

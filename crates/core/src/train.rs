@@ -519,25 +519,70 @@ pub fn train_classifier<'a, S: Copy + Into<SampleRef<'a>>>(
     config: &TrainConfig,
     telemetry: Option<&gp_telemetry::Registry>,
 ) -> TrainedModel {
+    fit(
+        Untrained::build(classes, config),
+        samples,
+        config,
+        telemetry,
+    )
+}
+
+/// The first half of [`train_classifier`]: the model with its seeded
+/// initial weights, and the random stream [`fit`] draws its shuffles
+/// from. The system trainer builds on one thread and fits on another.
+pub(crate) struct Untrained {
+    trained: TrainedModel,
+    rng: StdRng,
+}
+
+impl Untrained {
+    /// Builds `config.model` with `classes` outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` gives the architecture a shape it cannot
+    /// pool (see [`train_classifier`]).
+    pub(crate) fn build(classes: usize, config: &TrainConfig) -> Untrained {
+        let rd_feature = match config.model.backend() {
+            SensingBackend::PointCloud => RdFeatureConfig::default(),
+            SensingBackend::RangeDoppler => config.rd_feature(),
+        };
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let trained = TrainedModel::build(
+            config.model,
+            classes,
+            &config.feature,
+            &rd_feature,
+            config.seed ^ 0xEEC0DE,
+            &mut rng,
+        )
+        .unwrap_or_else(|e| panic!("invalid training config: {e}"));
+        Untrained { trained, rng }
+    }
+}
+
+/// The second half of [`train_classifier`]: trains `untrained` on
+/// `(sample, label)` pairs with the `config` it was built from.
+///
+/// # Panics
+///
+/// As [`train_classifier`], on the samples.
+pub(crate) fn fit<'a, S: Copy + Into<SampleRef<'a>>>(
+    untrained: Untrained,
+    samples: &[(S, usize)],
+    config: &TrainConfig,
+    telemetry: Option<&gp_telemetry::Registry>,
+) -> TrainedModel {
+    let Untrained {
+        mut trained,
+        mut rng,
+    } = untrained;
     assert!(!samples.is_empty(), "cannot train on an empty sample set");
     assert!(
-        samples.iter().all(|(_, l)| *l < classes),
+        samples.iter().all(|(_, l)| *l < trained.classes()),
         "label out of range"
     );
-    let rd_feature = match config.model.backend() {
-        SensingBackend::PointCloud => RdFeatureConfig::default(),
-        SensingBackend::RangeDoppler => config.rd_feature(),
-    };
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut trained = TrainedModel::build(
-        config.model,
-        classes,
-        &config.feature,
-        &rd_feature,
-        config.seed ^ 0xEEC0DE,
-        &mut rng,
-    )
-    .unwrap_or_else(|e| panic!("invalid training config: {e}"));
+    let rd_feature = trained.rd_feature().clone();
     let wrong_backend = || -> ! {
         panic!(
             "training sample backend does not match {}, which trains on {} samples",

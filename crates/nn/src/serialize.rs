@@ -16,19 +16,23 @@ const VERSION: u32 = 1;
 /// Export is read-only ([`Parameterized::visit_params`]): saving a
 /// trained model does not require `&mut` access to it.
 pub fn save_params(model: &dyn Parameterized) -> Bytes {
-    let mut tensors: Vec<Vec<f32>> = Vec::new();
-    model.visit_params(&mut |p| tensors.push(p.to_vec()));
-    let mut buf =
-        BytesMut::with_capacity(16 + tensors.iter().map(|t| 4 + t.len() * 4).sum::<usize>());
+    // One pass sizes the stream, the second writes it: the weights are
+    // copied once, straight into the buffer.
+    let (mut count, mut len) = (0usize, 12usize);
+    model.visit_params(&mut |p| {
+        count += 1;
+        len += 4 + p.len() * 4;
+    });
+    let mut buf = BytesMut::with_capacity(len);
     buf.put_u32_le(MAGIC);
     buf.put_u32_le(VERSION);
-    buf.put_u32_le(tensors.len() as u32);
-    for t in &tensors {
-        buf.put_u32_le(t.len() as u32);
-        for &v in t {
+    buf.put_u32_le(count as u32);
+    model.visit_params(&mut |p| {
+        buf.put_u32_le(p.len() as u32);
+        for &v in p {
             buf.put_f32_le(v);
         }
-    }
+    });
     buf.freeze()
 }
 

@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use gp_telemetry::{Counter, Gauge, Registry};
@@ -74,7 +74,7 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Creates a pool with `threads` workers (`0` = available
-    /// parallelism).
+    /// parallelism), and returns once every worker is running.
     pub fn new(threads: usize) -> Self {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(Queue {
@@ -84,15 +84,29 @@ impl WorkerPool {
             work_available: Condvar::new(),
             metrics: OnceLock::new(),
         });
-        let workers = (0..resolve_threads(threads))
+        // A thread's first allocation, as it starts, attaches it to a
+        // malloc arena, and a new thread takes over the arena the last
+        // exited thread left. Waiting for the workers keeps the threads
+        // the caller starts next from racing them for those arenas: in
+        // the point_socket benchmark (2-core host) that race decided
+        // whether the next training reused a warm arena, and moved peak
+        // RSS by up to 13 MiB from run to run.
+        let threads = resolve_threads(threads);
+        let started = Arc::new(Barrier::new(threads + 1));
+        let workers = (0..threads)
             .map(|w| {
                 let shared = shared.clone();
+                let started = started.clone();
                 std::thread::Builder::new()
                     .name(format!("gp-runtime-worker-{w}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || {
+                        started.wait();
+                        worker_loop(&shared)
+                    })
                     .expect("failed to spawn pool worker")
             })
             .collect();
+        started.wait();
         WorkerPool { shared, workers }
     }
 
