@@ -1,7 +1,7 @@
 //! Batched vs sequential inference through the full GesturePrint stack.
 //!
 //! `GesturePrint::infer_batch` routes every sample through GesIDNet's
-//! `logits_and_embedding_batch` (deduplicated grouping + multi-row
+//! `logits_and_embedding_batch` (stacked grouping + multi-row
 //! kernels). "Sequential" means N single `infer` calls, each a batch of
 //! one through the same stacked code, so the pair of benchmarks below
 //! measures what stacking N segments saves. The parity assertion at
@@ -75,7 +75,7 @@ fn served_inputs() -> Vec<ModelInput> {
         .collect();
     for (i, input) in inputs.iter().enumerate() {
         assert_eq!(input.points.rows(), feature.num_points);
-        // Identical inputs would be deduplicated and not timed.
+        // Eight distinct captures, as served streams are.
         assert!(!inputs[..i].contains(input), "input {i} repeats");
     }
     inputs

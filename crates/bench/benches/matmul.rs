@@ -154,12 +154,12 @@ fn bench_matmul(c: &mut Criterion) {
         // The acceptance floor, asserted only at the large stacked
         // shapes where the kernel's cache behaviour dominates — the
         // small per-sample shape runs the low-overhead fast path and is
-        // reported, not gated. The ≥2× matmul floor needs a SIMD
+        // reported, not gated. The ≥2× matmul floor needs the AVX2
         // micro-kernel: the naive ikj loop autovectorizes to near the
         // SSE2 mul+add peak, which no scalar-codegen kernel can double.
-        // Where only the scalar micro-kernel exists (off `x86_64`) the
-        // blocked engine must merely not lose to naive (0.9 leaves room
-        // for timer noise);
+        // Where the scalar micro-kernel runs (off `x86_64`, or on a CPU
+        // without AVX2) the blocked engine must merely not lose to
+        // naive (0.9 leaves room for timer noise);
         // matmul_transpose's naive row-dot reduction does not vectorize,
         // so its 2× floor holds on every backend. Smoke mode (`--test`)
         // skips the assertions: 5 iterations on a shared CI box is not a

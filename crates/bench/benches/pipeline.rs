@@ -8,7 +8,7 @@ use gp_bench::{capture_fixture, sample_fixture};
 use gp_dsp::cfar::{cfar_2d, CfarConfig};
 use gp_dsp::fft::fft_in_place;
 use gp_dsp::Complex;
-use gp_models::features::{encode_sample, FeatureConfig};
+use gp_models::features::{encode, FeatureConfig};
 use gp_models::{GesIDNet, GesIDNetConfig, PointModel};
 use gp_pipeline::{NoiseCanceler, Preprocessor, PreprocessorConfig, Segmenter};
 use gp_pointcloud::dbscan::{dbscan, DbscanConfig};
@@ -134,7 +134,12 @@ fn bench_models(c: &mut Criterion) {
     // iterations.
     group.bench_function("gesidnet_train_step", |b| {
         let mut rng = StdRng::seed_from_u64(0);
-        let input = encode_sample(&sample, &FeatureConfig::default(), &mut rng);
+        let input = encode(
+            &sample.cloud,
+            &sample.frame_clouds,
+            &FeatureConfig::default(),
+            &mut rng,
+        );
         let net = GesIDNet::new(GesIDNetConfig::for_classes(2), &mut rng);
         b.iter_batched(
             || net.clone(),
@@ -146,7 +151,7 @@ fn bench_models(c: &mut Criterion) {
         let cfg = FeatureConfig::default();
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);
-            encode_sample(&sample, &cfg, &mut rng)
+            encode(&sample.cloud, &sample.frame_clouds, &cfg, &mut rng)
         })
     });
     group.finish();

@@ -44,14 +44,6 @@ pub fn kfold_reports(
     reports
 }
 
-/// Mean accuracy across folds.
-pub fn mean_accuracy(reports: &[ClassificationReport]) -> f64 {
-    if reports.is_empty() {
-        return 0.0;
-    }
-    reports.iter().map(|r| r.accuracy).sum::<f64>() / reports.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,15 +95,10 @@ mod tests {
         assert_eq!(reports.len(), 3);
         let total_test: usize = reports.iter().map(|r| r.labels.len()).sum();
         assert_eq!(total_test, data.len(), "folds must partition the data");
-        let mean = mean_accuracy(&reports);
+        let mean = reports.iter().map(|r| r.accuracy).sum::<f64>() / reports.len() as f64;
         assert!(
             mean > 0.7,
             "learnable task should cross-validate well: {mean}"
         );
-    }
-
-    #[test]
-    fn mean_accuracy_of_empty_is_zero() {
-        assert_eq!(mean_accuracy(&[]), 0.0);
     }
 }

@@ -53,22 +53,23 @@ impl gp_codec::Decode for ClassificationReport {
     }
 }
 
+/// Samples per batched forward in [`classification_report`]. Each row
+/// of a batch is bit-identical to its sample run alone, so this only
+/// bounds how much one forward stacks.
+const REPORT_CHUNK: usize = 32;
+
 /// Evaluates `model` on `(sample, label)` pairs.
 pub fn classification_report(
     model: &TrainedModel,
     test: &[(&LabeledSample, usize)],
 ) -> ClassificationReport {
     let mut probabilities = Vec::with_capacity(test.len());
-    let mut predictions = Vec::with_capacity(test.len());
-    let mut labels = Vec::with_capacity(test.len());
-    // One sample per call: the batched GesIDNet forward dedupes its
-    // inputs with an O(B²) scan, so a test set must not be one batch.
-    for (sample, label) in test {
-        let p = model.probabilities_batch(&[*sample]).remove(0);
-        predictions.push(argmax(&p));
-        probabilities.push(p);
-        labels.push(*label);
+    for chunk in test.chunks(REPORT_CHUNK) {
+        let samples: Vec<&LabeledSample> = chunk.iter().map(|&(s, _)| s).collect();
+        probabilities.extend(model.probabilities_batch(&samples));
     }
+    let predictions: Vec<usize> = probabilities.iter().map(|p| argmax(p)).collect();
+    let labels: Vec<usize> = test.iter().map(|&(_, l)| l).collect();
     let classes = model.classes();
     let (scores, positives) = one_vs_rest_scores(&probabilities, &labels, classes);
     ClassificationReport {
@@ -137,6 +138,37 @@ mod tests {
         assert!(report.eer <= 0.3, "eer {}", report.eer);
         assert_eq!(report.probabilities.len(), 6);
         assert_eq!(report.predictions.len(), 6);
+    }
+
+    #[test]
+    fn chunked_gesidnet_report_matches_per_sample_rows() {
+        let train: Vec<LabeledSample> = (0..4).map(|r| sample(r % 2, r)).collect();
+        let pairs: Vec<(&LabeledSample, usize)> = train.iter().map(|s| (s, s.user)).collect();
+        let model = train_classifier(
+            &pairs,
+            2,
+            &TrainConfig {
+                model: ModelKind::GesIdNet,
+                epochs: 2,
+                augment: None,
+                feature: FeatureConfig {
+                    num_points: 20,
+                    ..FeatureConfig::default()
+                },
+                ..TrainConfig::default()
+            },
+            None,
+        );
+        // More than one chunk, with a ragged last one.
+        let test: Vec<LabeledSample> = (0..REPORT_CHUNK + 5).map(|r| sample(r % 2, r)).collect();
+        let test_pairs: Vec<(&LabeledSample, usize)> = test.iter().map(|s| (s, s.user)).collect();
+        let report = classification_report(&model, &test_pairs);
+        assert_eq!(report.probabilities.len(), test.len());
+        for (i, s) in test.iter().enumerate() {
+            let alone = model.probabilities_batch(&[s]).remove(0);
+            assert_eq!(report.probabilities[i], alone, "sample {i}");
+            assert_eq!(report.predictions[i], argmax(&alone), "sample {i}");
+        }
     }
 
     #[test]

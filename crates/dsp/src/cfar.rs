@@ -32,7 +32,7 @@ impl Default for CfarConfig {
 /// A detection produced by a CFAR pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfarDetection {
-    /// Index of the detected cell (row-major `(row, col)` for 2-D).
+    /// Index of the detected cell, `(row, col)`.
     pub index: (usize, usize),
     /// Power of the detected cell.
     pub power: f64,
@@ -49,51 +49,6 @@ impl CfarDetection {
             f64::INFINITY
         }
     }
-}
-
-/// Runs 1-D CA-CFAR over a power profile.
-///
-/// Cells too close to the edges (where the full training band does not fit)
-/// use the available one-sided estimate; this matches practical
-/// implementations that clamp rather than skip the borders.
-pub fn cfar_1d(power: &[f64], config: &CfarConfig) -> Vec<CfarDetection> {
-    let n = power.len();
-    let mut out = Vec::new();
-    if n == 0 {
-        return out;
-    }
-    let g = config.guard_cells;
-    let t = config.training_cells;
-    for i in 0..n {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        // Left training band.
-        let lo_end = i.saturating_sub(g);
-        let lo_start = i.saturating_sub(g + t);
-        for j in lo_start..lo_end {
-            sum += power[j];
-            count += 1;
-        }
-        // Right training band.
-        let hi_start = (i + g + 1).min(n);
-        let hi_end = (i + g + t + 1).min(n);
-        for j in hi_start..hi_end {
-            sum += power[j];
-            count += 1;
-        }
-        if count == 0 {
-            continue;
-        }
-        let noise = sum / count as f64;
-        if power[i] > noise * config.threshold_factor {
-            out.push(CfarDetection {
-                index: (0, i),
-                power: power[i],
-                noise,
-            });
-        }
-    }
-    out
 }
 
 /// Runs 2-D CA-CFAR over a power map laid out row-major as
@@ -151,52 +106,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn detects_single_peak_1d() {
-        let mut power = vec![1.0; 64];
-        power[30] = 100.0;
-        let det = cfar_1d(&power, &CfarConfig::default());
-        assert_eq!(det.len(), 1);
-        assert_eq!(det[0].index, (0, 30));
-        assert!(det[0].snr() > 50.0);
-    }
-
-    #[test]
     fn flat_noise_yields_nothing() {
-        let power = vec![3.3; 128];
-        assert!(cfar_1d(&power, &CfarConfig::default()).is_empty());
+        let power = vec![3.3; 16 * 32];
+        assert!(cfar_2d(&power, 16, 32, &CfarConfig::default()).is_empty());
     }
 
     #[test]
     fn weak_peak_below_threshold_is_missed() {
-        let mut power = vec![1.0; 64];
-        power[30] = 3.0; // below 6x noise
-        assert!(cfar_1d(&power, &CfarConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn guard_cells_protect_wide_peaks() {
-        // A 3-cell-wide target should still be caught because guard cells
-        // keep its shoulders out of the noise estimate.
-        let mut power = vec![1.0; 64];
-        power[29] = 60.0;
-        power[30] = 100.0;
-        power[31] = 60.0;
-        let config = CfarConfig {
-            guard_cells: 2,
-            training_cells: 8,
-            threshold_factor: 6.0,
-        };
-        let det = cfar_1d(&power, &config);
-        let indices: Vec<usize> = det.iter().map(|d| d.index.1).collect();
-        assert!(indices.contains(&30), "centre cell missed: {indices:?}");
-    }
-
-    #[test]
-    fn edge_cells_use_one_sided_estimate() {
-        let mut power = vec![1.0; 32];
-        power[0] = 100.0;
-        let det = cfar_1d(&power, &CfarConfig::default());
-        assert!(det.iter().any(|d| d.index.1 == 0));
+        let mut power = vec![1.0; 16 * 32];
+        power[5 * 32 + 20] = 3.0; // below 6x noise
+        assert!(cfar_2d(&power, 16, 32, &CfarConfig::default()).is_empty());
     }
 
     #[test]
@@ -208,6 +127,7 @@ mod tests {
         let det = cfar_2d(&power, rows, cols, &CfarConfig::default());
         assert_eq!(det.len(), 1);
         assert_eq!(det[0].index, (5, 20));
+        assert!(det[0].snr() > 50.0);
     }
 
     #[test]
@@ -224,7 +144,6 @@ mod tests {
 
     #[test]
     fn empty_input_ok() {
-        assert!(cfar_1d(&[], &CfarConfig::default()).is_empty());
         assert!(cfar_2d(&[], 0, 0, &CfarConfig::default()).is_empty());
     }
 
@@ -236,9 +155,10 @@ mod tests {
 
     #[test]
     fn higher_threshold_detects_fewer() {
-        let mut power = vec![1.0; 64];
-        power[10] = 8.0;
-        power[40] = 30.0;
+        let cols = 32;
+        let mut power = vec![1.0; 16 * cols];
+        power[3 * cols + 10] = 8.0;
+        power[11 * cols + 24] = 30.0;
         let loose = CfarConfig {
             threshold_factor: 4.0,
             ..CfarConfig::default()
@@ -247,6 +167,7 @@ mod tests {
             threshold_factor: 20.0,
             ..CfarConfig::default()
         };
-        assert!(cfar_1d(&power, &loose).len() >= cfar_1d(&power, &strict).len());
+        let count = |c: &CfarConfig| cfar_2d(&power, 16, cols, c).len();
+        assert!(count(&loose) >= count(&strict));
     }
 }

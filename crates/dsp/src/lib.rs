@@ -7,8 +7,8 @@
 //! * [`fft`] — an iterative radix-2 decimation-in-time FFT with inverse and
 //!   shift helpers,
 //! * [`window`] — Hann / Hamming / Blackman tapers,
-//! * [`cfar`] — cell-averaging constant false-alarm rate detectors in one
-//!   and two dimensions.
+//! * [`cfar`] — a two-dimensional cell-averaging constant false-alarm
+//!   rate detector.
 //!
 //! The implementations favour clarity and determinism over raw speed; all
 //! routines are allocation-explicit and free of global state so they can be

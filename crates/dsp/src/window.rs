@@ -46,16 +46,6 @@ impl WindowKind {
             })
             .collect()
     }
-
-    /// The coherent gain (mean coefficient) of the window, used to
-    /// renormalise amplitudes after windowing.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        let c = self.coefficients(n);
-        if c.is_empty() {
-            return 0.0;
-        }
-        c.iter().sum::<f64>() / c.len() as f64
-    }
 }
 
 /// Multiplies `data` element-wise by the window `w`.
@@ -110,17 +100,6 @@ mod tests {
     fn hann_peak_is_one() {
         let w = WindowKind::Hann.coefficients(65);
         assert!((w[32] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rectangular_gain_is_one() {
-        assert!((WindowKind::Rectangular.coherent_gain(100) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hann_gain_is_half() {
-        // Asymptotically 0.5 for large N.
-        assert!((WindowKind::Hann.coherent_gain(4096) - 0.5).abs() < 1e-3);
     }
 
     #[test]

@@ -65,12 +65,13 @@ proptest! {
 
     #[test]
     fn cfar_detections_exceed_noise(seed_peaks in prop::collection::vec(5usize..120, 0..4)) {
+        // An 8 × 16 map; each peak lands at cell `p` row-major.
         let mut power = vec![1.0f64; 128];
         for &p in &seed_peaks {
             power[p] = 500.0;
         }
         let config = gp_dsp::CfarConfig::default();
-        for det in gp_dsp::cfar::cfar_1d(&power, &config) {
+        for det in gp_dsp::cfar::cfar_2d(&power, 8, 16, &config) {
             prop_assert!(det.power > det.noise * config.threshold_factor);
         }
     }

@@ -135,15 +135,6 @@ impl UserProfile {
         self.upper_arm + self.forearm + self.hand
     }
 
-    /// Shoulder position offsets in the body frame (±x for right/left).
-    pub fn shoulder_offset(&self, right: bool) -> f64 {
-        if right {
-            self.shoulder_half_width
-        } else {
-            -self.shoulder_half_width
-        }
-    }
-
     /// Applies the user's habitual time-warp to a normalised phase
     /// `t ∈ [0, 1]`.
     pub fn warp_phase(&self, t: f64) -> f64 {
@@ -210,12 +201,6 @@ mod tests {
         }
         assert_eq!(p.warp_phase(0.0), 0.0);
         assert!((p.warp_phase(1.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shoulder_offsets_are_mirrored() {
-        let p = UserProfile::generate(0, 5);
-        assert_eq!(p.shoulder_offset(true), -p.shoulder_offset(false));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! * `sequence` — per-frame summary features (temporal LSTM).
 
 use gp_nn::Matrix;
-use gp_pipeline::LabeledSample;
 use gp_pointcloud::sampling::resample_to;
 use gp_pointcloud::{PointCloud, Vec3};
 use rand::Rng;
@@ -182,15 +181,6 @@ pub fn encode<R: Rng>(
         profile_shape: config.profile_shape,
         sequence,
     }
-}
-
-/// Encodes a [`LabeledSample`] (convenience wrapper).
-pub fn encode_sample<R: Rng>(
-    sample: &LabeledSample,
-    config: &FeatureConfig,
-    rng: &mut R,
-) -> ModelInput {
-    encode(&sample.cloud, &sample.frame_clouds, config, rng)
 }
 
 #[cfg(test)]

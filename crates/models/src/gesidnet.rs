@@ -710,37 +710,11 @@ impl PointModel for GesIDNet {
                 Some(Matrix::zeros(0, self.config.low_dim)),
             );
         }
-        // Identical inputs (same positions and features) run FPS,
-        // grouping and the forward once, and their rows are copied to
-        // every duplicate. `unique[k]` is the index of the k-th distinct
-        // input, and `source[i]` the distinct slot input `i` maps to.
-        // The scan is O(B²) comparisons, fine at micro-batch sizes.
-        let mut unique: Vec<usize> = Vec::new();
-        let mut source: Vec<usize> = Vec::with_capacity(inputs.len());
-        for (i, input) in inputs.iter().enumerate() {
-            match unique.iter().position(|&u| &inputs[u] == input) {
-                Some(k) => source.push(k),
-                None => {
-                    source.push(unique.len());
-                    unique.push(i);
-                }
-            }
-        }
-        let uniq: Vec<&ModelInput> = unique.iter().map(|&i| &inputs[i]).collect();
+        let inputs: Vec<&ModelInput> = inputs.iter().collect();
         // The primary prediction P1 is the inference output (paper
         // §IV-C).
-        let (logits, embeddings, _) = self.forward(&uniq, false);
-        if uniq.len() == inputs.len() {
-            return (logits, Some(embeddings));
-        }
-        let expand = |m: &Matrix| {
-            let mut out = Matrix::zeros(inputs.len(), m.cols());
-            for (i, &k) in source.iter().enumerate() {
-                out.row_mut(i).copy_from_slice(m.row(k));
-            }
-            out
-        };
-        (expand(&logits), Some(expand(&embeddings)))
+        let (logits, embeddings, _) = self.forward(&inputs, false);
+        (logits, Some(embeddings))
     }
 
     fn train_step_batch(&mut self, inputs: &[&ModelInput], labels: &[usize]) -> f32 {
@@ -954,7 +928,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_dedupes_identical_inputs() {
+    fn forward_batch_gives_duplicate_inputs_bit_identical_rows() {
         let mut rng = StdRng::seed_from_u64(1);
         let net = GesIDNet::new(GesIDNetConfig::for_classes(3), &mut rng);
         let a = toy_input(20, 0.0);

@@ -103,11 +103,11 @@ proptest! {
         assert_rows_bit_exact(&net, &inputs)?;
     }
 
-    /// Duplicated inputs (which the batched path deduplicates to share
-    /// FPS/grouping work) still land exact per-row logits and
-    /// embeddings.
+    /// Duplicated inputs each run through the stacked forward and land
+    /// exact per-row logits and embeddings, bit-identical to each
+    /// other.
     #[test]
-    fn deduplicated_rows_stay_bit_exact(
+    fn duplicate_inputs_give_bit_identical_rows(
         seed in 0u64..100,
         copies in 2usize..=5,
         fusion in any::<bool>(),
@@ -119,7 +119,8 @@ proptest! {
         inputs.extend(std::iter::repeat_with(|| a.clone()).take(copies));
         inputs.push(b);
         assert_rows_bit_exact(&net, &inputs)?;
-        // All duplicate rows are identical (they share one forward).
+        // All duplicate rows are identical (each row is a function of
+        // its input alone).
         let (batched, embeddings) = net.logits_and_embedding_batch(&inputs);
         let embeddings = embeddings.expect("GesIDNet has a fusion tap");
         for k in 2..=copies {

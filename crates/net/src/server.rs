@@ -71,6 +71,14 @@ use std::time::{Duration, Instant};
 /// client bytes, and an `Error` must always fit the frame cap.
 const MAX_ERROR_TEXT: usize = 256;
 
+/// Maximum bytes read from one connection per reactor tick —
+/// round-robin fairness so a firehose connection cannot starve the
+/// rest of the tick.
+const READ_CHUNK: usize = 16 << 10;
+
+/// Reactor sleep when a tick found no work (bounds idle CPU).
+const IDLE_SLEEP: Duration = Duration::from_micros(500);
+
 /// Socket-front configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
@@ -84,15 +92,9 @@ pub struct NetConfig {
     /// overflow it are dropped and counted, so one slow reader cannot
     /// grow server memory.
     pub out_buffer_cap: usize,
-    /// Maximum bytes read from one connection per reactor tick —
-    /// round-robin fairness so a firehose connection cannot starve the
-    /// rest of the tick.
-    pub read_chunk: usize,
     /// How often partial micro-batches are flushed to the executor, so
     /// a lone segment never waits indefinitely for a full batch.
     pub flush_interval: Duration,
-    /// Reactor sleep when a tick found no work (bounds idle CPU).
-    pub idle_sleep: Duration,
 }
 
 impl Default for NetConfig {
@@ -101,9 +103,7 @@ impl Default for NetConfig {
             max_frame: 1 << 20,
             send_results: true,
             out_buffer_cap: 256 << 10,
-            read_chunk: 16 << 10,
             flush_interval: Duration::from_millis(2),
-            idle_sleep: Duration::from_micros(500),
         }
     }
 }
@@ -482,7 +482,7 @@ impl Reactor {
         while !self.stop.load(Ordering::Acquire) {
             let busy = self.tick();
             if !busy {
-                std::thread::sleep(self.config.idle_sleep);
+                std::thread::sleep(IDLE_SLEEP);
             }
         }
         // Shutdown: close every live session so the engine's ledger
@@ -626,7 +626,7 @@ impl Reactor {
 
         let mut taken = 0usize;
         let mut chunk = [0u8; 4096];
-        while taken < self.config.read_chunk {
+        while taken < READ_CHUNK {
             let read = {
                 let conn = self.conns.get_mut(&id).expect("conn exists");
                 conn.stream.read(&mut chunk)

@@ -22,25 +22,26 @@
 //! Every output element is produced by a **single accumulator summing in
 //! ascending-k order** (per `KC` block, with blocks themselves combined
 //! in ascending order). No pairwise trees, no FMA contraction — the
-//! SIMD paths use explicit multiply-then-add so rounding matches the
+//! AVX2 path uses explicit multiply-then-add so rounding matches the
 //! scalar path lane for lane. Consequences:
 //!
 //! * results are bit-identical run to run,
-//! * the scalar, SSE2, and AVX2 micro-kernels are bit-identical to each
-//!   other (verified by `tests/kernel_properties.rs` on every `x86_64`
-//!   test run), so which backend [`active_backend`] picks never changes
-//!   a logit,
+//! * the scalar and AVX2 micro-kernels are bit-identical to each other
+//!   (verified by `tests/kernel_properties.rs` on every `x86_64` test
+//!   run), so which backend [`active_backend`] picks never changes a
+//!   logit,
 //! * each output row is a function of its input rows alone, preserving
 //!   the batch-size-independence that GesIDNet's batched-inference
 //!   bit-exactness guarantee rests on.
 //!
 //! # Backends
 //!
-//! On `x86_64` every build compiles the SSE2 and AVX2 micro-kernels, and
-//! [`active_backend`] picks the widest one the CPU supports at runtime.
-//! Other targets run the portable scalar micro-kernel, which also stays
-//! the oracle the SIMD kernels are pinned against through
-//! [`gemm_with_backend`].
+//! On `x86_64` every build compiles the AVX2 micro-kernel, and
+//! [`active_backend`] picks it when the CPU supports AVX2 at runtime.
+//! Everywhere else the portable scalar micro-kernel runs; without AVX2
+//! the compiler already vectorizes it for SSE2, so a hand-written SSE2
+//! kernel would add nothing. The scalar kernel also stays the oracle the
+//! AVX2 kernel is pinned against through [`gemm_with_backend`].
 //!
 //! The pre-existing naive triple loops are retained below as
 //! [`naive_matmul`]/[`naive_matmul_transpose`]/[`naive_transpose_matmul`]
@@ -70,31 +71,21 @@ const SMALL_FLOPS: usize = 8 * 1024;
 pub enum Backend {
     /// Portable scalar micro-kernel (always available; the oracle).
     Scalar,
-    /// SSE2 (baseline on `x86_64`).
-    #[cfg(target_arch = "x86_64")]
-    Sse2,
     /// AVX2, runtime-detected on `x86_64`.
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
 
-/// The backend `Matrix`'s products dispatch to on this machine: the
-/// widest SIMD micro-kernel the CPU supports on `x86_64`, the scalar one
-/// elsewhere. (All backends are bit-identical; this only selects speed.)
+/// The backend `Matrix`'s products dispatch to on this machine: AVX2
+/// on an `x86_64` CPU that has it, the scalar micro-kernel everywhere
+/// else. (Both are bit-identical; this only selects speed.)
 pub fn active_backend() -> Backend {
     // std caches the CPUID probe, so this is one atomic load per call.
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            Backend::Avx2
-        } else {
-            Backend::Sse2
-        }
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return Backend::Avx2;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        Backend::Scalar
-    }
+    Backend::Scalar
 }
 
 /// `a · b` through the blocked engine (production path of
@@ -251,20 +242,7 @@ fn gemm_small(
                 }
             }
         }
-        (true, true) => {
-            // Not used by any Matrix product; provided for completeness.
-            for i in 0..m {
-                let c_row = c.row_mut(i);
-                for (j, cv) in c_row.iter_mut().enumerate() {
-                    let b_row = b.row(j);
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc += a.at(kk, i) * b_row[kk];
-                    }
-                    *cv = acc;
-                }
-            }
-        }
+        (true, true) => unreachable!("no Matrix product transposes both operands"),
     }
 }
 
@@ -416,8 +394,6 @@ fn run_microkernel(
     match backend {
         Backend::Scalar => microkernel_scalar(apack, bpanel, klen, acc),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => microkernel_sse2(apack, bpanel, klen, acc),
-        #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 reaches here only from `active_backend`'s runtime
         // detection or through `gemm_with_backend`, which checks the CPU.
         Backend::Avx2 => unsafe { microkernel_avx2(apack, bpanel, klen, acc) },
@@ -445,34 +421,9 @@ fn microkernel_scalar(apack: &[f32], bpanel: &[f32], klen: usize, acc: &mut [[f3
     *acc = local;
 }
 
-/// SSE2 micro-kernel: the `NR` lane runs as two 128-bit halves.
-/// Multiply-then-add (no FMA) keeps rounding identical to the scalar
+/// AVX2 micro-kernel: one 256-bit accumulator per `C` row. Explicit
+/// mul+add — not `fmadd` — keeps rounding identical to the scalar
 /// kernel lane for lane.
-#[cfg(target_arch = "x86_64")]
-fn microkernel_sse2(apack: &[f32], bpanel: &[f32], klen: usize, acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::*;
-    // SAFETY: SSE2 is part of the x86_64 baseline; all pointer reads are
-    // within the packed slices (`klen·NR` / `klen·MR` long).
-    unsafe {
-        let mut lanes = [[_mm_setzero_ps(); 2]; MR];
-        for kk in 0..klen {
-            let b0 = _mm_loadu_ps(bpanel.as_ptr().add(kk * NR));
-            let b1 = _mm_loadu_ps(bpanel.as_ptr().add(kk * NR + 4));
-            for (ii, lane) in lanes.iter_mut().enumerate() {
-                let av = _mm_set1_ps(*apack.get_unchecked(kk * MR + ii));
-                lane[0] = _mm_add_ps(lane[0], _mm_mul_ps(av, b0));
-                lane[1] = _mm_add_ps(lane[1], _mm_mul_ps(av, b1));
-            }
-        }
-        for (acc_row, lane) in acc.iter_mut().zip(lanes.iter()) {
-            _mm_storeu_ps(acc_row.as_mut_ptr(), lane[0]);
-            _mm_storeu_ps(acc_row.as_mut_ptr().add(4), lane[1]);
-        }
-    }
-}
-
-/// AVX2 micro-kernel: one 256-bit accumulator per `C` row. As with
-/// SSE2, explicit mul+add — not `fmadd` — so all backends round alike.
 ///
 /// # Safety
 ///

@@ -3,7 +3,7 @@
 //! The offline environment has no deep-learning ecosystem, so GesIDNet
 //! and the baselines are built on this crate: dense matrices, layers with
 //! explicit forward/backward (no autograd graph — models own their
-//! intermediates), cross-entropy losses, and Adam/SGD optimizers.
+//! intermediates), cross-entropy losses, and the Adam optimizer.
 //!
 //! Design notes:
 //!
@@ -17,7 +17,7 @@
 //! * **Determinism** — all initialisation is seeded, and the matmul
 //!   kernels ([`kernels`]) accumulate every output element in a fixed
 //!   ascending-k order, so results are bit-stable run to run and across
-//!   the scalar, SSE2 and AVX2 micro-kernels (picked at runtime).
+//!   the scalar and AVX2 micro-kernels (picked at runtime).
 //!
 //! # Example
 //!
@@ -59,7 +59,7 @@ pub use layers::{Linear, MaxPool, Relu};
 pub use loss::{argmax, softmax, softmax_cross_entropy, softmax_rows};
 pub use lstm::Lstm;
 pub use matrix::Matrix;
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 
 /// Types exposing trainable parameters to an optimizer.
 ///

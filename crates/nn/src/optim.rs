@@ -1,6 +1,6 @@
-//! Optimizers: [`Adam`] and [`Sgd`].
+//! The optimizer: [`Adam`].
 //!
-//! Optimizers are *cursor-based*: call [`Adam::begin_step`] once per
+//! The optimizer is *cursor-based*: call [`Adam::begin_step`] once per
 //! update, then feed every `(param, grad)` pair in a stable order (use
 //! [`crate::Parameterized::for_each_param`]). Per-parameter moment
 //! buffers are allocated lazily on first sight. Gradients are zeroed
@@ -77,58 +77,11 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (`0` = vanilla SGD).
-    pub momentum: f32,
-    cursor: usize,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates SGD.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            cursor: 0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Starts an update step.
-    pub fn begin_step(&mut self) {
-        self.cursor = 0;
-    }
-
-    /// Updates one parameter tensor in place and zeroes its gradient.
-    pub fn update(&mut self, param: &mut [f32], grad: &mut [f32]) {
-        if self.cursor == self.velocity.len() {
-            self.velocity.push(vec![0.0; param.len()]);
-        }
-        let vel = &mut self.velocity[self.cursor];
-        assert_eq!(
-            vel.len(),
-            param.len(),
-            "parameter shape changed between steps"
-        );
-        for i in 0..param.len() {
-            vel[i] = self.momentum * vel[i] + grad[i];
-            param[i] -= self.lr * vel[i];
-            grad[i] = 0.0;
-        }
-        self.cursor += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimise f(x) = (x − 3)² with each optimizer.
+    /// Minimise f(x) = (x − 3)² with the given update.
     fn quadratic_descent(update: &mut dyn FnMut(&mut [f32], &mut [f32])) -> f32 {
         let mut x = vec![0.0f32];
         for _ in 0..500 {
@@ -144,16 +97,6 @@ mod tests {
         let x = quadratic_descent(&mut |p, g| {
             adam.begin_step();
             adam.update(p, g);
-        });
-        assert!((x - 3.0).abs() < 0.05, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut sgd = Sgd::new(0.05, 0.9);
-        let x = quadratic_descent(&mut |p, g| {
-            sgd.begin_step();
-            sgd.update(p, g);
         });
         assert!((x - 3.0).abs() < 0.05, "x = {x}");
     }

@@ -8,8 +8,9 @@
 //! * `a·bᵀ` is bit-identical to `a·(bᵀ)` from an explicit transpose on
 //!   blocked shapes (the transposed pack builds the same panels),
 //! * two runs of the blocked kernel are bit-identical,
-//! * on `x86_64`, SSE2 and the runtime-detected backend are
-//!   bit-identical to the pinned scalar backend (not merely close).
+//! * on `x86_64`, the runtime-detected backend is bit-identical to the
+//!   pinned scalar backend (not merely close), and it is AVX2 exactly
+//!   when the CPU has AVX2.
 
 use gp_nn::kernels::{self, Backend, KC, MR, NR};
 use gp_nn::Matrix;
@@ -166,13 +167,26 @@ proptest! {
     }
 }
 
-/// On `x86_64`, SSE2 and the backend `active_backend` detects must be
+/// The one dispatch rule: on `x86_64`, the AVX2 kernel runs exactly
+/// when the CPU has AVX2, and the scalar kernel otherwise.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn active_backend_is_avx2_exactly_when_detected() {
+    let expected = if std::arch::is_x86_feature_detected!("avx2") {
+        Backend::Avx2
+    } else {
+        Backend::Scalar
+    };
+    assert_eq!(kernels::active_backend(), expected);
+}
+
+/// On `x86_64`, the backend `active_backend` detects must be
 /// bit-identical to the scalar micro-kernel — the contract that makes
 /// the runtime dispatch a pure speed choice.
 #[cfg(target_arch = "x86_64")]
 #[test]
 fn simd_backends_bit_identical_to_scalar() {
-    let backends = [Backend::Sse2, kernels::active_backend()];
+    let backend = kernels::active_backend();
     for (m, n, k) in [
         (1, 1, 1),
         (3, 5, 7),
@@ -193,14 +207,12 @@ fn simd_backends_bit_identical_to_scalar() {
             ] {
                 let scalar =
                     kernels::gemm_with_backend(at, bt_flag.0, bx, bt_flag.1, Backend::Scalar);
-                for backend in backends {
-                    let simd = kernels::gemm_with_backend(at, bt_flag.0, bx, bt_flag.1, backend);
-                    assert_eq!(
-                        bits(&scalar),
-                        bits(&simd),
-                        "{label} {m}x{k}·{k}x{n}: {backend:?} diverged from Scalar"
-                    );
-                }
+                let simd = kernels::gemm_with_backend(at, bt_flag.0, bx, bt_flag.1, backend);
+                assert_eq!(
+                    bits(&scalar),
+                    bits(&simd),
+                    "{label} {m}x{k}·{k}x{n}: {backend:?} diverged from Scalar"
+                );
             }
         }
     }

@@ -306,12 +306,6 @@ impl OnlineSegmenter {
             None
         }
     }
-
-    /// Resets all state for a fresh stream, keeping the configuration.
-    pub fn reset(&mut self) {
-        let config = self.config.clone();
-        *self = OnlineSegmenter::new(config);
-    }
 }
 
 #[cfg(test)]
@@ -499,17 +493,6 @@ mod tests {
         assert_eq!(segments.len(), 1);
         // Idle tail: the bound advances with the stream again.
         assert!(online.earliest_needed() > segments[0].start);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let counts = pattern(20, 20, 20, 12);
-        let mut online = OnlineSegmenter::new(SegmenterConfig::default());
-        let first: Vec<_> = counts.iter().filter_map(|&c| online.push(c)).collect();
-        online.reset();
-        assert_eq!(online.frames_seen(), 0);
-        let second: Vec<_> = counts.iter().filter_map(|&c| online.push(c)).collect();
-        assert_eq!(first, second);
     }
 
     #[test]

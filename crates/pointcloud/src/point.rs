@@ -299,14 +299,6 @@ impl PointCloud {
             p.position += offset;
         }
     }
-
-    /// Mean Doppler magnitude across points (0 for an empty cloud).
-    pub fn mean_doppler_magnitude(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|p| p.doppler.abs()).sum::<f64>() / self.points.len() as f64
-    }
 }
 
 impl FromIterator<Point> for PointCloud {
@@ -405,7 +397,6 @@ mod tests {
         assert!(cloud.is_empty());
         assert_eq!(cloud.centroid(), None);
         assert_eq!(cloud.bounding_box(), None);
-        assert_eq!(cloud.mean_doppler_magnitude(), 0.0);
     }
 
     #[test]

@@ -96,32 +96,10 @@ pub fn resample_to<R: Rng>(cloud: &PointCloud, n: usize, rng: &mut R) -> PointCl
     out
 }
 
-/// Normalises a cloud in place: centres positions on the centroid and
-/// scales so the maximum distance from the centre is 1.
-///
-/// Degenerate clouds (all points identical) are centred but not scaled.
-/// Returns the applied `(centroid, scale)` so the transform can be undone
-/// or reused; scale is the *divisor* applied to coordinates.
-pub fn normalize_unit_sphere(cloud: &mut PointCloud) -> (Vec3, f64) {
-    let Some(centroid) = cloud.centroid() else {
-        return (Vec3::ZERO, 1.0);
-    };
-    cloud.translate(-centroid);
-    let max_r = cloud
-        .iter()
-        .map(|p| p.position.norm())
-        .fold(0.0f64, f64::max);
-    let scale = if max_r > 1e-12 { max_r } else { 1.0 };
-    for p in cloud.iter_mut() {
-        p.position = p.position * (1.0 / scale);
-    }
-    (centroid, scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::{Point, PointCloud};
+    use crate::point::PointCloud;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -213,37 +191,5 @@ mod tests {
         for p in up.iter() {
             assert!(cloud.iter().any(|q| q.position == p.position));
         }
-    }
-
-    #[test]
-    fn normalize_centers_and_scales() {
-        let mut cloud = PointCloud::from_positions([
-            Vec3::new(10.0, 10.0, 10.0),
-            Vec3::new(12.0, 10.0, 10.0),
-            Vec3::new(10.0, 14.0, 10.0),
-        ]);
-        let (centroid, scale) = normalize_unit_sphere(&mut cloud);
-        assert!(
-            centroid.distance(Vec3::new(
-                10.666_666_666_666_666,
-                11.333_333_333_333_334,
-                10.0
-            )) < 1e-9
-        );
-        assert!(scale > 0.0);
-        assert!(cloud.centroid().unwrap().norm() < 1e-9);
-        let max_r = cloud
-            .iter()
-            .map(|p| p.position.norm())
-            .fold(0.0f64, f64::max);
-        assert!((max_r - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normalize_degenerate_cloud() {
-        let mut cloud = PointCloud::from_points(vec![Point::at(Vec3::new(5.0, 5.0, 5.0)); 4]);
-        let (_, scale) = normalize_unit_sphere(&mut cloud);
-        assert_eq!(scale, 1.0);
-        assert!(cloud.iter().all(|p| p.position.norm() < 1e-12));
     }
 }

@@ -261,9 +261,6 @@ impl EventBus {
                 .collect(),
             evicted_sessions: inner.evicted_sessions,
             evicted: snapshot(&inner.evicted),
-            // Stage histograms live in the engine's telemetry, not on
-            // the bus; `ServeEngine::stats` fills them in.
-            stages: StageBreakdown::default(),
         }
     }
 }
@@ -339,41 +336,6 @@ impl SessionStats {
     }
 }
 
-/// Per-stage latency breakdown along the span path: where a result's
-/// end-to-end latency actually went. Filled from the engine's
-/// gp-telemetry stage histograms; empty when telemetry is disabled.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StageBreakdown {
-    /// Frame ingest → admission decision (session-lock contention plus
-    /// budget/gate probes).
-    pub admission_wait: Histogram,
-    /// Online segmentation + preprocessing of the admitted frame.
-    pub segmentation: Histogram,
-    /// Segment enqueued → batch claimed by a worker.
-    pub queue_wait: Histogram,
-    /// Batch inference time as each result experienced it (the whole
-    /// batch's, not an N-th share).
-    pub inference: Histogram,
-    /// Inference end → result event published on the bus. In enroll and
-    /// identify sessions this stage also holds identity resolution: the
-    /// gallery enroll or lookup of the embedding the inference returned.
-    pub publish: Histogram,
-}
-
-impl StageBreakdown {
-    /// The stages in span order, with their histogram names as
-    /// registered in the telemetry registry.
-    pub fn named(&self) -> [(&'static str, &Histogram); 5] {
-        [
-            ("admission_wait", &self.admission_wait),
-            ("segmentation", &self.segmentation),
-            ("queue_wait", &self.queue_wait),
-            ("inference", &self.inference),
-            ("publish", &self.publish),
-        ]
-    }
-}
-
 /// A point-in-time snapshot of the engine's accounting.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
@@ -386,11 +348,6 @@ pub struct ServeStats {
     /// Aggregate counters of the evicted sessions — included in every
     /// `total_*` so eviction never changes the totals.
     pub evicted: SessionStats,
-    /// Per-stage latency breakdown (admission-wait, segmentation,
-    /// queue-wait, inference, publish), p50/p99 per stage via each
-    /// histogram's [`Histogram::percentile`]. Empty histograms when
-    /// [`crate::ServeConfig::telemetry`] is off.
-    pub stages: StageBreakdown,
 }
 
 impl ServeStats {

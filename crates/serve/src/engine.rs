@@ -15,7 +15,7 @@
 //! [`ServeEngine::drain`] sorts events by `(session, seq)` to remove
 //! even that.
 
-use crate::bus::{EventBus, IdentityOutcome, ServeEvent, ServeStats, StageBreakdown};
+use crate::bus::{EventBus, IdentityOutcome, ServeEvent, ServeStats};
 use crate::session::{ClosedSegment, SegmentData, SensorFrame, Session, SessionId};
 use gestureprint_core::{GesturePrint, Inference, SensingBackend};
 use gp_pipeline::{
@@ -275,13 +275,23 @@ struct SegmentJob {
     mode: SessionMode,
 }
 
-/// Per-stage latency histograms: one result's end-to-end latency
-/// decomposed along the span's path through the engine.
+/// Per-stage latency histograms (`serve.stage.*` in the registry): one
+/// result's end-to-end latency decomposed along the span's path through
+/// the engine.
 struct StageMetrics {
+    /// Frame ingest → admission decision (session-lock contention plus
+    /// budget/gate probes).
     admission_wait: Arc<AtomicHistogram>,
+    /// Online segmentation + preprocessing of the admitted frame.
     segmentation: Arc<AtomicHistogram>,
+    /// Segment enqueued → batch claimed by a worker.
     queue_wait: Arc<AtomicHistogram>,
+    /// Batch inference time as each result experienced it (the whole
+    /// batch's, not an N-th share).
     inference: Arc<AtomicHistogram>,
+    /// Inference end → result event published on the bus. In enroll and
+    /// identify sessions this stage also holds identity resolution: the
+    /// gallery enroll or lookup of the embedding the inference returned.
     publish: Arc<AtomicHistogram>,
 }
 
@@ -557,14 +567,6 @@ impl ServeEngine {
             .read()
             .expect("session registry poisoned")
             .len()
-    }
-
-    /// `(frames seen, frames currently buffered)` for a live session —
-    /// the buffer stays bounded while the stream idles.
-    pub fn session_frames(&self, id: SessionId) -> Option<(usize, usize)> {
-        let session = self.session(id)?;
-        let session = session.lock().expect("session poisoned");
-        Some((session.frames_seen(), session.buffered()))
     }
 
     fn session(&self, id: SessionId) -> Option<Arc<Mutex<Session>>> {
@@ -1143,15 +1145,6 @@ impl ServeEngine {
             stats.sessions.entry(id).or_default().frames = frames;
         }
         drop(sessions);
-        if let Some(t) = &self.telemetry {
-            stats.stages = StageBreakdown {
-                admission_wait: t.stages.admission_wait.snapshot(),
-                segmentation: t.stages.segmentation.snapshot(),
-                queue_wait: t.stages.queue_wait.snapshot(),
-                inference: t.stages.inference.snapshot(),
-                publish: t.stages.publish.snapshot(),
-            };
-        }
         stats
     }
 

@@ -60,8 +60,8 @@
 //! * **Observability** — with [`ServeConfig::telemetry`] on (the
 //!   default), every frame's span is timed through the five pipeline
 //!   stages (admission-wait → segmentation → queue-wait → inference →
-//!   publish) into a shared [`gp_telemetry::Registry`];
-//!   [`ServeStats::stages`] exposes the breakdown, and
+//!   publish) into the `serve.stage.*` histograms of a shared
+//!   [`gp_telemetry::Registry`], and
 //!   [`ServeEngine::telemetry_snapshot`] exports the registry (stage
 //!   histograms, pool utilization, gate-depth gauges) as a versioned
 //!   [`gp_telemetry::TelemetrySnapshot`].
@@ -103,7 +103,7 @@ pub mod bus;
 pub mod engine;
 pub mod session;
 
-pub use bus::{IdentityOutcome, ServeEvent, ServeStats, SessionStats, StageBreakdown};
+pub use bus::{IdentityOutcome, ServeEvent, ServeStats, SessionStats};
 pub use engine::{Admission, AdmissionConfig, RejectReason, ServeConfig, ServeEngine, SessionMode};
 // Sessions are representation-agnostic: a session declares its sensing
 // backend at open (`open_session` = point cloud, `open_rd_session` =

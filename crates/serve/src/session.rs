@@ -251,7 +251,8 @@ impl Session {
 
     /// Number of frames currently retained (bounded while idle; the RD
     /// shadow of a hybrid session mirrors this count).
-    pub(crate) fn buffered(&self) -> usize {
+    #[cfg(test)]
+    fn buffered(&self) -> usize {
         match &self.stream {
             Stream::Point { buffer, .. } => buffer.len(),
             Stream::Rd { buffer, .. } => buffer.len(),

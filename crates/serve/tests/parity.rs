@@ -143,9 +143,12 @@ fn idle_session_buffer_stays_bounded() {
     for _ in 0..2_000 {
         engine.push_frame(session, idle.clone());
     }
-    let (seen, buffered) = engine.session_frames(session).unwrap();
-    assert_eq!(seen, 2_000);
-    assert!(buffered <= 16, "idle buffer grew to {buffered}");
+    // The bound itself is pinned on the session
+    // (`session::tests::idle_stream_keeps_buffer_bounded`); here every
+    // idle frame is admitted and none closes a segment.
+    let stats = engine.session_stats(session).unwrap();
+    assert_eq!(stats.frames, 2_000);
+    assert_eq!(stats.segments, 0);
     engine.close_session(session);
     assert_eq!(engine.session_count(), 0);
     assert!(engine.drain().is_empty());

@@ -9,7 +9,7 @@
 //! Checkpoints are taken one at a time, so a newer version never holds
 //! an older gallery than the version before it.
 
-use crate::gallery::{EmbeddingGallery, GalleryError, Identification};
+use crate::gallery::{EmbeddingGallery, Identification};
 use crate::registry::{ArtifactRegistry, RegistryConfig};
 use crate::StoreError;
 use gestureprint_core::artifact::{kinds, Artifact};
@@ -248,10 +248,6 @@ impl IdentityStore {
     }
 }
 
-/// Re-exported so callers matching on enroll failures see one error
-/// type.
-pub type EnrollError = GalleryError;
-
 fn lock_poisonless<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -259,6 +255,7 @@ fn lock_poisonless<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gallery::GalleryError;
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir =
