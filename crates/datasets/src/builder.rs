@@ -72,13 +72,6 @@ impl Dataset {
             .collect()
     }
 
-    /// The user profiles of this dataset (regenerated from the spec).
-    pub fn profiles(&self) -> Vec<UserProfile> {
-        (0..self.spec.users)
-            .map(|u| UserProfile::generate(u, self.spec.user_seed))
-            .collect()
-    }
-
     /// Summary line for paper Tab. I style reports.
     pub fn summary(&self) -> String {
         format!(

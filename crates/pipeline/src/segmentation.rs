@@ -126,13 +126,6 @@ impl Segmenter {
         Segmenter { config }
     }
 
-    /// The dynamic point threshold for a window of recent counts: anchors
-    /// on the count distribution so it adapts to the environment's
-    /// baseline clutter level.
-    pub fn dynamic_threshold(&self, counts: &[usize]) -> usize {
-        dynamic_threshold(&self.config, counts)
-    }
-
     /// Segments a frame sequence into gesture intervals.
     ///
     /// This is the offline view of [`OnlineSegmenter`]: the whole
@@ -148,14 +141,16 @@ impl Segmenter {
     }
 }
 
-/// The adaptive-threshold core shared by the offline and online
-/// segmenters (see [`SegmenterConfig::quantiles`]).
-fn dynamic_threshold(config: &SegmenterConfig, counts: &[usize]) -> usize {
+/// The dynamic point threshold for a window of recent counts: anchors
+/// on the count distribution (see [`SegmenterConfig::quantiles`]) so it
+/// adapts to the environment's baseline clutter level. Sorts `counts`
+/// in place.
+fn dynamic_threshold(config: &SegmenterConfig, counts: &mut [usize]) -> usize {
     if counts.is_empty() {
         return config.min_threshold;
     }
-    let mut sorted: Vec<usize> = counts.to_vec();
-    sorted.sort_unstable();
+    counts.sort_unstable();
+    let sorted = &*counts;
     let q = |f: f64| -> f64 {
         let idx = (f * (sorted.len() - 1) as f64).round() as usize;
         sorted[idx] as f64
@@ -190,7 +185,7 @@ pub struct OnlineSegmenter {
     counts: VecDeque<usize>,
     /// Trailing motion flags (≤ `n`).
     motion: VecDeque<bool>,
-    /// Scratch buffer for the threshold quantiles.
+    /// Scratch buffer the threshold quantiles sort in place.
     scratch: Vec<usize>,
     /// Index of the next frame to be pushed.
     next_index: usize,
@@ -251,7 +246,7 @@ impl OnlineSegmenter {
         }
         self.scratch.clear();
         self.scratch.extend(self.counts.iter().copied());
-        let is_motion = point_count >= dynamic_threshold(&self.config, &self.scratch);
+        let is_motion = point_count >= dynamic_threshold(&self.config, &mut self.scratch);
 
         self.motion.push_back(is_motion);
         if self.motion.len() > self.config.motion_window {
@@ -403,18 +398,18 @@ mod tests {
 
     #[test]
     fn threshold_floor_respected() {
-        let seg = Segmenter::default();
-        assert_eq!(seg.dynamic_threshold(&[]), 3);
-        assert_eq!(seg.dynamic_threshold(&[0, 0, 0, 0]), 3);
+        let config = SegmenterConfig::default();
+        assert_eq!(dynamic_threshold(&config, &mut []), 3);
+        assert_eq!(dynamic_threshold(&config, &mut [0, 0, 0, 0]), 3);
     }
 
     #[test]
     fn threshold_tracks_distribution() {
-        let seg = Segmenter::default();
-        let quiet = vec![1usize; 50];
+        let config = SegmenterConfig::default();
+        let mut quiet = vec![1usize; 50];
         let mut active = vec![1usize; 25];
         active.extend(vec![20usize; 25]);
-        assert!(seg.dynamic_threshold(&active) > seg.dynamic_threshold(&quiet));
+        assert!(dynamic_threshold(&config, &mut active) > dynamic_threshold(&config, &mut quiet));
     }
 
     #[test]

@@ -123,15 +123,6 @@ impl Scene {
         Scene { entities, duration }
     }
 
-    /// Creates an empty scene of fixed duration (build up with
-    /// [`Scene::push`]).
-    pub fn empty(duration: f64) -> Self {
-        Scene {
-            entities: Vec::new(),
-            duration,
-        }
-    }
-
     /// Adds an entity.
     pub fn push(&mut self, entity: SceneEntity) -> &mut Self {
         if let SceneEntity::Performer(p) = &entity {
@@ -160,6 +151,7 @@ impl Scene {
 mod tests {
     use super::*;
     use gp_kinematics::gestures::{GestureId, GestureSet};
+    use gp_kinematics::performance::PerformanceConfig;
     use gp_kinematics::UserProfile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -223,11 +215,26 @@ mod tests {
 
     #[test]
     fn scene_duration_tracks_longest_performer() {
-        let p = perf();
-        let d = p.total_duration();
-        let mut scene = Scene::empty(0.0);
-        scene.push(SceneEntity::Performer(p));
+        let primary = perf();
+        let d = primary.total_duration();
+        let mut scene = Scene::for_performance(primary, Environment::OpenSpace, 3);
         assert!((scene.duration() - d).abs() < 1e-12);
+        // A longer interfering performer extends the scene...
+        let profile = UserProfile::generate(1, 42);
+        let config = PerformanceConfig {
+            post_idle: 4.0,
+            ..PerformanceConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(2);
+        let longer =
+            Performance::with_config(&profile, GestureSet::Asl15, GestureId(1), config, &mut rng);
+        let d_longer = longer.total_duration();
+        assert!(d_longer > d);
+        scene.push(SceneEntity::Performer(longer));
+        assert!((scene.duration() - d_longer).abs() < 1e-12);
+        // ...and a shorter one leaves it alone.
+        scene.push(SceneEntity::Performer(perf()));
+        assert!((scene.duration() - d_longer).abs() < 1e-12);
     }
 
     #[test]

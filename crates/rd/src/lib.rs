@@ -18,8 +18,8 @@
 //!   [`RdNet::train_step_batch`]; a single sample is a batch of one.
 //!
 //! `gp-core` wraps all of this behind its `SensingBackend` dispatch so
-//! serving sessions can declare either modality — or fall back to this
-//! one when a point-cloud segment is too sparse to trust.
+//! a serving session can declare either modality at open; each session
+//! streams one.
 
 #![forbid(unsafe_code)]
 

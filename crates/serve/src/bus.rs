@@ -30,9 +30,8 @@ pub struct ServeEvent {
     pub span: SpanId,
     /// Segment boundaries in the session's absolute frame indices.
     pub segment: GestureSegment,
-    /// Which sensing backend inferred this segment — range-Doppler for
-    /// RD sessions and for sparse point-cloud segments the hybrid
-    /// fallback re-routed.
+    /// Which sensing backend inferred this segment: the modality its
+    /// session was opened with.
     pub backend: SensingBackend,
     /// The two-task inference result (gesture + user + probabilities).
     pub inference: Inference,

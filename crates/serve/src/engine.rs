@@ -16,13 +16,13 @@
 //! even that.
 
 use crate::bus::{EventBus, IdentityOutcome, ServeEvent, ServeStats};
-use crate::session::{ClosedSegment, SegmentData, SensorFrame, Session, SessionId};
+use crate::session::{ClosedSegment, SegmentSample, SensorFrame, Session, SessionId};
 use gestureprint_core::{GesturePrint, Inference, SensingBackend};
 use gp_pipeline::{
-    GestureSample, GestureSegment, LabeledSample, OnlineSegmenter, Preprocessor, PreprocessorConfig,
+    GestureSegment, LabeledSample, OnlineSegmenter, Preprocessor, PreprocessorConfig,
 };
 use gp_radar::Frame;
-use gp_rd::{OnlineRdSegmenter, RdFrame, RdLabeledSample, RdSegment, RdSegmentConfig};
+use gp_rd::{OnlineRdSegmenter, RdFrame, RdLabeledSample, RdSegmentConfig};
 use gp_runtime::{Gate, TokenBucket, WorkerPool};
 use gp_store::{Identification, IdentityStore};
 use gp_telemetry::{AtomicHistogram, Counter, Registry, SpanId, TelemetrySnapshot};
@@ -116,14 +116,6 @@ pub struct ServeConfig {
     /// Segmentation thresholds for sessions opened in range-Doppler
     /// mode ([`ServeEngine::open_rd_session`]).
     pub rd_segmenter: RdSegmentConfig,
-    /// Sparse-cloud fallback threshold for hybrid sessions driven with
-    /// [`ServeEngine::push_paired_frame`]: a closed point-cloud segment
-    /// whose sample was rejected by noise canceling, or whose cloud has
-    /// fewer than this many points, is re-routed to the range-Doppler
-    /// backend instead (counted in `serve.rd.fallback`). `None` (the
-    /// default) disables the fallback — paired RD frames are buffered
-    /// but never dispatched.
-    pub rd_fallback_min_points: Option<usize>,
 }
 
 impl Default for ServeConfig {
@@ -137,7 +129,6 @@ impl Default for ServeConfig {
             admission: None,
             telemetry: true,
             rd_segmenter: RdSegmentConfig::default(),
-            rd_fallback_min_points: None,
         }
     }
 }
@@ -169,9 +160,6 @@ impl gp_codec::Encode for ServeConfig {
         if self.rd_segmenter != RdSegmentConfig::default() {
             fields.push(("rd_segmenter", self.rd_segmenter.encode()));
         }
-        if let Some(min_points) = self.rd_fallback_min_points {
-            fields.push(("rd_fallback_min_points", min_points.encode()));
-        }
         gp_codec::Value::record(fields)
     }
 }
@@ -187,7 +175,6 @@ impl gp_codec::Decode for ServeConfig {
             admission: value.get_or("admission", None)?,
             telemetry: value.get_or("telemetry", true)?,
             rd_segmenter: value.get_or("rd_segmenter", RdSegmentConfig::default())?,
-            rd_fallback_min_points: value.get_or("rd_fallback_min_points", None)?,
         })
     }
 }
@@ -240,33 +227,15 @@ pub enum SessionMode {
     Identify,
 }
 
-/// The representation-specific half of a [`SegmentJob`]: which backend
-/// infers it, with the matching segment and sample types.
-enum JobPayload {
-    /// A point-cloud segment for [`GesturePrint::infer_batch`]. Labels
-    /// are inference-ignored placeholders (`0, 0`): the serving path
-    /// classifies unlabeled live segments.
-    Point {
-        segment: GestureSegment,
-        sample: LabeledSample,
-    },
-    /// A range-Doppler segment for the RD system's
-    /// [`GesturePrint::infer_batch`] — from an RD session, or re-routed
-    /// from a sparse point-cloud segment by the hybrid fallback (counted
-    /// in `serve.rd.fallback` at enqueue).
-    Rd {
-        segment: RdSegment,
-        sample: RdLabeledSample,
-    },
-}
-
 /// One preprocessed segment waiting for (or undergoing) inference.
 struct SegmentJob {
     session: SessionId,
     seq: u64,
     /// Span of the frame that closed this segment (minted at ingest).
     span: SpanId,
-    payload: JobPayload,
+    segment: GestureSegment,
+    /// The sample's variant picks the backend that infers it.
+    sample: SegmentSample,
     detected: Instant,
     /// When the job entered the batch queue — the clock behind the
     /// `queue_wait` stage histogram.
@@ -307,14 +276,12 @@ impl StageMetrics {
     }
 }
 
-/// Range-Doppler path counters: frames into RD/hybrid sessions,
-/// segments routed to the RD backend, results it published, and how
-/// many of those segments were sparse point-cloud fallbacks.
+/// Range-Doppler path counters: frames into RD sessions, segments
+/// routed to the RD backend, and results it published.
 struct RdMetrics {
     frames: Arc<Counter>,
     segments: Arc<Counter>,
     results: Arc<Counter>,
-    fallback: Arc<Counter>,
 }
 
 impl RdMetrics {
@@ -323,7 +290,6 @@ impl RdMetrics {
             frames: registry.counter("serve.rd.frames"),
             segments: registry.counter("serve.rd.segments"),
             results: registry.counter("serve.rd.results"),
-            fallback: registry.counter("serve.rd.fallback"),
         }
     }
 }
@@ -344,8 +310,8 @@ struct EngineTelemetry {
 /// segment closes.
 pub struct ServeEngine {
     system: Arc<GesturePrint>,
-    /// The range-Doppler system, when this engine serves RD or hybrid
-    /// sessions ([`ServeEngine::with_rd_system`]).
+    /// The range-Doppler system, when this engine serves RD sessions
+    /// ([`ServeEngine::with_rd_system`]).
     rd_system: Option<Arc<GesturePrint>>,
     config: ServeConfig,
     preprocessor: Preprocessor,
@@ -438,9 +404,8 @@ impl ServeEngine {
 
     /// Attaches a trained range-Doppler system, enabling
     /// [`ServeEngine::open_rd_session`] /
-    /// [`ServeEngine::push_rd_frame`] and the hybrid sparse-cloud
-    /// fallback ([`ServeEngine::push_paired_frame`]). Consumed-builder
-    /// style: call between construction and first use.
+    /// [`ServeEngine::push_rd_frame`]. Consumed-builder style: call
+    /// between construction and first use.
     ///
     /// # Panics
     ///
@@ -531,23 +496,12 @@ impl ServeEngine {
     /// Panics when the engine has no range-Doppler system
     /// ([`ServeEngine::with_rd_system`]).
     pub fn open_rd_session(&self) -> SessionId {
-        self.open_rd_session_with(self.config.admission)
-    }
-
-    /// Opens a range-Doppler session with an explicit admission budget
-    /// (`None` = unlimited) — the RD counterpart of
-    /// [`ServeEngine::open_session_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the engine has no range-Doppler system.
-    pub fn open_rd_session_with(&self, admission: Option<AdmissionConfig>) -> SessionId {
         assert!(
             self.rd_system.is_some(),
             "open_rd_session on an engine without an RD system (ServeEngine::with_rd_system)"
         );
         let segmenter = OnlineRdSegmenter::new(self.config.rd_segmenter.clone());
-        let budget = admission.map(|a| a.bucket());
+        let budget = self.config.admission.map(|a| a.bucket());
         self.register(Session::new_rd(segmenter, budget))
     }
 
@@ -603,27 +557,6 @@ impl ServeEngine {
     /// range-Doppler mode.
     pub fn push_rd_frame(&self, id: SessionId, frame: RdFrame) -> usize {
         self.push(id, frame)
-    }
-
-    /// Feeds one point-cloud frame *plus* the aligned range-Doppler
-    /// frame into a hybrid session. The point path segments and infers
-    /// exactly as [`ServeEngine::push_frame`]; the RD frames shadow the
-    /// point buffer so that when a closed segment's cloud is sparse
-    /// (see [`ServeConfig::rd_fallback_min_points`]) the segment is
-    /// re-routed to the range-Doppler backend instead of the unreliable
-    /// point path. The two streams must be paired from the session's
-    /// first frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a live point-cloud session, if earlier
-    /// frames were pushed unpaired, or if the engine has no RD system.
-    pub fn push_paired_frame(&self, id: SessionId, frame: Frame, rd: RdFrame) -> usize {
-        assert!(
-            self.rd_system.is_some(),
-            "push_paired_frame requires an RD system (ServeEngine::with_rd_system)"
-        );
-        self.push(id, (frame, rd))
     }
 
     /// Load-shedding variant of [`ServeEngine::push_frame`]: a frame
@@ -745,7 +678,7 @@ impl ServeEngine {
             let frame = frame.into();
             let seg_start = ingest.map(|(t, start)| {
                 t.stages.admission_wait.record_duration(start.elapsed());
-                if !matches!(frame, SensorFrame::Points(_)) {
+                if matches!(frame, SensorFrame::Rd(_)) {
                     t.rd.frames.inc();
                 }
                 (t, Instant::now())
@@ -830,78 +763,35 @@ impl ServeEngine {
     }
 
     /// Accounts for a possibly-closed segment: records it, and enqueues
-    /// a job for whichever backend should infer it — the point path
-    /// when noise canceling kept a sample, the RD path for RD sessions
-    /// and for sparse hybrid segments the fallback re-routes.
+    /// a job when it carries a sample (noise canceling may reject a
+    /// point-cloud segment).
     fn record_completed(
         &self,
         id: SessionId,
         completed: Option<(ClosedSegment, u64)>,
         span: SpanId,
     ) -> usize {
-        let Some((ClosedSegment { mode, data }, seq)) = completed else {
+        let Some((closed, seq)) = completed else {
             return 0;
         };
         self.bus.record_segment(id);
-        let payload = match data {
-            SegmentData::Point(segment, sample, rd_window) => {
-                if let Some(rd_sample) = self.take_rd_fallback(&sample, rd_window) {
-                    if let Some(t) = &self.telemetry {
-                        t.rd.fallback.inc();
-                        t.rd.segments.inc();
-                    }
-                    Some(JobPayload::Rd {
-                        segment: RdSegment {
-                            start: segment.start,
-                            end: segment.end,
-                        },
-                        sample: rd_sample,
-                    })
-                } else {
-                    sample.map(|sample| JobPayload::Point {
-                        segment,
-                        sample: LabeledSample::from_sample(sample, 0, 0),
-                    })
-                }
+        if let Some(sample) = closed.sample {
+            if let (SegmentSample::Rd(_), Some(t)) = (&sample, &self.telemetry) {
+                t.rd.segments.inc();
             }
-            SegmentData::Rd(segment, sample) => {
-                if let Some(t) = &self.telemetry {
-                    t.rd.segments.inc();
-                }
-                Some(JobPayload::Rd { segment, sample })
-            }
-        };
-        if let Some(payload) = payload {
             let now = Instant::now();
             self.enqueue(SegmentJob {
                 session: id,
                 seq,
                 span,
-                payload,
+                segment: closed.segment,
+                sample,
                 detected: now,
                 enqueued: now,
-                mode,
+                mode: closed.mode,
             });
         }
         1
-    }
-
-    /// The hybrid fallback decision: hand back the RD window when the
-    /// fallback is configured, the session is paired, and the point
-    /// sample is missing (noise-canceling reject) or too sparse.
-    fn take_rd_fallback(
-        &self,
-        sample: &Option<GestureSample>,
-        rd_window: Option<RdLabeledSample>,
-    ) -> Option<RdLabeledSample> {
-        let min_points = self.config.rd_fallback_min_points?;
-        let rd = rd_window?;
-        debug_assert!(self.rd_system.is_some(), "paired push without an RD system");
-        let sparse = match sample {
-            None => true,
-            Some(sample) => sample.cloud.len() < min_points,
-        };
-        sparse.then_some(rd)
     }
 
     fn enqueue(&self, job: SegmentJob) {
@@ -981,12 +871,12 @@ impl ServeEngine {
             let mut rd_refs: Vec<&RdLabeledSample> = Vec::new();
             let mut rd_at: Vec<usize> = Vec::new();
             for (i, job) in batch.iter().enumerate() {
-                match &job.payload {
-                    JobPayload::Point { sample, .. } => {
+                match &job.sample {
+                    SegmentSample::Point(sample) => {
                         point_at.push(i);
                         point_refs.push(sample);
                     }
-                    JobPayload::Rd { sample, .. } => {
+                    SegmentSample::Rd(sample) => {
                         rd_at.push(i);
                         rd_refs.push(sample);
                     }
@@ -1032,29 +922,20 @@ impl ServeEngine {
                     // result saw between inference end and its event.
                     stages.publish.record_duration(done_at.elapsed());
                 }
-                let (segment, backend) = match &job.payload {
-                    JobPayload::Point { segment, .. } => (*segment, SensingBackend::PointCloud),
-                    JobPayload::Rd { segment, .. } => (
-                        // RD segments share the point type's frame-index
-                        // semantics, so events stay representation-
-                        // agnostic downstream.
-                        GestureSegment {
-                            start: segment.start,
-                            end: segment.end,
-                        },
-                        SensingBackend::RangeDoppler,
-                    ),
-                };
-                if backend == SensingBackend::RangeDoppler {
-                    if let Some(rd) = &rd_metrics {
-                        rd.results.inc();
+                let backend = match &job.sample {
+                    SegmentSample::Point(_) => SensingBackend::PointCloud,
+                    SegmentSample::Rd(_) => {
+                        if let Some(rd) = &rd_metrics {
+                            rd.results.inc();
+                        }
+                        SensingBackend::RangeDoppler
                     }
-                }
+                };
                 bus.publish(ServeEvent {
                     session: job.session,
                     seq: job.seq,
                     span: job.span,
-                    segment,
+                    segment: job.segment,
                     backend,
                     inference,
                     identity,

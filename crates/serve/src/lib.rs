@@ -25,12 +25,12 @@
 //!   producers that must never stall — counting it in the session's
 //!   [`SessionStats::shed_frames`]. [`ServeEngine::drain`] waits for
 //!   the same gate to empty.
-//! * **One frame path** — `push_frame`, `push_rd_frame`,
-//!   `push_paired_frame` and `offer_frame` all enter through one ingest
-//!   body: mint the frame's span, feed the session under its lock,
-//!   enqueue the segment it closes. Each session owns its
-//!   [`SessionMode`] and stamps it on every segment as it closes,
-//!   including the gesture [`ServeEngine::close_session`] flushes.
+//! * **One frame path** — `push_frame`, `push_rd_frame` and
+//!   `offer_frame` all enter through one ingest body: mint the frame's
+//!   span, feed the session under its lock, enqueue the segment it
+//!   closes. Each session owns its [`SessionMode`] and stamps it on
+//!   every segment as it closes, including the gesture
+//!   [`ServeEngine::close_session`] flushes.
 //! * **Per-session admission** ([`AdmissionConfig`]) — the one step
 //!   [`ServeEngine::offer_frame`] adds to that path: an optional token
 //!   bucket charged *before* a read-only probe of the shared gate, in
@@ -45,18 +45,13 @@
 //!   segments flow out with per-session frame/segment/result counters
 //!   and segment-to-result latency percentiles (p50/p99), backed by
 //!   mergeable `gp_telemetry` histograms.
-//! * **Backend-agnostic sessions** — a session declares its sensing
+//! * **Backend-agnostic sessions** — a session declares its one sensing
 //!   modality at open: [`ServeEngine::open_session`] streams point
 //!   clouds, [`ServeEngine::open_rd_session`] streams range-Doppler
 //!   frames through [`gp_rd::OnlineRdSegmenter`] and infers them on
 //!   the engine's attached RD system
 //!   ([`ServeEngine::with_rd_system`]). Mixed batches partition by
-//!   backend and publish in the same `(session, seq)` order. Hybrid
-//!   sessions ([`ServeEngine::push_paired_frame`]) buffer both
-//!   representations and re-route a sparse point-cloud segment to the
-//!   RD backend ([`ServeConfig::rd_fallback_min_points`]) — the
-//!   ensemble/fallback policy for gestures whose near-zero radial
-//!   velocity fragments the point cloud.
+//!   backend and publish in the same `(session, seq)` order.
 //! * **Observability** — with [`ServeConfig::telemetry`] on (the
 //!   default), every frame's span is timed through the five pipeline
 //!   stages (admission-wait → segmentation → queue-wait → inference →

@@ -5,13 +5,10 @@
 //! A session declares its sensing modality when it is opened and keeps
 //! the matching segmentation state: point-cloud sessions run
 //! [`OnlineSegmenter`] over radar [`Frame`]s, range-Doppler sessions
-//! run [`OnlineRdSegmenter`] over [`RdFrame`]s. A point-cloud session
-//! may additionally be driven with *paired* frames (one point frame +
-//! the aligned RD frame), in which case it keeps an RD shadow buffer so
-//! the engine can hand a sparse segment to the range-Doppler backend.
+//! run [`OnlineRdSegmenter`] over [`RdFrame`]s.
 
 use crate::engine::SessionMode;
-use gp_pipeline::{GestureSample, GestureSegment, OnlineSegmenter, Preprocessor};
+use gp_pipeline::{GestureSegment, LabeledSample, OnlineSegmenter, Preprocessor};
 use gp_radar::Frame;
 use gp_rd::{OnlineRdSegmenter, RdFrame, RdLabeledSample, RdSegment};
 use gp_runtime::TokenBucket;
@@ -35,9 +32,6 @@ pub(crate) enum SensorFrame {
     Points(Frame),
     /// A range-Doppler frame.
     Rd(RdFrame),
-    /// A point-cloud frame with the aligned range-Doppler frame
-    /// (hybrid session).
-    Paired(Frame, RdFrame),
 }
 
 impl From<Frame> for SensorFrame {
@@ -52,12 +46,6 @@ impl From<RdFrame> for SensorFrame {
     }
 }
 
-impl From<(Frame, RdFrame)> for SensorFrame {
-    fn from((frame, rd): (Frame, RdFrame)) -> Self {
-        SensorFrame::Paired(frame, rd)
-    }
-}
-
 /// A segment completed by one push (or by the session close), stamped
 /// with the mode its session was in when it closed.
 #[derive(Debug)]
@@ -65,26 +53,61 @@ pub(crate) struct ClosedSegment {
     /// The session's mode at close: a later mode switch never relabels
     /// a segment that already closed.
     pub(crate) mode: SessionMode,
-    pub(crate) data: SegmentData,
+    /// The segment's `[start, end)` frame interval. RD segments share
+    /// the point type's frame-index semantics, so events stay
+    /// representation-agnostic downstream.
+    pub(crate) segment: GestureSegment,
+    /// The assembled sample. `None` when noise canceling rejects a
+    /// point-cloud segment (mirroring the offline pipeline's drop rule)
+    /// — the segment is still reported so drop rates are observable.
+    pub(crate) sample: Option<SegmentSample>,
 }
 
-/// A closed segment's boundaries and assembled sample, in whichever
-/// representation the session streams.
+/// A closed segment's sample, in the representation its session
+/// streams; the variant picks the backend that infers it. Labels are
+/// inference-ignored placeholders (`0, 0`): the serving path classifies
+/// unlabeled live segments.
 #[derive(Debug)]
-pub(crate) enum SegmentData {
-    /// A point-cloud segment. The sample side is `None` when noise
-    /// canceling rejects the closed segment (mirroring the offline
-    /// pipeline's drop rule) — the segment is still reported so drop
-    /// rates are observable. For hybrid (paired) sessions the aligned
-    /// range-Doppler window rides along so the engine's sparse-cloud
-    /// fallback can re-route the segment.
-    Point(
-        GestureSegment,
-        Option<GestureSample>,
-        Option<RdLabeledSample>,
-    ),
-    /// A range-Doppler segment with its assembled (unlabeled) sample.
-    Rd(RdSegment, RdLabeledSample),
+pub(crate) enum SegmentSample {
+    /// For the engine's point-cloud system.
+    Point(LabeledSample),
+    /// For the attached range-Doppler system.
+    Rd(RdLabeledSample),
+}
+
+/// The trailing frames of one stream; `frames[0]` has absolute index
+/// `base`.
+#[derive(Debug)]
+struct FrameBuffer<T> {
+    frames: VecDeque<T>,
+    base: usize,
+}
+
+impl<T> FrameBuffer<T> {
+    fn new() -> Self {
+        FrameBuffer {
+            frames: VecDeque::new(),
+            base: 0,
+        }
+    }
+
+    /// The frames of the absolute interval `[start, end)`.
+    fn window(&mut self, start: usize, end: usize) -> &[T] {
+        debug_assert!(
+            start >= self.base,
+            "segment start {start} precedes trimmed buffer base {}",
+            self.base
+        );
+        &self.frames.make_contiguous()[start - self.base..end - self.base]
+    }
+
+    /// Drops frames no future segment can reference (see the
+    /// segmenters' `earliest_needed`).
+    fn trim(&mut self, keep_from: usize) {
+        while self.base < keep_from && self.frames.pop_front().is_some() {
+            self.base += 1;
+        }
+    }
 }
 
 /// The modality-specific half of a session: segmentation state plus the
@@ -93,18 +116,11 @@ pub(crate) enum SegmentData {
 enum Stream {
     Point {
         segmenter: OnlineSegmenter,
-        /// Retained frames; `buffer[0]` has absolute index `base`.
-        buffer: VecDeque<Frame>,
-        /// Aligned RD shadow buffer, allocated on the first paired
-        /// frame. A session that starts paired must stay paired — the
-        /// shadow shares `base` with the point buffer.
-        rd_shadow: Option<VecDeque<RdFrame>>,
-        base: usize,
+        buffer: FrameBuffer<Frame>,
     },
     Rd {
         segmenter: OnlineRdSegmenter,
-        buffer: VecDeque<RdFrame>,
-        base: usize,
+        buffer: FrameBuffer<RdFrame>,
     },
 }
 
@@ -127,9 +143,7 @@ impl Session {
         Session {
             stream: Stream::Point {
                 segmenter,
-                buffer: VecDeque::new(),
-                rd_shadow: None,
-                base: 0,
+                buffer: FrameBuffer::new(),
             },
             budget,
             mode: SessionMode::Classify,
@@ -141,8 +155,7 @@ impl Session {
         Session {
             stream: Stream::Rd {
                 segmenter,
-                buffer: VecDeque::new(),
-                base: 0,
+                buffer: FrameBuffer::new(),
             },
             budget,
             mode: SessionMode::Classify,
@@ -150,94 +163,51 @@ impl Session {
     }
 
     /// Feeds one frame; when it closes a gesture, assembles the
-    /// segment's sample from the buffered frames. A hybrid session's
-    /// paired frames must start with its first frame, so the two
-    /// buffers' absolute indices line up.
+    /// segment's sample from the buffered frames.
     ///
     /// # Panics
     ///
-    /// Panics on a frame the session's modality does not stream, and
-    /// on a point-cloud session whose pairing changes mid-stream (the
-    /// shadow buffer would desynchronize).
+    /// Panics on a frame the session's modality does not stream.
     pub(crate) fn push(&mut self, frame: SensorFrame, pre: &Preprocessor) -> Option<ClosedSegment> {
-        let data = match &mut self.stream {
-            Stream::Point {
-                segmenter,
-                buffer,
-                rd_shadow,
-                base,
-            } => {
-                let (frame, rd) = match frame {
-                    SensorFrame::Points(frame) => (frame, None),
-                    SensorFrame::Paired(frame, rd) => (frame, Some(rd)),
-                    SensorFrame::Rd(_) => {
-                        panic!("range-Doppler frame pushed into a point-cloud session")
-                    }
-                };
-                match (&mut *rd_shadow, rd) {
-                    (Some(shadow), Some(rd)) => shadow.push_back(rd),
-                    (None, Some(rd)) => {
-                        assert!(
-                            buffer.is_empty() && *base == 0,
-                            "hybrid sessions must be paired from the first frame"
-                        );
-                        *rd_shadow = Some(VecDeque::from([rd]));
-                    }
-                    (Some(_), None) => panic!("hybrid sessions must stay paired (unpaired push)"),
-                    (None, None) => {}
-                }
-                let segment = segmenter.push_frame(&frame);
-                buffer.push_back(frame);
-                let out = segment.map(|seg| point_data(buffer, rd_shadow, *base, seg, pre));
-                let keep_from = segmenter.earliest_needed();
-                trim(buffer, base, keep_from, rd_shadow.as_mut());
+        let (segment, sample) = match (&mut self.stream, frame) {
+            (Stream::Point { segmenter, buffer }, SensorFrame::Points(frame)) => {
+                let closed = segmenter.push_frame(&frame);
+                buffer.frames.push_back(frame);
+                let out = closed.map(|seg| close_point(buffer, seg, pre));
+                buffer.trim(segmenter.earliest_needed());
                 out
             }
-            Stream::Rd {
-                segmenter,
-                buffer,
-                base,
-            } => {
-                let SensorFrame::Rd(frame) = frame else {
-                    panic!("point-cloud frame pushed into a range-Doppler session");
-                };
-                let segment = segmenter.push(&frame);
-                buffer.push_back(frame);
-                let out = segment.map(|seg| {
-                    SegmentData::Rd(seg, assemble_rd(buffer, *base, seg.start, seg.end))
-                });
-                trim(buffer, base, segmenter.earliest_needed(), None);
+            (Stream::Rd { segmenter, buffer }, SensorFrame::Rd(frame)) => {
+                let closed = segmenter.push(&frame);
+                buffer.frames.push_back(frame);
+                let out = closed.map(|seg| close_rd(buffer, seg));
+                buffer.trim(segmenter.earliest_needed());
                 out
+            }
+            (Stream::Point { .. }, SensorFrame::Rd(_)) => {
+                panic!("range-Doppler frame pushed into a point-cloud session")
+            }
+            (Stream::Rd { .. }, SensorFrame::Points(_)) => {
+                panic!("point-cloud frame pushed into a range-Doppler session")
             }
         }?;
-        Some(self.stamp(data))
+        Some(self.stamp(segment, sample))
     }
 
     /// Closes a gesture still open at end of stream, if any.
     pub(crate) fn finish(&mut self, pre: &Preprocessor) -> Option<ClosedSegment> {
-        let data = match &mut self.stream {
-            Stream::Point {
-                segmenter,
-                buffer,
-                rd_shadow,
-                base,
-            } => point_data(buffer, rd_shadow, *base, segmenter.finish()?, pre),
-            Stream::Rd {
-                segmenter,
-                buffer,
-                base,
-            } => {
-                let seg = segmenter.finish()?;
-                SegmentData::Rd(seg, assemble_rd(buffer, *base, seg.start, seg.end))
-            }
+        let (segment, sample) = match &mut self.stream {
+            Stream::Point { segmenter, buffer } => close_point(buffer, segmenter.finish()?, pre),
+            Stream::Rd { segmenter, buffer } => close_rd(buffer, segmenter.finish()?),
         };
-        Some(self.stamp(data))
+        Some(self.stamp(segment, sample))
     }
 
-    fn stamp(&self, data: SegmentData) -> ClosedSegment {
+    fn stamp(&self, segment: GestureSegment, sample: Option<SegmentSample>) -> ClosedSegment {
         ClosedSegment {
             mode: self.mode.clone(),
-            data,
+            segment,
+            sample,
         }
     }
 
@@ -249,77 +219,41 @@ impl Session {
         }
     }
 
-    /// Number of frames currently retained (bounded while idle; the RD
-    /// shadow of a hybrid session mirrors this count).
+    /// Number of frames currently retained (bounded while idle).
     #[cfg(test)]
     fn buffered(&self) -> usize {
         match &self.stream {
-            Stream::Point { buffer, .. } => buffer.len(),
-            Stream::Rd { buffer, .. } => buffer.len(),
+            Stream::Point { buffer, .. } => buffer.frames.len(),
+            Stream::Rd { buffer, .. } => buffer.frames.len(),
         }
     }
 }
 
-/// Assembles a closed point-cloud segment's sample, with its aligned
-/// RD window when the session is paired.
-fn point_data(
-    buffer: &mut VecDeque<Frame>,
-    rd_shadow: &mut Option<VecDeque<RdFrame>>,
-    base: usize,
+/// Assembles a closed point-cloud segment's sample; `None` when noise
+/// canceling rejects it.
+fn close_point(
+    buffer: &mut FrameBuffer<Frame>,
     seg: GestureSegment,
     pre: &Preprocessor,
-) -> SegmentData {
-    debug_assert!(
-        seg.start >= base,
-        "segment start {} precedes trimmed buffer base {}",
-        seg.start,
-        base
-    );
-    let lo = seg.start - base;
-    let hi = seg.end - base;
-    let frames = buffer.make_contiguous();
-    let sample = pre.assemble(&frames[lo..hi], seg.start);
-    let rd = rd_shadow
-        .as_mut()
-        .map(|shadow| assemble_rd(shadow, base, seg.start, seg.end));
-    SegmentData::Point(seg, sample, rd)
+) -> (GestureSegment, Option<SegmentSample>) {
+    let sample = pre
+        .assemble(buffer.window(seg.start, seg.end), seg.start)
+        .map(|sample| SegmentSample::Point(LabeledSample::from_sample(sample, 0, 0)));
+    (seg, sample)
 }
 
-/// Slices the `[start, end)` window out of an RD buffer as an unlabeled
-/// sample (labels are inference-ignored placeholders, like the point
-/// path's `LabeledSample::from_sample(sample, 0, 0)`).
-fn assemble_rd(
-    buffer: &mut VecDeque<RdFrame>,
-    base: usize,
-    start: usize,
-    end: usize,
-) -> RdLabeledSample {
-    debug_assert!(
-        start >= base,
-        "segment start {start} precedes trimmed buffer base {base}"
-    );
-    let lo = start - base;
-    let hi = end - base;
-    let frames = buffer.make_contiguous();
-    RdLabeledSample::from_segment(frames, lo, hi, 0, 0)
-}
-
-/// Drops frames no future segment can reference (see the segmenters'
-/// `earliest_needed`). A hybrid session's RD shadow shares the point
-/// buffer's base and is trimmed in lockstep.
-fn trim<T>(
-    buffer: &mut VecDeque<T>,
-    base: &mut usize,
-    keep_from: usize,
-    mut shadow: Option<&mut VecDeque<RdFrame>>,
-) {
-    while *base < keep_from && !buffer.is_empty() {
-        buffer.pop_front();
-        if let Some(shadow) = shadow.as_deref_mut() {
-            shadow.pop_front();
-        }
-        *base += 1;
-    }
+/// Slices a closed range-Doppler segment's window out of the buffer.
+fn close_rd(
+    buffer: &mut FrameBuffer<RdFrame>,
+    seg: RdSegment,
+) -> (GestureSegment, Option<SegmentSample>) {
+    let frames = buffer.window(seg.start, seg.end);
+    let sample = RdLabeledSample::from_segment(frames, 0, frames.len(), 0, 0);
+    let segment = GestureSegment {
+        start: seg.start,
+        end: seg.end,
+    };
+    (segment, Some(SegmentSample::Rd(sample)))
 }
 
 #[cfg(test)]
@@ -374,15 +308,13 @@ mod tests {
         }
         out.extend(session.finish(&pre));
         assert_eq!(out.len(), 1, "expected exactly one segment");
-        let SegmentData::Point(seg, sample, rd) = &out[0].data else {
-            panic!("point session closed a non-point segment");
+        let seg = out[0].segment;
+        let Some(SegmentSample::Point(sample)) = &out[0].sample else {
+            panic!("noise canceling keeps the burst as a point sample");
         };
-        let sample = sample.as_ref().expect("noise canceling keeps the burst");
         assert!((18..=24).contains(&seg.start), "start {}", seg.start);
-        assert_eq!(sample.start_frame, seg.start);
         assert_eq!(sample.duration_frames, seg.len());
         assert!(!sample.cloud.is_empty());
-        assert!(rd.is_none(), "unpaired session has no RD window");
     }
 
     #[test]
@@ -411,35 +343,16 @@ mod tests {
         }
         out.extend(session.finish(&pre));
         assert_eq!(out.len(), 1, "expected exactly one segment");
-        let SegmentData::Rd(seg, sample) = &out[0].data else {
+        let Some(SegmentSample::Rd(sample)) = &out[0].sample else {
             panic!("RD session closed a non-RD segment");
         };
-        assert_eq!((seg.start, seg.end), (10, 22));
+        assert_eq!((out[0].segment.start, out[0].segment.end), (10, 22));
         assert_eq!(sample.duration_frames, 12);
         assert_eq!(sample.frames.len(), 12);
+        // The window's first frame is the segment's start.
+        assert!((sample.frames[0].timestamp - 1.0).abs() < 1e-12);
         // Idle tail trimmed the buffer behind the stream head.
         assert!(session.buffered() <= 1, "buffered {}", session.buffered());
-    }
-
-    #[test]
-    fn paired_session_carries_aligned_rd_window() {
-        let mut session =
-            Session::new_point(OnlineSegmenter::new(SegmenterConfig::default()), None);
-        let pre = Preprocessor::new(PreprocessorConfig::default());
-        let mut out = Vec::new();
-        for i in 0..70 {
-            let points = if (20..45).contains(&i) { 14 } else { 1 };
-            out.extend(session.push((frame(i, points), rd_frame(i, 5.0)).into(), &pre));
-        }
-        out.extend(session.finish(&pre));
-        assert_eq!(out.len(), 1);
-        let SegmentData::Point(seg, _, rd) = &out[0].data else {
-            panic!("paired session closed a non-point segment");
-        };
-        let rd = rd.as_ref().expect("paired session carries the RD window");
-        assert_eq!(rd.duration_frames, seg.len());
-        // Alignment: the window's first frame is the segment's start.
-        assert!((rd.frames[0].timestamp - seg.start as f64 * 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -457,15 +370,5 @@ mod tests {
         let mut session = Session::new_rd(OnlineRdSegmenter::new(RdSegmentConfig::default()), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
         session.push(frame(0, 1).into(), &pre);
-    }
-
-    #[test]
-    #[should_panic(expected = "paired from the first frame")]
-    fn late_pairing_is_rejected() {
-        let mut session =
-            Session::new_point(OnlineSegmenter::new(SegmenterConfig::default()), None);
-        let pre = Preprocessor::new(PreprocessorConfig::default());
-        session.push(frame(0, 1).into(), &pre);
-        session.push((frame(1, 1), rd_frame(1, 0.1)).into(), &pre);
     }
 }

@@ -6,9 +6,9 @@
 //!   same kinematic ground truth as the point-cloud simulator), streams
 //!   held-out captures through `ServeEngine` sessions opened in RD
 //!   mode, and checks both tasks beat chance.
-//! * The hybrid tests drive one session with paired point+RD frames
-//!   and show the sparse-cloud fallback re-routing a segment to the RD
-//!   backend.
+//! * `rd_serving_matches_offline_rd_pipeline` pins RD serving to the
+//!   offline RD pipeline: the same segment boundaries, and per segment
+//!   the RD system's single-sample inference, bit for bit.
 
 use gestureprint_core::{
     GesturePrint, GesturePrintConfig, IdentificationMode, ModelKind, TrainConfig,
@@ -16,7 +16,7 @@ use gestureprint_core::{
 use gp_pointcloud::{Point, PointCloud, Vec3};
 use gp_radar::Frame;
 use gp_rd::{RdFrame, RdLabeledSample};
-use gp_serve::{SensingBackend, ServeConfig, ServeEngine, ServeEvent};
+use gp_serve::{SensingBackend, ServeConfig, ServeEngine, ServeEvent, SessionId};
 use gp_testkit::{rd_capture, rd_sample, toy_rd_system, toy_system};
 
 /// The two ASL gestures of the serving cohort, remapped to classes
@@ -114,7 +114,6 @@ fn rd_sessions_classify_held_out_captures_above_chance() {
     // The engine's RD telemetry saw every frame and every result.
     let registry = engine.registry().expect("telemetry on by default");
     assert!(registry.counter("serve.rd.frames").get() > 0);
-    assert_eq!(registry.counter("serve.rd.fallback").get(), 0);
     assert_eq!(
         registry.counter("serve.rd.results").get(),
         registry.counter("serve.rd.segments").get()
@@ -152,6 +151,61 @@ fn rd_predictions_deterministic_across_worker_counts() {
     }
 }
 
+#[test]
+fn rd_serving_matches_offline_rd_pipeline() {
+    // Four captures stream interleaved through their own RD sessions,
+    // so segments of different sessions share micro-batches. Each
+    // session must publish exactly the offline segmenter's segments,
+    // and each result must be the RD system's single-sample inference
+    // on the same window. This pins parity, not segmentation quality.
+    let engine = ServeEngine::new(
+        toy_system(),
+        ServeConfig {
+            workers: 2,
+            max_batch: 3,
+            ..ServeConfig::default()
+        },
+    )
+    .with_rd_system(toy_rd_system());
+    let captures: Vec<Vec<RdFrame>> = [(0, 0, 30), (0, 1, 31), (1, 0, 32), (1, 1, 33)]
+        .into_iter()
+        .map(|(user, class, rep)| rd_capture(user, GESTURES[class], rep).1)
+        .collect();
+    let sessions: Vec<SessionId> = captures.iter().map(|_| engine.open_rd_session()).collect();
+    let longest = captures.iter().map(Vec::len).max().unwrap_or(0);
+    for i in 0..longest {
+        for (&session, frames) in sessions.iter().zip(&captures) {
+            if let Some(frame) = frames.get(i) {
+                engine.push_rd_frame(session, frame.clone());
+            }
+        }
+    }
+    for &session in &sessions {
+        engine.close_session(session);
+    }
+    let events = engine.drain();
+    let rd_system = engine.rd_system().expect("RD system attached");
+    let rd_segmenter = ServeConfig::default().rd_segmenter;
+    for (&session, frames) in sessions.iter().zip(&captures) {
+        let offline = gp_rd::segment(frames, &rd_segmenter);
+        assert!(!offline.is_empty(), "{session}: capture must segment");
+        let served: Vec<&ServeEvent> = events.iter().filter(|e| e.session == session).collect();
+        assert_eq!(served.len(), offline.len(), "{session}: segment count");
+        for (event, s) in served.into_iter().zip(&offline) {
+            assert_eq!(event.backend, SensingBackend::RangeDoppler);
+            assert_eq!((event.segment.start, event.segment.end), (s.start, s.end));
+            let sample = RdLabeledSample::from_segment(frames, s.start, s.end, 0, 0);
+            assert_eq!(
+                event.inference,
+                rd_system.infer_rd(&sample),
+                "{session}: segment [{}, {})",
+                s.start,
+                s.end
+            );
+        }
+    }
+}
+
 /// A point frame with `points` detections (the serve session tests'
 /// burst pattern).
 fn point_frame(i: usize, points: usize) -> Frame {
@@ -162,69 +216,14 @@ fn point_frame(i: usize, points: usize) -> Frame {
 }
 
 /// An RD frame shaped like the toy RD cohort's gesture-1/user-1 cell,
-/// active only inside the paired point burst.
-fn paired_rd_frame(i: usize, active: bool) -> RdFrame {
+/// active only inside the burst.
+fn burst_rd_frame(i: usize, active: bool) -> RdFrame {
     let mut f = RdFrame::zeros(16, 64, i as f64 * 0.1);
     if active {
         f.power[12 * f.range_bins + 36 + i % 4] = 45.0;
         f.power[13 * f.range_bins + 36 + i % 4] = 25.0;
     }
     f
-}
-
-/// Drives one hybrid session with paired pushes and returns its single
-/// event plus the engine (for counter assertions).
-fn replay_paired(min_points: Option<usize>) -> (ServeEngine, Vec<ServeEvent>) {
-    let engine = ServeEngine::new(
-        toy_system(),
-        ServeConfig {
-            workers: 1,
-            rd_fallback_min_points: min_points,
-            ..ServeConfig::default()
-        },
-    )
-    .with_rd_system(toy_rd_system());
-    let session = engine.open_session();
-    for i in 0..70 {
-        let burst = (20..45).contains(&i);
-        let points = if burst { 14 } else { 1 };
-        engine.push_paired_frame(session, point_frame(i, points), paired_rd_frame(i, burst));
-    }
-    engine.close_session(session);
-    let events = engine.drain();
-    (engine, events)
-}
-
-#[test]
-fn sparse_hybrid_segment_falls_back_to_rd_backend() {
-    // An impossible point threshold makes every segment "sparse": the
-    // closed segment must re-route to the RD backend.
-    let (engine, events) = replay_paired(Some(10_000));
-    assert_eq!(events.len(), 1, "one burst, one result");
-    assert_eq!(events[0].backend, SensingBackend::RangeDoppler);
-    let registry = engine.registry().expect("telemetry on by default");
-    assert_eq!(registry.counter("serve.rd.fallback").get(), 1);
-    assert_eq!(registry.counter("serve.rd.segments").get(), 1);
-    assert_eq!(registry.counter("serve.rd.results").get(), 1);
-    assert_eq!(registry.counter("serve.rd.frames").get(), 70);
-}
-
-#[test]
-fn dense_hybrid_segment_stays_on_point_backend() {
-    // With the fallback disabled the same paired stream classifies
-    // through the point path — RD frames are buffered but never
-    // dispatched.
-    let (engine, events) = replay_paired(None);
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].backend, SensingBackend::PointCloud);
-    let registry = engine.registry().expect("telemetry on by default");
-    assert_eq!(registry.counter("serve.rd.fallback").get(), 0);
-    assert_eq!(registry.counter("serve.rd.results").get(), 0);
-    // A generous threshold the burst's 14-point clouds satisfy: still
-    // the point path.
-    let (_, events) = replay_paired(Some(3));
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].backend, SensingBackend::PointCloud);
 }
 
 #[test]
@@ -246,7 +245,7 @@ fn mixed_point_and_rd_sessions_share_the_executor() {
     for i in 0..70 {
         let burst = (20..45).contains(&i);
         engine.push_frame(point_session, point_frame(i, if burst { 14 } else { 1 }));
-        engine.push_rd_frame(rd_session, paired_rd_frame(i, burst));
+        engine.push_rd_frame(rd_session, burst_rd_frame(i, burst));
     }
     engine.close_session(point_session);
     engine.close_session(rd_session);
@@ -292,9 +291,7 @@ fn serve_config_encoding_is_stable_without_rd_fields() {
         !encoded.contains("rd_segmenter"),
         "additive field leaked: {encoded}"
     );
-    assert!(!encoded.contains("rd_fallback_min_points"));
     let custom = ServeConfig {
-        rd_fallback_min_points: Some(7),
         rd_segmenter: gp_serve::RdSegmentConfig {
             min_frames: 6,
             ..gp_serve::RdSegmentConfig::default()
@@ -305,4 +302,14 @@ fn serve_config_encoding_is_stable_without_rd_fields() {
     assert_eq!(decoded, custom);
     let redecoded = ServeConfig::decode(&default.encode()).expect("default roundtrip");
     assert_eq!(redecoded, default);
+    // Configs written while the engine had a hybrid sparse-cloud
+    // fallback carry its point threshold; they still decode, the field
+    // ignored.
+    let mut legacy = custom.encode();
+    let gp_codec::Value::Map(fields) = &mut legacy else {
+        panic!("ServeConfig encodes as a record");
+    };
+    fields.insert("rd_fallback_min_points".into(), 7usize.encode());
+    let decoded = ServeConfig::decode(&legacy).expect("legacy config decodes");
+    assert_eq!(decoded, custom);
 }

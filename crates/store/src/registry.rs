@@ -18,7 +18,6 @@
 //! written in the binary envelope; loads decode either envelope.
 
 use gestureprint_core::artifact::{Artifact, ArtifactFormat};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -268,27 +267,6 @@ impl ArtifactRegistry {
         }
         Ok(artifact)
     }
-
-    /// Every artifact name with at least one retained version, sorted.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the root cannot be listed.
-    pub fn names(&self) -> Result<Vec<String>, StoreError> {
-        let mut out = BTreeMap::new();
-        for entry in std::fs::read_dir(&self.root)? {
-            let entry = entry?;
-            if !entry.path().is_dir() {
-                continue;
-            }
-            if let Some(name) = entry.file_name().to_str() {
-                if validate_name(name).is_ok() && !self.versions(name)?.is_empty() {
-                    out.insert(name.to_owned(), ());
-                }
-            }
-        }
-        Ok(out.into_keys().collect())
-    }
 }
 
 fn lock_poisonless<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -329,7 +307,6 @@ mod tests {
                 .unwrap(),
             1
         );
-        assert_eq!(reg.names().unwrap(), vec!["report".to_owned()]);
         let _ = std::fs::remove_dir_all(&root);
     }
 

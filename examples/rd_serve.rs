@@ -2,16 +2,11 @@
 //!
 //! Trains the conv/LSTM RdNet on *synthesized* range-Doppler frames
 //! (the same kinematic ground truth that drives the point-cloud
-//! simulator), then serves two workloads through one `ServeEngine`:
-//!
-//! 1. **Pure RD sessions** — held-out captures stream frame-by-frame
-//!    through sessions opened with `open_rd_session`; the online CFAR
-//!    segmenter detects each gesture burst and the RD system classifies
-//!    it (which gesture, which user).
-//! 2. **A hybrid session** — paired point+RD pushes with
-//!    `rd_fallback_min_points` set: when the closed point-cloud segment
-//!    is too sparse to trust, the engine re-routes the aligned RD
-//!    window to the RD backend instead of dropping the gesture.
+//! simulator), then serves held-out captures through one `ServeEngine`:
+//! each capture streams frame-by-frame through a session opened with
+//! `open_rd_session`, the online segmenter detects the gesture burst
+//! and the RD system classifies it (which gesture, which user). A
+//! session streams one modality, fixed at open.
 //!
 //! Prints per-capture predictions against ground truth, the
 //! `serve.rd.*` counters, and the per-stage latency breakdown.
@@ -23,10 +18,8 @@
 use gestureprint::core::{
     GesturePrint, GesturePrintConfig, IdentificationMode, ModelKind, TrainConfig,
 };
-use gestureprint::pointcloud::{Point, PointCloud, Vec3};
-use gestureprint::radar::Frame;
-use gestureprint::rd::{RdFrame, RdLabeledSample};
-use gestureprint::serve::{SensingBackend, ServeConfig, ServeEngine};
+use gestureprint::rd::RdLabeledSample;
+use gestureprint::serve::{ServeConfig, ServeEngine};
 use gp_testkit::{rd_capture, rd_sample, toy_system};
 
 /// The demo cohort: 'push' (12) is strongly radial, 'wave' (3) sweeps
@@ -82,7 +75,6 @@ fn main() {
         ServeConfig {
             workers: 0,
             max_batch: 4,
-            rd_fallback_min_points: Some(400),
             ..ServeConfig::default()
         },
     )
@@ -128,50 +120,10 @@ fn main() {
     }
     println!("accuracy: gestures {gesture_hits}/{scored}, users {user_hits}/{scored}");
 
-    // 3. Hybrid session: paired point+RD pushes. The burst's assembled
-    //    segment aggregates ~350 detections — below the 400-point
-    //    sparsity threshold configured above — so the engine distrusts
-    //    the point segment and re-routes the aligned RD window.
-    println!("\nhybrid session (sparse point clouds, RD fallback):");
-    let session = engine.open_session();
-    for i in 0..70usize {
-        let burst = (20..45).contains(&i);
-        let cloud: PointCloud = (0..if burst { 14 } else { 1 })
-            .map(|k| Point::new(Vec3::new(k as f64 * 0.05, 1.2, 1.0), 0.4, 15.0))
-            .collect();
-        let mut rd = RdFrame::zeros(16, 64, i as f64 * 0.1);
-        if burst {
-            rd.power[12 * rd.range_bins + 36 + i % 4] = 45.0;
-            rd.power[13 * rd.range_bins + 36 + i % 4] = 25.0;
-        }
-        engine.push_paired_frame(session, Frame::new(i as f64 * 0.1, cloud), rd);
-    }
-    engine.close_session(session);
-    for event in engine.drain().iter().filter(|e| e.session == session) {
-        println!(
-            "  {session}: frames [{:>2}, {:>2}) via {:?} → gesture {} user {}{}",
-            event.segment.start,
-            event.segment.end,
-            event.backend,
-            event.inference.gesture,
-            event.inference.user,
-            if event.backend == SensingBackend::RangeDoppler {
-                "  (point segment too sparse — served by the RD backend)"
-            } else {
-                ""
-            },
-        );
-    }
-
-    // 4. The RD counters and the shared per-stage latency breakdown.
+    // 3. The RD counters and the shared per-stage latency breakdown.
     if let Some(registry) = engine.registry() {
         println!("\nrd counters:");
-        for name in [
-            "serve.rd.frames",
-            "serve.rd.segments",
-            "serve.rd.results",
-            "serve.rd.fallback",
-        ] {
+        for name in ["serve.rd.frames", "serve.rd.segments", "serve.rd.results"] {
             println!("  {name} = {}", registry.counter(name).get());
         }
     }
