@@ -18,6 +18,9 @@ use gp_nn::Matrix;
 use std::hint::black_box;
 use std::time::Instant;
 
+/// A named product under timing.
+type Variant<'a> = (&'static str, Box<dyn FnMut() -> Matrix + 'a>);
+
 /// GesIDNet-representative product shapes `(m, k, n, tag)`:
 ///
 /// * `256×64 · 64×128` — stacked SA1 group rows through a shared-MLP
@@ -114,7 +117,7 @@ fn bench_matmul(c: &mut Criterion) {
         // the min is the run least disturbed by scheduler/frequency
         // noise (this box shows ±20% sample spread), while medians of
         // interleaved runs wander enough to flake a 2x gate.
-        let variants: [(&str, Box<dyn FnMut() -> Matrix>); 6] = [
+        let variants: [Variant; 6] = [
             ("blocked", Box::new(|| a.matmul(&b))),
             ("naive", Box::new(|| kernels::naive_matmul(&a, &b))),
             ("blocked_nt", Box::new(|| a.matmul_transpose(&bt))),

@@ -87,21 +87,20 @@ fn rd_report() {
         stats.latency_percentile(99.0).unwrap_or_default(),
     );
 
-    if let Some(mut snapshot) = engine.telemetry_snapshot() {
-        use gp_codec::{Encode, Value};
-        snapshot
-            .attrs
-            .insert("bench".into(), Value::Str("rd_serve".into()));
-        snapshot
-            .attrs
-            .insert("backend".into(), Value::Str("range_doppler".into()));
-        snapshot.attrs.insert("sessions".into(), SESSIONS.encode());
-        snapshot
-            .attrs
-            .insert("frames_per_session".into(), frames_per_session.encode());
-        print!("{}", snapshot.render_table("serve.stage."));
-        gp_bench::write_result("BENCH_rd.json", &gp_bench::telemetry_artifact(&snapshot));
-    }
+    use gp_codec::{Encode, Value};
+    let mut snapshot = engine.telemetry_snapshot().unwrap_or_default();
+    snapshot
+        .attrs
+        .insert("bench".into(), Value::Str("rd_serve".into()));
+    snapshot
+        .attrs
+        .insert("backend".into(), Value::Str("range_doppler".into()));
+    snapshot.attrs.insert("sessions".into(), SESSIONS.encode());
+    snapshot
+        .attrs
+        .insert("frames_per_session".into(), frames_per_session.encode());
+    print!("{}", snapshot.render_table("serve.stage."));
+    gp_bench::write_result("BENCH_rd.json", &gp_bench::telemetry_artifact(&snapshot));
 }
 
 criterion_group!(benches, bench_rd);

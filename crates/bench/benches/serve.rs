@@ -107,21 +107,20 @@ fn throughput_report() {
     // Export the replay's full telemetry registry — the per-stage
     // latency breakdown behind the pooled p50/p99 above — as the
     // committed BENCH trajectory artifact.
-    if let Some(mut snapshot) = engine.telemetry_snapshot() {
-        use gp_codec::{Encode, Value};
-        snapshot
-            .attrs
-            .insert("bench".into(), Value::Str("serve_steady_state".into()));
-        snapshot.attrs.insert("sessions".into(), SESSIONS.encode());
-        snapshot
-            .attrs
-            .insert("replay_fps".into(), REPLAY_FPS.encode());
-        snapshot
-            .attrs
-            .insert("frames_per_session".into(), stream.frames.len().encode());
-        print!("{}", snapshot.render_table("serve.stage."));
-        gp_bench::write_result("BENCH_serve.json", &gp_bench::telemetry_artifact(&snapshot));
-    }
+    use gp_codec::{Encode, Value};
+    let mut snapshot = engine.telemetry_snapshot().unwrap_or_default();
+    snapshot
+        .attrs
+        .insert("bench".into(), Value::Str("serve_steady_state".into()));
+    snapshot.attrs.insert("sessions".into(), SESSIONS.encode());
+    snapshot
+        .attrs
+        .insert("replay_fps".into(), REPLAY_FPS.encode());
+    snapshot
+        .attrs
+        .insert("frames_per_session".into(), stream.frames.len().encode());
+    print!("{}", snapshot.render_table("serve.stage."));
+    gp_bench::write_result("BENCH_serve.json", &gp_bench::telemetry_artifact(&snapshot));
 }
 
 criterion_group!(benches, bench_serve);

@@ -165,6 +165,11 @@ impl FrameDecoder {
     /// with [`FrameError::desyncs`]` == false` (a skipped corrupt
     /// frame), the decoder continues with the following frame; after a
     /// desyncing error every further call returns that same error.
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "not an iterator: an error does not end the stream, and \
+                  the end-to-end benchmark calls this name"
+    )]
     pub fn next(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
         if self.poisoned {
             return Err(FrameError::BadMagic { found: *b"??" });

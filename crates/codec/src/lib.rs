@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn primitive_roundtrips() {
-        assert_eq!(bool::decode(&true.encode()).unwrap(), true);
+        assert!(bool::decode(&true.encode()).unwrap());
         assert_eq!(i64::decode(&(-7i64).encode()).unwrap(), -7);
         assert_eq!(usize::decode(&42usize.encode()).unwrap(), 42);
         assert_eq!(f64::decode(&1.25f64.encode()).unwrap(), 1.25);

@@ -273,7 +273,7 @@ pub fn base64_encode(bytes: &[u8]) -> String {
 /// that is not a multiple of four.
 pub fn base64_decode(text: &str) -> Result<Vec<u8>, DecodeError> {
     let bytes = text.as_bytes();
-    if bytes.len() % 4 != 0 {
+    if !bytes.len().is_multiple_of(4) {
         return Err(DecodeError::new("base64 length not a multiple of 4"));
     }
     let mut out = Vec::with_capacity(bytes.len() / 4 * 3);

@@ -261,7 +261,7 @@ impl gp_codec::Decode for TrainConfig {
 /// [`SensingBackend`].
 enum BackendModel {
     Point(Box<dyn PointModel>),
-    Rd(RdNet),
+    Rd(Box<RdNet>),
 }
 
 /// A trained classifier bundled with its encoding configuration.
@@ -443,7 +443,9 @@ impl TrainedModel {
                 rng,
             ))),
             ModelKind::Lstm => BackendModel::Point(Box::new(LstmNet::new(classes, rng))),
-            ModelKind::RdNet => BackendModel::Rd(RdNet::new(classes, rd_feature.map_shape, rng)),
+            ModelKind::RdNet => {
+                BackendModel::Rd(Box::new(RdNet::new(classes, rd_feature.map_shape, rng)))
+            }
         };
         Ok(TrainedModel {
             model,
@@ -458,14 +460,14 @@ impl TrainedModel {
     pub(crate) fn model_mut(&mut self) -> &mut dyn gp_nn::Parameterized {
         match &mut self.model {
             BackendModel::Point(m) => &mut **m,
-            BackendModel::Rd(m) => m,
+            BackendModel::Rd(m) => &mut **m,
         }
     }
 
     pub(crate) fn model_ref(&self) -> &dyn gp_nn::Parameterized {
         match &self.model {
             BackendModel::Point(m) => &**m,
-            BackendModel::Rd(m) => m,
+            BackendModel::Rd(m) => &**m,
         }
     }
 
@@ -638,7 +640,7 @@ pub(crate) fn fit<'a, S: Copy + Into<SampleRef<'a>>>(
                 })
                 .collect();
             run_epochs(
-                model,
+                &mut **model,
                 &encoded,
                 &mut rng,
                 config,

@@ -200,11 +200,6 @@ pub mod presets {
         }
     }
 
-    /// The mHomeGes anchor grid (1.2–3.0 m step 0.15).
-    pub fn mhomeges_distances() -> Vec<f64> {
-        (0..13).map(|i| 1.2 + 0.15 * i as f64).collect()
-    }
-
     /// mTransSee dataset: 5 arm motions, 32 users, anchors from 1.2 m to
     /// 4.8 m every 0.3 m.
     pub fn mtranssee(scale: Scale, distances: &[f64]) -> DatasetSpec {
@@ -268,9 +263,6 @@ mod tests {
 
     #[test]
     fn distance_grids() {
-        let mh = presets::mhomeges_distances();
-        assert_eq!(mh.len(), 13);
-        assert!((mh[0] - 1.2).abs() < 1e-9 && (mh[12] - 3.0).abs() < 1e-9);
         let mt = presets::mtranssee_distances();
         assert_eq!(mt.len(), 13);
         assert!((mt[0] - 1.2).abs() < 1e-9 && (mt[12] - 4.8).abs() < 1e-9);

@@ -66,7 +66,10 @@ pub fn fft(input: &[Complex]) -> Vec<Complex> {
 /// Panics if the length is odd.
 pub fn fft_shift<T: Copy>(data: &mut [T]) {
     let n = data.len();
-    assert!(n % 2 == 0, "fft_shift requires an even length, got {n}");
+    assert!(
+        n.is_multiple_of(2),
+        "fft_shift requires an even length, got {n}"
+    );
     let half = n / 2;
     for i in 0..half {
         data.swap(i, i + half);

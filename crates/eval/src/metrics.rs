@@ -90,9 +90,7 @@ pub fn confusion_matrix(
 /// Macro-averaged F1 over classes that appear in the labels.
 pub fn macro_f1(predictions: &[usize], labels: &[usize], classes: usize) -> f64 {
     let cm = confusion_matrix(predictions, labels, classes);
-    let present: Vec<usize> = (0..classes)
-        .filter(|&c| labels.iter().any(|&l| l == c))
-        .collect();
+    let present: Vec<usize> = (0..classes).filter(|c| labels.contains(c)).collect();
     if present.is_empty() {
         return 0.0;
     }

@@ -213,8 +213,8 @@ pub fn one_vs_rest_scores(
     let mut scores = Vec::with_capacity(probabilities.len() * classes);
     let mut positives = Vec::with_capacity(probabilities.len() * classes);
     for (p, &l) in probabilities.iter().zip(labels) {
-        for c in 0..classes {
-            scores.push(p[c]);
+        for (c, &score) in p[..classes].iter().enumerate() {
+            scores.push(score);
             positives.push(c == l);
         }
     }

@@ -52,7 +52,7 @@ fn main() {
         },
         &mut rng2,
     );
-    scene.push(SceneEntity::Performer(interferer));
+    scene.push(SceneEntity::Performer(Box::new(interferer)));
     report_case("(b) second performer at +2.4 m", &scene, seed, &opts);
 
     println!("\npaper shape: the main cluster tracks the user; other clusters are discarded.");

@@ -70,7 +70,7 @@ impl PointNet {
     fn forward(&self, input: &ModelInput) -> PointNetTrace {
         let mlp = self.mlp.forward(&input.points);
         let (global, arg) = MaxPool.forward(&mlp.out);
-        let g_m = Matrix::from_rows(&[global.clone()]);
+        let g_m = Matrix::from_rows(std::slice::from_ref(&global));
         let hact = self.head_a.forward_relu(&g_m);
         let logits = self.head_b.forward(&hact).row(0).to_vec();
         PointNetTrace {
@@ -88,7 +88,7 @@ impl PointNet {
         let g = Matrix::from_rows(&[grad]);
         let g = self.head_b.backward(&t.hact, &g);
         let g = Relu.backward(&t.hact, g);
-        let g_m = Matrix::from_rows(&[t.global.clone()]);
+        let g_m = Matrix::from_rows(std::slice::from_ref(&t.global));
         let dglobal = self.head_a.backward(&g_m, &g);
         let g = MaxPool.backward(input.points.rows(), &t.arg, dglobal.row(0));
         let _ = self.mlp.backward(&input.points, &t.mlp, g);

@@ -35,9 +35,9 @@
 //!
 //! **Live observability.** [`ClientMsg::StatsQuery`] mid-stream is
 //! answered with [`ServerMsg::Stats`] carrying the current
-//! [`gp_telemetry::TelemetrySnapshot`] — stage latency histograms,
-//! pool utilization, and the reactor's own `net.*` counters, which are
-//! registered in the engine's registry when its telemetry is on.
+//! [`gp_telemetry::TelemetrySnapshot`] of the engine's registry — stage
+//! latency histograms, pool utilization, and the reactor's own `net.*`
+//! counters, which it registers there.
 //!
 //! **Exact goodbyes.** On [`ClientMsg::Close`] the engine session is
 //! closed; once [`ServeEngine::session_settled`] reports every enqueued
@@ -300,10 +300,9 @@ impl Conn {
     }
 }
 
-/// Socket-front counters, registered as `net.*` in the telemetry
-/// registry — the engine's shared one when its telemetry is on (so one
-/// [`gp_telemetry::TelemetrySnapshot`] covers serve + pool + net), a
-/// private one otherwise.
+/// Socket-front counters, registered as `net.*` in the engine's shared
+/// telemetry registry, so one [`gp_telemetry::TelemetrySnapshot`]
+/// covers serve + pool + net.
 #[derive(Debug)]
 struct NetCounters {
     accepted: Arc<Counter>,
@@ -391,21 +390,13 @@ impl NetServer {
         listener.set_nonblocking()?;
         let addr = listener.local_addr();
         let stop = Arc::new(AtomicBool::new(false));
-        // Publish net.* counters into the engine's registry when its
-        // telemetry is on; a private registry keeps them (and
-        // StatsQuery) working when it is off.
-        let registry = engine
-            .registry()
-            .cloned()
-            .unwrap_or_else(|| Arc::new(Registry::new()));
-        let counters = Arc::new(NetCounters::register(&registry));
+        let counters = Arc::new(NetCounters::register(engine.registry()));
         let reactor = Reactor {
             engine,
             listener,
             config,
             stop: stop.clone(),
             counters: counters.clone(),
-            registry,
             conns: HashMap::new(),
             routes: HashMap::new(),
             next_conn: 0,
@@ -467,9 +458,6 @@ struct Reactor {
     config: NetConfig,
     stop: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
-    /// The registry `net.*` counters live in (shared with the engine
-    /// when its telemetry is on); source for `StatsQuery` fallback.
-    registry: Arc<Registry>,
     conns: HashMap<u64, Conn>,
     /// Engine session → owning connection, for result routing.
     routes: HashMap<SessionId, u64>,
@@ -746,14 +734,11 @@ impl Reactor {
             }
             (ConnState::Streaming(_), ClientMsg::StatsQuery) => {
                 // Live telemetry export. The engine's snapshot covers
-                // the whole registry (serve stages, pool, net.*); the
-                // reactor's private registry answers when engine
-                // telemetry is off. A stats reply is a control message:
+                // the whole registry (serve stages, pool, net.*); it is
+                // always `Some`, and an empty default stands in rather
+                // than a panic. A stats reply is a control message:
                 // always queued, like Welcome/Bye.
-                let snapshot = self
-                    .engine
-                    .telemetry_snapshot()
-                    .unwrap_or_else(|| self.registry.snapshot());
+                let snapshot = self.engine.telemetry_snapshot().unwrap_or_default();
                 if let Some(bytes) = self.encode_reply(id, &ServerMsg::Stats(snapshot)) {
                     self.conns.get_mut(&id).expect("conn exists").queue(&bytes);
                 }

@@ -180,24 +180,6 @@ fn stats_query_returns_live_versioned_snapshot() {
 }
 
 #[test]
-fn stats_query_works_with_engine_telemetry_off() {
-    let (_engine, server, addr) = spawn_tcp(ServeConfig {
-        telemetry: false,
-        ..ServeConfig::default()
-    });
-    let stream = stream_fixture();
-    let mut client = NetClient::connect_tcp(addr, MAX_FRAME).expect("connect");
-    client.send_frame(&stream.frames[0]).expect("send frame");
-    let snap = client.query_stats().expect("stats reply");
-    // The reactor's private registry still answers with net.* counters;
-    // engine stage histograms are simply absent.
-    assert_eq!(snap.counters.get("net.decoded_frames"), Some(&1));
-    assert!(!snap.histograms.contains_key("serve.stage.admission_wait"));
-    client.close().expect("graceful close");
-    server.shutdown();
-}
-
-#[test]
 fn per_session_budget_sheds_over_rate_client_exactly() {
     // Engine-default admission: every socket session gets a tiny fixed
     // allowance (no refill), so a firehose client is mostly shed.

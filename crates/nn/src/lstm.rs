@@ -125,8 +125,7 @@ impl Lstm {
                 dc[j] = dcj * f_g;
             }
             let mut dh_prev = vec![0.0f32; h];
-            for gi in 0..4 * h {
-                let g = dgates[gi];
+            for (gi, &g) in dgates.iter().enumerate() {
                 if g == 0.0 {
                     continue;
                 }
@@ -276,7 +275,7 @@ mod tests {
         for _ in 0..150 {
             for (seq, label) in &data {
                 let (h, trace) = lstm.forward(seq);
-                let x = crate::Matrix::from_rows(&[h.clone()]);
+                let x = crate::Matrix::from_rows(std::slice::from_ref(&h));
                 let logits = readout.forward(&x);
                 let (_, grad) = crate::softmax_cross_entropy(logits.row(0), *label);
                 let gh = readout.backward(&x, &crate::Matrix::from_rows(&[grad]));

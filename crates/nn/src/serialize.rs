@@ -134,8 +134,8 @@ mod tests {
     #[test]
     fn roundtrip_preserves_weights() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut a = Linear::new(6, 4, &mut rng);
-        let bytes = save_params(&mut a);
+        let a = Linear::new(6, 4, &mut rng);
+        let bytes = save_params(&a);
         let mut b = Linear::new(6, 4, &mut StdRng::seed_from_u64(99));
         load_params(&mut b, &bytes).unwrap();
         let x = crate::Matrix::from_rows(&[vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]]);
@@ -145,8 +145,8 @@ mod tests {
     #[test]
     fn rejects_wrong_architecture() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut a = Linear::new(6, 4, &mut rng);
-        let bytes = save_params(&mut a);
+        let a = Linear::new(6, 4, &mut rng);
+        let bytes = save_params(&a);
         let mut b = Linear::new(5, 4, &mut rng);
         assert!(matches!(
             load_params(&mut b, &bytes),
@@ -184,7 +184,7 @@ mod tests {
     fn rejects_truncated_stream() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut a = Linear::new(4, 4, &mut rng);
-        let bytes = save_params(&mut a);
+        let bytes = save_params(&a);
         let truncated = &bytes[..bytes.len() - 8];
         assert!(matches!(
             load_params(&mut a, truncated),

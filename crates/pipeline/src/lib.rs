@@ -118,7 +118,7 @@ impl Preprocessor {
     /// uses it for every offline segment, so both paths share one
     /// assembly rule.
     pub fn assemble(&self, segment_frames: &[Frame], start_frame: usize) -> Option<GestureSample> {
-        let canceler = NoiseCanceler::new(self.config.noise.clone());
+        let canceler = NoiseCanceler::new(self.config.noise);
         let aggregated = gp_radar::frame::aggregate(segment_frames);
         let clean = canceler.clean(&aggregated);
         if clean.is_empty() {

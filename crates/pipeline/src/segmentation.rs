@@ -324,8 +324,8 @@ mod tests {
 
     fn pattern(idle: usize, burst: usize, tail: usize, level: usize) -> Vec<usize> {
         let mut v = vec![1; idle];
-        v.extend(std::iter::repeat(level).take(burst));
-        v.extend(std::iter::repeat(1).take(tail));
+        v.extend(std::iter::repeat_n(level, burst));
+        v.extend(std::iter::repeat_n(1, tail));
         v
     }
 
@@ -357,8 +357,8 @@ mod tests {
     #[test]
     fn detects_two_bursts() {
         let mut counts = pattern(20, 20, 25, 12);
-        counts.extend(std::iter::repeat(14).take(18));
-        counts.extend(std::iter::repeat(1).take(20));
+        counts.extend(std::iter::repeat_n(14, 18));
+        counts.extend(std::iter::repeat_n(1, 20));
         let segs = Segmenter::default().segment(&frames_with_counts(&counts));
         assert_eq!(segs.len(), 2, "{segs:?}");
         assert!(segs[0].end <= segs[1].start);
@@ -385,8 +385,8 @@ mod tests {
         // Baseline of 4 points (noisy room) with bursts to 16: a fixed
         // low threshold would merge everything; the adaptive one doesn't.
         let mut counts = vec![4usize; 25];
-        counts.extend(std::iter::repeat(16).take(20));
-        counts.extend(std::iter::repeat(4).take(25));
+        counts.extend(std::iter::repeat_n(16, 20));
+        counts.extend(std::iter::repeat_n(4, 25));
         let segs = Segmenter::default().segment(&frames_with_counts(&counts));
         assert_eq!(segs.len(), 1, "{segs:?}");
         assert!(
@@ -438,8 +438,8 @@ mod tests {
             vec![0usize; 80],
             {
                 let mut v = pattern(20, 20, 25, 12);
-                v.extend(std::iter::repeat(14).take(18));
-                v.extend(std::iter::repeat(1).take(20));
+                v.extend(std::iter::repeat_n(14, 18));
+                v.extend(std::iter::repeat_n(1, 20));
                 v
             },
             // Pseudo-random counts: exercises threshold adaptation.

@@ -121,6 +121,10 @@ impl MultiBallQuery {
     /// Groups `positions` around `center` at every scale; returns one
     /// padded group of point indices per scale, in scale order. Every
     /// group is empty when `positions` is.
+    #[allow(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "`!(d <= reach)` also skips a NaN distance; `d > reach` would keep it"
+    )]
     pub fn query(&mut self, positions: &[Vec3], center: Vec3) -> &[Vec<usize>] {
         self.nearest.clear();
         if self.keep > 0 {

@@ -84,7 +84,7 @@ impl Walker {
 #[derive(Debug, Clone)]
 pub enum SceneEntity {
     /// A gesture performance (primary or interfering).
-    Performer(Performance),
+    Performer(Box<Performance>),
     /// A person walking through the scene.
     Walker(Walker),
     /// A nearly-static environment reflector.
@@ -113,7 +113,7 @@ impl Scene {
     /// environment's reflectors.
     pub fn for_performance(perf: Performance, environment: Environment, seed: u64) -> Self {
         let duration = perf.total_duration();
-        let mut entities = vec![SceneEntity::Performer(perf)];
+        let mut entities = vec![SceneEntity::Performer(Box::new(perf))];
         entities.extend(
             environment
                 .reflectors(seed)
@@ -230,10 +230,10 @@ mod tests {
             Performance::with_config(&profile, GestureSet::Asl15, GestureId(1), config, &mut rng);
         let d_longer = longer.total_duration();
         assert!(d_longer > d);
-        scene.push(SceneEntity::Performer(longer));
+        scene.push(SceneEntity::Performer(Box::new(longer)));
         assert!((scene.duration() - d_longer).abs() < 1e-12);
         // ...and a shorter one leaves it alone.
-        scene.push(SceneEntity::Performer(perf()));
+        scene.push(SceneEntity::Performer(Box::new(perf())));
         assert!((scene.duration() - d_longer).abs() < 1e-12);
     }
 

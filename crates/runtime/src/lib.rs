@@ -10,7 +10,9 @@
 //! * [`WorkerPool`] — a fixed-size pool of long-lived workers over one
 //!   FIFO job queue: [`WorkerPool::spawn`] appends a `'static` job and
 //!   the next idle worker takes the oldest. A panicking job is caught
-//!   and counted; dropping the pool runs every queued job first.
+//!   and counted; dropping the pool runs every queued job first. The
+//!   pool publishes its utilization (busy workers, jobs, panics, busy
+//!   time) into the `gp_telemetry::Registry` it is built with.
 //! * **Ordered map** — [`scope_map`] applies a function across items on
 //!   scoped threads and returns results in input order. Its closure may
 //!   borrow the caller's stack, and it waits only on threads it

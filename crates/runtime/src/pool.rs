@@ -4,8 +4,9 @@
 //! [`WorkerPool`] owns long-lived workers that share one job queue:
 //! [`WorkerPool::spawn`] appends a job and the next idle worker takes
 //! the oldest one. Jobs are plain `FnOnce` boxes; a panicking job is
-//! caught and dropped so one poisoned work item cannot take a worker
-//! (and every queued job behind it) down with it.
+//! caught, counted and dropped so one poisoned work item cannot take a
+//! worker (and every queued job behind it) down with it. Every pool
+//! publishes its utilization into the registry it is built with.
 //!
 //! [`scope_map`] runs a borrowing closure over items on scoped threads
 //! (`std::thread::scope`) and returns the results in input order. It
@@ -14,17 +15,17 @@
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use gp_telemetry::{Counter, Gauge, Registry};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Utilization handles installed by [`WorkerPool::instrument`]: how
-/// many workers are busy right now, how many jobs ran (and how many of
-/// those panicked), and the total busy time — enough to derive
-/// busy/idle utilization from any two snapshots.
+/// Utilization handles registered by [`WorkerPool::new`]: how many
+/// workers are busy right now, how many jobs ran (and how many of those
+/// panicked), and the total busy time — enough to derive busy/idle
+/// utilization from any two snapshots.
 struct PoolMetrics {
     busy_workers: Arc<Gauge>,
     jobs: Arc<Counter>,
@@ -59,9 +60,7 @@ struct Queue {
 struct PoolShared {
     queue: Mutex<Queue>,
     work_available: Condvar,
-    /// Set at most once by [`WorkerPool::instrument`]; uninstrumented
-    /// pools pay a single relaxed load per job.
-    metrics: OnceLock<PoolMetrics>,
+    metrics: PoolMetrics,
 }
 
 /// A fixed-size thread pool over one FIFO job queue.
@@ -75,14 +74,29 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Creates a pool with `threads` workers (`0` = available
     /// parallelism), and returns once every worker is running.
-    pub fn new(threads: usize) -> Self {
+    ///
+    /// The pool publishes its utilization into `registry` under
+    /// `{prefix}.busy_workers` (gauge), `{prefix}.jobs`,
+    /// `{prefix}.panics` (jobs that panicked, counted in `jobs` too) and
+    /// `{prefix}.busy_us` (counters), and `{prefix}.workers` (gauge,
+    /// the fixed thread count).
+    pub fn new(threads: usize, registry: &Registry, prefix: &str) -> Self {
+        let threads = resolve_threads(threads);
+        registry
+            .gauge(&format!("{prefix}.workers"))
+            .set(threads as i64);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
                 shutdown: false,
             }),
             work_available: Condvar::new(),
-            metrics: OnceLock::new(),
+            metrics: PoolMetrics {
+                busy_workers: registry.gauge(&format!("{prefix}.busy_workers")),
+                jobs: registry.counter(&format!("{prefix}.jobs")),
+                panics: registry.counter(&format!("{prefix}.panics")),
+                busy_us: registry.counter(&format!("{prefix}.busy_us")),
+            },
         });
         // A thread's first allocation, as it starts, attaches it to a
         // malloc arena, and a new thread takes over the arena the last
@@ -91,7 +105,6 @@ impl WorkerPool {
         // the point_socket benchmark (2-core host) that race decided
         // whether the next training reused a warm arena, and moved peak
         // RSS by up to 13 MiB from run to run.
-        let threads = resolve_threads(threads);
         let started = Arc::new(Barrier::new(threads + 1));
         let workers = (0..threads)
             .map(|w| {
@@ -113,24 +126,6 @@ impl WorkerPool {
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Publishes this pool's utilization into `registry` under
-    /// `{prefix}.busy_workers` (gauge), `{prefix}.jobs`,
-    /// `{prefix}.panics` (jobs that panicked, counted in `jobs` too) and
-    /// `{prefix}.busy_us` (counters), and `{prefix}.workers` (gauge,
-    /// the fixed thread count). Calling it again (any prefix) is a
-    /// no-op: the first registration wins.
-    pub fn instrument(&self, registry: &Registry, prefix: &str) {
-        registry
-            .gauge(&format!("{prefix}.workers"))
-            .set(self.threads() as i64);
-        let _ = self.shared.metrics.set(PoolMetrics {
-            busy_workers: registry.gauge(&format!("{prefix}.busy_workers")),
-            jobs: registry.counter(&format!("{prefix}.jobs")),
-            panics: registry.counter(&format!("{prefix}.panics")),
-            busy_us: registry.counter(&format!("{prefix}.busy_us")),
-        });
     }
 
     /// Enqueues a job behind every job already queued; returns
@@ -161,20 +156,16 @@ fn worker_loop(shared: &PoolShared) {
             }
         };
         // A panicking job must not kill the worker: the queue behind it
-        // still has owners waiting on results. Instrumented pools count
-        // the panic.
-        if let Some(metrics) = shared.metrics.get() {
-            metrics.busy_workers.add(1);
-            let start = std::time::Instant::now();
-            if std::panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
-                metrics.panics.inc();
-            }
-            metrics.busy_us.add(start.elapsed().as_micros() as u64);
-            metrics.jobs.inc();
-            metrics.busy_workers.sub(1);
-        } else {
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(job));
+        // still has owners waiting on results. The panic is counted.
+        let metrics = &shared.metrics;
+        metrics.busy_workers.add(1);
+        let start = std::time::Instant::now();
+        if std::panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
+            metrics.panics.inc();
         }
+        metrics.busy_us.add(start.elapsed().as_micros() as u64);
+        metrics.jobs.inc();
+        metrics.busy_workers.sub(1);
     }
 }
 
@@ -257,6 +248,11 @@ mod tests {
     use std::thread::ThreadId;
     use std::time::Duration;
 
+    /// A pool publishing into a registry nobody reads.
+    fn pool(threads: usize) -> WorkerPool {
+        WorkerPool::new(threads, &Registry::new(), "pool")
+    }
+
     #[test]
     fn map_preserves_order() {
         let out = scope_map(4, (0..100u64).collect(), |i, x| {
@@ -334,7 +330,7 @@ mod tests {
 
     #[test]
     fn scope_map_inside_a_pool_job_completes() {
-        let pool = WorkerPool::new(1);
+        let pool = pool(1);
         let (tx, rx) = std::sync::mpsc::channel();
         pool.spawn(move || {
             tx.send(scope_map(2, vec![1u64, 2, 3], |_, x| x * 2))
@@ -346,7 +342,7 @@ mod tests {
 
     #[test]
     fn single_worker_runs_jobs_in_submission_order() {
-        let pool = WorkerPool::new(1);
+        let pool = pool(1);
         let order = Arc::new(Mutex::new(Vec::new()));
         for i in 0..50 {
             let order = order.clone();
@@ -358,7 +354,7 @@ mod tests {
 
     #[test]
     fn many_more_jobs_than_workers_all_run() {
-        let pool = WorkerPool::new(2);
+        let pool = pool(2);
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..500 {
             let counter = counter.clone();
@@ -372,7 +368,7 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_the_pool() {
-        let pool = WorkerPool::new(2);
+        let pool = pool(2);
         pool.spawn(|| panic!("poisoned batch"));
         // The pool must still process subsequent work on every thread.
         let counter = Arc::new(AtomicU64::new(0));
@@ -409,8 +405,7 @@ mod tests {
     #[test]
     fn instrumented_pool_counts_jobs_and_busy_time() {
         let registry = Registry::new();
-        let pool = WorkerPool::new(2);
-        pool.instrument(&registry, "pool");
+        let pool = WorkerPool::new(2, &registry, "pool");
         for _ in 0..32 {
             pool.spawn(|| std::thread::sleep(Duration::from_micros(300)));
         }
@@ -429,8 +424,7 @@ mod tests {
     #[test]
     fn instrumented_pool_counts_job_panics() {
         let registry = Registry::new();
-        let pool = WorkerPool::new(2);
-        pool.instrument(&registry, "pool");
+        let pool = WorkerPool::new(2, &registry, "pool");
         pool.spawn(|| panic!("bad job"));
         for _ in 0..5 {
             pool.spawn(|| {});
@@ -445,13 +439,13 @@ mod tests {
 
     #[test]
     fn zero_threads_resolves_to_available_parallelism() {
-        let pool = WorkerPool::new(0);
+        let pool = pool(0);
         assert!(pool.threads() >= 1);
     }
 
     #[test]
     fn work_distributes_across_threads() {
-        let pool = WorkerPool::new(4);
+        let pool = pool(4);
         let seen = Arc::new(Mutex::new(HashSet::<ThreadId>::new()));
         let running = Arc::new(AtomicU64::new(0));
         let peak = Arc::new(AtomicU64::new(0));

@@ -12,7 +12,7 @@
 use crate::session::SessionId;
 use gestureprint_core::{Inference, SensingBackend};
 use gp_pipeline::GestureSegment;
-use gp_telemetry::{Histogram, SpanId};
+use gp_telemetry::Histogram;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -25,9 +25,6 @@ pub struct ServeEvent {
     /// Global dispatch sequence number (ascending within a session in
     /// segment order).
     pub seq: u64,
-    /// Stage-tracing span minted when the frame that closed this
-    /// segment was admitted.
-    pub span: SpanId,
     /// Segment boundaries in the session's absolute frame indices.
     pub segment: GestureSegment,
     /// Which sensing backend inferred this segment: the modality its
@@ -470,7 +467,6 @@ mod tests {
                 bus.publish(ServeEvent {
                     session: id,
                     seq: i,
-                    span: SpanId(i),
                     segment: GestureSegment {
                         start: i as usize,
                         end: i as usize + 1,

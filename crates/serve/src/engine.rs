@@ -25,7 +25,7 @@ use gp_radar::Frame;
 use gp_rd::{OnlineRdSegmenter, RdFrame, RdLabeledSample, RdSegmentConfig};
 use gp_runtime::{Gate, TokenBucket, WorkerPool};
 use gp_store::{Identification, IdentityStore};
-use gp_telemetry::{AtomicHistogram, Counter, Registry, SpanId, TelemetrySnapshot};
+use gp_telemetry::{AtomicHistogram, Counter, Registry, TelemetrySnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -108,11 +108,6 @@ pub struct ServeConfig {
     /// without a budget. [`ServeEngine::open_session_with`] overrides
     /// this per session (weighted tenants).
     pub admission: Option<AdmissionConfig>,
-    /// Whether the engine records per-stage telemetry (span timing
-    /// into the gp-telemetry registry). On by default; the overhead
-    /// smoke in `gp-bench` pins the cost at < 5% of throughput. Off
-    /// disables all stage clocks and the registry itself.
-    pub telemetry: bool,
     /// Segmentation thresholds for sessions opened in range-Doppler
     /// mode ([`ServeEngine::open_rd_session`]).
     pub rd_segmenter: RdSegmentConfig,
@@ -127,7 +122,6 @@ impl Default for ServeConfig {
             pending_high_watermark: 256,
             retain_closed_sessions: 1024,
             admission: None,
-            telemetry: true,
             rd_segmenter: RdSegmentConfig::default(),
         }
     }
@@ -154,9 +148,6 @@ impl gp_codec::Encode for ServeConfig {
         if let Some(admission) = &self.admission {
             fields.push(("admission", admission.encode()));
         }
-        if !self.telemetry {
-            fields.push(("telemetry", self.telemetry.encode()));
-        }
         if self.rd_segmenter != RdSegmentConfig::default() {
             fields.push(("rd_segmenter", self.rd_segmenter.encode()));
         }
@@ -173,7 +164,6 @@ impl gp_codec::Decode for ServeConfig {
             pending_high_watermark: value.get("pending_high_watermark")?,
             retain_closed_sessions: value.get("retain_closed_sessions")?,
             admission: value.get_or("admission", None)?,
-            telemetry: value.get_or("telemetry", true)?,
             rd_segmenter: value.get_or("rd_segmenter", RdSegmentConfig::default())?,
         })
     }
@@ -231,22 +221,20 @@ pub enum SessionMode {
 struct SegmentJob {
     session: SessionId,
     seq: u64,
-    /// Span of the frame that closed this segment (minted at ingest).
-    span: SpanId,
     segment: GestureSegment,
     /// The sample's variant picks the backend that infers it.
     sample: SegmentSample,
-    detected: Instant,
-    /// When the job entered the batch queue — the clock behind the
-    /// `queue_wait` stage histogram.
+    /// When the segment closed and entered the batch queue — the clock
+    /// behind the `queue_wait` stage histogram and the event's
+    /// end-to-end latency.
     enqueued: Instant,
     /// The session's mode when this segment closed.
     mode: SessionMode,
 }
 
 /// Per-stage latency histograms (`serve.stage.*` in the registry): one
-/// result's end-to-end latency decomposed along the span's path through
-/// the engine.
+/// result's end-to-end latency decomposed along its path through the
+/// engine.
 struct StageMetrics {
     /// Frame ingest → admission decision (session-lock contention plus
     /// budget/gate probes).
@@ -294,14 +282,6 @@ impl RdMetrics {
     }
 }
 
-/// The engine's telemetry half: the shared registry every subsystem
-/// publishes into, plus the engine's own stage histograms.
-struct EngineTelemetry {
-    registry: Arc<Registry>,
-    stages: Arc<StageMetrics>,
-    rd: Arc<RdMetrics>,
-}
-
 /// The streaming multi-session inference engine.
 ///
 /// All methods take `&self`. Per-frame work locks only the stream's own
@@ -325,15 +305,14 @@ pub struct ServeEngine {
     pending: Mutex<VecDeque<SegmentJob>>,
     next_session: AtomicU64,
     next_seq: AtomicU64,
-    /// Span ids minted at frame ingest ([`ServeConfig::telemetry`] on
-    /// or off — events always carry a span).
-    next_span: AtomicU64,
     bus: Arc<EventBus>,
     /// The identity store, when this engine serves enrollment and
     /// open-set identification ([`ServeEngine::with_store`]).
     store: Option<Arc<IdentityStore>>,
-    /// `Some` when [`ServeConfig::telemetry`] is on.
-    telemetry: Option<EngineTelemetry>,
+    /// The shared registry every subsystem publishes into.
+    registry: Arc<Registry>,
+    stages: Arc<StageMetrics>,
+    rd_metrics: Arc<RdMetrics>,
     /// Epoch for the admission buckets' caller-supplied clock.
     epoch: Instant,
 }
@@ -348,9 +327,8 @@ impl ServeEngine {
     /// Creates an engine serving a trained system *with* an identity
     /// store: sessions may switch into [`SessionMode::Enroll`] /
     /// [`SessionMode::Identify`] and each such segment is resolved
-    /// against the store's gallery after inference. When telemetry is
-    /// on, the store's `store.*` instruments are registered in the
-    /// engine's shared registry.
+    /// against the store's gallery after inference. The store's
+    /// `store.*` instruments are registered in the engine's registry.
     pub fn with_store(
         system: GesturePrint,
         config: ServeConfig,
@@ -366,23 +344,13 @@ impl ServeEngine {
             "the engine's primary system serves point clouds; attach a \
              range-Doppler system with ServeEngine::with_rd_system"
         );
-        let pool = WorkerPool::new(config.workers);
+        let registry = Arc::new(Registry::new());
+        let pool = WorkerPool::new(config.workers, &registry, "serve.pool");
+        if let Some(store) = &store {
+            store.attach_telemetry(&registry);
+        }
         let gate = Arc::new(Gate::new(config.pending_high_watermark));
         let preprocessor = Preprocessor::new(config.preprocessor.clone());
-        let telemetry = config.telemetry.then(|| {
-            let registry = Arc::new(Registry::new());
-            pool.instrument(&registry, "serve.pool");
-            if let Some(store) = &store {
-                store.attach_telemetry(&registry);
-            }
-            let stages = Arc::new(StageMetrics::register(&registry));
-            let rd = Arc::new(RdMetrics::register(&registry));
-            EngineTelemetry {
-                registry,
-                stages,
-                rd,
-            }
-        });
         ServeEngine {
             system: Arc::new(system),
             rd_system: None,
@@ -394,10 +362,11 @@ impl ServeEngine {
             pending: Mutex::new(VecDeque::new()),
             next_session: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
-            next_span: AtomicU64::new(0),
             bus: Arc::new(EventBus::default()),
             store,
-            telemetry,
+            stages: Arc::new(StageMetrics::register(&registry)),
+            rd_metrics: Arc::new(RdMetrics::register(&registry)),
+            registry,
             epoch: Instant::now(),
         }
     }
@@ -549,7 +518,7 @@ impl ServeEngine {
     /// Feeds one range-Doppler frame into an RD session; returns the
     /// number of segments this frame completed (0 or 1) — the RD
     /// counterpart of [`ServeEngine::push_frame`], sharing the same
-    /// span clocks (`admission_wait`/`segmentation`) and executor path.
+    /// stage clocks (`admission_wait`/`segmentation`) and executor path.
     ///
     /// # Panics
     ///
@@ -647,9 +616,9 @@ impl ServeEngine {
         }
     }
 
-    /// The one frame path. Mints the frame's span, runs admission when
-    /// `admit` is set (handing a refused frame back), feeds the frame
-    /// to its session and enqueues the segment it closes.
+    /// The one frame path. Runs admission when `admit` is set (handing
+    /// a refused frame back), feeds the frame to its session and
+    /// enqueues the segment it closes.
     ///
     /// `admission_wait` times session-lock contention plus admission;
     /// `segmentation` times the session's push.
@@ -662,8 +631,7 @@ impl ServeEngine {
         let session = self
             .session(id)
             .unwrap_or_else(|| panic!("frame pushed into unknown {id}"));
-        let span = self.mint_span();
-        let ingest = self.telemetry.as_ref().map(|t| (t, Instant::now()));
+        let ingest = Instant::now();
         let completed = {
             let mut session = session.lock().expect("session poisoned");
             if admit {
@@ -676,23 +644,21 @@ impl ServeEngine {
                 }
             }
             let frame = frame.into();
-            let seg_start = ingest.map(|(t, start)| {
-                t.stages.admission_wait.record_duration(start.elapsed());
-                if matches!(frame, SensorFrame::Rd(_)) {
-                    t.rd.frames.inc();
-                }
-                (t, Instant::now())
-            });
-            let completed = session.push(frame, &self.preprocessor);
-            if let Some((t, seg_start)) = seg_start {
-                t.stages.segmentation.record_duration(seg_start.elapsed());
+            self.stages.admission_wait.record_duration(ingest.elapsed());
+            if matches!(frame, SensorFrame::Rd(_)) {
+                self.rd_metrics.frames.inc();
             }
+            let seg_start = Instant::now();
+            let completed = session.push(frame, &self.preprocessor);
+            self.stages
+                .segmentation
+                .record_duration(seg_start.elapsed());
             // Sequence numbers are drawn while the session lock is still
             // held, so concurrent pushers to one session cannot invert
             // the per-session `seq` order `drain` sorts by.
             completed.map(|c| (c, self.next_seq.fetch_add(1, Ordering::Relaxed)))
         };
-        Ok(self.record_completed(id, completed, span))
+        Ok(self.record_completed(id, completed))
     }
 
     /// Two-stage admission under the session lock. The session's own
@@ -716,10 +682,6 @@ impl ServeEngine {
         Ok(())
     }
 
-    fn mint_span(&self) -> SpanId {
-        SpanId(self.next_span.fetch_add(1, Ordering::Relaxed))
-    }
-
     /// Records that a front-end deferred a capacity-rejected frame for
     /// later re-admission (see [`ServeEngine::offer_frame`]). Call once
     /// per frame, on its first deferral, so
@@ -740,9 +702,6 @@ impl ServeEngine {
             .expect("session registry poisoned")
             .remove(&id);
         let Some(session) = session else { return 0 };
-        // A segment flushed by stream end is "ingested" by the close
-        // itself — it still gets a span for its trip through the queue.
-        let span = self.mint_span();
         let (finished, frames_seen) = {
             let mut session = session.lock().expect("session poisoned");
             let finished = session
@@ -756,7 +715,7 @@ impl ServeEngine {
         // eligible for stats eviction, and eviction's correctness rests
         // on everything the session will ever account for being
         // enqueued by then (see [`crate::bus::EventBus::sweep_closed`]).
-        let completed = self.record_completed(id, finished, span);
+        let completed = self.record_completed(id, finished);
         self.bus.set_frames(id, frames_seen as u64);
         self.bus.mark_closed(id);
         completed
@@ -765,29 +724,21 @@ impl ServeEngine {
     /// Accounts for a possibly-closed segment: records it, and enqueues
     /// a job when it carries a sample (noise canceling may reject a
     /// point-cloud segment).
-    fn record_completed(
-        &self,
-        id: SessionId,
-        completed: Option<(ClosedSegment, u64)>,
-        span: SpanId,
-    ) -> usize {
+    fn record_completed(&self, id: SessionId, completed: Option<(ClosedSegment, u64)>) -> usize {
         let Some((closed, seq)) = completed else {
             return 0;
         };
         self.bus.record_segment(id);
         if let Some(sample) = closed.sample {
-            if let (SegmentSample::Rd(_), Some(t)) = (&sample, &self.telemetry) {
-                t.rd.segments.inc();
+            if matches!(sample, SegmentSample::Rd(_)) {
+                self.rd_metrics.segments.inc();
             }
-            let now = Instant::now();
             self.enqueue(SegmentJob {
                 session: id,
                 seq,
-                span,
                 segment: closed.segment,
                 sample,
-                detected: now,
-                enqueued: now,
+                enqueued: Instant::now(),
                 mode: closed.mode,
             });
         }
@@ -834,8 +785,8 @@ impl ServeEngine {
         let bus = self.bus.clone();
         let gate = self.gate.clone();
         let store = self.store.clone();
-        let stages = self.telemetry.as_ref().map(|t| t.stages.clone());
-        let rd_metrics = self.telemetry.as_ref().map(|t| t.rd.clone());
+        let stages = self.stages.clone();
+        let rd_metrics = self.rd_metrics.clone();
         self.pool.spawn(move || {
             // Guard: if inference panics, release the gate weight of
             // the batch's unpublished segments so neither blocked
@@ -855,13 +806,11 @@ impl ServeEngine {
             };
             // A worker claimed the batch: the queue-wait stage ends
             // here for every job in it.
-            if let Some(stages) = &stages {
-                let claimed = Instant::now();
-                for job in &batch {
-                    stages
-                        .queue_wait
-                        .record_duration(claimed.saturating_duration_since(job.enqueued));
-                }
+            let claimed = Instant::now();
+            for job in &batch {
+                stages
+                    .queue_wait
+                    .record_duration(claimed.saturating_duration_since(job.enqueued));
             }
             // Partition by backend: one batched call per system, then
             // results are stitched back into batch order — so a mixed
@@ -882,7 +831,7 @@ impl ServeEngine {
                     }
                 }
             }
-            let infer_start = stages.as_ref().map(|_| Instant::now());
+            let infer_start = Instant::now();
             let mut inferences: Vec<Option<Inference>> = (0..batch.len()).map(|_| None).collect();
             if !point_refs.is_empty() {
                 for (&i, inference) in point_at.iter().zip(system.infer_batch(&point_refs)) {
@@ -899,7 +848,7 @@ impl ServeEngine {
             }
             // Every result in the batch experienced the whole batch's
             // inference time — that is its latency, not an N-th share.
-            let infer_done = infer_start.map(|start| (start.elapsed(), Instant::now()));
+            let (infer_elapsed, infer_done) = (infer_start.elapsed(), Instant::now());
             let inferences = inferences
                 .into_iter()
                 .map(|i| i.expect("every job in the batch was inferred"));
@@ -915,31 +864,26 @@ impl ServeEngine {
                 // Stage clocks are recorded *before* the gate release:
                 // the release is what lets `drain` return, so anything
                 // recorded after it races a stats() reader.
-                if let (Some(stages), Some((infer_elapsed, done_at))) = (&stages, &infer_done) {
-                    stages.inference.record_duration(*infer_elapsed);
-                    // Publish delay includes waiting behind this
-                    // batch's earlier results — the real delay this
-                    // result saw between inference end and its event.
-                    stages.publish.record_duration(done_at.elapsed());
-                }
+                stages.inference.record_duration(infer_elapsed);
+                // Publish delay includes waiting behind this batch's
+                // earlier results — the real delay this result saw
+                // between inference end and its event.
+                stages.publish.record_duration(infer_done.elapsed());
                 let backend = match &job.sample {
                     SegmentSample::Point(_) => SensingBackend::PointCloud,
                     SegmentSample::Rd(_) => {
-                        if let Some(rd) = &rd_metrics {
-                            rd.results.inc();
-                        }
+                        rd_metrics.results.inc();
                         SensingBackend::RangeDoppler
                     }
                 };
                 bus.publish(ServeEvent {
                     session: job.session,
                     seq: job.seq,
-                    span: job.span,
                     segment: job.segment,
                     backend,
                     inference,
                     identity,
-                    latency: job.detected.elapsed(),
+                    latency: job.enqueued.elapsed(),
                 });
                 // Gate weight releases *after* the publish: once the gate
                 // is empty, every dispatched result is on the bus
@@ -1032,27 +976,27 @@ impl ServeEngine {
     /// The shared telemetry registry, the namespace every subsystem
     /// publishes into: the engine's stage histograms and pool
     /// utilization live here, and fronts (gp-net) register their own
-    /// counters alongside. `None` when [`ServeConfig::telemetry`] is
-    /// off.
-    pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.telemetry.as_ref().map(|t| &t.registry)
+    /// counters alongside.
+    pub fn registry(&self) -> &Arc<Registry> {
+        &self.registry
     }
 
     /// A point-in-time [`TelemetrySnapshot`] of the whole registry,
     /// with the engine's instantaneous gauges (gate depth, live
-    /// sessions) refreshed first. `None` when telemetry is off.
+    /// sessions) refreshed first. Always `Some`: every engine has its
+    /// registry. The `Option` stays for callers that read it with
+    /// `unwrap_or_default`.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        let t = self.telemetry.as_ref()?;
-        t.registry
+        self.registry
             .gauge("serve.gate.depth")
             .set(self.gate.outstanding() as i64);
-        t.registry
+        self.registry
             .gauge("serve.gate.high_watermark")
             .set(self.config.pending_high_watermark as i64);
-        t.registry
+        self.registry
             .gauge("serve.sessions.live")
             .set(self.session_count() as i64);
-        Some(t.registry.snapshot())
+        Some(self.registry.snapshot())
     }
 }
 

@@ -26,9 +26,9 @@
 //!   [`SessionStats::shed_frames`]. [`ServeEngine::drain`] waits for
 //!   the same gate to empty.
 //! * **One frame path** — `push_frame`, `push_rd_frame` and
-//!   `offer_frame` all enter through one ingest body: mint the frame's
-//!   span, feed the session under its lock, enqueue the segment it
-//!   closes. Each session owns its [`SessionMode`] and stamps it on
+//!   `offer_frame` all enter through one ingest body: time the frame's
+//!   admission, feed the session under its lock, enqueue the segment
+//!   it closes. Each session owns its [`SessionMode`] and stamps it on
 //!   every segment as it closes, including the gesture
 //!   [`ServeEngine::close_session`] flushes.
 //! * **Per-session admission** ([`AdmissionConfig`]) — the one step
@@ -52,11 +52,12 @@
 //!   the engine's attached RD system
 //!   ([`ServeEngine::with_rd_system`]). Mixed batches partition by
 //!   backend and publish in the same `(session, seq)` order.
-//! * **Observability** — with [`ServeConfig::telemetry`] on (the
-//!   default), every frame's span is timed through the five pipeline
-//!   stages (admission-wait → segmentation → queue-wait → inference →
-//!   publish) into the `serve.stage.*` histograms of a shared
-//!   [`gp_telemetry::Registry`], and
+//! * **Observability** — every engine owns a shared
+//!   [`gp_telemetry::Registry`] ([`ServeEngine::registry`]). Each frame
+//!   and each result are timed through the five pipeline stages
+//!   (admission-wait → segmentation → queue-wait → inference →
+//!   publish) into its `serve.stage.*` histograms, the worker pool and
+//!   the identity store publish into it too, and
 //!   [`ServeEngine::telemetry_snapshot`] exports the registry (stage
 //!   histograms, pool utilization, gate-depth gauges) as a versioned
 //!   [`gp_telemetry::TelemetrySnapshot`].
@@ -114,5 +115,5 @@ pub use gp_rd::{RdFrame, RdSegmentConfig};
 pub use gp_store::{IdentityStore, RegistryConfig};
 // The observability layer is shared with gp-net and gp-runtime;
 // re-exported so serving callers can name snapshot/histogram types.
-pub use gp_telemetry::{Histogram, Registry, SpanId, TelemetrySnapshot};
+pub use gp_telemetry::{Histogram, Registry, TelemetrySnapshot};
 pub use session::SessionId;

@@ -1,19 +1,17 @@
-//! Stage tracing and snapshot export through the engine: the
+//! Stage timing and snapshot export through the engine: the
 //! registry's `serve.stage.*` histograms decompose end-to-end latency
-//! into the five span stages, the telemetry registry exports a
-//! versioned snapshot, and turning telemetry off removes all of it
-//! without changing what the engine computes.
+//! into the five pipeline stages, and the telemetry registry exports a
+//! versioned snapshot.
 
 use gp_serve::{ServeConfig, ServeEngine, TelemetrySnapshot};
 use gp_testkit::{stream_fixture, toy_system};
 
-fn run(telemetry: bool) -> ServeEngine {
+fn run() -> ServeEngine {
     let engine = ServeEngine::new(
         toy_system(),
         ServeConfig {
             workers: 2,
             max_batch: 4,
-            telemetry,
             ..ServeConfig::default()
         },
     );
@@ -29,9 +27,11 @@ fn run(telemetry: bool) -> ServeEngine {
 
 #[test]
 fn snapshot_reports_per_stage_latency_breakdown() {
-    let engine = run(true);
+    let engine = run();
     let stats = engine.stats();
-    let snap = engine.telemetry_snapshot().expect("telemetry is on");
+    let snap = engine
+        .telemetry_snapshot()
+        .expect("every engine has a registry");
     let stage = |name: &str| &snap.histograms[&format!("serve.stage.{name}")];
     let results = stats.total_results();
     assert!(results >= 2, "fixture publishes several results");
@@ -70,8 +70,10 @@ fn snapshot_reports_per_stage_latency_breakdown() {
 
 #[test]
 fn snapshot_exports_whole_registry_and_roundtrips() {
-    let engine = run(true);
-    let snap = engine.telemetry_snapshot().expect("telemetry is on");
+    let engine = run();
+    let snap = engine
+        .telemetry_snapshot()
+        .expect("every engine has a registry");
 
     // Stage histograms, pool utilization, and gauges share one registry.
     assert!(snap.histograms.contains_key("serve.stage.inference"));
@@ -90,12 +92,22 @@ fn snapshot_exports_whole_registry_and_roundtrips() {
 }
 
 #[test]
-fn telemetry_off_disables_stage_clocks_not_serving() {
-    let engine = run(false);
-    assert!(engine.telemetry_snapshot().is_none());
-    assert!(engine.registry().is_none());
-    let stats = engine.stats();
-    // Serving accounting is unchanged; only the stage clocks are gone.
-    assert!(stats.total_results() >= 2);
-    assert!(stats.latency_percentile(99.0).is_some());
+fn config_with_the_old_telemetry_switch_decodes_with_it_ignored() {
+    use gp_codec::{Decode, Encode};
+    // Configs written while telemetry could be switched off carry a
+    // `telemetry` flag; they still decode, the field ignored, since
+    // every engine now records its stages.
+    let config = ServeConfig {
+        workers: 2,
+        max_batch: 4,
+        ..ServeConfig::default()
+    };
+    let mut legacy = config.encode();
+    let gp_codec::Value::Map(fields) = &mut legacy else {
+        panic!("ServeConfig encodes as a record");
+    };
+    fields.insert("telemetry".into(), false.encode());
+    let decoded = ServeConfig::decode(&legacy).expect("legacy config decodes");
+    assert_eq!(decoded, config);
+    assert_eq!(decoded, ServeConfig::decode(&config.encode()).unwrap());
 }

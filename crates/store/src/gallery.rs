@@ -320,7 +320,7 @@ fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
 }
 
 fn bytes_to_f64s(bytes: &[u8]) -> Result<Vec<f64>, DecodeError> {
-    if bytes.len() % 8 != 0 {
+    if !bytes.len().is_multiple_of(8) {
         return Err(DecodeError::new(format!(
             "embedding sum byte length {} is not a multiple of 8",
             bytes.len()
@@ -384,6 +384,11 @@ impl Decode for EmbeddingGallery {
         }
         let dim: usize = value.get("dim")?;
         let threshold = decode_threshold(value.field("threshold")?)?;
+        // The binary envelope carries NaN floats; a gallery never holds
+        // one (`set_threshold` refuses it).
+        if threshold.is_nan() {
+            return Err(DecodeError::new("gallery threshold is NaN"));
+        }
         let mut entries = BTreeMap::new();
         for raw in value.get::<Vec<Value>>("entries")? {
             let user: String = raw.get("user")?;
@@ -411,13 +416,11 @@ impl Decode for EmbeddingGallery {
                 return Err(DecodeError::new(format!("duplicate gallery user {user:?}")));
             }
         }
-        let mut gallery = EmbeddingGallery {
+        Ok(EmbeddingGallery {
             dim,
-            threshold: f64::INFINITY,
+            threshold,
             entries,
-        };
-        gallery.set_threshold(threshold);
-        Ok(gallery)
+        })
     }
 }
 
@@ -599,5 +602,14 @@ mod tests {
             }
         }
         assert!(EmbeddingGallery::decode(&torn_sum).is_err());
+
+        // JSON cannot carry a NaN threshold, but the binary envelope can.
+        let mut nan_threshold = good.clone();
+        if let Value::Map(m) = &mut nan_threshold {
+            m.insert("threshold".into(), Value::Float(f64::NAN));
+        }
+        let bytes = gp_codec::to_binary(&nan_threshold).unwrap();
+        let err = gp_codec::decode_from_binary::<EmbeddingGallery>(&bytes).unwrap_err();
+        assert!(err.to_string().contains("NaN"), "{err}");
     }
 }

@@ -347,6 +347,27 @@ mod tests {
     }
 
     #[test]
+    fn nan_threshold_gallery_fails_typed() {
+        let root = tmp_root("nan");
+        {
+            let mut gallery = EmbeddingGallery::new();
+            gallery.enroll("ada", &[1.0, 2.0]).unwrap();
+            let mut payload = gallery.encode();
+            if let gp_codec::Value::Map(m) = &mut payload {
+                m.insert("threshold".into(), gp_codec::Value::Float(f64::NAN));
+            }
+            let reg = ArtifactRegistry::open(&root, RegistryConfig::default()).unwrap();
+            reg.publish(GALLERY_ARTIFACT, Artifact::new(kinds::GALLERY, payload))
+                .unwrap();
+        }
+        assert!(matches!(
+            IdentityStore::open(&root, RegistryConfig::default()),
+            Err(StoreError::Decode(_))
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn wrong_kind_checkpoint_fails_typed() {
         let root = tmp_root("kind");
         {

@@ -203,26 +203,36 @@ impl Histogram {
     ///
     /// `min`/`max` of an empty histogram are normalised so that
     /// decode(encode(h)) == h holds structurally.
+    ///
+    /// # Errors
+    ///
+    /// A bucket index past [`BUCKETS`], or counts whose total overflows
+    /// `u64`, each with its own message.
     pub fn from_parts(
         buckets: impl IntoIterator<Item = (usize, u64)>,
         sum: u64,
         min: u64,
         max: u64,
-    ) -> Option<Histogram> {
+    ) -> Result<Histogram, &'static str> {
         let mut h = Histogram::new();
         for (i, c) in buckets {
             if i >= BUCKETS {
-                return None;
+                return Err("histogram bucket index out of range");
             }
+            // The total goes first: no bucket exceeds it, so once it
+            // fits, the bucket's own add cannot overflow.
+            h.count = h
+                .count
+                .checked_add(c)
+                .ok_or("histogram bucket counts overflow u64")?;
             h.counts[i] += c;
-            h.count = h.count.checked_add(c)?;
         }
         if h.count > 0 {
             h.sum = sum;
             h.min = min;
             h.max = max;
         }
-        Some(h)
+        Ok(h)
     }
 }
 
@@ -402,7 +412,10 @@ mod tests {
 
     #[test]
     fn from_parts_rejects_out_of_range_buckets() {
-        assert!(Histogram::from_parts([(BUCKETS, 1)], 0, 0, 0).is_none());
+        assert_eq!(
+            Histogram::from_parts([(BUCKETS, 1)], 0, 0, 0),
+            Err("histogram bucket index out of range")
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! one metric namespace, bounded-memory latency histograms, and a
 //! versioned export format — with no dependencies beyond `gp-codec`.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! - **Metrics** ([`Registry`], [`Counter`], [`Gauge`],
 //!   [`AtomicHistogram`]): named registration hands out `Arc` handles
@@ -12,11 +12,10 @@
 //!   at registration and snapshot time. [`Histogram`] is the plain
 //!   mergeable variant — per-octave log-linear buckets (≤25% relative
 //!   error, exact `min`/`max`), exact bucket-wise [`Histogram::merge`],
-//!   fixed [`hist::BUCKETS`]-sized memory.
-//! - **Spans** ([`SpanId`]): a lightweight id minted at frame ingest
-//!   and threaded through the serve pipeline so the per-stage
-//!   histograms (`admission_wait → segmentation → queue_wait →
-//!   inference → publish`) decompose one result's end-to-end latency.
+//!   fixed [`hist::BUCKETS`]-sized memory. The serve engine times each
+//!   frame and result with `Instant`s into one histogram per stage
+//!   (`admission_wait → segmentation → queue_wait → inference →
+//!   publish`), which decompose a result's end-to-end latency.
 //! - **Export** ([`TelemetrySnapshot`]): a versioned, deterministic,
 //!   sparsely-encoded snapshot of the whole registry — the payload
 //!   behind `BENCH_*.json` trajectory artifacts, the gp-net
@@ -31,16 +30,3 @@ pub mod snapshot;
 pub use hist::{AtomicHistogram, Histogram};
 pub use registry::{Counter, Gauge, Registry};
 pub use snapshot::{TelemetrySnapshot, TELEMETRY_SCHEMA_VERSION};
-
-/// A stage-tracing span id: minted once per admitted frame at ingest,
-/// carried through segmentation, the batch queue, inference, and
-/// result publish so a result can be correlated back to the frame that
-/// triggered it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(pub u64);
-
-impl std::fmt::Display for SpanId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "span-{}", self.0)
-    }
-}

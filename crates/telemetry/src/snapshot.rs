@@ -125,8 +125,7 @@ fn decode_histogram(value: &Value) -> Result<Histogram, DecodeError> {
     let sum: u64 = value.get("sum")?;
     let min: u64 = value.get("min")?;
     let max: u64 = value.get("max")?;
-    let h = Histogram::from_parts(buckets, sum, min, max)
-        .ok_or_else(|| DecodeError::new("histogram bucket index out of range"))?;
+    let h = Histogram::from_parts(buckets, sum, min, max).map_err(DecodeError::new)?;
     let count: u64 = value.get("count")?;
     if count != h.count() {
         return Err(DecodeError::new(format!(
@@ -241,6 +240,21 @@ mod tests {
         let mut json = sample().to_json();
         json = json.replace("\"count\":5", "\"count\":6");
         assert!(TelemetrySnapshot::from_json(&json).is_err());
+    }
+
+    #[test]
+    fn overflowing_bucket_counts_are_rejected_not_panicked_on() {
+        let mut snap = TelemetrySnapshot::new();
+        snap.histograms.insert("h".into(), Histogram::new());
+        let json = snap.to_json();
+        assert!(json.contains("\"buckets\":[]"), "{json}");
+        let max = i64::MAX;
+        let json = json.replace(
+            "\"buckets\":[]",
+            &format!("\"buckets\":[[0,{max}],[0,{max}],[0,2]]"),
+        );
+        let err = TelemetrySnapshot::from_json(&json).unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// Exact nearest-rank percentile over raw samples — the oracle. This
 /// is what `SessionStats::latency_percentile` computed from its sample
 /// ring before histograms replaced it.
-fn oracle_percentile(samples: &mut Vec<u64>, p: f64) -> u64 {
+fn oracle_percentile(samples: &mut [u64], p: f64) -> u64 {
     samples.sort_unstable();
     let rank = (p / 100.0 * (samples.len() - 1) as f64).round() as usize;
     samples[rank]

@@ -121,14 +121,11 @@ fn main() {
     println!("accuracy: gestures {gesture_hits}/{scored}, users {user_hits}/{scored}");
 
     // 3. The RD counters and the shared per-stage latency breakdown.
-    if let Some(registry) = engine.registry() {
-        println!("\nrd counters:");
-        for name in ["serve.rd.frames", "serve.rd.segments", "serve.rd.results"] {
-            println!("  {name} = {}", registry.counter(name).get());
-        }
+    println!("\nrd counters:");
+    for name in ["serve.rd.frames", "serve.rd.segments", "serve.rd.results"] {
+        println!("  {name} = {}", engine.registry().counter(name).get());
     }
-    if let Some(snapshot) = engine.telemetry_snapshot() {
-        println!("\nper-stage latency breakdown:");
-        print!("{}", snapshot.render_table("serve.stage."));
-    }
+    let snapshot = engine.telemetry_snapshot().unwrap_or_default();
+    println!("\nper-stage latency breakdown:");
+    print!("{}", snapshot.render_table("serve.stage."));
 }

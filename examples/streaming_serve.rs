@@ -159,8 +159,7 @@ fn main() {
 
     // 6. Where the time went: the telemetry registry's per-stage
     //    latency breakdown of the end-to-end numbers above.
-    if let Some(snapshot) = engine.telemetry_snapshot() {
-        println!("\nper-stage latency breakdown:");
-        print!("{}", snapshot.render_table("serve.stage."));
-    }
+    let snapshot = engine.telemetry_snapshot().unwrap_or_default();
+    println!("\nper-stage latency breakdown:");
+    print!("{}", snapshot.render_table("serve.stage."));
 }
