@@ -310,7 +310,7 @@ impl ModelArtifact {
     /// # Errors
     ///
     /// [`ArtifactError::Malformed`] when the declared architecture
-    /// cannot be built (a pooled shape with a side not divisible by 4,
+    /// cannot be built (a pooled shape with a side of 0 or not divisible by 4,
     /// or a point-cloud model with `feature.num_points` 0);
     /// [`ArtifactError::Params`] when the stream does not match the
     /// declared architecture (truncated, corrupt, or mislabeled).
@@ -802,7 +802,7 @@ mod tests {
     #[test]
     fn unpoolable_shapes_fail_typed_never_panic() {
         // ProfileCNN and RdNet pool their 2-D input twice, so each side
-        // of its shape must be divisible by 4, and a point-cloud model
+        // of its shape must be above 0 and divisible by 4, and a point-cloud model
         // cannot encode a sample into zero points. An artifact declaring
         // such a shape is malformed, in either byte format, alone or
         // inside a system.
@@ -815,6 +815,10 @@ mod tests {
         profile.feature.profile_shape = (5, 5);
         let mut rd = ModelArtifact::from_model(&fresh(ModelKind::RdNet));
         rd.rd_feature.map_shape = (5, 5);
+        let mut flat_profile = ModelArtifact::from_model(&fresh(ModelKind::ProfileCnn));
+        flat_profile.feature.profile_shape = (0, 24);
+        let mut empty_rd = ModelArtifact::from_model(&fresh(ModelKind::RdNet));
+        empty_rd.rd_feature.map_shape = (0, 0);
         let mut pointless = ModelArtifact::from_model(&fresh(ModelKind::GesIdNet));
         pointless.feature.num_points = 0;
         let system = GesturePrint::from_parts(
@@ -835,13 +839,19 @@ mod tests {
             for (bad, what) in [
                 (&profile, "(5, 5)"),
                 (&rd, "(5, 5)"),
+                (&flat_profile, "(0, 24)"),
+                (&empty_rd, "(0, 0)"),
                 (&pointless, "feature.num_points"),
             ] {
                 let bytes = Artifact::new(kinds::MODEL, bad.encode()).into_bytes_with(format);
                 let err = TrainedModel::load_artifact(&bytes).unwrap_err();
                 assert!(names(&err, what), "{:?}, {format:?}: {err}", bad.kind);
             }
-            for (bad, what) in [(&profile, "(5, 5)"), (&pointless, "feature.num_points")] {
+            for (bad, what) in [
+                (&profile, "(5, 5)"),
+                (&flat_profile, "(0, 24)"),
+                (&pointless, "feature.num_points"),
+            ] {
                 let mut payload = system_payload.clone();
                 payload.insert("gesture_model".into(), bad.encode());
                 let bytes =

@@ -322,13 +322,21 @@ impl GesturePrint {
     /// batch of one, and each batched row is bit-exact with its sample
     /// run alone, so results do not depend on batch composition.
     ///
+    /// Each sample is encoded once, for the gesture recogniser. Its
+    /// identifier takes that input over wherever it would encode the
+    /// sample bit for bit the same (equal feature configurations, and
+    /// equal encode seeds when encoding pads the cloud with random
+    /// draws), and encodes the sample itself otherwise, so the result
+    /// is that of each model encoding for itself.
+    ///
     /// # Panics
     ///
     /// Panics if a sample's backend does not match
     /// [`GesturePrint::backend`].
     pub fn infer_batch<'a, S: Copy + Into<SampleRef<'a>>>(&self, samples: &[S]) -> Vec<Inference> {
         let samples: Vec<SampleRef<'a>> = samples.iter().map(|&s| s.into()).collect();
-        let (gesture_probs, _) = self.gesture_model.probabilities_and_embeddings(&samples);
+        let encoded = self.gesture_model.encode(&samples);
+        let (gesture_probs, _) = self.gesture_model.forward(&encoded);
         let gestures: Vec<usize> = gesture_probs.iter().map(|p| argmax(p)).collect();
 
         // Group sample indices by the identifier that must run for them.
@@ -340,12 +348,13 @@ impl GesturePrint {
                 .or_default()
                 .push(i);
         }
+        let models: Vec<&TrainedModel> = groups.keys().map(|&k| &self.identifiers[k]).collect();
+        let groups: Vec<Vec<usize>> = groups.into_values().collect();
+        let batches = encoded.split(&self.gesture_model, &samples, &groups, &models);
         let mut user_probs: Vec<Vec<f64>> = vec![Vec::new(); samples.len()];
         let mut embeddings: Vec<Option<Vec<f32>>> = vec![None; samples.len()];
-        for (identifier, indices) in groups {
-            let subset: Vec<SampleRef<'a>> = indices.iter().map(|&i| samples[i]).collect();
-            let (probs, group_embeddings) =
-                self.identifiers[identifier].probabilities_and_embeddings(&subset);
+        for ((model, indices), inputs) in models.iter().zip(&groups).zip(&batches) {
+            let (probs, group_embeddings) = model.forward(inputs);
             for (row, (&i, p)) in indices.iter().zip(probs).enumerate() {
                 user_probs[i] = p;
                 embeddings[i] = group_embeddings.as_ref().map(|m| m.row(row).to_vec());
@@ -389,9 +398,8 @@ impl GesturePrint {
         sample: impl Into<SampleRef<'a>>,
         gesture: usize,
     ) -> Option<Vec<f32>> {
-        let (_, embeddings) = self
-            .identifier_for(gesture)
-            .probabilities_and_embeddings(&[sample.into()]);
+        let identifier = self.identifier_for(gesture);
+        let (_, embeddings) = identifier.forward(&identifier.encode(&[sample.into()]));
         embeddings.map(|m| m.row(0).to_vec())
     }
 }

@@ -1,6 +1,6 @@
 //! Classifier training with the paper's augmentation scheme.
 
-use gp_models::features::{encode, FeatureConfig, ModelInput};
+use gp_models::features::{encode, encode_draws, FeatureConfig, ModelInput};
 use gp_models::{GesIDNet, GesIDNetConfig, LstmNet, PointModel, PointNet, ProfileCnn};
 use gp_nn::{softmax_rows, Adam, Matrix, Parameterized};
 use gp_pipeline::{Augmenter, AugmenterConfig, LabeledSample};
@@ -264,6 +264,71 @@ enum BackendModel {
     Rd(Box<RdNet>),
 }
 
+/// Samples encoded for one backend's network, row `i` from sample `i`:
+/// what [`TrainedModel::encode`] hands [`TrainedModel::forward`].
+pub(crate) enum Encoded {
+    /// Point-cloud inputs.
+    Point(Vec<ModelInput>),
+    /// Range-Doppler inputs.
+    Rd(Vec<RdInput>),
+}
+
+impl Encoded {
+    /// Splits the rows into one batch per group of `groups` (sample
+    /// indices, each row in exactly one group), in group order and, in a
+    /// group, in index order. Group `k` feeds `models[k]`: a row moves
+    /// into its batch when that model encodes the row's sample bit for
+    /// bit as `encoder`, which encoded the rows, did
+    /// ([`TrainedModel::encodes_like`]); otherwise that model encodes the
+    /// sample itself.
+    pub(crate) fn split(
+        self,
+        encoder: &TrainedModel,
+        samples: &[SampleRef<'_>],
+        groups: &[Vec<usize>],
+        models: &[&TrainedModel],
+    ) -> Vec<Encoded> {
+        fn split<I>(
+            rows: Vec<I>,
+            groups: &[Vec<usize>],
+            reuse: impl Fn(usize, usize) -> bool,
+            encode: impl Fn(usize, usize) -> I,
+        ) -> Vec<Vec<I>> {
+            let mut rows: Vec<Option<I>> = rows.into_iter().map(Some).collect();
+            groups
+                .iter()
+                .enumerate()
+                .map(|(k, indices)| {
+                    indices
+                        .iter()
+                        .map(|&i| {
+                            let row = rows[i].take().expect("a row joins one group");
+                            if reuse(k, i) {
+                                row
+                            } else {
+                                encode(k, i)
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        }
+        let reuse = |k: usize, i: usize| encoder.encodes_like(models[k], samples[i]);
+        match self {
+            Encoded::Point(rows) => split(rows, groups, reuse, |k, i| {
+                models[k].point_input(samples[i])
+            })
+            .into_iter()
+            .map(Encoded::Point)
+            .collect(),
+            Encoded::Rd(rows) => split(rows, groups, reuse, |k, i| models[k].rd_input(samples[i]))
+                .into_iter()
+                .map(Encoded::Rd)
+                .collect(),
+        }
+    }
+}
+
 /// A trained classifier bundled with its encoding configuration.
 pub struct TrainedModel {
     model: BackendModel,
@@ -306,10 +371,29 @@ impl TrainedModel {
         encode(&sample.cloud, &sample.frame_clouds, &self.feature, &mut rng)
     }
 
+    /// [`TrainedModel::encode_input`] for a sample of either backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a range-Doppler sample.
+    fn point_input(&self, sample: SampleRef<'_>) -> ModelInput {
+        match sample {
+            SampleRef::Cloud(s) => self.encode_input(s),
+            SampleRef::Rd(_) => panic!("range-Doppler inference on a point-cloud model"),
+        }
+    }
+
     /// Encodes an RD sample with the model's RD feature configuration
     /// (deterministic — RD extraction draws no randomness).
-    fn encode_rd_input(&self, sample: &RdLabeledSample) -> RdInput {
-        rd_extract_sample(sample, &self.rd_feature)
+    ///
+    /// # Panics
+    ///
+    /// Panics on a point-cloud sample.
+    fn rd_input(&self, sample: SampleRef<'_>) -> RdInput {
+        match sample {
+            SampleRef::Rd(s) => rd_extract_sample(s, &self.rd_feature),
+            SampleRef::Cloud(_) => panic!("point-cloud inference on a range-Doppler model"),
+        }
     }
 
     /// Class probabilities for a batch of samples, one row per sample
@@ -325,50 +409,49 @@ impl TrainedModel {
         samples: &[S],
     ) -> Vec<Vec<f64>> {
         let samples: Vec<SampleRef<'a>> = samples.iter().map(|&s| s.into()).collect();
-        self.probabilities_and_embeddings(&samples).0
+        self.forward(&self.encode(&samples)).0
     }
 
-    /// The one inference body: encodes each sample for the model's
-    /// backend, runs one batched forward, and returns the softmax rows
-    /// plus, when the architecture has a fusion tap, the embedding rows
-    /// out of the same forward (row `i` belongs to sample `i`).
+    /// The encode half of inference: each sample encoded for the
+    /// model's backend, row `i` from sample `i`.
     ///
     /// # Panics
     ///
     /// Panics if a sample's backend does not match
     /// [`TrainedModel::backend`].
-    pub(crate) fn probabilities_and_embeddings(
-        &self,
-        samples: &[SampleRef<'_>],
-    ) -> (Vec<Vec<f64>>, Option<Matrix>) {
-        if samples.is_empty() {
-            return (Vec::new(), None);
-        }
-        let (logits, embeddings) = match &self.model {
-            BackendModel::Point(model) => {
-                let inputs: Vec<ModelInput> = samples
-                    .iter()
-                    .map(|&s| match s {
-                        SampleRef::Cloud(s) => self.encode_input(s),
-                        SampleRef::Rd(_) => {
-                            panic!("range-Doppler inference on a point-cloud model")
-                        }
-                    })
-                    .collect();
-                model.logits_and_embedding_batch(&inputs)
+    pub(crate) fn encode(&self, samples: &[SampleRef<'_>]) -> Encoded {
+        match &self.model {
+            BackendModel::Point(_) => {
+                Encoded::Point(samples.iter().map(|&s| self.point_input(s)).collect())
             }
-            BackendModel::Rd(model) => {
-                let inputs: Vec<RdInput> = samples
-                    .iter()
-                    .map(|&s| match s {
-                        SampleRef::Rd(s) => self.encode_rd_input(s),
-                        SampleRef::Cloud(_) => {
-                            panic!("point-cloud inference on a range-Doppler model")
-                        }
-                    })
-                    .collect();
-                let (logits, embeddings) = model.logits_and_embedding_batch(&inputs);
+            BackendModel::Rd(_) => Encoded::Rd(samples.iter().map(|&s| self.rd_input(s)).collect()),
+        }
+    }
+
+    /// The forward half of inference: one batched forward over `inputs`,
+    /// returning the softmax rows plus, when the architecture has a
+    /// fusion tap, the embedding rows out of the same forward (row `i`
+    /// belongs to input `i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is a non-empty batch of the other backend.
+    pub(crate) fn forward(&self, inputs: &Encoded) -> (Vec<Vec<f64>>, Option<Matrix>) {
+        let (logits, embeddings) = match (&self.model, inputs) {
+            (_, Encoded::Point(v)) if v.is_empty() => return (Vec::new(), None),
+            (_, Encoded::Rd(v)) if v.is_empty() => return (Vec::new(), None),
+            (BackendModel::Point(model), Encoded::Point(inputs)) => {
+                model.logits_and_embedding_batch(inputs)
+            }
+            (BackendModel::Rd(model), Encoded::Rd(inputs)) => {
+                let (logits, embeddings) = model.logits_and_embedding_batch(inputs);
                 (logits, Some(embeddings))
+            }
+            (BackendModel::Point(_), Encoded::Rd(_)) => {
+                panic!("range-Doppler inference on a point-cloud model")
+            }
+            (BackendModel::Rd(_), Encoded::Point(_)) => {
+                panic!("point-cloud inference on a range-Doppler model")
             }
         };
         let probs = softmax_rows(&logits);
@@ -376,6 +459,24 @@ impl TrainedModel {
             .map(|r| probs.row(r).iter().map(|&v| f64::from(v)).collect())
             .collect();
         (probs, embeddings)
+    }
+
+    /// Whether `other` encodes `sample` bit for bit as this model does,
+    /// so that this model's input can feed `other`'s forward. RD
+    /// extraction is deterministic, so equal RD configurations suffice.
+    /// A point-cloud encode draws from its seeded stream only when it
+    /// pads the cloud ([`encode_draws`]), so equal feature
+    /// configurations suffice without a draw, and with one the encode
+    /// seeds must match too.
+    pub(crate) fn encodes_like(&self, other: &TrainedModel, sample: SampleRef<'_>) -> bool {
+        match sample {
+            SampleRef::Cloud(s) => {
+                self.feature == other.feature
+                    && (self.encode_seed == other.encode_seed
+                        || !encode_draws(&s.cloud, &self.feature))
+            }
+            SampleRef::Rd(_) => self.rd_feature == other.rd_feature,
+        }
     }
 
     /// Feature taps for visualisation: GesIDNet's `F¹`, `F²` and `Y¹`;
@@ -395,7 +496,7 @@ impl TrainedModel {
     ///
     /// A message naming the shape when `kind` pools a 2-D input
     /// (ProfileCNN's `feature.profile_shape`, RdNet's
-    /// `rd_feature.map_shape`) whose sides are not divisible by 4, or
+    /// `rd_feature.map_shape`) with a side of 0 or not divisible by 4, or
     /// naming `feature.num_points` when a point-cloud `kind` would
     /// encode samples into zero points.
     pub(crate) fn build(
@@ -418,9 +519,9 @@ impl TrainedModel {
             _ => None,
         };
         if let Some((field, (rows, cols))) = pooled {
-            if rows % 4 != 0 || cols % 4 != 0 {
+            if rows == 0 || cols == 0 || rows % 4 != 0 || cols % 4 != 0 {
                 return Err(format!(
-                    "{} needs a {field} divisible by 4, got ({rows}, {cols})",
+                    "{} needs a {field} with sides above 0 and divisible by 4, got ({rows}, {cols})",
                     kind.name()
                 ));
             }
@@ -513,7 +614,7 @@ impl TrainedModel {
 /// Panics if `samples` is empty, any label is `>= classes`, a sample is
 /// not of `config.model`'s backend, or `config` gives the architecture a
 /// shape it cannot pool: ProfileCNN's `feature.profile_shape` or RdNet's
-/// `rd_feature` map shape with a side not divisible by 4, or a
+/// `rd_feature` map shape with a side of 0 or not divisible by 4, or a
 /// point-cloud architecture a `feature.num_points` of 0.
 pub fn train_classifier<'a, S: Copy + Into<SampleRef<'a>>>(
     samples: &[(S, usize)],
@@ -941,7 +1042,7 @@ mod tests {
             .filter(|&s| predict(&model, s) == s.user)
             .count();
         assert!(correct >= 10, "RdNet user split failed: {correct}/12");
-        let (_, embeddings) = model.probabilities_and_embeddings(&[(&samples[0]).into()]);
+        let (_, embeddings) = model.forward(&model.encode(&[(&samples[0]).into()]));
         assert_eq!(embeddings.expect("RdNet has a fusion tap").cols(), 48);
     }
 
@@ -986,6 +1087,19 @@ mod tests {
         let pairs: Vec<(&LabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
         let mut cfg = quick_config(ModelKind::ProfileCnn);
         cfg.feature.profile_shape = (5, 5);
+        train_classifier(&pairs, 2, &cfg, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid training config: RdNet needs a rd_feature.map_shape")]
+    fn trainer_rejects_a_zero_sided_shape() {
+        let samples = toy_rd_samples(1);
+        let pairs: Vec<(&RdLabeledSample, usize)> = samples.iter().map(|s| (s, s.user)).collect();
+        let mut cfg = rd_config();
+        cfg.rd_feature = Some(RdFeatureConfig {
+            map_shape: (0, 0),
+            ..RdFeatureConfig::default()
+        });
         train_classifier(&pairs, 2, &cfg, None);
     }
 

@@ -93,7 +93,9 @@ pub struct ModelInput {
 pub const SEQUENCE_FEATURES: usize = 8;
 
 /// Encodes a preprocessed cloud (and optional temporal view) into a
-/// [`ModelInput`].
+/// [`ModelInput`]. `rng` is drawn from only when resampling pads the
+/// cloud ([`encode_draws`]); any other cloud encodes the same under
+/// every stream.
 pub fn encode<R: Rng>(
     cloud: &PointCloud,
     frame_clouds: &[PointCloud],
@@ -181,6 +183,14 @@ pub fn encode<R: Rng>(
         profile_shape: config.profile_shape,
         sequence,
     }
+}
+
+/// Whether [`encode`] draws from its random stream for `cloud`: only
+/// when [`resample_to`] pads a cloud of 1 to `num_points − 1` points
+/// with random duplicates. An empty cloud pads with zero points, and a
+/// larger one is sampled by deterministic FPS.
+pub fn encode_draws(cloud: &PointCloud, config: &FeatureConfig) -> bool {
+    (1..config.num_points).contains(&cloud.len())
 }
 
 #[cfg(test)]
@@ -275,5 +285,26 @@ mod tests {
         for r in 0..4 {
             assert!((input.points.at(r, 3) - 1.5).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn encoding_without_padding_ignores_the_stream() {
+        // Inference reuses one model's encoding for another model with a
+        // different seed on exactly this fact.
+        let cfg = FeatureConfig {
+            num_points: 24,
+            ..FeatureConfig::default()
+        };
+        let big = cloud();
+        let exact: PointCloud = big.iter().take(cfg.num_points).copied().collect();
+        let frames = vec![cloud(); 3];
+        for c in [exact, big, PointCloud::new()] {
+            assert!(!encode_draws(&c, &cfg), "{} points", c.len());
+            let encode_with = |seed| encode(&c, &frames, &cfg, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(encode_with(1), encode_with(2), "{} points", c.len());
+        }
+        let sparse: PointCloud = cloud().iter().take(cfg.num_points - 1).copied().collect();
+        assert!(encode_draws(&sparse, &cfg));
+        assert!(encode_draws(&sparse.select(&[0]), &cfg));
     }
 }

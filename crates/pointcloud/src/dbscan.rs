@@ -118,26 +118,30 @@ impl Clustering {
 /// claimed by a cluster when an earlier queue reached it, and would be
 /// skipped when popped again, so the labels are those of queueing every
 /// neighbour of every core point.
+///
+/// Each cluster seed scans every point. A point popped from an
+/// expansion queue scans only the points not yet queued, and counts its
+/// own neighbourhood (stopping at `min_points`) only when that scan found
+/// one to queue: a core point whose neighbours are all queued already
+/// adds nothing, so skipping its count leaves the labels unchanged.
 pub fn dbscan(cloud: &PointCloud, config: &DbscanConfig) -> Clustering {
     let n = cloud.len();
     let eps_sqr = config.eps * config.eps;
+    let near = |i: usize, j: usize| cloud[i].position.distance_sqr(cloud[j].position) <= eps_sqr;
     let mut labels = vec![None::<ClusterLabel>; n];
     let mut cluster_count = 0usize;
     let mut queued = vec![false; n];
+    // The points no queue has reached yet, ascending.
+    let mut unqueued: Vec<usize> = (0..n).collect();
     let mut queue: Vec<usize> = Vec::new();
     let mut nbrs: Vec<usize> = Vec::new();
-
-    let neighbors = |i: usize, out: &mut Vec<usize>| {
-        let pi = cloud[i].position;
-        out.clear();
-        out.extend((0..n).filter(|&j| pi.distance_sqr(cloud[j].position) <= eps_sqr));
-    };
 
     for i in 0..n {
         if labels[i].is_some() {
             continue;
         }
-        neighbors(i, &mut nbrs);
+        nbrs.clear();
+        nbrs.extend((0..n).filter(|&j| near(i, j)));
         if nbrs.len() < config.min_points {
             labels[i] = Some(ClusterLabel::Noise);
             continue;
@@ -147,7 +151,7 @@ pub fn dbscan(cloud: &PointCloud, config: &DbscanConfig) -> Clustering {
         cluster_count += 1;
         labels[i] = Some(ClusterLabel::Cluster(id));
         queue.clear();
-        enqueue_new(&nbrs, &mut queued, &mut queue);
+        enqueue_new(&nbrs, &mut queued, &mut queue, &mut unqueued);
         let mut qi = 0;
         while qi < queue.len() {
             let j = queue[qi];
@@ -160,9 +164,16 @@ pub fn dbscan(cloud: &PointCloud, config: &DbscanConfig) -> Clustering {
                 Some(ClusterLabel::Cluster(_)) => continue,
                 None => {
                     labels[j] = Some(ClusterLabel::Cluster(id));
-                    neighbors(j, &mut nbrs);
-                    if nbrs.len() >= config.min_points {
-                        enqueue_new(&nbrs, &mut queued, &mut queue);
+                    nbrs.clear();
+                    nbrs.extend(unqueued.iter().copied().filter(|&k| near(j, k)));
+                    if !nbrs.is_empty()
+                        && (0..n)
+                            .filter(|&k| near(j, k))
+                            .take(config.min_points)
+                            .count()
+                            >= config.min_points
+                    {
+                        enqueue_new(&nbrs, &mut queued, &mut queue, &mut unqueued);
                     }
                 }
             }
@@ -178,15 +189,21 @@ pub fn dbscan(cloud: &PointCloud, config: &DbscanConfig) -> Clustering {
     }
 }
 
-/// Appends to `queue` every point of `nbrs` not queued before, and marks
-/// it queued.
-fn enqueue_new(nbrs: &[usize], queued: &mut [bool], queue: &mut Vec<usize>) {
+/// Appends to `queue` every point of `nbrs` not queued before, marks it
+/// queued and drops it from `unqueued`.
+fn enqueue_new(
+    nbrs: &[usize],
+    queued: &mut [bool],
+    queue: &mut Vec<usize>,
+    unqueued: &mut Vec<usize>,
+) {
     for &k in nbrs {
         if !queued[k] {
             queued[k] = true;
             queue.push(k);
         }
     }
+    unqueued.retain(|&k| !queued[k]);
 }
 
 /// Convenience: runs DBSCAN and returns the main cluster as a new cloud,

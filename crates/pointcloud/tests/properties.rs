@@ -7,7 +7,8 @@ use gp_pointcloud::sampling::{farthest_point_indices, resample_to};
 use gp_pointcloud::{ClusterLabel, PointCloud, Vec3};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 fn vec3_strategy() -> impl Strategy<Value = Vec3> {
     (-5.0f64..5.0, -5.0f64..5.0, -5.0f64..5.0).prop_map(|(x, y, z)| Vec3::new(x, y, z))
@@ -33,6 +34,36 @@ fn scale_strategy() -> impl Strategy<Value = (f64, usize)> {
         let step = if on_grid { 0.125 } else { 0.1 };
         (k as f64 * step, m)
     })
+}
+
+/// Dense blobs plus far outliers, in shuffled order: whichever cluster
+/// an expansion grows, the other blobs and the outliers are still
+/// unqueued at every pop, so its scans of the unqueued points never run
+/// out of candidates to reject.
+fn blobs_and_outliers() -> impl Strategy<Value = PointCloud> {
+    (
+        prop::collection::vec((vec3_strategy(), 3usize..30, 0.05f64..0.6), 2..5),
+        prop::collection::vec(vec3_strategy(), 1..8),
+        any::<u64>(),
+    )
+        .prop_map(|(blobs, outliers, seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut positions = Vec::new();
+            for (center, count, spread) in blobs {
+                for _ in 0..count {
+                    let mut offset = || rng.gen_range(-spread..spread);
+                    positions.push(center + Vec3::new(offset(), offset(), offset()));
+                }
+            }
+            // Outliers sit 20–60 m out, beyond any blob's reach.
+            positions.extend(
+                outliers
+                    .iter()
+                    .map(|&o| o * 4.0 + Vec3::new(40.0, 40.0, 0.0)),
+            );
+            positions.shuffle(&mut rng);
+            PointCloud::from_positions(positions)
+        })
 }
 
 /// DBSCAN as written before its expansion queued each neighbour at most
@@ -255,6 +286,17 @@ proptest! {
     #[test]
     fn dbscan_matches_oracle_labels_off_grid(cloud in cloud_strategy(0, 120), eps in 0.1f64..3.0) {
         let config = DbscanConfig { eps, min_points: 4 };
+        let labels = dbscan(&cloud, &config).labels().to_vec();
+        prop_assert_eq!(labels, dbscan_oracle(&cloud, &config));
+    }
+
+    #[test]
+    fn dbscan_matches_oracle_labels_blobs_and_outliers(
+        cloud in blobs_and_outliers(),
+        eps in 0.3f64..2.0,
+        min_points in 2usize..8,
+    ) {
+        let config = DbscanConfig { eps, min_points };
         let labels = dbscan(&cloud, &config).labels().to_vec();
         prop_assert_eq!(labels, dbscan_oracle(&cloud, &config));
     }

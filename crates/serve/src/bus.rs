@@ -31,6 +31,8 @@ pub struct ServeEvent {
     /// session was opened with.
     pub backend: SensingBackend,
     /// The two-task inference result (gesture + user + probabilities).
+    /// Its `embedding` is always `None`: the executor takes it out to
+    /// resolve `identity`, so no event carries a biometric template.
     pub inference: Inference,
     /// What the identity store did with this segment — `None` for
     /// plain classification sessions or when the engine has no store.

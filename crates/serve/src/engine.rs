@@ -241,6 +241,11 @@ struct StageMetrics {
     admission_wait: Arc<AtomicHistogram>,
     /// Online segmentation + preprocessing of the admitted frame.
     segmentation: Arc<AtomicHistogram>,
+    /// Noise canceling and aggregation of a closed point-cloud segment
+    /// (DBSCAN included), one record per closed segment, rejected ones
+    /// too. Part of the `segmentation` time of the push that closes the
+    /// segment; a session close assembles its open segment outside it.
+    assembly: Arc<AtomicHistogram>,
     /// Segment enqueued → batch claimed by a worker.
     queue_wait: Arc<AtomicHistogram>,
     /// Batch inference time as each result experienced it (the whole
@@ -257,6 +262,7 @@ impl StageMetrics {
         StageMetrics {
             admission_wait: registry.histogram("serve.stage.admission_wait"),
             segmentation: registry.histogram("serve.stage.segmentation"),
+            assembly: registry.histogram("serve.stage.assembly"),
             queue_wait: registry.histogram("serve.stage.queue_wait"),
             inference: registry.histogram("serve.stage.inference"),
             publish: registry.histogram("serve.stage.publish"),
@@ -621,7 +627,8 @@ impl ServeEngine {
     /// enqueues the segment it closes.
     ///
     /// `admission_wait` times session-lock contention plus admission;
-    /// `segmentation` times the session's push.
+    /// `segmentation` times the session's push, and `assembly` the
+    /// point-cloud assembly inside a push that closes a segment.
     fn ingest<F: Into<SensorFrame>>(
         &self,
         id: SessionId,
@@ -649,7 +656,7 @@ impl ServeEngine {
                 self.rd_metrics.frames.inc();
             }
             let seg_start = Instant::now();
-            let completed = session.push(frame, &self.preprocessor);
+            let completed = session.push(frame, &self.preprocessor, &self.stages.assembly);
             self.stages
                 .segmentation
                 .record_duration(seg_start.elapsed());
@@ -705,7 +712,7 @@ impl ServeEngine {
         let (finished, frames_seen) = {
             let mut session = session.lock().expect("session poisoned");
             let finished = session
-                .finish(&self.preprocessor)
+                .finish(&self.preprocessor, &self.stages.assembly)
                 .map(|c| (c, self.next_seq.fetch_add(1, Ordering::Relaxed)));
             (finished, session.frames_seen())
         };
@@ -852,12 +859,14 @@ impl ServeEngine {
             let inferences = inferences
                 .into_iter()
                 .map(|i| i.expect("every job in the batch was inferred"));
-            for (job, inference) in batch.iter().zip(inferences) {
+            for (job, mut inference) in batch.iter().zip(inferences) {
                 // Identity resolution happens on the worker, after
                 // inference: the inference carries the fusion feature of
                 // the identifier the predicted gesture routed to, which
-                // is enrolled or matched open-set.
-                let identity = resolve_identity(store.as_deref(), &job.mode, &inference);
+                // is enrolled or matched open-set. It is taken out here:
+                // nothing reads it after, so events publish without it.
+                let embedding = inference.embedding.take();
+                let identity = resolve_identity(store.as_deref(), &job.mode, embedding.as_deref());
                 if matches!(identity, Some(IdentityOutcome::Enrolled { .. })) {
                     bus.record_enrolled(job.session);
                 }
@@ -1014,10 +1023,10 @@ impl ServeEngine {
 fn resolve_identity(
     store: Option<&IdentityStore>,
     mode: &SessionMode,
-    inference: &Inference,
+    embedding: Option<&[f32]>,
 ) -> Option<IdentityOutcome> {
     let store = store?;
-    let embedding = inference.embedding.as_deref()?;
+    let embedding = embedding?;
     match mode {
         SessionMode::Classify => None,
         SessionMode::Enroll(user) => {

@@ -56,7 +56,9 @@
 //!   [`gp_telemetry::Registry`] ([`ServeEngine::registry`]). Each frame
 //!   and each result are timed through the five pipeline stages
 //!   (admission-wait → segmentation → queue-wait → inference →
-//!   publish) into its `serve.stage.*` histograms, the worker pool and
+//!   publish) into its `serve.stage.*` histograms, with each closed
+//!   point segment's assembly inside segmentation timed on its own
+//!   (`serve.stage.assembly`); the worker pool and
 //!   the identity store publish into it too, and
 //!   [`ServeEngine::telemetry_snapshot`] exports the registry (stage
 //!   histograms, pool utilization, gate-depth gauges) as a versioned

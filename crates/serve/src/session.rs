@@ -12,7 +12,9 @@ use gp_pipeline::{GestureSegment, LabeledSample, OnlineSegmenter, Preprocessor};
 use gp_radar::Frame;
 use gp_rd::{OnlineRdSegmenter, RdFrame, RdLabeledSample, RdSegment};
 use gp_runtime::TokenBucket;
+use gp_telemetry::AtomicHistogram;
 use std::collections::VecDeque;
+use std::time::Instant;
 
 /// Identifier of one radar stream multiplexed through the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -163,17 +165,23 @@ impl Session {
     }
 
     /// Feeds one frame; when it closes a gesture, assembles the
-    /// segment's sample from the buffered frames.
+    /// segment's sample from the buffered frames. `assembly` times each
+    /// point-cloud assembly.
     ///
     /// # Panics
     ///
     /// Panics on a frame the session's modality does not stream.
-    pub(crate) fn push(&mut self, frame: SensorFrame, pre: &Preprocessor) -> Option<ClosedSegment> {
+    pub(crate) fn push(
+        &mut self,
+        frame: SensorFrame,
+        pre: &Preprocessor,
+        assembly: &AtomicHistogram,
+    ) -> Option<ClosedSegment> {
         let (segment, sample) = match (&mut self.stream, frame) {
             (Stream::Point { segmenter, buffer }, SensorFrame::Points(frame)) => {
                 let closed = segmenter.push_frame(&frame);
                 buffer.frames.push_back(frame);
-                let out = closed.map(|seg| close_point(buffer, seg, pre));
+                let out = closed.map(|seg| close_point(buffer, seg, pre, assembly));
                 buffer.trim(segmenter.earliest_needed());
                 out
             }
@@ -195,9 +203,15 @@ impl Session {
     }
 
     /// Closes a gesture still open at end of stream, if any.
-    pub(crate) fn finish(&mut self, pre: &Preprocessor) -> Option<ClosedSegment> {
+    pub(crate) fn finish(
+        &mut self,
+        pre: &Preprocessor,
+        assembly: &AtomicHistogram,
+    ) -> Option<ClosedSegment> {
         let (segment, sample) = match &mut self.stream {
-            Stream::Point { segmenter, buffer } => close_point(buffer, segmenter.finish()?, pre),
+            Stream::Point { segmenter, buffer } => {
+                close_point(buffer, segmenter.finish()?, pre, assembly)
+            }
             Stream::Rd { segmenter, buffer } => close_rd(buffer, segmenter.finish()?),
         };
         Some(self.stamp(segment, sample))
@@ -229,16 +243,21 @@ impl Session {
     }
 }
 
-/// Assembles a closed point-cloud segment's sample; `None` when noise
-/// canceling rejects it.
+/// Assembles a closed point-cloud segment's sample, recording the
+/// assembly's time in `assembly`; `None` when noise canceling rejects
+/// it.
 fn close_point(
     buffer: &mut FrameBuffer<Frame>,
     seg: GestureSegment,
     pre: &Preprocessor,
+    assembly: &AtomicHistogram,
 ) -> (GestureSegment, Option<SegmentSample>) {
-    let sample = pre
-        .assemble(buffer.window(seg.start, seg.end), seg.start)
-        .map(|sample| SegmentSample::Point(LabeledSample::from_sample(sample, 0, 0)));
+    let frames = buffer.window(seg.start, seg.end);
+    let start = Instant::now();
+    let sample = pre.assemble(frames, seg.start);
+    assembly.record_duration(start.elapsed());
+    let sample =
+        sample.map(|sample| SegmentSample::Point(LabeledSample::from_sample(sample, 0, 0)));
     (seg, sample)
 }
 
@@ -285,8 +304,9 @@ mod tests {
         let motion_window = cfg.motion_window;
         let mut session = Session::new_point(OnlineSegmenter::new(cfg), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
+        let clock = AtomicHistogram::default();
         for i in 0..5_000 {
-            assert!(session.push(frame(i, 1).into(), &pre).is_none());
+            assert!(session.push(frame(i, 1).into(), &pre, &clock).is_none());
             assert!(
                 session.buffered() <= motion_window + 1,
                 "idle buffer grew to {} at frame {i}",
@@ -301,12 +321,13 @@ mod tests {
         let mut session =
             Session::new_point(OnlineSegmenter::new(SegmenterConfig::default()), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
+        let clock = AtomicHistogram::default();
         let mut out = Vec::new();
         for i in 0..70 {
             let points = if (20..45).contains(&i) { 14 } else { 1 };
-            out.extend(session.push(frame(i, points).into(), &pre));
+            out.extend(session.push(frame(i, points).into(), &pre, &clock));
         }
-        out.extend(session.finish(&pre));
+        out.extend(session.finish(&pre, &clock));
         assert_eq!(out.len(), 1, "expected exactly one segment");
         let seg = out[0].segment;
         let Some(SegmentSample::Point(sample)) = &out[0].sample else {
@@ -315,6 +336,11 @@ mod tests {
         assert!((18..=24).contains(&seg.start), "start {}", seg.start);
         assert_eq!(sample.duration_frames, seg.len());
         assert!(!sample.cloud.is_empty());
+        assert_eq!(
+            clock.snapshot().count(),
+            1,
+            "one assembly per closed segment"
+        );
     }
 
     #[test]
@@ -322,13 +348,14 @@ mod tests {
         let mut session =
             Session::new_point(OnlineSegmenter::new(SegmenterConfig::default()), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
+        let clock = AtomicHistogram::default();
         let mut out = Vec::new();
         for i in 0..45 {
             let points = if i >= 30 { 14 } else { 1 };
-            out.extend(session.push(frame(i, points).into(), &pre));
+            out.extend(session.push(frame(i, points).into(), &pre, &clock));
         }
         assert!(out.is_empty(), "gesture still open");
-        out.extend(session.finish(&pre));
+        out.extend(session.finish(&pre, &clock));
         assert_eq!(out.len(), 1);
     }
 
@@ -336,12 +363,13 @@ mod tests {
     fn rd_session_segments_a_burst() {
         let mut session = Session::new_rd(OnlineRdSegmenter::new(RdSegmentConfig::default()), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
+        let clock = AtomicHistogram::default();
         let mut out = Vec::new();
         for i in 0..40 {
             let level = if (10..22).contains(&i) { 20.0 } else { 0.1 };
-            out.extend(session.push(rd_frame(i, level).into(), &pre));
+            out.extend(session.push(rd_frame(i, level).into(), &pre, &clock));
         }
-        out.extend(session.finish(&pre));
+        out.extend(session.finish(&pre, &clock));
         assert_eq!(out.len(), 1, "expected exactly one segment");
         let Some(SegmentSample::Rd(sample)) = &out[0].sample else {
             panic!("RD session closed a non-RD segment");
@@ -353,6 +381,7 @@ mod tests {
         assert!((sample.frames[0].timestamp - 1.0).abs() < 1e-12);
         // Idle tail trimmed the buffer behind the stream head.
         assert!(session.buffered() <= 1, "buffered {}", session.buffered());
+        assert_eq!(clock.snapshot().count(), 0, "no point cloud to assemble");
     }
 
     #[test]
@@ -361,7 +390,8 @@ mod tests {
         let mut session =
             Session::new_point(OnlineSegmenter::new(SegmenterConfig::default()), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
-        session.push(rd_frame(0, 0.1).into(), &pre);
+        let clock = AtomicHistogram::default();
+        session.push(rd_frame(0, 0.1).into(), &pre, &clock);
     }
 
     #[test]
@@ -369,6 +399,7 @@ mod tests {
     fn rd_session_rejects_point_frames() {
         let mut session = Session::new_rd(OnlineRdSegmenter::new(RdSegmentConfig::default()), None);
         let pre = Preprocessor::new(PreprocessorConfig::default());
-        session.push(frame(0, 1).into(), &pre);
+        let clock = AtomicHistogram::default();
+        session.push(frame(0, 1).into(), &pre, &clock);
     }
 }

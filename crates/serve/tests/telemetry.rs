@@ -1,7 +1,8 @@
 //! Stage timing and snapshot export through the engine: the
 //! registry's `serve.stage.*` histograms decompose end-to-end latency
-//! into the five pipeline stages, and the telemetry registry exports a
-//! versioned snapshot.
+//! into the five pipeline stages (plus the assembly inside
+//! segmentation), and the telemetry registry exports a versioned
+//! snapshot.
 
 use gp_serve::{ServeConfig, ServeEngine, TelemetrySnapshot};
 use gp_testkit::{stream_fixture, toy_system};
@@ -36,10 +37,12 @@ fn snapshot_reports_per_stage_latency_breakdown() {
     let results = stats.total_results();
     assert!(results >= 2, "fixture publishes several results");
 
-    // Every admitted frame was timed through admission + segmentation…
+    // Every admitted frame was timed through admission + segmentation,
+    // and every closed point segment through assembly…
     let frames = stats.total_frames();
     assert_eq!(stage("admission_wait").count(), frames);
     assert_eq!(stage("segmentation").count(), frames);
+    assert_eq!(stage("assembly").count(), stats.total_segments());
     // …and every published result through the executor stages.
     assert_eq!(stage("queue_wait").count(), results);
     assert_eq!(stage("inference").count(), results);
@@ -49,6 +52,7 @@ fn snapshot_reports_per_stage_latency_breakdown() {
     for name in [
         "admission_wait",
         "segmentation",
+        "assembly",
         "queue_wait",
         "inference",
         "publish",
