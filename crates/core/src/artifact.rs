@@ -311,7 +311,10 @@ impl ModelArtifact {
     ///
     /// [`ArtifactError::Malformed`] when the declared architecture
     /// cannot be built (a pooled shape with a side of 0 or not divisible by 4,
-    /// or a point-cloud model with `feature.num_points` 0);
+    /// or a point-cloud model with `feature.num_points` 0), or is larger
+    /// than the weight stream could fill (more classes, or more pooled
+    /// cells, than the stream has values), which fails before any layer
+    /// is sized from it;
     /// [`ArtifactError::Params`] when the stream does not match the
     /// declared architecture (truncated, corrupt, or mislabeled).
     pub fn into_model(&self) -> Result<TrainedModel, ArtifactError> {
@@ -321,6 +324,8 @@ impl ModelArtifact {
             &self.feature,
             &self.rd_feature,
             self.encode_seed,
+            // Every value takes 4 bytes of the stream.
+            self.weights.len() / 4,
             &mut StdRng::seed_from_u64(0),
         )
         .map_err(ArtifactError::Malformed)?;
@@ -809,7 +814,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut fresh = |kind| {
             let (feature, rd_feature) = (FeatureConfig::default(), RdFeatureConfig::default());
-            TrainedModel::build(kind, 2, &feature, &rd_feature, 0, &mut rng).unwrap()
+            TrainedModel::build(kind, 2, &feature, &rd_feature, 0, usize::MAX, &mut rng).unwrap()
         };
         let mut profile = ModelArtifact::from_model(&fresh(ModelKind::ProfileCnn));
         profile.feature.profile_shape = (5, 5);
@@ -860,6 +865,44 @@ mod tests {
                 assert!(
                     names(&err, what),
                     "system, {:?}, {format:?}: {err}",
+                    bad.kind
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_architectures_fail_typed_never_panic() {
+        // The loader sizes every layer from the declared architecture
+        // before it reads the weight stream, so 2^40 classes once asked
+        // for a 140 TB head and aborted the process. A class count, or a
+        // pooled map with more cells after both pools, larger than the
+        // stream has values is malformed and fails before any layer is
+        // allocated.
+        let mut rng = StdRng::seed_from_u64(0);
+        let (feature, rd_feature) = (FeatureConfig::default(), RdFeatureConfig::default());
+        let mut cases = Vec::new();
+        for kind in ModelKind::ALL {
+            let model =
+                TrainedModel::build(kind, 2, &feature, &rd_feature, 0, usize::MAX, &mut rng)
+                    .unwrap();
+            let mut bad = ModelArtifact::from_model(&model);
+            bad.classes = 1 << 40;
+            cases.push((bad.clone(), "1099511627776 classes"));
+            bad.classes = 2;
+            bad.feature.profile_shape = (1 << 40, 1 << 40);
+            bad.rd_feature.map_shape = (1 << 32, 64);
+            if matches!(kind, ModelKind::ProfileCnn | ModelKind::RdNet) {
+                cases.push((bad, "more pooled cells"));
+            }
+        }
+        for format in [ArtifactFormat::Json, ArtifactFormat::Binary] {
+            for (bad, what) in &cases {
+                let bytes = Artifact::new(kinds::MODEL, bad.encode()).into_bytes_with(format);
+                let err = TrainedModel::load_artifact(&bytes).unwrap_err();
+                assert!(
+                    matches!(&err, ArtifactError::Malformed(m) if m.contains(what)),
+                    "{:?}, {format:?}: {err}",
                     bad.kind
                 );
             }

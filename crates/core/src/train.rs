@@ -490,7 +490,10 @@ impl TrainedModel {
 
     /// Builds an untrained model of `kind`: the trainer's starting
     /// point and the shell [`crate::ModelArtifact::into_model`] loads
-    /// weights into. `rng` draws the initial weights.
+    /// weights into. `rng` draws the initial weights. `max_values`
+    /// bounds the declared size before any layer is allocated: the
+    /// loader passes what its weight stream can hold, the trainer
+    /// `usize::MAX`.
     ///
     /// # Errors
     ///
@@ -498,18 +501,30 @@ impl TrainedModel {
     /// (ProfileCNN's `feature.profile_shape`, RdNet's
     /// `rd_feature.map_shape`) with a side of 0 or not divisible by 4, or
     /// naming `feature.num_points` when a point-cloud `kind` would
-    /// encode samples into zero points.
+    /// encode samples into zero points. A message naming the size when
+    /// `classes`, or a pooled shape's cell count after both pools,
+    /// exceeds `max_values`: each class owns a bias value in the head
+    /// and each pooled cell a weight in the layer after the conv stack,
+    /// so no stream that small fills the model, and sizing it could ask
+    /// for more memory than exists.
     pub(crate) fn build(
         kind: ModelKind,
         classes: usize,
         feature: &FeatureConfig,
         rd_feature: &RdFeatureConfig,
         encode_seed: u64,
+        max_values: usize,
         rng: &mut StdRng,
     ) -> Result<Self, String> {
         if kind.backend() == SensingBackend::PointCloud && feature.num_points == 0 {
             return Err(format!(
                 "{} needs a feature.num_points above 0",
+                kind.name()
+            ));
+        }
+        if classes > max_values {
+            return Err(format!(
+                "{} declares {classes} classes, more than its {max_values} parameter values",
                 kind.name()
             ));
         }
@@ -522,6 +537,12 @@ impl TrainedModel {
             if rows == 0 || cols == 0 || rows % 4 != 0 || cols % 4 != 0 {
                 return Err(format!(
                     "{} needs a {field} with sides above 0 and divisible by 4, got ({rows}, {cols})",
+                    kind.name()
+                ));
+            }
+            if (rows / 4).saturating_mul(cols / 4) > max_values {
+                return Err(format!(
+                    "{} declares a {field} of ({rows}, {cols}), more pooled cells than its {max_values} parameter values",
                     kind.name()
                 ));
             }
@@ -657,6 +678,7 @@ impl Untrained {
             &config.feature,
             &rd_feature,
             config.seed ^ 0xEEC0DE,
+            usize::MAX,
             &mut rng,
         )
         .unwrap_or_else(|e| panic!("invalid training config: {e}"));
@@ -1107,7 +1129,7 @@ mod tests {
     fn fresh(kind: ModelKind) -> TrainedModel {
         let mut rng = StdRng::seed_from_u64(0);
         let (feature, rd_feature) = (FeatureConfig::default(), RdFeatureConfig::default());
-        TrainedModel::build(kind, 2, &feature, &rd_feature, 0, &mut rng).unwrap()
+        TrainedModel::build(kind, 2, &feature, &rd_feature, 0, usize::MAX, &mut rng).unwrap()
     }
 
     #[test]

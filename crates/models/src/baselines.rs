@@ -18,7 +18,7 @@ use crate::mlp::{SharedMlp, SharedMlpTrace};
 use crate::PointModel;
 use gp_nn::conv::ConvStackTrace;
 use gp_nn::lstm::LstmTrace;
-use gp_nn::{softmax_cross_entropy, ConvStack, Linear, Lstm, Matrix, MaxPool, Parameterized, Relu};
+use gp_nn::{softmax_cross_entropy, ConvStack, Linear, Lstm, Matrix, MaxPool, Relu};
 use rand::Rng;
 
 /// A batch through a per-sample forward: one logits row per input, in
@@ -69,14 +69,15 @@ impl PointNet {
 
     fn forward(&self, input: &ModelInput) -> PointNetTrace {
         let mlp = self.mlp.forward(&input.points);
-        let (global, arg) = MaxPool.forward(&mlp.out);
-        let g_m = Matrix::from_rows(std::slice::from_ref(&global));
-        let hact = self.head_a.forward_relu(&g_m);
+        // The point set is one segment: the global feature is its pooled
+        // row.
+        let (global, args) = MaxPool.forward_segments_trace(&mlp.out, &[input.points.rows()]);
+        let hact = self.head_a.forward_relu(&global);
         let logits = self.head_b.forward(&hact).row(0).to_vec();
         PointNetTrace {
             mlp,
             global,
-            arg,
+            args,
             hact,
             logits,
         }
@@ -88,9 +89,8 @@ impl PointNet {
         let g = Matrix::from_rows(&[grad]);
         let g = self.head_b.backward(&t.hact, &g);
         let g = Relu.backward(&t.hact, g);
-        let g_m = Matrix::from_rows(std::slice::from_ref(&t.global));
-        let dglobal = self.head_a.backward(&g_m, &g);
-        let g = MaxPool.backward(input.points.rows(), &t.arg, dglobal.row(0));
+        let dglobal = self.head_a.backward(&t.global, &g);
+        let g = MaxPool.backward_segments(&[input.points.rows()], &t.args, &dglobal);
         let _ = self.mlp.backward(&input.points, &t.mlp, g);
         loss
     }
@@ -99,8 +99,8 @@ impl PointNet {
 #[derive(Debug, Clone)]
 struct PointNetTrace {
     mlp: SharedMlpTrace,
-    global: Vec<f32>,
-    arg: Vec<usize>,
+    global: Matrix,
+    args: Vec<Vec<usize>>,
     hact: Matrix,
     logits: Vec<f32>,
 }
@@ -115,19 +115,11 @@ impl PointModel for PointNet {
     }
 }
 
-impl Parameterized for PointNet {
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.mlp.for_each_param(f);
-        self.head_a.for_each_param(f);
-        self.head_b.for_each_param(f);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
-        self.mlp.visit_params(f);
-        self.head_a.visit_params(f);
-        self.head_b.visit_params(f);
-    }
-}
+gp_nn::impl_parameterized!(PointNet {
+    mlp,
+    head_a,
+    head_b,
+});
 
 /// Profile CNN: two 3×3 conv + 2×2 pool stages over the Doppler×range
 /// histogram, then an FC head.
@@ -199,19 +191,11 @@ impl PointModel for ProfileCnn {
     }
 }
 
-impl Parameterized for ProfileCnn {
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.conv.for_each_param(f);
-        self.head_a.for_each_param(f);
-        self.head_b.for_each_param(f);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
-        self.conv.visit_params(f);
-        self.head_a.visit_params(f);
-        self.head_b.visit_params(f);
-    }
-}
+gp_nn::impl_parameterized!(ProfileCnn {
+    conv,
+    head_a,
+    head_b,
+});
 
 /// Temporal baseline: per-frame features through an LSTM, classifying
 /// from the final hidden state.
@@ -260,17 +244,7 @@ impl PointModel for LstmNet {
     }
 }
 
-impl Parameterized for LstmNet {
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.lstm.for_each_param(f);
-        self.head.for_each_param(f);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
-        self.lstm.visit_params(f);
-        self.head.visit_params(f);
-    }
-}
+gp_nn::impl_parameterized!(LstmNet { lstm, head });
 
 #[cfg(test)]
 mod tests {

@@ -17,14 +17,13 @@
 //!    scoring layer `g(·)` assigns each candidate a logit and the
 //!    softmax-weighted sum forms the fusion feature `Y^k`.
 //! 5. **Heads + auxiliary loss** — `Y¹` feeds the primary classifier
-//!    (P1), `Y²` the auxiliary one (P2); training minimises
-//!    `CE(P1) + aux_weight·CE(P2)`, inference uses P1 (paper uses plain
-//!    sum, i.e. `aux_weight = 1`).
+//!    (P1), `Y²` the auxiliary one (P2); training minimises the paper's
+//!    plain sum `CE(P1) + CE(P2)`, and inference uses P1.
 
 use crate::features::{ModelInput, POINT_FEATURES};
 use crate::mlp::{SharedMlp, SharedMlpTrace};
 use crate::PointModel;
-use gp_nn::{softmax, softmax_cross_entropy, Linear, Matrix, MaxPool, Parameterized, Relu};
+use gp_nn::{softmax, softmax_cross_entropy, Linear, Matrix, MaxPool, Relu};
 use gp_pointcloud::neighbors::MultiBallQuery;
 use gp_pointcloud::sampling::farthest_position_indices;
 use gp_pointcloud::Vec3;
@@ -65,8 +64,6 @@ pub struct GesIDNetConfig {
     /// Enables the attention fusion module (ablation: `false` uses
     /// `Y^k = F^k` directly, the paper's "w/o Feature Fusion" arm).
     pub fusion: bool,
-    /// Weight of the auxiliary loss.
-    pub aux_weight: f32,
 }
 
 impl GesIDNetConfig {
@@ -100,7 +97,6 @@ impl GesIDNetConfig {
             high_dim: 192,
             head_hidden: 64,
             fusion: true,
-            aux_weight: 1.0,
         }
     }
 
@@ -126,7 +122,6 @@ impl GesIDNetConfig {
             high_dim: 10,
             head_hidden: 5,
             fusion: true,
-            aux_weight: 1.0,
         }
     }
 }
@@ -418,7 +413,7 @@ impl GesIDNet {
     }
 
     /// Backward of a recording [`GesIDNet::forward`] that returned
-    /// `logits1`, `y1` and `t`: loss `CE(P1) + aux_weight·CE(P2)` per
+    /// `logits1`, `y1` and `t`: loss `CE(P1) + CE(P2)` per
     /// sample, then every Linear/ReLU backward runs once over all
     /// samples' stacked rows and every pooled gradient scatters through
     /// [`MaxPool::backward_segments`]. Gradients accumulate for the
@@ -439,10 +434,8 @@ impl GesIDNet {
             let (l1, grad1) = softmax_cross_entropy(logits1.row(i), label);
             let (l2, grad2) = softmax_cross_entropy(t.logits2.row(i), label);
             g1m.row_mut(i).copy_from_slice(&grad1);
-            for (dst, g) in g2m.row_mut(i).iter_mut().zip(&grad2) {
-                *dst = g * self.config.aux_weight;
-            }
-            total_loss += l1 + self.config.aux_weight * l2;
+            g2m.row_mut(i).copy_from_slice(&grad2);
+            total_loss += l1 + l2;
         }
 
         // Head 1 backward → dY1 (b × low_dim).
@@ -742,49 +735,27 @@ impl PointModel for GesIDNet {
     }
 }
 
-impl Parameterized for GesIDNet {
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        for m in &mut self.sa1_mlps {
-            m.for_each_param(f);
-        }
-        self.low_proj.for_each_param(f);
-        self.sa2_mlp.for_each_param(f);
-        self.high_proj.for_each_param(f);
-        self.rb_low.for_each_param(f);
-        self.rb_high.for_each_param(f);
-        self.g1.for_each_param(f);
-        self.g2.for_each_param(f);
-        self.head1_a.for_each_param(f);
-        self.head1_b.for_each_param(f);
-        self.head2_a.for_each_param(f);
-        self.head2_b.for_each_param(f);
-        self.head2_c.for_each_param(f);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
-        for m in &self.sa1_mlps {
-            m.visit_params(f);
-        }
-        self.low_proj.visit_params(f);
-        self.sa2_mlp.visit_params(f);
-        self.high_proj.visit_params(f);
-        self.rb_low.visit_params(f);
-        self.rb_high.visit_params(f);
-        self.g1.visit_params(f);
-        self.g2.visit_params(f);
-        self.head1_a.visit_params(f);
-        self.head1_b.visit_params(f);
-        self.head2_a.visit_params(f);
-        self.head2_b.visit_params(f);
-        self.head2_c.visit_params(f);
-    }
-}
+gp_nn::impl_parameterized!(GesIDNet {
+    sa1_mlps,
+    low_proj,
+    sa2_mlp,
+    high_proj,
+    rb_low,
+    rb_high,
+    g1,
+    g2,
+    head1_a,
+    head1_b,
+    head2_a,
+    head2_b,
+    head2_c,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::features::{encode, FeatureConfig};
-    use gp_nn::argmax;
+    use gp_nn::{argmax, Parameterized};
     use gp_pointcloud::{Point, PointCloud};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -1,7 +1,7 @@
 //! The point-wise shared MLP of GesIDNet's set abstractions and of the
 //! PointNet baseline.
 
-use gp_nn::{Linear, Matrix, Parameterized, Relu};
+use gp_nn::{Linear, Matrix, Relu};
 use rand::Rng;
 
 /// A two-layer shared MLP (Linear→ReLU→Linear→ReLU) applied point-wise:
@@ -47,14 +47,4 @@ impl SharedMlp {
     }
 }
 
-impl Parameterized for SharedMlp {
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.l1.for_each_param(f);
-        self.l2.for_each_param(f);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
-        self.l1.visit_params(f);
-        self.l2.visit_params(f);
-    }
-}
+gp_nn::impl_parameterized!(SharedMlp { l1, l2 });

@@ -2,6 +2,7 @@
 //! peer for tests, benches, and the example; real sensors only need to
 //! speak the byte format in [`crate::wire`].
 
+use crate::stream::Stream;
 use crate::wire::{from_wire, to_wire, ClientMsg, ServerMsg, WireLedger, WIRE_VERSION};
 use gp_codec::FrameDecoder;
 use gp_radar::Frame;
@@ -42,41 +43,9 @@ pub struct SessionReport {
     pub ledger: WireLedger,
 }
 
-enum ClientStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.write_all(buf),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.write_all(buf),
-        }
-    }
-
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            ClientStream::Tcp(s) => s.set_nonblocking(nonblocking),
-            #[cfg(unix)]
-            ClientStream::Unix(s) => s.set_nonblocking(nonblocking),
-        }
-    }
-}
-
 /// A connected, handshaken gp-net session.
 pub struct NetClient {
-    stream: ClientStream,
+    stream: Stream,
     decoder: FrameDecoder,
     session: u64,
     max_frame: usize,
@@ -122,7 +91,7 @@ impl NetClient {
     pub fn connect_tcp(addr: impl ToSocketAddrs, max_frame: usize) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Self::handshake(ClientStream::Tcp(stream), max_frame)
+        Self::handshake(Stream::Tcp(stream), max_frame)
     }
 
     /// Connects over a Unix domain socket and completes the handshake.
@@ -133,10 +102,10 @@ impl NetClient {
     #[cfg(unix)]
     pub fn connect_unix(path: impl AsRef<std::path::Path>, max_frame: usize) -> io::Result<Self> {
         let stream = UnixStream::connect(path)?;
-        Self::handshake(ClientStream::Unix(stream), max_frame)
+        Self::handshake(Stream::Unix(stream), max_frame)
     }
 
-    fn handshake(mut stream: ClientStream, max_frame: usize) -> io::Result<Self> {
+    fn handshake(mut stream: Stream, max_frame: usize) -> io::Result<Self> {
         let hello = to_wire(
             &ClientMsg::Hello {
                 version: WIRE_VERSION,

@@ -62,6 +62,7 @@
 
 pub mod client;
 pub mod server;
+mod stream;
 pub mod wire;
 
 pub use client::{ClientResult, NetClient, SessionReport};

@@ -50,6 +50,7 @@
 //! [`ServeEngine::poll_events`] pump (never `drain`), and the only
 //! blocking engine calls are bounded gate waits inside `flush`.
 
+use crate::stream::Stream;
 use crate::wire::{
     from_wire, try_to_wire, ClientMsg, ServerMsg, WireLedger, MIN_WIRE_VERSION, WIRE_VERSION,
 };
@@ -59,9 +60,9 @@ use gp_serve::{Admission, RejectReason, ServeEngine, SessionId, SessionMode};
 use gp_telemetry::{Counter, Registry};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -157,61 +158,24 @@ impl NetListener {
     }
 
     /// Accepts one pending connection, or `None` when none is waiting.
-    fn accept(&self) -> io::Result<Option<ConnStream>> {
-        match self {
-            NetListener::Tcp(l) => match l.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(true)?;
-                    // Results are small and latency-sensitive.
-                    let _ = stream.set_nodelay(true);
-                    Ok(Some(ConnStream::Tcp(stream)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
+    fn accept(&self) -> io::Result<Option<Stream>> {
+        let accepted = match self {
+            NetListener::Tcp(l) => l.accept().map(|(stream, _)| {
+                // Results are small and latency-sensitive.
+                let _ = stream.set_nodelay(true);
+                Stream::Tcp(stream)
+            }),
             #[cfg(unix)]
-            NetListener::Unix(l) => match l.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(true)?;
-                    Ok(Some(ConnStream::Unix(stream)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
-        }
-    }
-}
-
-#[derive(Debug)]
-enum ConnStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl ConnStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ConnStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ConnStream::Unix(s) => s.read(buf),
-        }
-    }
-
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ConnStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ConnStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn shutdown_write(&self) {
-        let _ = match self {
-            ConnStream::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
-            #[cfg(unix)]
-            ConnStream::Unix(s) => s.shutdown(std::net::Shutdown::Write),
+            NetListener::Unix(l) => l.accept().map(|(stream, _)| Stream::Unix(stream)),
         };
+        match accepted {
+            Ok(stream) => {
+                stream.set_nonblocking(true)?;
+                Ok(Some(stream))
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 }
 
@@ -230,7 +194,7 @@ enum ConnState {
 }
 
 struct Conn {
-    stream: ConnStream,
+    stream: Stream,
     decoder: FrameDecoder,
     /// Outbound bytes not yet accepted by the kernel; `out_pos` is the
     /// already-written prefix.
@@ -248,7 +212,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: ConnStream, max_frame: usize) -> Self {
+    fn new(stream: Stream, max_frame: usize) -> Self {
         Conn {
             stream,
             decoder: FrameDecoder::new(max_frame),

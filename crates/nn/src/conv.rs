@@ -220,17 +220,7 @@ impl ConvStack {
     }
 }
 
-impl Parameterized for ConvStack {
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.conv1.for_each_param(f);
-        self.conv2.for_each_param(f);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
-        self.conv1.visit_params(f);
-        self.conv2.visit_params(f);
-    }
-}
+crate::impl_parameterized!(ConvStack { conv1, conv2 });
 
 /// 2×2 max pooling (stride 2) over `(channels, h, w)` maps. Returns the
 /// pooled map and argmax indices for the backward pass.

@@ -117,37 +117,17 @@ impl Relu {
 }
 
 /// Column-wise max pooling over the rows of a matrix (PointNet's
-/// permutation-invariant aggregation over a point set).
+/// permutation-invariant aggregation over a point set), one segment of
+/// consecutive rows at a time: a single point set is one segment.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaxPool;
 
 impl MaxPool {
-    /// Pools `(n × c)` down to a `c`-vector, returning the argmax row per
-    /// column for the backward pass. Empty inputs yield zeros.
-    pub fn forward(&self, x: &Matrix) -> (Vec<f32>, Vec<usize>) {
-        let c = x.cols();
-        if x.rows() == 0 {
-            return (vec![0.0; c], vec![0; c]);
-        }
-        let mut out = x.row(0).to_vec();
-        let mut arg = vec![0usize; c];
-        for r in 1..x.rows() {
-            for (j, &v) in x.row(r).iter().enumerate() {
-                if v > out[j] {
-                    out[j] = v;
-                    arg[j] = r;
-                }
-            }
-        }
-        (out, arg)
-    }
-
     /// Segmented column-wise max over stacked rows: `lens[k]`
     /// consecutive rows of `x` form segment `k`, and each segment pools
-    /// to one output row. Bit-identical to running
-    /// [`MaxPool::forward`] on each segment alone (same scan order,
-    /// same `>` comparison); empty segments yield zero rows, matching
-    /// `forward` on an empty matrix.
+    /// to one output row. Each column starts at the segment's first row
+    /// and a later row replaces it only where it compares `>`, so the
+    /// first maximum wins; empty segments yield zero rows.
     ///
     /// This is the batched-inference kernel: many point groups (or many
     /// samples' rows) pool in one pass instead of one small call per
@@ -183,8 +163,7 @@ impl MaxPool {
 
     /// Like [`MaxPool::forward_segments`], but also returns each
     /// segment's per-column argmax (row index *local to the segment*)
-    /// so training can route gradients back through the pooled max —
-    /// the batched sibling of [`MaxPool::forward`]'s `(out, arg)` pair.
+    /// so training can route gradients back through the pooled max.
     /// Empty segments yield zero rows and empty argmax vectors.
     ///
     /// # Panics
@@ -247,18 +226,6 @@ impl MaxPool {
                 g.row_mut(base + r)[j] += gv;
             }
             base += len;
-        }
-        g
-    }
-
-    /// Scatters the pooled gradient back to the argmax rows.
-    pub fn backward(&self, rows: usize, arg: &[usize], grad_out: &[f32]) -> Matrix {
-        let mut g = Matrix::zeros(rows, grad_out.len());
-        if rows == 0 {
-            return g;
-        }
-        for (j, (&r, &gv)) in arg.iter().zip(grad_out.iter()).enumerate() {
-            g.set(r, j, gv);
         }
         g
     }
@@ -392,18 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn maxpool_forward_backward() {
-        let x = Matrix::from_rows(&[vec![1.0, 9.0], vec![5.0, 2.0], vec![3.0, 4.0]]);
-        let (out, arg) = MaxPool.forward(&x);
-        assert_eq!(out, vec![5.0, 9.0]);
-        assert_eq!(arg, vec![1, 0]);
-        let g = MaxPool.backward(3, &arg, &[1.0, 2.0]);
-        assert_eq!(g.at(1, 0), 1.0);
-        assert_eq!(g.at(0, 1), 2.0);
-        assert_eq!(g.at(2, 0), 0.0);
-    }
-
-    #[test]
     fn forward_segments_matches_per_segment_forward() {
         let x = Matrix::from_rows(&[
             vec![1.0, 9.0],
@@ -418,13 +373,9 @@ mod tests {
         assert_eq!(pooled.row(0), &[5.0, 9.0]);
         assert_eq!(pooled.row(1), &[0.0, 0.0], "empty segment pools to zeros");
         assert_eq!(pooled.row(2), &[7.0, 0.5]);
-        // Bit-exact vs the per-segment scalar kernel.
-        let (seg0, _) = MaxPool.forward(&Matrix::from_rows(&[
-            x.row(0).to_vec(),
-            x.row(1).to_vec(),
-            x.row(2).to_vec(),
-        ]));
-        assert_eq!(pooled.row(0), seg0.as_slice());
+        // A segment alone pools to the same row.
+        let alone = Matrix::from_rows(&[x.row(3).to_vec(), x.row(4).to_vec()]);
+        assert_eq!(MaxPool.forward_segments(&alone, &[2]).row(0), pooled.row(2));
     }
 
     #[test]
@@ -446,13 +397,9 @@ mod tests {
         let pooled = MaxPool.forward_segments(&x, &lens);
         let (traced, args) = MaxPool.forward_segments_trace(&x, &lens);
         assert_eq!(pooled, traced);
-        // Per-segment argmax matches the single-segment kernel's.
-        let (_, arg0) = MaxPool.forward(&Matrix::from_rows(&[
-            x.row(0).to_vec(),
-            x.row(1).to_vec(),
-            x.row(2).to_vec(),
-        ]));
-        assert_eq!(args[0], arg0);
+        // Segment-local argmaxes: column 0's max 5.0 is row 1 and column
+        // 1's max 9.0 is row 0.
+        assert_eq!(args[0], vec![1, 0]);
         assert!(args[1].is_empty(), "empty segment has no argmax");
         assert_eq!(args[2], vec![1, 1]);
     }
@@ -471,24 +418,15 @@ mod tests {
         let grad_out = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let g = MaxPool.backward_segments(&lens, &args, &grad_out);
         assert_eq!((g.rows(), g.cols()), (5, 2));
-        // Segment 0: same scatter as the scalar backward.
-        let g0 = MaxPool.backward(3, &args[0], grad_out.row(0));
-        for r in 0..3 {
-            assert_eq!(g.row(r), g0.row(r), "segment 0 row {r}");
-        }
+        // Segment 0 (argmaxes [1, 0]): each column's gradient lands on
+        // its max row, zeros elsewhere.
+        assert_eq!(g.row(0), &[0.0, 2.0]);
+        assert_eq!(g.row(1), &[1.0, 0.0]);
+        assert_eq!(g.row(2), &[0.0, 0.0]);
         // Segment 1 is empty: its gradient row block is absent entirely.
-        // Segment 2 rows follow immediately.
-        let g2 = MaxPool.backward(2, &args[2], grad_out.row(2));
-        assert_eq!(g.row(3), g2.row(0));
-        assert_eq!(g.row(4), g2.row(1));
-    }
-
-    #[test]
-    fn maxpool_empty_input() {
-        let x = Matrix::zeros(0, 4);
-        let (out, arg) = MaxPool.forward(&x);
-        assert_eq!(out, vec![0.0; 4]);
-        assert_eq!(arg, vec![0; 4]);
+        // Segment 2 (argmaxes [1, 1]) follows immediately.
+        assert_eq!(g.row(3), &[0.0, 0.0]);
+        assert_eq!(g.row(4), &[5.0, 6.0]);
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! * **Gradient accumulation** — `backward` adds into the layer's `grad`
 //!   buffers; the optimizer consumes and zeroes them via
 //!   [`Parameterized::for_each_param`].
+//! * **One parameter list per model** — only the leaves ([`Linear`],
+//!   [`Conv2d`], [`Lstm`]) implement [`Parameterized`] by hand. Every
+//!   composite names its parameterized fields once, in
+//!   [`impl_parameterized!`], which derives both the optimizer's walk
+//!   and the read-only export walk from that list. The list order is
+//!   the layout of the model's weight stream ([`serialize`]).
 //! * **Determinism** — all initialisation is seeded, and the matmul
 //!   kernels ([`kernels`]) accumulate every output element in a fixed
 //!   ascending-k order, so results are bit-stable run to run and across
@@ -86,4 +92,59 @@ pub trait Parameterized {
     fn zero_grads(&mut self) {
         self.for_each_param(&mut |_, g| g.iter_mut().for_each(|v| *v = 0.0));
     }
+}
+
+/// A list of layers, visited in list order.
+impl<T: Parameterized> Parameterized for Vec<T> {
+    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+        for layer in self {
+            layer.for_each_param(f);
+        }
+    }
+
+    fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
+        for layer in self {
+            layer.visit_params(f);
+        }
+    }
+}
+
+/// Implements [`Parameterized`] for a composite from one list of its
+/// fields, each of them [`Parameterized`]: `for_each_param` and
+/// `visit_params` both walk the fields in list order, so the list is
+/// the model's weight-stream layout and the two walks cannot disagree.
+///
+/// ```
+/// use gp_nn::{Linear, Parameterized};
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+///
+/// struct TwoLayer {
+///     hidden: Linear,
+///     heads: Vec<Linear>,
+/// }
+/// gp_nn::impl_parameterized!(TwoLayer { hidden, heads });
+///
+/// let mut rng = StdRng::seed_from_u64(0);
+/// let net = TwoLayer {
+///     hidden: Linear::new(4, 3, &mut rng),
+///     heads: vec![Linear::new(3, 2, &mut rng), Linear::new(3, 1, &mut rng)],
+/// };
+/// let mut lens = Vec::new();
+/// net.visit_params(&mut |p| lens.push(p.len()));
+/// assert_eq!(lens, [12, 3, 6, 2, 3, 1]);
+/// ```
+#[macro_export]
+macro_rules! impl_parameterized {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::Parameterized for $ty {
+            fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+                $($crate::Parameterized::for_each_param(&mut self.$field, f);)+
+            }
+
+            fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
+                $($crate::Parameterized::visit_params(&self.$field, f);)+
+            }
+        }
+    };
 }

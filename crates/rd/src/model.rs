@@ -10,7 +10,7 @@
 
 use crate::features::{RdInput, RD_SEQUENCE_FEATURES};
 use gp_nn::conv::ConvStackTrace;
-use gp_nn::{softmax_cross_entropy, ConvStack, Linear, Lstm, Matrix, Parameterized, Relu};
+use gp_nn::{softmax_cross_entropy, ConvStack, Linear, Lstm, Matrix, Relu};
 use rand::Rng;
 
 /// Width of each branch code entering the fusion layer.
@@ -151,29 +151,19 @@ impl RdNet {
     }
 }
 
-impl Parameterized for RdNet {
-    fn for_each_param(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        self.conv.for_each_param(f);
-        self.map_fc.for_each_param(f);
-        self.lstm.for_each_param(f);
-        self.fuse.for_each_param(f);
-        self.head.for_each_param(f);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&[f32])) {
-        self.conv.visit_params(f);
-        self.map_fc.visit_params(f);
-        self.lstm.visit_params(f);
-        self.fuse.visit_params(f);
-        self.head.visit_params(f);
-    }
-}
+gp_nn::impl_parameterized!(RdNet {
+    conv,
+    map_fc,
+    lstm,
+    fuse,
+    head,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::features::RdFeatureConfig;
-    use gp_nn::{argmax, Adam};
+    use gp_nn::{argmax, Adam, Parameterized};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
