@@ -3,7 +3,9 @@
 //! speak the byte format in [`crate::wire`].
 
 use crate::stream::Stream;
-use crate::wire::{from_wire, to_wire, ClientMsg, ServerMsg, WireLedger, WIRE_VERSION};
+use crate::wire::{
+    frame_to_wire, from_wire, to_wire, ClientMsg, ServerMsg, WireLedger, WIRE_VERSION,
+};
 use gp_codec::FrameDecoder;
 use gp_radar::Frame;
 use gp_serve::IdentityOutcome;
@@ -142,8 +144,7 @@ impl NetClient {
     /// Propagates socket errors — including the broken pipe that
     /// surfaces when the server hung up after a protocol error.
     pub fn send_frame(&mut self, frame: &Frame) -> io::Result<()> {
-        let bytes = to_wire(&ClientMsg::Frame(frame.clone()), self.max_frame);
-        self.stream.write_all(&bytes)
+        self.stream.write_all(&frame_to_wire(frame, self.max_frame))
     }
 
     /// Receives any results already buffered or readable without

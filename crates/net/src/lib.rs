@@ -4,10 +4,11 @@
 //! The paper's deployment model is a live mmWave sensor pushing frames
 //! to a recognition service. This crate is that wire: radar streams
 //! arrive over TCP or Unix domain sockets as length-prefixed,
-//! checksummed frames ([`gp_codec::framing`]) carrying gp-codec JSON
-//! messages ([`wire`]), and a single-threaded non-blocking reactor
-//! ([`NetServer`]) feeds them through [`gp_serve::ServeEngine`]'s
-//! two-stage admission:
+//! checksummed frames ([`gp_codec::framing`]) carrying [`wire`]
+//! messages — radar frames in a fixed little-endian binary layout,
+//! every other message as gp-codec JSON — and a single-threaded
+//! non-blocking reactor ([`NetServer`]) feeds them through
+//! [`gp_serve::ServeEngine`]'s two-stage admission:
 //!
 //! 1. **Per-session budget** ([`gp_serve::AdmissionConfig`], a token
 //!    bucket) — an over-rate tenant sheds *its own* frames, recorded
@@ -29,7 +30,7 @@
 //! per-stage latency histograms, pool utilization, and the reactor's
 //! `net.*` counters in one export.
 //!
-//! Identity rides it too (wire v2): [`NetClient::enroll`] switches a
+//! Identity rides it too (since wire v2): [`NetClient::enroll`] switches a
 //! session into enrollment mode (every completed segment's embedding
 //! joins that user's gallery template in the server's
 //! [`gp_serve::IdentityStore`]), and [`NetClient::identify_mode`] turns

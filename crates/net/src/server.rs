@@ -7,7 +7,7 @@
 //! One reactor thread owns every connection. Sockets are plain `std`
 //! non-blocking streams; each tick the reactor
 //!
-//! 1. accepts pending connections,
+//! 1. every 2 ms, accepts pending connections,
 //! 2. flushes each connection's outbound buffer,
 //! 3. re-offers each connection's *deferred* frame (see below),
 //! 4. reads a bounded chunk per connection (round-robin fairness),
@@ -17,6 +17,19 @@
 //! 5. periodically [`ServeEngine::flush`]es partial micro-batches,
 //! 6. polls published results ([`ServeEngine::poll_events`]) and writes
 //!    them back to the owning connection.
+//!
+//! **No probe that is sure to find nothing.** `accept` is probed every
+//! 2 ms, so a new connection waits at most that long (plus a tick) for
+//! its `Welcome`, instead of every tick paying for an `accept` that
+//! returns `EAGAIN`. The period is its own, not
+//! [`NetConfig::flush_interval`]: a server that batches on a long
+//! interval still accepts promptly. A connection's read
+//! loop ends at a short read — the kernel had no more bytes queued —
+//! instead of reading once more to see `WouldBlock`. A tick still reads
+//! every connection once, and one with nothing queued answers
+//! `WouldBlock`; only readiness would skip that read. The
+//! `net.reactor.*` counters count the ticks, the idle ticks, the accept
+//! probes, the reads and the reads that came back empty.
 //!
 //! **Backpressure, not buffering.** A frame the engine rejects for
 //! *capacity* (session within budget, engine saturated) is parked as
@@ -57,7 +70,7 @@ use crate::wire::{
 use gp_codec::FrameDecoder;
 use gp_radar::Frame;
 use gp_serve::{Admission, RejectReason, ServeEngine, SessionId, SessionMode};
-use gp_telemetry::{Counter, Registry};
+use gp_telemetry::{AtomicHistogram, Counter, Registry};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -79,6 +92,10 @@ const READ_CHUNK: usize = 16 << 10;
 
 /// Reactor sleep when a tick found no work (bounds idle CPU).
 const IDLE_SLEEP: Duration = Duration::from_micros(500);
+
+/// How often the reactor probes its listener: a new connection waits
+/// at most this long (plus a tick) for its `Welcome`.
+const ACCEPT_EVERY: Duration = Duration::from_millis(2);
 
 /// Socket-front configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,6 +293,17 @@ struct NetCounters {
     disconnects: Arc<Counter>,
     dropped_results: Arc<Counter>,
     orphaned_results: Arc<Counter>,
+    /// Reactor ticks, and the ticks that found no work (each followed
+    /// by an [`IDLE_SLEEP`]).
+    ticks: Arc<Counter>,
+    idle_ticks: Arc<Counter>,
+    /// Listener `accept` probes (one per [`ACCEPT_EVERY`]).
+    accept_probes: Arc<Counter>,
+    /// Connection `read` calls, and those that returned `WouldBlock`.
+    reads: Arc<Counter>,
+    empty_reads: Arc<Counter>,
+    /// Payload decode time (µs per payload, every message type).
+    decode: Arc<AtomicHistogram>,
 }
 
 impl NetCounters {
@@ -288,6 +316,12 @@ impl NetCounters {
             disconnects: registry.counter("net.disconnects"),
             dropped_results: registry.counter("net.dropped_results"),
             orphaned_results: registry.counter("net.orphaned_results"),
+            ticks: registry.counter("net.reactor.ticks"),
+            idle_ticks: registry.counter("net.reactor.idle_ticks"),
+            accept_probes: registry.counter("net.reactor.accept_probes"),
+            reads: registry.counter("net.reactor.reads"),
+            empty_reads: registry.counter("net.reactor.empty_reads"),
+            decode: registry.histogram("net.reactor.decode"),
         }
     }
 }
@@ -365,6 +399,7 @@ impl NetServer {
             routes: HashMap::new(),
             next_conn: 0,
             last_flush: Instant::now(),
+            last_accept: Instant::now(),
         };
         let handle = std::thread::Builder::new()
             .name("gp-net-reactor".into())
@@ -427,13 +462,16 @@ struct Reactor {
     routes: HashMap<SessionId, u64>,
     next_conn: u64,
     last_flush: Instant,
+    last_accept: Instant,
 }
 
 impl Reactor {
     fn run(mut self) {
         while !self.stop.load(Ordering::Acquire) {
+            self.counters.ticks.inc();
             let busy = self.tick();
             if !busy {
+                self.counters.idle_ticks.inc();
                 std::thread::sleep(IDLE_SLEEP);
             }
         }
@@ -449,7 +487,10 @@ impl Reactor {
     /// One reactor iteration; returns whether any work happened.
     fn tick(&mut self) -> bool {
         let mut busy = false;
-        busy |= self.accept_pending();
+        if self.last_accept.elapsed() >= ACCEPT_EVERY {
+            self.last_accept = Instant::now();
+            busy |= self.accept_pending();
+        }
 
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         let mut dead: Vec<u64> = Vec::new();
@@ -505,6 +546,7 @@ impl Reactor {
     fn accept_pending(&mut self) -> bool {
         let mut any = false;
         loop {
+            self.counters.accept_probes.inc();
             match self.listener.accept() {
                 Ok(Some(stream)) => {
                     let id = self.next_conn;
@@ -579,6 +621,7 @@ impl Reactor {
         let mut taken = 0usize;
         let mut chunk = [0u8; 4096];
         while taken < READ_CHUNK {
+            self.counters.reads.inc();
             let read = {
                 let conn = self.conns.get_mut(&id).expect("conn exists");
                 conn.stream.read(&mut chunk)
@@ -606,8 +649,17 @@ impl Reactor {
                     if conn.deferred.is_some() || conn.state == ConnState::Draining {
                         break;
                     }
+                    // A short read emptied the socket: another read
+                    // would only return `WouldBlock`. An EOF behind
+                    // these bytes shows on the next tick.
+                    if n < chunk.len() {
+                        break;
+                    }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.counters.empty_reads.inc();
+                    break;
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return Err(()),
             }
@@ -644,7 +696,10 @@ impl Reactor {
                     return Ok(());
                 }
             };
-            let msg = match from_wire::<ClientMsg>(&payload) {
+            let started = Instant::now();
+            let decoded = from_wire::<ClientMsg>(&payload);
+            self.counters.decode.record_duration(started.elapsed());
+            let msg = match decoded {
                 Ok(msg) => msg,
                 Err(e) => {
                     self.fatal(id, &format!("bad message: {e}"));

@@ -1,12 +1,16 @@
 //! The gp-net wire protocol: messages carried inside
 //! [`gp_codec::framing`] envelopes.
 //!
-//! Payloads are gp-codec JSON — self-describing, deterministic, and
-//! float-precise (a frame's timestamps and point kinematics survive the
-//! wire bit-exactly, so a socket replay segments identically to an
-//! in-process replay). Every message is a map with a `"type"` tag; the
-//! decoder rejects unknown tags and malformed shapes with a
-//! [`gp_codec::DecodeError`], never a panic.
+//! [`ClientMsg::Frame`], the message a sensor sends thousands of times
+//! a second, travels in a fixed binary layout (below) that decodes in
+//! one bounds-checked pass straight into a [`Frame`]. Every other
+//! message, and every [`ServerMsg`], is gp-codec JSON: a map with a
+//! `"type"` tag. Both forms are float-exact (a frame's timestamps and
+//! point kinematics survive the wire bit for bit, so a socket replay
+//! segments identically to an in-process replay), and the decoders
+//! reject unknown tags, malformed shapes and non-finite frame values
+//! with a [`gp_codec::DecodeError`], never a panic. [`to_wire`] and
+//! [`from_wire`] are the one entry pair for both message types.
 //!
 //! Client → server: [`ClientMsg::Hello`] (protocol handshake), a stream
 //! of [`ClientMsg::Frame`]s (with [`ClientMsg::StatsQuery`],
@@ -22,10 +26,25 @@
 //!
 //! Wire version 2 added the identity plane (`Enroll`/`Identify`/
 //! `EnrollAck`, the optional `identity` payload on `Result`, and the
-//! `enrolled` ledger field). Every addition is backward compatible:
-//! the server still accepts version-1 clients (which simply never send
-//! identity messages), and a version-1 decoder reading this crate's
-//! `Result`/`Bye` shapes sees the new fields as absent-with-default.
+//! `enrolled` ledger field). Wire version 3 moved `Frame` from JSON to
+//! the binary layout below; nothing else changed. The server speaks
+//! version 3 only: a `Hello` for version 1 or 2 gets a typed `Error`
+//! and the connection closes, since those peers send JSON frames.
+//!
+//! A frame payload is exactly `13 + 40·n` bytes, every number
+//! little-endian:
+//!
+//! | offset | bytes | field |
+//! |---|---|---|
+//! | 0 | 1 | tag `0xFF` (never the first byte of UTF-8 text, so of no JSON payload) |
+//! | 1 | 8 | timestamp `t`, `f64` |
+//! | 9 | 4 | point count `n`, `u32` |
+//! | 13 + 40·i | 40 | point `i`: `x`, `y`, `z`, `doppler`, `snr`, each `f64` |
+//!
+//! Floats are their exact IEEE-754 bits. NaN and ±∞ are refused in all
+//! six slots, so no non-finite value reaches segmentation or DBSCAN
+//! from the wire (JSON cannot carry them either). A payload whose
+//! length is not `13 + 40·n` is refused before anything is allocated.
 
 use gp_codec::{Decode, DecodeError, Encode, Value};
 use gp_pointcloud::{Point, PointCloud, Vec3};
@@ -35,11 +54,20 @@ use gp_telemetry::TelemetrySnapshot;
 
 /// Application-protocol version, carried in [`ClientMsg::Hello`]
 /// (independent of the byte-framing version).
-pub const WIRE_VERSION: u32 = 2;
+pub const WIRE_VERSION: u32 = 3;
 
-/// Oldest client protocol version the server still speaks. Version-1
-/// peers predate the identity plane and never see its messages.
-pub const MIN_WIRE_VERSION: u32 = 1;
+/// Oldest client protocol version the server speaks. Versions 1 and 2
+/// sent frames as JSON, which this crate no longer decodes.
+pub const MIN_WIRE_VERSION: u32 = 3;
+
+/// First byte of a frame payload.
+const FRAME_TAG: u8 = 0xFF;
+/// Frame payload bytes before the first point: tag, `t` and `n`.
+const FRAME_HEAD: usize = 13;
+/// Frame payload bytes per point: five `f64`s.
+const POINT_BYTES: usize = 40;
+/// A point's five `f64` slots, as error messages name them.
+const POINT_SLOTS: [&str; 5] = ["x", "y", "z", "doppler", "snr"];
 
 /// A client → server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,50 +205,92 @@ fn tagged(tag: &str, mut fields: Vec<(&'static str, Value)>) -> Value {
     Value::record(fields)
 }
 
-fn frame_to_value(frame: &Frame) -> Value {
-    // Compact row-per-point layout: [x, y, z, doppler, snr].
-    let points: Vec<Value> = frame
-        .cloud
-        .iter()
-        .map(|p| {
-            Value::Seq(vec![
-                p.position.x.encode(),
-                p.position.y.encode(),
-                p.position.z.encode(),
-                p.doppler.encode(),
-                p.snr.encode(),
-            ])
-        })
-        .collect();
-    Value::record([
-        ("t", frame.timestamp.encode()),
-        ("points", Value::Seq(points)),
-    ])
+/// Writes `frame`'s payload in the wire-v3 layout, or `None` for a
+/// cloud of more than `u32::MAX` points.
+fn frame_payload(frame: &Frame) -> Option<Vec<u8>> {
+    let n = u32::try_from(frame.cloud.len()).ok()?;
+    let mut out = Vec::with_capacity(FRAME_HEAD + POINT_BYTES * frame.cloud.len());
+    out.push(FRAME_TAG);
+    out.extend_from_slice(&frame.timestamp.to_le_bytes());
+    out.extend_from_slice(&n.to_le_bytes());
+    for p in frame.cloud.iter() {
+        for v in [p.position.x, p.position.y, p.position.z, p.doppler, p.snr] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    Some(out)
 }
 
-fn frame_from_value(value: &Value) -> Result<Frame, DecodeError> {
-    let timestamp: f64 = value.get("t")?;
-    let rows = value.field("points")?.as_seq()?;
-    let mut cloud = PointCloud::with_capacity(rows.len());
-    for row in rows {
-        let row = row.as_seq()?;
-        if row.len() != 5 {
-            return Err(DecodeError::new(format!(
-                "expected a 5-element point row, found {} elements",
-                row.len()
-            )));
+/// The little-endian `f64` at `bytes[at..at + 8]`.
+fn f64_at(bytes: &[u8], at: usize) -> f64 {
+    let mut raw = [0u8; 8];
+    raw.copy_from_slice(&bytes[at..at + 8]);
+    f64::from_le_bytes(raw)
+}
+
+fn non_finite(slot: &str, point: Option<usize>) -> DecodeError {
+    let at = point.map_or(String::new(), |i| format!(" of point {i}"));
+    DecodeError::new(format!("frame {slot}{at} is not finite"))
+}
+
+/// Decodes a wire-v3 frame payload (tag byte included). The length is
+/// checked against `n` before the cloud is allocated.
+fn frame_from_payload(payload: &[u8]) -> Result<Frame, DecodeError> {
+    let Some(head) = payload.get(..FRAME_HEAD) else {
+        return Err(DecodeError::new(format!(
+            "frame payload of {} bytes is shorter than its {FRAME_HEAD}-byte head",
+            payload.len()
+        )));
+    };
+    let n = u32::from_le_bytes([head[9], head[10], head[11], head[12]]) as usize;
+    let body = &payload[FRAME_HEAD..];
+    if n.checked_mul(POINT_BYTES) != Some(body.len()) {
+        return Err(DecodeError::new(format!(
+            "frame of {n} points carries {} body bytes, not {n} × {POINT_BYTES}",
+            body.len()
+        )));
+    }
+    let timestamp = f64_at(head, 1);
+    if !timestamp.is_finite() {
+        return Err(non_finite("t", None));
+    }
+    let mut cloud = PointCloud::with_capacity(n);
+    for (i, row) in body.chunks_exact(POINT_BYTES).enumerate() {
+        let v = [0, 8, 16, 24, 32].map(|at| f64_at(row, at));
+        if let Some(slot) = v.iter().position(|x| !x.is_finite()) {
+            return Err(non_finite(POINT_SLOTS[slot], Some(i)));
         }
-        cloud.push(Point::new(
-            Vec3::new(row[0].as_f64()?, row[1].as_f64()?, row[2].as_f64()?),
-            row[3].as_f64()?,
-            row[4].as_f64()?,
-        ));
+        cloud.push(Point::new(Vec3::new(v[0], v[1], v[2]), v[3], v[4]));
     }
     Ok(Frame::new(timestamp, cloud))
 }
 
+/// Parses a JSON payload into its value tree.
+fn json_value(payload: &[u8]) -> Result<Value, DecodeError> {
+    let text =
+        std::str::from_utf8(payload).map_err(|_| DecodeError::new("wire payload is not UTF-8"))?;
+    gp_codec::from_json(text).map_err(|e| DecodeError::new(format!("bad JSON: {e}")))
+}
+
+/// A message type that crosses the wire: [`ClientMsg`] or
+/// [`ServerMsg`]. [`to_wire`] and [`from_wire`] frame and unframe it.
+pub trait Message: Sized {
+    /// The message's payload, or `None` if it holds a value its
+    /// encoding cannot carry (a non-finite float in a JSON message).
+    fn to_payload(&self) -> Option<Vec<u8>>;
+
+    /// Decodes one deframed payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] for bytes that are not a message of
+    /// this type.
+    fn from_payload(payload: &[u8]) -> Result<Self, DecodeError>;
+}
+
 impl ClientMsg {
-    /// The message's wire `"type"` tag, e.g. `"frame"`.
+    /// The message's name in error texts, e.g. `"frame"`; also the
+    /// JSON `"type"` tag of every message but `Frame`.
     pub(crate) fn kind(&self) -> &'static str {
         match self {
             ClientMsg::Hello { .. } => "hello",
@@ -233,26 +303,28 @@ impl ClientMsg {
     }
 }
 
-impl Encode for ClientMsg {
-    fn encode(&self) -> Value {
+impl Message for ClientMsg {
+    fn to_payload(&self) -> Option<Vec<u8>> {
         let fields = match self {
+            ClientMsg::Frame(frame) => return frame_payload(frame),
             ClientMsg::Hello { version } => vec![("version", version.encode())],
-            ClientMsg::Frame(frame) => vec![("frame", frame_to_value(frame))],
             ClientMsg::Enroll { user } => vec![("user", user.encode())],
             ClientMsg::StatsQuery | ClientMsg::Identify | ClientMsg::Close => vec![],
         };
-        tagged(self.kind(), fields)
+        let json = gp_codec::to_json(&tagged(self.kind(), fields)).ok()?;
+        Some(json.into_bytes())
     }
-}
 
-impl Decode for ClientMsg {
-    fn decode(value: &Value) -> Result<Self, DecodeError> {
+    fn from_payload(payload: &[u8]) -> Result<Self, DecodeError> {
+        if payload.first() == Some(&FRAME_TAG) {
+            return frame_from_payload(payload).map(ClientMsg::Frame);
+        }
+        let value = json_value(payload)?;
         let tag: String = value.get("type")?;
         match tag.as_str() {
             "hello" => Ok(ClientMsg::Hello {
                 version: value.get("version")?,
             }),
-            "frame" => Ok(ClientMsg::Frame(frame_from_value(value.field("frame")?)?)),
             "stats_query" => Ok(ClientMsg::StatsQuery),
             "enroll" => Ok(ClientMsg::Enroll {
                 user: value.get("user")?,
@@ -407,6 +479,18 @@ impl Decode for ServerMsg {
     }
 }
 
+impl Message for ServerMsg {
+    fn to_payload(&self) -> Option<Vec<u8>> {
+        gp_codec::to_json(&self.encode())
+            .ok()
+            .map(String::into_bytes)
+    }
+
+    fn from_payload(payload: &[u8]) -> Result<Self, DecodeError> {
+        ServerMsg::decode(&json_value(payload)?)
+    }
+}
+
 /// Encodes a message to its framed wire bytes.
 ///
 /// # Panics
@@ -416,28 +500,38 @@ impl Decode for ServerMsg {
 /// is a configuration bug, not a data condition. The server encodes its
 /// replies through a fallible twin instead, because some echo client
 /// bytes.
-pub fn to_wire<T: Encode>(msg: &T, max_frame: usize) -> Vec<u8> {
+pub fn to_wire<T: Message>(msg: &T, max_frame: usize) -> Vec<u8> {
     try_to_wire(msg, max_frame).expect("wire message exceeds frame cap")
 }
 
 /// Encodes a message to its framed wire bytes, or `None` if it cannot
-/// be framed: its payload exceeds `max_frame`, or it holds a value JSON
-/// cannot carry.
-pub(crate) fn try_to_wire<T: Encode>(msg: &T, max_frame: usize) -> Option<Vec<u8>> {
-    let json = gp_codec::to_json(&msg.encode()).ok()?;
-    gp_codec::encode_frame(json.as_bytes(), max_frame).ok()
+/// be framed: its payload exceeds `max_frame`, or it holds a value its
+/// encoding cannot carry.
+pub(crate) fn try_to_wire<T: Message>(msg: &T, max_frame: usize) -> Option<Vec<u8>> {
+    gp_codec::encode_frame(&msg.to_payload()?, max_frame).ok()
+}
+
+/// Encodes one radar frame to the framed bytes of
+/// [`ClientMsg::Frame`], from a borrowed frame.
+///
+/// # Panics
+///
+/// As [`to_wire`].
+pub(crate) fn frame_to_wire(frame: &Frame, max_frame: usize) -> Vec<u8> {
+    frame_payload(frame)
+        .and_then(|payload| gp_codec::encode_frame(&payload, max_frame).ok())
+        .expect("wire message exceeds frame cap")
 }
 
 /// Decodes one deframed payload into a message.
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] for non-UTF-8 bytes, malformed JSON, or a
-/// well-formed value of the wrong shape.
-pub fn from_wire<T: Decode>(payload: &[u8]) -> Result<T, DecodeError> {
-    let text =
-        std::str::from_utf8(payload).map_err(|_| DecodeError::new("wire payload is not UTF-8"))?;
-    gp_codec::decode_from_json(text)
+/// Returns a [`DecodeError`] for a frame payload that breaks the
+/// layout or carries a non-finite value, and for non-UTF-8 bytes,
+/// malformed JSON, or a well-formed value of the wrong shape.
+pub fn from_wire<T: Message>(payload: &[u8]) -> Result<T, DecodeError> {
+    T::from_payload(payload)
 }
 
 #[cfg(test)]
@@ -610,5 +704,103 @@ mod tests {
         let future = br#"{"type":"stats","snapshot":{"schema_version":99,"counters":{},"gauges":{},"histograms":{},"attrs":{}}}"#;
         let err = from_wire::<ServerMsg>(future).unwrap_err();
         assert!(err.to_string().contains("newer than supported"));
+    }
+
+    /// Every `f64` a frame carries, as raw bits (`==` on floats would
+    /// equate `0.0` and `-0.0`).
+    fn frame_bits(frame: &Frame) -> Vec<u64> {
+        std::iter::once(frame.timestamp)
+            .chain(
+                frame
+                    .cloud
+                    .iter()
+                    .flat_map(|p| [p.position.x, p.position.y, p.position.z, p.doppler, p.snr]),
+            )
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn frames_roundtrip_bit_for_bit() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+            0.1,
+        ];
+        // Each edge value lands in every slot of some point.
+        let cloud: PointCloud = (0..edges.len())
+            .map(|i| {
+                let v = |k: usize| edges[(i + k) % edges.len()];
+                Point::new(Vec3::new(v(0), v(1), v(2)), v(3), v(4))
+            })
+            .collect();
+        let mut frames: Vec<Frame> = edges
+            .iter()
+            .map(|&t| Frame::new(t, PointCloud::new()))
+            .collect();
+        frames.push(Frame::new(-0.0, cloud));
+        for frame in frames {
+            let wire = to_wire(&ClientMsg::Frame(frame.clone()), 1 << 16);
+            assert_eq!(frame_to_wire(&frame, 1 << 16), wire);
+            let payload = &wire[gp_codec::framing::FRAME_HEADER_LEN..];
+            assert_eq!(payload.len(), FRAME_HEAD + POINT_BYTES * frame.len());
+            let ClientMsg::Frame(back) = roundtrip_client(&ClientMsg::Frame(frame.clone())) else {
+                panic!("a frame payload decodes as a frame");
+            };
+            assert_eq!(frame_bits(&back), frame_bits(&frame));
+        }
+    }
+
+    #[test]
+    fn malformed_frames_fail_typed() {
+        let frame = Frame::new(
+            0.5,
+            [
+                Point::new(Vec3::new(1.0, 2.0, 3.0), 0.25, 9.0),
+                Point::new(Vec3::new(-1.0, 0.5, 1.5), -0.75, 4.0),
+            ]
+            .into_iter()
+            .collect(),
+        );
+        let good = frame_payload(&frame).expect("two points");
+        assert!(from_wire::<ClientMsg>(&good).is_ok());
+
+        // NaN and ±∞ in each of the six slots: `t`, then the second
+        // point's five.
+        let slots = std::iter::once(("t", 1)).chain(
+            POINT_SLOTS
+                .iter()
+                .enumerate()
+                .map(|(k, &slot)| (slot, FRAME_HEAD + POINT_BYTES + 8 * k)),
+        );
+        for (slot, at) in slots {
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut bytes = good.clone();
+                bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                let err = from_wire::<ClientMsg>(&bytes).expect_err("non-finite value");
+                let text = err.to_string();
+                assert!(
+                    text.contains(&format!("frame {slot}")) && text.contains("not finite"),
+                    "{value} in {slot}: {text}"
+                );
+            }
+        }
+
+        let mut huge = good[..FRAME_HEAD + POINT_BYTES].to_vec();
+        huge[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        for (case, bytes) in [
+            ("one byte long", [good.as_slice(), &[0]].concat()),
+            ("one byte short", good[..good.len() - 1].to_vec()),
+            ("u32::MAX points, one point of body", huge),
+            ("tag alone", vec![FRAME_TAG]),
+        ] {
+            let err = from_wire::<ClientMsg>(&bytes).expect_err(case);
+            assert!(err.to_string().starts_with("frame"), "{case}: {err}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Hostile bytes into every decoder a peer or a file reaches: the wire
-//! messages (`from_wire` for `ClientMsg` and `ServerMsg`), gp-codec's
-//! JSON and binary value decoders, telemetry snapshots, and model and
-//! system artifacts in both byte formats.
+//! messages (`from_wire` for `ClientMsg`, whose frames are binary, and
+//! `ServerMsg`), gp-codec's JSON and binary value decoders, telemetry
+//! snapshots, and model and system artifacts in both byte formats.
 //!
 //! Inputs are arbitrary bytes and mutations of valid encodings: bit
 //! flips, truncations, inserted digits and inserted JSON tokens, one to
@@ -14,8 +14,9 @@
 use gestureprint_core::{
     train_classifier, ArtifactFormat, GesturePrint, ModelKind, TrainConfig, TrainedModel,
 };
+use gp_codec::framing::FRAME_HEADER_LEN;
 use gp_codec::{Encode, Value};
-use gp_net::wire::from_wire;
+use gp_net::wire::{from_wire, to_wire};
 use gp_net::{ClientMsg, IdentityOutcome, ServerMsg, TelemetrySnapshot, WireLedger};
 use gp_pointcloud::{Point, Vec3};
 use gp_radar::Frame;
@@ -154,7 +155,7 @@ fn snapshot() -> TelemetrySnapshot {
     registry.snapshot()
 }
 
-fn client_msgs() -> Vec<Vec<u8>> {
+fn client_msgs() -> Vec<ClientMsg> {
     [
         ClientMsg::Hello { version: 2 },
         ClientMsg::Frame(frame()),
@@ -165,9 +166,41 @@ fn client_msgs() -> Vec<Vec<u8>> {
         ClientMsg::Identify,
         ClientMsg::Close,
     ]
-    .iter()
-    .map(|m| json(&m.encode()))
-    .collect()
+    .into()
+}
+
+/// A client message's payload: a frame in its binary layout, the rest
+/// JSON.
+fn payload(msg: &ClientMsg) -> Vec<u8> {
+    to_wire(msg, 1 << 20)[FRAME_HEADER_LEN..].to_vec()
+}
+
+/// [`frame`] in the JSON shape frames had up to wire v2, so the
+/// gp-codec corpus keeps a frame-shaped value.
+fn frame_value() -> Value {
+    let frame = frame();
+    let rows = frame
+        .cloud
+        .iter()
+        .map(|p| {
+            Value::Seq(
+                [p.position.x, p.position.y, p.position.z, p.doppler, p.snr]
+                    .iter()
+                    .map(Encode::encode)
+                    .collect(),
+            )
+        })
+        .collect();
+    Value::record([
+        ("type", Value::Str("frame".into())),
+        (
+            "frame",
+            Value::record([
+                ("t", frame.timestamp.encode()),
+                ("points", Value::Seq(rows)),
+            ]),
+        ),
+    ])
 }
 
 fn server_msgs() -> Vec<Vec<u8>> {
@@ -218,7 +251,8 @@ fn server_msgs() -> Vec<Vec<u8>> {
 
 #[test]
 fn wire_messages_never_panic() {
-    fuzz("ClientMsg", 0xC11E, 100_000, &client_msgs(), |b| {
+    let client: Vec<Vec<u8>> = client_msgs().iter().map(payload).collect();
+    fuzz("ClientMsg", 0xC11E, 100_000, &client, |b| {
         from_wire::<ClientMsg>(b).is_ok()
     });
     fuzz("ServerMsg", 0x5E4E, 100_000, &server_msgs(), |b| {
@@ -228,10 +262,16 @@ fn wire_messages_never_panic() {
 
 #[test]
 fn codec_values_never_panic() {
-    let values: Vec<Value> = client_msgs()
+    let json_client: Vec<Vec<u8>> = client_msgs()
+        .iter()
+        .filter(|m| !matches!(m, ClientMsg::Frame(_)))
+        .map(payload)
+        .collect();
+    let values: Vec<Value> = json_client
         .iter()
         .chain(&server_msgs())
         .map(|b| gp_codec::from_json(&text(b)).expect("valid JSON"))
+        .chain([frame_value()])
         .chain([Value::Seq(vec![
             Value::Null,
             Value::Bool(true),

@@ -3,14 +3,19 @@
 //! ledger reconciles to the frame, and protocol damage is contained.
 
 use gp_net::wire::{from_wire, to_wire};
-use gp_net::{ClientMsg, NetClient, NetConfig, NetListener, NetServer, ServerMsg, WIRE_VERSION};
+use gp_net::{
+    ClientMsg, NetClient, NetConfig, NetListener, NetServer, ServerMsg, MIN_WIRE_VERSION,
+    WIRE_VERSION,
+};
 use gp_pointcloud::{Point, PointCloud, Vec3};
 use gp_radar::Frame;
 use gp_serve::{AdmissionConfig, IdentityStore, RegistryConfig, ServeConfig, ServeEngine};
 use gp_testkit::{stream_fixture, toy_system};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const MAX_FRAME: usize = 1 << 20;
 
@@ -160,6 +165,31 @@ fn stats_query_returns_live_versioned_snapshot() {
         .expect("engine stage histograms ride the same snapshot");
     assert_eq!(admission.count(), half as u64);
     assert!(snap.gauges.contains_key("serve.pool.workers"));
+    // The reactor's own counters ride the snapshot too.
+    let counter = |name: &str| {
+        *snap
+            .counters
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} is registered"))
+    };
+    for name in [
+        "net.reactor.ticks",
+        "net.reactor.idle_ticks",
+        "net.reactor.accept_probes",
+        "net.reactor.reads",
+        "net.reactor.empty_reads",
+    ] {
+        counter(name);
+    }
+    assert!(counter("net.reactor.idle_ticks") <= counter("net.reactor.ticks"));
+    let decode = snap
+        .histograms
+        .get("net.reactor.decode")
+        .expect("net.reactor.decode is registered");
+    assert!(
+        decode.count() >= counter("net.decoded_frames"),
+        "every decoded frame was timed"
+    );
 
     // The query didn't perturb the stream: the rest of the replay still
     // matches in-process results exactly, nothing lost or reordered.
@@ -294,21 +324,97 @@ fn malformed_message_gets_an_error_reply_and_disconnect() {
 #[test]
 fn wrong_wire_version_is_rejected_at_handshake() {
     let (_engine, server, addr) = spawn_tcp(ServeConfig::default());
+    // Versions 1 and 2 sent JSON frames, which the server no longer
+    // decodes; a version from the future is refused the same way.
+    assert_eq!(MIN_WIRE_VERSION, 3);
+    for version in [1, 2, WIRE_VERSION + 1] {
+        let mut sock = TcpStream::connect(addr).expect("connect");
+        sock.write_all(&to_wire(&ClientMsg::Hello { version }, MAX_FRAME))
+            .expect("bad hello");
+
+        let messages = read_until_hangup(&mut sock);
+        assert!(
+            matches!(messages.as_slice(), [ServerMsg::Error { message }]
+                if message.contains(&format!("unsupported wire version {version}"))),
+            "version {version}: expected exactly one Error, got {messages:?}"
+        );
+    }
+    assert_eq!(server.stats().protocol_errors, 3);
+    server.shutdown();
+}
+
+#[test]
+fn binary_frame_before_hello_is_out_of_order() {
+    let (_engine, server, addr) = spawn_tcp(ServeConfig::default());
     let mut sock = TcpStream::connect(addr).expect("connect");
-    sock.write_all(&to_wire(
-        &ClientMsg::Hello {
-            version: WIRE_VERSION + 1,
-        },
-        MAX_FRAME,
-    ))
-    .expect("bad hello");
+    let frame = ClientMsg::Frame(stream_fixture().frames[0].clone());
+    sock.write_all(&to_wire(&frame, MAX_FRAME))
+        .expect("frame before hello");
 
     let messages = read_until_hangup(&mut sock);
     assert!(
-        matches!(messages.as_slice(), [ServerMsg::Error { .. }]),
-        "expected exactly one Error, got {messages:?}"
+        matches!(messages.as_slice(), [ServerMsg::Error { message }]
+            if message == "frame message out of order"),
+        "expected the out-of-order Error, got {messages:?}"
     );
+    assert_eq!(server.stats().decoded_frames, 0);
+    assert_eq!(server.stats().protocol_errors, 1);
     server.shutdown();
+}
+
+#[test]
+fn new_connection_is_welcomed_while_another_streams() {
+    // The reactor probes `accept` every 2 ms, not on every tick. A
+    // streaming connection keeps every tick busy, and a new connection
+    // must still be welcomed within a few periods — also on a server
+    // that flushes its micro-batches far less often than that.
+    let engine = Arc::new(ServeEngine::new(toy_system(), ServeConfig::default()));
+    let listener = NetListener::bind_tcp("127.0.0.1:0").expect("bind loopback");
+    let config = NetConfig {
+        flush_interval: Duration::from_millis(80),
+        ..NetConfig::default()
+    };
+    let server = NetServer::spawn(engine.clone(), listener, config).expect("spawn server");
+    let addr = server.local_addr().expect("tcp address");
+    let period = Duration::from_millis(2);
+    let streaming = AtomicBool::new(true);
+    let mut waits: Vec<Duration> = std::thread::scope(|scope| {
+        let mut first = NetClient::connect_tcp(addr, MAX_FRAME).expect("connect");
+        let sender = scope.spawn(|| {
+            let empty = Frame::new(0.0, PointCloud::new());
+            let mut sent = 0u64;
+            while streaming.load(Ordering::Relaxed) {
+                first.send_frame(&empty).expect("send frame");
+                sent += 1;
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            let report = first.close().expect("graceful close");
+            assert_eq!(report.ledger.admitted, sent);
+        });
+        // Let the first stream get going before the others connect.
+        std::thread::sleep(period * 5);
+        let waits = (0..5)
+            .map(|_| {
+                let started = Instant::now();
+                let client = NetClient::connect_tcp(addr, MAX_FRAME).expect("connect");
+                let waited = started.elapsed();
+                client.close().expect("close");
+                waited
+            })
+            .collect();
+        streaming.store(false, Ordering::Relaxed);
+        sender.join().expect("sender thread");
+        waits
+    });
+    waits.sort();
+    assert!(
+        waits[waits.len() / 2] <= period * 5,
+        "median wait for Welcome {:?} exceeds 5 accept periods ({waits:?})",
+        waits[waits.len() / 2]
+    );
+    assert_eq!(server.stats().accepted, 6);
+    server.shutdown();
+    assert_eq!(engine.session_count(), 0, "no session leaked");
 }
 
 /// Checks that a hostile connection got exactly one short `Error`, was
@@ -330,7 +436,7 @@ fn assert_contained(server: &NetServer, addr: std::net::SocketAddr, messages: &[
 #[test]
 fn oversized_frame_before_hello_gets_a_bounded_error() {
     let (_engine, server, addr) = spawn_tcp(ServeConfig::default());
-    // A ~720 KB frame fits the cap, but its debug form does not: an
+    // A ~300 KB frame fits the cap, but its debug form does not: an
     // error that echoed the message would overflow the reply frame.
     let cloud: PointCloud = (0..7_500)
         .map(|k| {
